@@ -47,15 +47,13 @@ from .errors import (
     LincoderError,
     NoEquilibriumError,
     NotPositiveDefiniteError,
-    SingularMatrixError,
 )
-from .linalg import SymmetricEigen, logdet_psd, lu_solve, lyapunov_solve, mat_exp, sym_eig
+from .linalg import SymmetricEigen, logdet_psd, lyapunov_solve, mat_exp, sym_eig
 from .linearsystem import (
     ConstantDrift,
     IncrementDistribution,
     LinearSystemModel,
     TimeVaryingDrift,
-    gramian_derivative_residual,
     increment_distribution,
     sample_paths,
     state_transition,
@@ -88,7 +86,6 @@ __all__ = [
     "RateQuery",
     "RdfResult",
     "SimplexCode",
-    "SingularMatrixError",
     "SourceFamily",
     "StepCodes",
     "SymmetricEigen",
@@ -100,7 +97,6 @@ __all__ = [
     "emulate",
     "emulate_steps",
     "endpoint_map",
-    "gramian_derivative_residual",
     "increment_distribution",
     "increment_rate",
     "integer_code_count",
@@ -108,7 +104,6 @@ __all__ = [
     "integer_quantize",
     "is_hurwitz",
     "logdet_psd",
-    "lu_solve",
     "lyapunov_solve",
     "mat_exp",
     "min_sampling_rate",

@@ -231,12 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     curve = sub.add_parser("rdf-curve", help="code rate along a sampling grid")
     curve.add_argument("--config", required=True)
     curve.add_argument("--out")
-    curve.add_argument("--seed", type=_seed_type, default=0, help="unused; accepted for uniformity")
     curve.set_defaults(handler=_cmd_rdf_curve)
 
     rate = sub.add_parser("min-rate", help="minimum sampling rate under a capacity")
     rate.add_argument("--config", required=True)
-    rate.add_argument("--seed", type=_seed_type, default=0, help="unused; accepted for uniformity")
     rate.set_defaults(handler=_cmd_min_rate)
 
     sample = sub.add_parser("sample", help="generate a training dataset")

@@ -16,6 +16,9 @@ from .coderate import RateCurve
 from .emulation import AffineField, ConstantField, SourceFamily
 from .trajectories import TrajectoryDataset
 
+#: Largest accepted |t - k * dt| in a dataset CSV, relative to the horizon.
+TIME_GRID_RTOL = 1e-9
+
 
 def format_float(value: float) -> str:
     return f"{float(value):.17g}"
@@ -35,7 +38,12 @@ def write_trajectories(dataset: TrajectoryDataset, path) -> None:
 
 
 def read_trajectories(path) -> TrajectoryDataset:
-    """Parse a dataset CSV; requires a complete uniform (trial, k) grid."""
+    """Parse a dataset CSV; requires a complete uniform (trial, k) grid.
+
+    Every (trial, k) pair with trial, k >= 0 must appear exactly once, and
+    the time column must read t = k * dt with dt taken from the k = 1 rows,
+    to within TIME_GRID_RTOL of the horizon.
+    """
     text = Path(path).read_text()
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -44,28 +52,36 @@ def read_trajectories(path) -> TrajectoryDataset:
     if header[:3] != ["trial", "k", "t"] or len(header) < 4:
         raise ValueError(f"dataset file {path} has an unexpected header")
     n = len(header) - 3
-    rows = []
+    index, values = [], []
     for line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(header):
             raise ValueError(f"dataset file {path} has a malformed row: {line!r}")
-        rows.append((int(parts[0]), int(parts[1]), [float(v) for v in parts[2:]]))
-    if not rows:
+        index.append((int(parts[0]), int(parts[1])))
+        values.append([float(v) for v in parts[2:]])
+    if not index:
         raise ValueError(f"dataset file {path} contains no data rows")
-    trials = max(r[0] for r in rows) + 1
-    steps = max(r[1] for r in rows)
+    trial, k = np.array(index).T
+    table = np.array(values)
+    times = table[:, 0]
+    if trial.min() < 0 or k.min() < 0:
+        raise ValueError(f"dataset file {path} has a negative trial or step index")
+    trials, steps = int(trial.max()) + 1, int(k.max())
     if steps < 1:
         raise ValueError(f"dataset file {path} holds a single time point per trial")
-    states = np.full((trials, steps + 1, n), np.nan)
-    dt = None
-    for trial, k, values in rows:
-        states[trial, k] = values[1:]
-        if k == 1 and dt is None:
-            dt = values[0]
-    if dt is None or not np.isfinite(dt) or dt <= 0.0:
-        raise ValueError(f"dataset file {path} has no usable time column")
-    if np.any(np.isnan(states)):
+    cell = trial * (steps + 1) + k
+    counts = np.bincount(cell, minlength=trials * (steps + 1))
+    if counts.max() > 1:
+        raise ValueError(f"dataset file {path} repeats a (trial, k) row")
+    if counts.min() == 0:
         raise ValueError(f"dataset file {path} does not cover a complete grid")
+    dt = float(times[k == 1][0])
+    if not np.isfinite(dt) or dt <= 0.0:
+        raise ValueError(f"dataset file {path} has no usable time column")
+    if not np.all(np.abs(times - k * dt) <= TIME_GRID_RTOL * steps * dt):
+        raise ValueError(f"dataset file {path} has a non-uniform time column")
+    states = np.empty((trials, steps + 1, n))
+    states[trial, k] = table[:, 1:]
     return TrajectoryDataset(dt, states)
 
 

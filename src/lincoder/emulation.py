@@ -24,16 +24,13 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import InfeasibleTargetError
-from .linalg import as_square, as_vector
+from .linalg import as_square, as_vector, mat_exp
 from .rng import EMULATION_LANE, substream
 from .simplexlp import solve_nonnegative_lp
 from .trajectories import TrajectoryDataset
 
 #: Simplex membership slack accepted by SimplexCode.
 SIMPLEX_TOL = 5e-12
-#: Fixed-substep integrator floor for affine-field segments.
-MIN_SUBSTEPS = 64
-SUBSTEP_NORM_FACTOR = 16.0
 
 
 @dataclass(frozen=True)
@@ -220,35 +217,26 @@ class IntegerCode:
 
 
 def _advance_segment(family: SourceFamily, x: np.ndarray, active, length: float) -> np.ndarray:
-    """Flow along the activated combination of fields for one segment."""
-    active = np.asarray(active, dtype=float)
-    if not np.any(active):
-        return x
-    constant = sum(
-        f.vector * a
-        for f, a in zip(family.fields, active)
-        if a and isinstance(f, ConstantField)
-    )
-    affine = [(f, a) for f, a in zip(family.fields, active) if a and isinstance(f, AffineField)]
-    if not affine:
-        # Constant combined field: the state advances linearly.
-        return x + constant * length
-    mix_matrix = sum(f.matrix * a for f, a in affine)
-    mix_offset = sum(f.offset * a for f, a in affine)
-    if np.ndim(constant):
-        mix_offset = mix_offset + constant
-    steps = max(
-        MIN_SUBSTEPS,
-        int(math.ceil(length * float(np.linalg.norm(mix_matrix, 1)) * SUBSTEP_NORM_FACTOR)),
-    )
-    h = length / steps
-    for _ in range(steps):
-        k1 = mix_matrix @ x + mix_offset
-        k2 = mix_matrix @ (x + 0.5 * h * k1) + mix_offset
-        k3 = mix_matrix @ (x + 0.5 * h * k2) + mix_offset
-        k4 = mix_matrix @ (x + h * k3) + mix_offset
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+    """Flow along the activated combination of fields for one segment.
+
+    The combined field x -> M x + b is affine, so the flow is exact: x
+    advances by b * length when M = 0, and otherwise through the augmented
+    exponential exp([[M, b], [0, 0]] length) = [[E, e], [0, 1]], x <- E x + e.
+    """
+    n = x.shape[0]
+    block = np.zeros((n + 1, n + 1))
+    for field, a in zip(family.fields, active):
+        if not a:
+            continue
+        if isinstance(field, AffineField):
+            block[:n, :n] += field.matrix * a
+            block[:n, n] += field.offset * a
+        else:
+            block[:n, n] += field.vector * a
+    if not np.any(block[:n, :n]):
+        return x + block[:n, n] * length
+    exp = mat_exp(block, length)
+    return exp[:n, :n] @ x + exp[:n, n]
 
 
 def endpoint_map(family: SourceFamily, x_t, schedule: Schedule) -> np.ndarray:
@@ -256,8 +244,7 @@ def endpoint_map(family: SourceFamily, x_t, schedule: Schedule) -> np.ndarray:
 
     One-hot schedules realize the composition of single-field flows over
     uniform sub-segments; piecewise schedules may activate several fields
-    at once.  Constant fields advance the state exactly; affine fields are
-    integrated with a fixed-substep fourth-order scheme.
+    at once.  Every segment advances the state exactly.
     """
     x = as_vector(x_t, "state").copy()
     if x.shape[0] != family.dimension:

@@ -5,10 +5,6 @@ class LincoderError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SingularMatrixError(LincoderError):
-    """A linear solve hit a pivot too small to trust."""
-
-
 class NotPositiveDefiniteError(LincoderError):
     """Cholesky factorization failed: the input is not positive definite."""
 

@@ -1,19 +1,18 @@
 """Dense linear-algebra kernel shared by the higher-level modules.
 
-Small matrices only (n <= 64): the routines favour strict validation and
-verifiable contracts over asymptotic performance.  All functions are pure,
+Small dense matrices: the routines favour strict validation and verifiable
+contracts over asymptotic performance.  All functions are pure,
 accept anything array-like, and return fresh float64 arrays.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NoEquilibriumError, NotPositiveDefiniteError, SingularMatrixError
+from .errors import NoEquilibriumError, NotPositiveDefiniteError
 
 #: Largest accepted asymmetry max|S - S^T|, relative to max(1, max|S|).
 SYMMETRY_TOL = 1e-9
@@ -23,10 +22,10 @@ ORTHOGONALITY_TOL = 1e-10
 RECONSTRUCTION_RTOL = 1e-8
 #: Residual guarantee for lyapunov_solve, relative to max(1, max|N|).
 LYAPUNOV_RESIDUAL_RTOL = 1e-8
-#: Pivot cutoff for lu_solve, relative to the largest entry of the matrix.
-PIVOT_RTOL = 1e-13
-#: Largest dimension the Kronecker-vectorization Lyapunov solver accepts.
-MAX_LYAPUNOV_DIM = 64
+#: Smallest accepted min|lambda_i + lambda_j| over eigenvalue pairs of the
+#: drift, relative to norm1(A).  Below it A and -A^T share an eigenvalue (to
+#: working precision) and the Lyapunov equation has no unique solution.
+LYAPUNOV_SEPARATION_RTOL = 1e-12
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -100,57 +99,27 @@ def sym_eig(matrix) -> SymmetricEigen:
     return SymmetricEigen(values[::-1].copy(), vectors[:, ::-1].copy())
 
 
-def lu_solve(matrix, rhs) -> np.ndarray:
-    """Solve matrix @ x = rhs by LU with partial pivoting.
-
-    Raises SingularMatrixError when any pivot falls below
-    PIVOT_RTOL * max|matrix|.  One step of iterative refinement keeps the
-    residual below 1e-9 * max(1, max|rhs|) for well-conditioned inputs.
-    """
-    arr = as_square(matrix)
-    vec = as_vector(rhs, "right-hand side")
-    if vec.shape[0] != arr.shape[0]:
-        raise ValueError("matrix and right-hand side sizes do not agree")
-    scale = max_abs(arr)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(arr)
-    pivots = np.abs(np.diag(lu))
-    if np.any(pivots <= PIVOT_RTOL * scale) or np.any(pivots == 0.0):
-        raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below cutoff {PIVOT_RTOL * scale:.3e}"
-        )
-    x = scipy.linalg.lu_solve((lu, piv), vec)
-    x += scipy.linalg.lu_solve((lu, piv), vec - arr @ x)
-    return x
-
-
 def lyapunov_solve(a, noise) -> np.ndarray:
     """Equilibrium W of the continuous-time Lyapunov equation.
 
-    Solves A W + W A^T + N = 0 by Kronecker vectorization: the n^2 x n^2
-    system (I (x) A + A (x) I) vec(W) = -vec(N) is solved by LU with
-    partial pivoting and the result symmetrized.  O(n^6), fine at n <= 64.
+    Solves A W + W A^T + N = 0 by the Bartels-Stewart method (Schur
+    decomposition of A) and symmetrizes the result.
 
-    Raises NoEquilibriumError when the Kronecker operator is singular,
-    i.e. A and -A^T share an eigenvalue and no unique equilibrium exists.
+    Raises NoEquilibriumError when A and -A^T share an eigenvalue, i.e.
+    min|lambda_i + lambda_j| <= LYAPUNOV_SEPARATION_RTOL * norm1(A), so no
+    unique equilibrium exists.
     """
     arr = as_square(a, "drift matrix")
-    n = arr.shape[0]
-    if n > MAX_LYAPUNOV_DIM:
-        raise ValueError(f"dimension {n} exceeds supported maximum {MAX_LYAPUNOV_DIM}")
     sym = check_symmetric(as_square(noise, "noise matrix"), "noise matrix")
-    if sym.shape[0] != n:
+    if sym.shape[0] != arr.shape[0]:
         raise ValueError("drift and noise matrices must have the same size")
-    eye = np.eye(n)
-    operator = np.kron(eye, arr) + np.kron(arr, eye)
-    try:
-        vec = lu_solve(operator, -sym.flatten(order="F"))
-    except SingularMatrixError as exc:
+    eigs = np.linalg.eigvals(arr)
+    separation = float(np.min(np.abs(eigs[:, None] + eigs[None, :])))
+    if separation <= LYAPUNOV_SEPARATION_RTOL * float(np.linalg.norm(arr, 1)):
         raise NoEquilibriumError(
             "no unique equilibrium: drift and its negative transpose share an eigenvalue"
-        ) from exc
-    w = vec.reshape((n, n), order="F")
+        )
+    w = scipy.linalg.solve_continuous_lyapunov(arr, -sym)
     return 0.5 * (w + w.T)
 
 

@@ -219,34 +219,6 @@ def increment_distribution(
     return IncrementDistribution(mean, cov, float(t), dt)
 
 
-def gramian_derivative_residual(
-    model: LinearSystemModel, dt_grid, step: float = 1e-3
-) -> np.ndarray:
-    """Residual of the covariance ODE dW/ddt = A W + W A^T + N on a grid.
-
-    The derivative is approximated by a central difference with the given
-    step; returns the max-norm residual per grid point.  Diagnostic surface:
-    near the Lyapunov equilibrium the residual collapses to the equilibrium
-    defect.
-    """
-    if not model.is_constant:
-        raise ValueError("residual diagnostic requires constant drift")
-    grid = as_vector(dt_grid, "dt grid")
-    step = float(step)
-    if step <= 0.0 or np.any(grid - step <= 0.0):
-        raise ValueError("difference step must be positive and below min(dt_grid)")
-    a = model.drift.matrix
-    noise = model.noise_intensity
-    out = np.empty(grid.shape[0])
-    for i, dt in enumerate(grid):
-        _, w0 = _lti_transition_and_gramian(a, noise, float(dt))
-        _, wp = _lti_transition_and_gramian(a, noise, float(dt) + step)
-        _, wm = _lti_transition_and_gramian(a, noise, float(dt) - step)
-        diff = (wp - wm) / (2.0 * step)
-        out[i] = max_abs(diff - (a @ w0 + w0 @ a.T + noise))
-    return out
-
-
 def _covariance_sqrt(cov: np.ndarray) -> np.ndarray:
     """Cholesky factor, or the eigenvalue square root when near-singular."""
     trace = float(np.trace(cov))

@@ -19,9 +19,6 @@ from .linalg import as_vector, check_symmetric, as_square, logdet_psd, sym_eig
 #: Eigenvalues below this fraction of the largest are treated as exact zero
 #: modes: they carry no rate and numerical noise must not produce -inf.
 ZERO_MODE_RTOL = 1e-12
-#: Water-level bisection tolerance, relative to max(1, trace).  The search
-#: actually continues to machine precision; this is the guaranteed bound.
-WATER_LEVEL_ATOL = 1e-12
 #: Most negative eigenvalue accepted (then clamped to zero) before the
 #: covariance is rejected as non-PSD.
 NEGATIVE_EIGENVALUE_TOL = 1e-9
@@ -85,23 +82,22 @@ def rdf(source: GaussianSource, distortion: float) -> RdfResult:
     if distortion < 0.0:
         raise ValueError("distortion budget must be nonnegative")
     variances = _mode_variances(source)
-    total = float(variances.sum())
+    suffix = np.cumsum(variances[::-1])[::-1]  # suffix[i] = sum(variances[i:])
+    total = float(suffix[0])
     if distortion >= total:
         # Budget covers the total variance: zero rate, every mode fully allocated.
         return RdfResult(0.0, 0.0, float(variances[0]), variances.copy())
     if distortion == 0.0:
         return RdfResult(math.inf, math.inf, 0.0, np.zeros_like(variances))
 
-    lo, hi = 0.0, float(variances[0])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if float(np.minimum(mid, variances).sum()) < distortion:
-            lo = mid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
+    # With the k largest modes above water, sum(min(theta, variances)) is
+    # k * theta + tails[k - 1]; mode k is above water exactly when that sum at
+    # theta = variances[k - 1] exceeds the budget (Cover & Thomas, Thm
+    # 10.3.3).  Row k = 1 is the total, so k >= 1.
+    tails = np.append(suffix[1:], 0.0)
+    ranks = np.arange(1, variances.size + 1)
+    k = int(np.count_nonzero(ranks * variances + tails > distortion))
+    theta = (distortion - float(tails[k - 1])) / k
     allocations = np.minimum(theta, variances)
     active = variances > allocations
     rate_nats = 0.5 * float(np.sum(np.log(variances[active] / allocations[active])))

@@ -85,10 +85,31 @@ class TestEndpointMap:
         assert np.allclose(out, [0.5, 1.0], atol=1e-15)
 
     def test_affine_field_against_closed_form(self):
+        # x(L) = e^{ML} x + int_0^L e^{Ms} b ds, per coordinate for diagonal M
+        def flow(m, b, x, length):
+            return [
+                math.exp(mi * length) * xi + bi * math.expm1(mi * length) / mi
+                for mi, bi, xi in zip(m, b, x)
+            ]
+
         # single field x -> -x: flow over dt scales the state by exp(-dt)
         fam = SourceFamily((AffineField(-np.eye(2), np.zeros(2)),))
         out = endpoint_map(fam, [1.0, -2.0], OneHotSchedule((0,), 0.8))
         assert np.max(np.abs(out - math.exp(-0.8) * np.array([1.0, -2.0]))) <= 1e-8
+        # non-zero offset
+        fam = SourceFamily((AffineField(np.diag([-1.0, 0.5]), [0.3, -0.7]),))
+        out = endpoint_map(fam, [1.0, -2.0], OneHotSchedule((0,), 0.8))
+        expected = flow([-1.0, 0.5], [0.3, -0.7], [1.0, -2.0], 0.8)
+        assert np.max(np.abs(out - expected)) <= 1e-12
+        # constant + affine active together, then the affine field alone
+        fam = SourceFamily(
+            (AffineField(np.diag([-1.0, -2.0]), [0.5, 0.0]), ConstantField([0.0, 1.0]))
+        )
+        schedule = PiecewiseSchedule((0.0, 0.3), ((1, 1), (1, 0)), 0.8)
+        out = endpoint_map(fam, [1.0, -2.0], schedule)
+        mid = flow([-1.0, -2.0], [0.5, 1.0], [1.0, -2.0], 0.3)
+        expected = flow([-1.0, -2.0], [0.5, 0.0], mid, 0.5)
+        assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_onehot_equals_sequential_flows(self):
         rng = np.random.default_rng(5)

@@ -7,7 +7,6 @@ import pytest
 
 from lincoder import (
     LinearSystemModel,
-    gramian_derivative_residual,
     increment_distribution,
     sample_paths,
     state_transition,
@@ -125,6 +124,26 @@ class TestIncrementDistribution:
             increment_distribution(model, [0.0], 0.0, 0.0)
 
 
+def gramian_derivative_residual(model, dt_grid, step):
+    """Oracle: max-norm residual of dW/ddt = A W + W A^T + N per grid point.
+
+    The derivative of the increment covariance is taken by a central
+    difference with the given step.
+    """
+    a = model.drift.matrix
+    noise = model.noise_intensity
+    zero = np.zeros(model.dimension)
+    out = []
+    for dt in dt_grid:
+        w0, wp, wm = (
+            increment_distribution(model, zero, 0.0, h).covariance
+            for h in (dt, dt + step, dt - step)
+        )
+        diff = (wp - wm) / (2.0 * step)
+        out.append(max_abs(diff - (a @ w0 + w0 @ a.T + noise)))
+    return np.array(out)
+
+
 class TestGramianOdeResidual:
     def test_brownian_residual_vanishes(self):
         model = LinearSystemModel.constant(np.zeros((2, 2)), np.eye(2))
@@ -240,6 +259,21 @@ class TestDatasetCsv:
         assert lines[0] == "trial,k,t,x1"
         keys = [tuple(map(int, line.split(",")[:2])) for line in lines[1:]]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["0,0,0,1", "0,1,0.5,2", "1,0,0,3", "1,1,0.5,4", "-1,1,0.5,9"],  # negative trial
+            ["0,0,0,1", "0,1,0.5,2", "0,1,0.5,9"],  # duplicate (trial, k)
+            ["0,0,0,1", "0,1,0.5,2", "0,2,1.5,3"],  # non-uniform time column
+        ],
+        ids=["negative-index", "duplicate-row", "non-uniform-t"],
+    )
+    def test_malformed_grid_rejected(self, tmp_path, rows):
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(["trial,k,t,x1", *rows]) + "\n")
+        with pytest.raises(ValueError):
+            read_trajectories(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

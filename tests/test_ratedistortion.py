@@ -23,7 +23,8 @@ def grid_search_rate(variances, distortion, points=1_000_000):
     thetas = np.linspace(0.0, variances.max(), points)
     sums = np.minimum(thetas[:, None], variances[None, :]).sum(axis=1)
     theta = thetas[np.argmin(np.abs(sums - distortion))]
-    ratios = variances / np.minimum(theta, variances)
+    positive = variances[variances > 0.0]  # zero modes carry no rate
+    ratios = positive / np.minimum(theta, positive)
     return 0.5 * float(np.sum(np.log(np.maximum(ratios, 1.0))))
 
 
@@ -36,6 +37,21 @@ class TestRdfExamples:
         assert result.rate_nats == pytest.approx(0.5 * math.log(1.0 / 0.3), abs=1e-12)
         oracle = grid_search_rate([1.0, 0.1], 0.4, points=200_001)
         assert result.rate_nats == pytest.approx(oracle, abs=1e-5)
+
+    @pytest.mark.parametrize(
+        "variances, distortion",
+        [
+            ([1.0, 1.0, 1.0], 0.9),  # three tied modes above water
+            ([2.0, 1.0, 1.0], 3.0),  # water level lands on a tied pair
+            ([3.0, 1.0, 1.0, 0.0], 2.5),  # ties plus an exact zero mode
+            ([1.5, 0.0, 0.0], 0.6),  # two exact zero modes
+            ([2.0, 2.0, 0.0, 0.0], 1.0),
+        ],
+    )
+    def test_ties_and_zero_modes_match_grid_oracle(self, variances, distortion):
+        result = rdf(source(np.diag(variances)), distortion)
+        assert result.rate_nats == pytest.approx(grid_search_rate(variances, distortion), abs=1e-5)
+        assert float(result.allocations.sum()) == pytest.approx(distortion, abs=1e-12)
 
     def test_budget_covers_total_variance(self):
         for n in (1, 3, 6):
