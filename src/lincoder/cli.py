@@ -178,6 +178,9 @@ def _cmd_emulate(args) -> int:
         # replay implies at the reported resolution: with a uniform draw j over
         # the feasible trials and counts c ~ Mult(R, p_j), the increment
         # z V c / R has covariance z^2 [Cov_j(V p_j) + E_j V Cov_Mult(p_j) V^T / R].
+        # The draw is a bootstrap over the m trials, so Cov_j is the population
+        # covariance, (m-1)/m of the unbiased training estimate: an exact replay
+        # of one-hot codes reads about 1/m here.
         vectors = family.field_matrix()
         codes = result.codes
         cov_gaps = []

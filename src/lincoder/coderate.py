@@ -26,12 +26,9 @@ from .ratedistortion import GaussianSource, RdfResult, rdf
 HURWITZ_TOL = 1e-10
 #: Safety margin (bits) used when comparing rates against a capacity.
 CAPACITY_MARGIN_BITS = 1e-9
-#: Probe grid for bounded-rate detection in min_sampling_rate.
-PROBE_DT_DECADES = (-3.0, 3.0)
-PROBE_DT_POINTS = 121
 #: Smallest sampling interval tried before declaring a capacity infeasible.
 DT_FLOOR = 1e-6
-#: Largest sampling interval tried when extending the probe grid.
+#: Largest sampling interval tried before declaring no minimum rate needed.
 DT_CEILING = 1e12
 #: Relative width at which the crossing bisection stops.
 BISECTION_RTOL = 1e-9
@@ -158,22 +155,22 @@ def rate_curve(
 
 
 def min_sampling_rate(
-    model: LinearSystemModel,
-    distortion: float,
-    capacity_bits: float,
-    *,
-    dt_floor: float = DT_FLOOR,
+    model: LinearSystemModel, distortion: float, capacity_bits: float
 ) -> Union[float, NotNeeded]:
     """Smallest sampling rate keeping the code rate below a channel capacity.
 
-    Exploits monotonicity of the rate in the sampling interval: the grid
-    scan stops at the first interval at or above capacity, and the crossing
-    is then located by bisection in log space.  Returns NotNeeded when the
-    rate stays below capacity for every probed interval and the stable-case
-    ceiling (when it exists) certifies boundedness.
+    The rate is nondecreasing in the sampling interval (the increment
+    covariance grows in the Loewner order) and, for Hurwitz drift, never
+    exceeds the Lyapunov ceiling.  So a stable model whose ceiling is below
+    capacity returns NotNeeded at once.  Otherwise one tenfold bracket from
+    dt = 1 finds a decade holding the crossing: down while the rate is at or
+    above capacity, else up while it is below.  That decade is bisected in
+    log space, and 1 / dt is returned for its final lower end, the longest
+    interval found below capacity.
 
     Raises CapacityInfeasibleError when the rate is at or above capacity
-    even at the smallest supported interval.
+    even at DT_FLOOR; returns NotNeeded when it stays below capacity up to
+    DT_CEILING.
     """
     if not model.is_constant:
         raise ValueError("minimum sampling rate requires constant drift")
@@ -182,58 +179,34 @@ def min_sampling_rate(
         raise ValueError("capacity must be positive")
     threshold = capacity_bits - CAPACITY_MARGIN_BITS
 
-    def below(dt: float) -> bool:
-        return increment_rate(RateQuery(model, dt, distortion)).rate_bits < threshold
+    ceiling = None
+    try:
+        ceiling = rate_ceiling(model, distortion).rate_bits
+        if ceiling < capacity_bits:
+            return NotNeeded(ceiling_bits=ceiling, zero_rate=(ceiling <= 0.0))
+    except NoEquilibriumError:
+        pass
 
-    grid = np.logspace(PROBE_DT_DECADES[0], PROBE_DT_DECADES[1], PROBE_DT_POINTS)
-    lo = None
-    hi = None
-    for dt in grid:
-        if below(float(dt)):
-            lo = float(dt)
-        else:
-            hi = float(dt)
-            break
+    def rate(dt: float) -> float:
+        return increment_rate(RateQuery(model, dt, distortion)).rate_bits
 
-    if lo is None:
-        # Above capacity at the smallest grid point: push toward the floor.
-        probe = float(grid[0])
-        while probe > dt_floor:
-            previous = probe
-            probe = max(probe / 10.0, dt_floor)
-            if below(probe):
-                lo, hi = probe, previous
-                break
-        if lo is None:
-            raise CapacityInfeasibleError(
-                f"code rate stays at or above {capacity_bits} bits down to dt={dt_floor}"
-            )
-
-    if hi is None:
-        # Below capacity across the whole probe grid.
-        ceiling = None
-        try:
-            ceiling = rate_ceiling(model, distortion).rate_bits
-            if ceiling < capacity_bits:
-                return NotNeeded(ceiling_bits=ceiling, zero_rate=(ceiling <= 0.0))
-        except NoEquilibriumError:
-            pass
-        dt = float(grid[-1])
-        last_rate = increment_rate(RateQuery(model, dt, distortion)).rate_bits
-        lo = dt
-        while dt < DT_CEILING:
-            dt *= 2.0
-            rate = increment_rate(RateQuery(model, dt, distortion)).rate_bits
-            if rate >= threshold:
-                hi = dt
-                break
-            lo, last_rate = dt, rate
-        if hi is None:
+    decade, last_rate = 0, rate(1.0)
+    up = last_rate < threshold
+    while (last_rate < threshold) == up:
+        decade += 1 if up else -1
+        if 10.0**decade > DT_CEILING:
             return NotNeeded(ceiling_bits=ceiling, zero_rate=(last_rate <= 0.0))
+        if 10.0**decade < DT_FLOOR:
+            raise CapacityInfeasibleError(
+                f"code rate stays at or above {capacity_bits} bits down to dt={DT_FLOOR}"
+            )
+        last_rate = rate(10.0**decade)
+    lo = 10.0 ** (decade - 1 if up else decade)
+    hi = 10.0 ** (decade if up else decade + 1)
 
     while hi / lo > 1.0 + BISECTION_RTOL:
         mid = math.sqrt(lo * hi)
-        if below(mid):
+        if rate(mid) < threshold:
             lo = mid
         else:
             hi = mid

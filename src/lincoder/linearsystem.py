@@ -20,8 +20,8 @@ from .trajectories import TrajectoryDataset
 
 #: Most negative eigenvalue accepted in the noise intensity matrix.
 NOISE_PSD_TOL = 1e-9
-#: norm1(A) * dt above which the LTI increment covariance is assembled by
-#: interval doubling instead of one augmented exponential (avoids overflow
+#: Largest norm1(A) * dt of the one augmented exponential; longer horizons
+#: are halved below it and rebuilt by interval doubling (avoids overflow
 #: of the anti-stable block at large horizons).
 GRAMIAN_SPLIT_NORM = 4.0
 #: Fixed-substep integrator floor and norm factor for time-varying drift.
@@ -148,17 +148,15 @@ def _van_loan(a: np.ndarray, noise: np.ndarray, dt: float):
 def _lti_transition_and_gramian(a: np.ndarray, noise: np.ndarray, dt: float):
     """Transition matrix and increment covariance of an LTI system.
 
-    Built by the augmented-exponential method directly for moderate
-    horizons, and by repeated interval doubling W(2t) = Phi W Phi^T + W
-    otherwise.  For unstable drift at extreme horizons entries may
-    overflow to inf, which callers treat as an unbounded-rate signal.
+    One augmented exponential over dt / 2^k, then k interval doublings
+    W(2t) = Phi W Phi^T + W; k is 0 while norm1(A) * dt <= GRAMIAN_SPLIT_NORM.
+    For unstable drift at extreme horizons entries may overflow to inf,
+    which callers treat as an unbounded-rate signal.
     """
     n = a.shape[0]
     if dt == 0.0:
         return np.eye(n), np.zeros((n, n))
-    scale = float(np.linalg.norm(a, 1)) * dt
-    if scale <= GRAMIAN_SPLIT_NORM:
-        return _van_loan(a, noise, dt)
+    scale = max(float(np.linalg.norm(a, 1)) * dt, GRAMIAN_SPLIT_NORM)
     doublings = min(96, int(math.ceil(math.log2(scale / GRAMIAN_SPLIT_NORM))))
     phi, w = _van_loan(a, noise, dt / (2**doublings))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -117,6 +117,15 @@ class TestMinRate:
         expected = 1.0 / (0.01 * 4.0**8)
         assert abs(fs - expected) / expected <= 1e-6
 
+    def test_non_hurwitz_zero_rate_is_not_needed(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            "mr.json",
+            {"system": {"A": [[0.0]], "N": [[0.0]]}, "distortion": 0.01, "capacity_bits": 1.0},
+        )
+        assert main(["min-rate", "--config", config]) == 0
+        assert capsys.readouterr().out.strip() == "not_needed ceiling_bits=none zero_rate=1"
+
     def test_capacity_required(self, tmp_path, capsys):
         config = write_config(tmp_path, "mr.json", {"system": "stable", "distortion": 0.01})
         assert main(["min-rate", "--config", config]) == 2

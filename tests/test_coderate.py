@@ -18,6 +18,7 @@ from lincoder import (
     rate_ceiling,
     rate_curve,
 )
+from lincoder import coderate
 
 
 class TestIncrementRate:
@@ -153,6 +154,40 @@ class TestMinSamplingRate:
         curve = rate_curve(model, 0.01, grid)
         crossing = grid[np.argmax(curve.rate_bits >= 8.0)]
         assert 1.0 / fs == pytest.approx(crossing, rel=0.1)
+
+    @pytest.fixture
+    def rate_calls(self, monkeypatch):
+        calls = []
+        original = coderate.increment_rate
+
+        def counting(query):
+            calls.append(query.dt)
+            return original(query)
+
+        monkeypatch.setattr(coderate, "increment_rate", counting)
+        return calls
+
+    def test_ceiling_below_capacity_needs_no_rate_evaluation(self, rate_calls):
+        result = min_sampling_rate(demo_model("stable"), 0.01, 2.0)
+        assert isinstance(result, NotNeeded)
+        assert rate_calls == []
+
+    def test_unstable_crossing_needs_few_rate_evaluations(self, rate_calls):
+        fs = min_sampling_rate(demo_model("unstable"), 0.01, 8.0)
+        assert isinstance(fs, float)
+        assert len(rate_calls) <= 50
+
+    def test_brownian_crossings_far_from_unit_interval(self):
+        # Crossings at dt = D 4^C ~ 6.6e-4 and ~ 6.6e3, both brackets from dt = 1.
+        for distortion in (1e-8, 0.1):
+            fs = min_sampling_rate(demo_model("brownian"), distortion, 8.0)
+            expected = 1.0 / (distortion * 4.0**8)
+            assert abs(fs - expected) / expected <= 1e-8
+
+    def test_non_hurwitz_zero_rate_reaches_ceiling_interval(self):
+        model = LinearSystemModel.constant([[0.0]], [[0.0]])
+        result = min_sampling_rate(model, 0.01, 1.0)
+        assert result == NotNeeded(ceiling_bits=None, zero_rate=True)
 
     def test_infeasible_capacity(self):
         with pytest.raises(CapacityInfeasibleError):
