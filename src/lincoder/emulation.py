@@ -7,8 +7,9 @@ increments.  Two codecs are provided:
 * one-hot index sequences (the system flows along one field per uniform
   sub-segment), compressed greedily;
 * simplex codes (relative flow-time fractions plus a total flow time) for
-  constant fields, compressed exactly by a linear program minimizing the
-  total flow time.
+  constant fields, compressed exactly by the linear program minimizing the
+  total flow time, solved over every basis of the fields at once; among
+  optimal codes the least replay spread wins.
 
 On top of the simplex codec sits a non-parametric emulator: observed
 increments of an unknown system are compressed trial by trial, and each
@@ -314,27 +315,43 @@ def onehot_code_rate_bits(family_size: int, segments: int, blocklength: int) -> 
     return segments / blocklength * math.log2(family_size)
 
 
-def simplex_compress(family: SourceFamily, target_dx) -> SimplexCode:
-    """Exact simplex code for a reachable increment of a constant family.
+def _simplex_codes(family: SourceFamily, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fractions and total flow times for a stack of increments (..., n).
 
-    Solves the linear program minimizing the total flow time subject to
-    reproducing the increment with nonnegative per-field flow times, by a
-    dense two-phase primal simplex.  Raises InfeasibleTargetError when the
-    increment lies outside the conic hull of the fields.
+    Increments outside the conic hull of the fields get NaN fractions and
+    flow times; a zero flow time gets uniform fractions.
     """
     if not family.is_constant:
         raise ValueError("simplex compression requires constant fields")
+    per_field = solve_nonnegative_lp(family.field_matrix(), targets)
+    z = per_field.sum(axis=-1)
+    p = np.full(per_field.shape, 1.0 / family.size)
+    moving = z > 0.0
+    p[moving] = per_field[moving] / z[moving, None]
+    p[np.isnan(z)] = np.nan
+    return p, z
+
+
+def simplex_compress(family: SourceFamily, target_dx) -> SimplexCode:
+    """Exact simplex code for a reachable increment of a constant family.
+
+    The per-field flow times x minimize the total flow time 1.x subject to
+    V x = target and x >= 0; the optimum is found among the basic
+    solutions of every rank(V)-column basis of the fields (see
+    ``simplexlp``).  Ties in flow time go to the least replay spread
+    sum_i x_i |v_i|^2, then to the lowest basis index; the grid family, for
+    one, has many optimal codes on its hull edges, and this rule keeps the
+    adjacent fields.  A zero increment gets uniform fractions and flow time
+    0.  Raises InfeasibleTargetError when the increment lies outside the
+    conic hull of the fields.
+    """
     target = as_vector(target_dx, "target increment")
     if target.shape[0] != family.dimension:
         raise ValueError("target dimension does not match the family")
-    k = family.size
-    if not np.any(target):
-        return SimplexCode(np.full(k, 1.0 / k), 0.0)
-    flow_times = solve_nonnegative_lp(np.ones(k), family.field_matrix(), target)
-    z = float(flow_times.sum())
-    if z <= 0.0:
-        return SimplexCode(np.full(k, 1.0 / k), 0.0)
-    return SimplexCode(flow_times / z, z)
+    p, z = _simplex_codes(family, target)
+    if np.isnan(z):
+        raise InfeasibleTargetError("increment lies outside the conic hull of the fields")
+    return SimplexCode(p, float(z))
 
 
 def simplex_decompress(family: SourceFamily, x_t, code: SimplexCode) -> np.ndarray:
@@ -420,45 +437,30 @@ class StepCodes:
 def compress_dataset(dataset: TrajectoryDataset, family: SourceFamily) -> StepCodes:
     """Compress every observed increment, keeping per-trial and averaged codes.
 
+    All increments are solved in blocks by the same basis enumeration and
+    tie rule as ``simplex_compress``, so each gets the same code to rounding.
     Increments outside the attainable cone are skipped and counted; the
     per-step averages run over the feasible trials only.  A step with no
     feasible trial gets a zero flow time (the emulator then holds still).
     """
     if dataset.dimension != family.dimension:
         raise ValueError("dataset and family dimensions do not agree")
-    increments = dataset.increments()
-    trials, steps, _ = increments.shape
-    k = family.size
-    probabilities = np.empty((steps, k))
-    flow_times = np.empty(steps)
-    feasible = np.zeros(steps, dtype=int)
-    infeasible = np.zeros(steps, dtype=int)
-    trial_probabilities = np.full((steps, trials, k), np.nan)
-    trial_feasible = np.zeros((steps, trials), dtype=bool)
-    for step in range(steps):
-        p_sum = np.zeros(k)
-        z_sum = 0.0
-        good = 0
-        for trial in range(trials):
-            try:
-                code = simplex_compress(family, increments[trial, step])
-            except InfeasibleTargetError:
-                infeasible[step] += 1
-                continue
-            trial_probabilities[step, trial] = code.probabilities
-            trial_feasible[step, trial] = True
-            p_sum += code.probabilities
-            z_sum += code.flow_time
-            good += 1
-        feasible[step] = good
-        if good == 0:
-            probabilities[step] = np.full(k, 1.0 / k)
-            flow_times[step] = 0.0
-        else:
-            probabilities[step] = p_sum / good
-            flow_times[step] = z_sum / good
+    trial_probabilities, trial_flow_times = _simplex_codes(
+        family, dataset.increments().swapaxes(0, 1)
+    )  # (steps, trials, family size), (steps, trials)
+    trial_feasible = ~np.isnan(trial_flow_times)
+    feasible = trial_feasible.sum(axis=1)
+    good = np.maximum(feasible, 1)
+    probabilities = np.nansum(trial_probabilities, axis=1) / good[:, None]
+    probabilities[feasible == 0] = 1.0 / family.size
+    flow_times = np.nansum(trial_flow_times, axis=1) / good
     return StepCodes(
-        probabilities, flow_times, feasible, infeasible, trial_probabilities, trial_feasible
+        probabilities,
+        flow_times,
+        feasible,
+        trial_feasible.shape[1] - feasible,
+        trial_probabilities,
+        trial_feasible,
     )
 
 

@@ -1,134 +1,96 @@
-"""Dense two-phase primal simplex for small equality-constrained programs.
+"""Least-flow-time nonnegative solutions of V x = d by basis enumeration.
 
-Solves   minimize c.x   subject to  A x = b,  x >= 0
-on a full tableau with Bland's rule (lowest eligible index enters, ties in
-the ratio test go to the lowest basic index), which rules out cycling.
-Problem sizes here are tiny (tens of variables, a handful of constraints),
-so the dense tableau is both adequate and easy to verify.
+Solves   minimize 1.x   subject to  V x = d,  x >= 0
+for a whole stack of targets d.  By the fundamental theorem of linear
+programming an optimum, when one exists, is a basic solution: x is zero off
+r = rank(V) linearly independent columns B, and x_B = B+ d there.  The
+families used here have at most a few hundred such bases, so every block of
+targets is solved against all of them at once.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
-from .errors import InfeasibleTargetError
-
-#: Reduced costs above -REDUCED_COST_TOL count as optimal.
-REDUCED_COST_TOL = 1e-10
-#: Column entries below PIVOT_TOL are unusable as pivots.
-PIVOT_TOL = 1e-11
-#: Phase-1 objective above this value marks the program infeasible.
-FEASIBILITY_TOL = 1e-9
-
-_MAX_ITERATIONS = 20000
+#: Largest number of column subsets, C(K, rank V), enumerated for one family.
+MAX_BASES = 4096
+#: Targets per block are chosen so that bases x targets stays under this.
+BLOCK_CELLS = 2**14
+#: Slack on x_B >= 0 and on |B x_B - d|, with d scaled to unit max-norm.
+BASIS_TOL = 1e-9
+#: Relative width within which flow times, then replay spreads, count as tied.
+TIE_RTOL = 1e-12
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+def _bases(constraints: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column subsets of size rank(V) that are bases, their columns and pseudo-inverses."""
+    k = constraints.shape[1]
+    rank = int(np.linalg.matrix_rank(constraints))
+    if math.comb(k, rank) > MAX_BASES:
+        raise ValueError(
+            f"family has C({k}, {rank}) = {math.comb(k, rank)} candidate bases, "
+            f"more than the {MAX_BASES} supported"
+        )
+    subsets = np.array(list(itertools.combinations(range(k), rank)), dtype=int)
+    columns = np.moveaxis(constraints[:, subsets], 1, 0)  # (S, m, r)
+    independent = np.linalg.matrix_rank(columns) == rank
+    columns = columns[independent]
+    return subsets[independent], columns, np.linalg.pinv(columns)
 
 
-def _iterate(tableau: np.ndarray, basis: list[int], ncols: int) -> None:
-    """Run the simplex loop until the bottom row shows optimality."""
-    for _ in range(_MAX_ITERATIONS):
-        reduced = tableau[-1, :ncols]
-        entering = -1
-        for j in range(ncols):
-            if reduced[j] < -REDUCED_COST_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return
-        leaving = -1
-        best = np.inf
-        for i in range(tableau.shape[0] - 1):
-            coef = tableau[i, entering]
-            if coef > PIVOT_TOL:
-                ratio = tableau[i, -1] / coef
-                if ratio < best - 1e-15 or (
-                    abs(ratio - best) <= 1e-15
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = i
-        if leaving < 0:
-            raise RuntimeError("linear program is unbounded")
-        _pivot(tableau, leaving, entering)
-        basis[leaving] = entering
-    raise RuntimeError("simplex iteration limit exceeded")
+def solve_nonnegative_lp(constraints, rhs) -> np.ndarray:
+    """Least-flow-time x >= 0 with constraints @ x = rhs, for one or many targets.
 
-
-def solve_nonnegative_lp(cost, constraints, rhs) -> np.ndarray:
-    """Optimal x >= 0 minimizing cost.x subject to constraints @ x = rhs.
-
-    Raises InfeasibleTargetError when no feasible point exists.
+    ``rhs`` is one target (m,) or a stack (..., m); the result has shape
+    (..., k), with NaN rows for targets outside the conic hull of the
+    columns.  A basis is feasible when x_B >= -BASIS_TOL and
+    |B x_B - d| <= BASIS_TOL, both for d scaled to unit max-norm.
+    Among feasible bases the least flow time 1.x wins; flow times within
+    TIE_RTOL of it go to the least replay spread sum_i x_i |v_i|^2, and
+    spreads within TIE_RTOL to the lowest subset index.  Entries of x_B up
+    to TIE_RTOL times the flow time are rounding and become 0, so a target
+    along one column gets a one-hot solution.  Raises ValueError when the
+    columns have more than MAX_BASES candidate bases.
     """
     a = np.asarray(constraints, dtype=float)
     b = np.asarray(rhs, dtype=float)
-    c = np.asarray(cost, dtype=float)
-    if a.ndim != 2 or b.ndim != 1 or c.ndim != 1:
-        raise ValueError("expected a matrix, an rhs vector and a cost vector")
+    if a.ndim != 2 or b.ndim < 1:
+        raise ValueError("expected a constraint matrix and one or more rhs vectors")
     m, k = a.shape
-    if b.shape[0] != m or c.shape[0] != k:
-        raise ValueError("constraint, rhs and cost sizes do not agree")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+    if b.shape[-1] != m:
+        raise ValueError("constraint and rhs sizes do not agree")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("linear program data must be finite")
 
-    a = a.copy()
-    b = b.copy()
-    flip = b < 0.0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-
-    # Phase 1: artificial basis, minimize the sum of artificials.
-    tableau = np.zeros((m + 1, k + m + 1))
-    tableau[:m, :k] = a
-    tableau[:m, k : k + m] = np.eye(m)
-    tableau[:m, -1] = b
-    basis = list(range(k, k + m))
-    # Reduced costs r = c_phase1 - ones.B^-1 A: original columns get -sum.
-    tableau[-1, :k] = -a.sum(axis=0)
-    tableau[-1, -1] = -b.sum()
-    _iterate(tableau, basis, k + m)
-
-    if -tableau[-1, -1] > FEASIBILITY_TOL:
-        raise InfeasibleTargetError(
-            f"phase-1 objective {-tableau[-1, -1]:.3e} exceeds feasibility tolerance"
+    subsets, columns, inverses = _bases(a)
+    weights = np.sum(a * a, axis=0)[subsets][:, :, None]  # (S, r, 1)
+    targets = b.reshape(-1, m)
+    scale = np.max(np.abs(targets), axis=1)
+    scale[scale == 0.0] = 1.0
+    unit = targets / scale[:, None]
+    x = np.full((targets.shape[0], k), np.nan)
+    block = max(1, BLOCK_CELLS // len(subsets))
+    for start in range(0, targets.shape[0], block):
+        d = unit[start : start + block].T  # (m, t)
+        xb = inverses @ d  # (S, r, t)
+        residual = columns @ xb - d  # (S, m, t)
+        feasible = np.all(xb >= -BASIS_TOL, axis=1) & np.all(
+            np.abs(residual) <= BASIS_TOL, axis=1
         )
-
-    # Drive leftover artificials out of the basis; rows that cannot pivot
-    # on an original column are redundant constraints.
-    keep = []
-    for i in range(m):
-        if basis[i] >= k:
-            pivot_col = -1
-            for j in range(k):
-                if abs(tableau[i, j]) > PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
-                continue
-            _pivot(tableau, i, pivot_col)
-            basis[i] = pivot_col
-        keep.append(i)
-
-    rows = np.array(keep, dtype=int)
-    work = np.zeros((rows.size + 1, k + 1))
-    work[:-1, :k] = tableau[rows, :k]
-    work[:-1, -1] = tableau[rows, -1]
-    basis = [basis[i] for i in keep]
-
-    # Phase 2: reduced costs for the real objective.
-    c_basis = c[basis]
-    work[-1, :k] = c - c_basis @ work[:-1, :k]
-    work[-1, -1] = -float(c_basis @ work[:-1, -1])
-    _iterate(work, basis, k)
-
-    x = np.zeros(k)
-    for i, var in enumerate(basis):
-        x[var] = work[i, -1]
-    if np.any(x < -1e-9):
-        raise RuntimeError("simplex returned a negative component beyond tolerance")
-    return np.clip(x, 0.0, None)
+        flow = np.where(feasible, xb.sum(axis=1), np.inf)
+        best = flow.min(axis=0)
+        spread = np.where(
+            flow <= best + TIE_RTOL * np.abs(best), np.sum(xb * weights, axis=1), np.inf
+        )
+        least = spread.min(axis=0)
+        pick = np.argmax(spread <= least + TIE_RTOL * np.abs(least), axis=0)
+        found = np.flatnonzero(np.isfinite(best))
+        rows = start + found
+        x[rows] = 0.0
+        chosen = xb[pick[found], :, found]  # (found, r)
+        chosen[chosen <= TIE_RTOL * best[found, None]] = 0.0
+        x[rows[:, None], subsets[pick[found]]] = chosen * scale[rows, None]
+    return x.reshape(b.shape[:-1] + (k,))

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: outputs, reports, exit codes, determinism."""
 
+import itertools
 import json
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from lincoder import LinearSystemModel, planar_grid_family, sample_paths
 from lincoder.cli import main
 from lincoder.csvio import dump_family, read_trajectories, write_trajectories
+from lincoder.simplexlp import MAX_BASES
 
 
 def write_config(tmp_path, name, payload):
@@ -334,6 +336,29 @@ class TestEmulate:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_family_above_basis_cap_fails(self, tmp_path, capsys):
+        data_path, _ = self._write_inputs(tmp_path)
+        k = next(k for k in itertools.count(2) if math.comb(k, 2) > MAX_BASES)
+        angles = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
+        family_path = tmp_path / "large_family.json"
+        vectors = np.column_stack([np.cos(angles), np.sin(angles)])
+        family_path.write_text(json.dumps(vectors.tolist()))
+        rc = main(
+            [
+                "emulate",
+                data_path,
+                str(family_path),
+                "--resolution",
+                "5",
+                "--seed",
+                "1",
+                "--out",
+                str(tmp_path / "x.csv"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestCurveByteDeterminism:

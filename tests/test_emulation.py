@@ -29,6 +29,7 @@ from lincoder import (
     simplex_compress,
     simplex_decompress,
 )
+from lincoder.simplexlp import MAX_BASES
 
 
 def family_from(*vectors):
@@ -225,6 +226,66 @@ class TestSimplexCodec:
                 oracle = vertex_enumeration_min_flow(vectors, target)
                 assert oracle is not None
                 assert code.flow_time == pytest.approx(oracle, abs=1e-9)
+
+    def test_matches_highs_on_assorted_families(self):
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(31)
+        angles = np.deg2rad(np.linspace(-75.0, 75.0, 7))
+        base = rng.normal(size=(2, 5))
+        families = [
+            rng.normal(size=(2, 8)),  # full cone
+            rng.normal(size=(3, 9)),
+            np.vstack([np.cos(angles), np.sin(angles)]) * rng.uniform(0.8, 1.6, 7),  # 150 deg
+            rng.normal(size=(3, 2)),  # rank 2 in R^3
+            np.hstack([base, base[:, :3]]),  # duplicate fields
+        ]
+        verdicts = set()
+        for vectors in families:
+            fam = family_from(*vectors.T)
+            n, k = vectors.shape
+            targets = np.vstack(
+                [rng.normal(size=(20, n)), (vectors @ rng.uniform(0.0, 1.0, (k, 20))).T]
+            )
+            for target in targets:
+                reference = linprog(
+                    np.ones(k), A_eq=vectors, b_eq=target, bounds=(0, None), method="highs"
+                )
+                try:
+                    code = simplex_compress(fam, target)
+                except InfeasibleTargetError:
+                    assert reference.status == 2
+                    verdicts.add(False)
+                    continue
+                assert reference.status == 0
+                assert abs(code.flow_time - reference.fun) <= 1e-9
+                verdicts.add(True)
+        assert verdicts == {True, False}
+
+    def test_grid_tie_goes_to_least_spread(self):
+        # (2, 0.5) is reached at flow time 1 by any pair of fields on the
+        # x = 2 edge that brackets it; the least spread keeps the adjacent pair.
+        fam = planar_grid_family()
+        vectors = fam.field_matrix()
+        code = simplex_compress(fam, [2.0, 0.5])
+        assert code.flow_time == pytest.approx(1.0, abs=1e-12)
+        used = {tuple(vectors[:, i]): p for i, p in enumerate(code.probabilities) if p > 1e-12}
+        assert used == pytest.approx({(2.0, 0.0): 0.5, (2.0, 1.0): 0.5}, abs=1e-12)
+
+    def test_all_zero_family(self):
+        fam = family_from([0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(InfeasibleTargetError):
+            simplex_compress(fam, [1e-3, 0.0])
+        code = simplex_compress(fam, [0.0, 0.0])
+        assert code.flow_time == 0.0
+        assert np.allclose(code.probabilities, 1.0 / 3.0)
+
+    def test_family_above_basis_cap_rejected(self):
+        k = next(k for k in itertools.count(2) if math.comb(k, 2) > MAX_BASES)
+        angles = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
+        fam = family_from(*np.column_stack([np.cos(angles), np.sin(angles)]))
+        with pytest.raises(ValueError, match="candidate bases"):
+            simplex_compress(fam, [1.0, 0.0])
 
     def test_decompress_trivial_cases(self):
         fam = family_from([1.0, 0.0], [0.0, 2.0])
@@ -439,6 +500,40 @@ class TestEmulate:
             assert gaps.min() <= 1e-12
             seen.add(int(np.argmin(gaps)))
         assert seen == {0, 1}
+
+    def test_dataset_codes_match_per_increment_codes(self):
+        # The tolerances of the benchmark's emulate-compress oracle.
+        model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
+        data = sample_paths(model, [1.0, 1.0], 0.01, steps=40, trials=6, seed=12)
+        angles = np.deg2rad(np.linspace(-75.0, 75.0, 9)) + 1.0
+        cone = family_from(*np.column_stack([np.cos(angles), np.sin(angles)]))
+        for fam in (planar_grid_family(), cone):
+            codes = compress_dataset(data, fam)
+            increments = data.increments()
+            for step in range(data.steps):
+                p_sum, z_sum, good = np.zeros(fam.size), 0.0, 0
+                for trial in range(data.trials):
+                    try:
+                        code = simplex_compress(fam, increments[trial, step])
+                    except InfeasibleTargetError:
+                        assert not codes.trial_feasible[step, trial]
+                        continue
+                    assert codes.trial_feasible[step, trial]
+                    assert np.allclose(
+                        codes.trial_probabilities[step, trial],
+                        code.probabilities,
+                        rtol=0,
+                        atol=1e-12,
+                    )
+                    p_sum += code.probabilities
+                    z_sum += code.flow_time
+                    good += 1
+                assert codes.feasible_trials[step] == good
+                assert codes.infeasible_trials[step] == data.trials - good
+                if good:
+                    assert np.allclose(codes.probabilities[step], p_sum / good, rtol=0, atol=1e-12)
+                    assert abs(codes.flow_times[step] - z_sum / good) <= 1e-15
+        assert 0 < codes.infeasible_count < data.trials * data.steps
 
     def test_dimension_mismatch_rejected(self):
         fam = family_from([1.0])

@@ -1,9 +1,12 @@
 """Package surface tests."""
 
 import ast
+import importlib
 import pathlib
 
 import lincoder
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_every_exported_name_resolves():
@@ -33,3 +36,26 @@ def test_no_unused_imports():
         if path.name != "__init__.py" and (names := _unused_imports(path))
     }
     assert unused == {}
+
+
+def _bench_constant(filename, name):
+    """Literal value of a module-level assignment in a bench script, read without importing it."""
+    tree = ast.parse((BENCH / filename).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in bench/{filename}")
+
+
+def test_traced_benchmark_names_resolve():
+    layers = _bench_constant("tracer.py", "LAYERS")
+    functions = [name for name, _ in _bench_constant("run.py", "FUNCTION_METRICS")]
+    modules = {layer: importlib.import_module(f"lincoder.{layer}") for layer in layers}
+    missing = []
+    for qualified in functions:
+        layer, function = qualified.split(".")
+        if not callable(getattr(modules.get(layer), function, None)):
+            missing.append(qualified)
+    assert missing == []
