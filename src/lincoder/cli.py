@@ -30,6 +30,10 @@ from .presets import demo_model, demo_names
 from .ratedistortion import GaussianSource, rdf
 from .trajectories import TrajectoryDataset
 
+#: Floor on the scale of each cov_discrepancy_rms gap, relative to the step's mean
+#: squared training increment: below it the covariance is rounding (identical trials).
+COV_SCALE_RTOL = 1e-12
+
 
 class ConfigError(Exception):
     pass
@@ -196,9 +200,9 @@ def _cmd_emulate(args) -> int:
                 spread = second_moment - np.outer(mean_field, mean_field)
                 multinomial = (vectors * p.mean(axis=0)) @ vectors.T - second_moment
                 model_cov = codes.flow_times[k] ** 2 * (spread + multinomial / args.resolution)
-            cov_gaps.append(
-                np.linalg.norm(model_cov - train_cov) / (np.linalg.norm(train_cov) + 1e-300)
-            )
+            distance = np.linalg.norm(model_cov - train_cov)
+            floor = COV_SCALE_RTOL * np.mean(np.sum(increments[:, k, :] ** 2, axis=1))
+            cov_gaps.append(distance / max(np.linalg.norm(train_cov), floor) if distance else 0.0)
         lines.append(
             f"cov_discrepancy_rms={format_float(float(np.sqrt(np.mean(np.square(cov_gaps)))))}"
         )

@@ -8,8 +8,8 @@ increments.  Two codecs are provided:
   sub-segment), compressed greedily;
 * simplex codes (relative flow-time fractions plus a total flow time) for
   constant fields, compressed exactly by the linear program minimizing the
-  total flow time, solved over every basis of the fields at once; among
-  optimal codes the least replay spread wins.
+  total flow time, solved over the family's optimal (dual-feasible) bases,
+  found once per family; among optimal codes the least replay spread wins.
 
 On top of the simplex codec sits a non-parametric emulator: observed
 increments of an unknown system are compressed trial by trial, and each
@@ -336,14 +336,14 @@ def simplex_compress(family: SourceFamily, target_dx) -> SimplexCode:
     """Exact simplex code for a reachable increment of a constant family.
 
     The per-field flow times x minimize the total flow time 1.x subject to
-    V x = target and x >= 0; the optimum is found among the basic
-    solutions of every rank(V)-column basis of the fields (see
-    ``simplexlp``).  Ties in flow time go to the least replay spread
-    sum_i x_i |v_i|^2, then to the lowest basis index; the grid family, for
-    one, has many optimal codes on its hull edges, and this rule keeps the
-    adjacent fields.  A zero increment gets uniform fractions and flow time
-    0.  Raises InfeasibleTargetError when the increment lies outside the
-    conic hull of the fields.
+    V x = target and x >= 0; it is the basic solution of one of the
+    family's optimal (dual-feasible) bases, built once per family (see
+    ``simplexlp``).  Among optimal bases the least replay spread
+    sum_i x_i |v_i|^2 wins, then the lowest basis index; the grid family,
+    for one, has many optimal codes on its hull edges, and this rule keeps
+    the adjacent fields.  A zero increment gets uniform fractions and flow
+    time 0.  Raises InfeasibleTargetError when the increment lies outside
+    the conic hull of the fields.
     """
     target = as_vector(target_dx, "target increment")
     if target.shape[0] != family.dimension:
@@ -437,7 +437,7 @@ class StepCodes:
 def compress_dataset(dataset: TrajectoryDataset, family: SourceFamily) -> StepCodes:
     """Compress every observed increment, keeping per-trial and averaged codes.
 
-    All increments are solved in blocks by the same basis enumeration and
+    All increments are solved in blocks over the same optimal bases and
     tie rule as ``simplex_compress``, so each gets the same code to rounding.
     Increments outside the attainable cone are skipped and counted; the
     per-step averages run over the feasible trials only.  A step with no

@@ -16,12 +16,6 @@ from .errors import NoEquilibriumError, NotPositiveDefiniteError
 
 #: Largest accepted asymmetry max|S - S^T|, relative to max(1, max|S|).
 SYMMETRY_TOL = 1e-9
-#: Orthogonality guarantee max|Q^T Q - I| for eigenvector matrices.
-ORTHOGONALITY_TOL = 1e-10
-#: Reconstruction guarantee max|Q diag(w) Q^T - S|, relative to max(1, max|S|).
-RECONSTRUCTION_RTOL = 1e-8
-#: Residual guarantee for lyapunov_solve, relative to max(1, max|N|).
-LYAPUNOV_RESIDUAL_RTOL = 1e-8
 #: Smallest accepted min|lambda_i + lambda_j| over eigenvalue pairs of the
 #: drift, relative to norm1(A).  Below it A and -A^T share an eigenvalue (to
 #: working precision) and the Lyapunov equation has no unique solution.
@@ -93,7 +87,10 @@ class SymmetricEigen(NamedTuple):
 
 
 def sym_eig(matrix) -> SymmetricEigen:
-    """Eigenpairs of a symmetric matrix, eigenvalues sorted descending."""
+    """Eigenpairs of a symmetric matrix, eigenvalues sorted descending.
+
+    max|Q^T Q - I| <= 1e-10 and max|Q diag(w) Q^T - S| <= 1e-8 * max(1, max|S|).
+    """
     sym = check_symmetric(as_square(matrix))
     values, vectors = np.linalg.eigh(sym)
     return SymmetricEigen(values[::-1].copy(), vectors[:, ::-1].copy())
@@ -103,7 +100,8 @@ def lyapunov_solve(a, noise) -> np.ndarray:
     """Equilibrium W of the continuous-time Lyapunov equation.
 
     Solves A W + W A^T + N = 0 by the Bartels-Stewart method (Schur
-    decomposition of A) and symmetrizes the result.
+    decomposition of A) and symmetrizes the result; the residual
+    max|A W + W A^T + N| stays within 1e-8 * max(1, max|N|).
 
     Raises NoEquilibriumError when A and -A^T share an eigenvalue, i.e.
     min|lambda_i + lambda_j| <= LYAPUNOV_SEPARATION_RTOL * norm1(A), so no

@@ -1,15 +1,16 @@
-"""Least-flow-time nonnegative solutions of V x = d by basis enumeration.
+"""Least-flow-time nonnegative solutions of V x = d over the optimal bases.
 
 Solves   minimize 1.x   subject to  V x = d,  x >= 0
-for a whole stack of targets d.  By the fundamental theorem of linear
-programming an optimum, when one exists, is a basic solution: x is zero off
-r = rank(V) linearly independent columns B, and x_B = B+ d there.  The
-families used here have at most a few hundred such bases, so every block of
-targets is solved against all of them at once.
+for a stack of targets d.  An optimum is a basic solution x_B = B+ d on
+r = rank(V) independent columns B, and B is optimal exactly when x_B >= 0
+and its dual y^T = 1^T B+ has y^T v_k <= 1 for every field (Bertsimas &
+Tsitsiklis 1997, sec. 3.1).  That dual test reads V alone, so those bases
+are built once per family and every target is solved against them at once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -21,13 +22,15 @@ MAX_BASES = 4096
 BLOCK_CELLS = 2**14
 #: Slack on x_B >= 0 and on |B x_B - d|, with d scaled to unit max-norm.
 BASIS_TOL = 1e-9
-#: Relative width within which flow times, then replay spreads, count as tied.
+#: Relative slack on the dual bound y^T v_k <= 1 and on ties in replay spread.
 TIE_RTOL = 1e-12
 
 
-def _bases(constraints: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column subsets of size rank(V) that are bases, their columns and pseudo-inverses."""
-    k = constraints.shape[1]
+@functools.lru_cache(maxsize=32)
+def _optimal_bases(matrix: bytes, shape: tuple) -> tuple:
+    """Dual-feasible bases of V: subsets, columns, pseudo-inverses, spread weights."""
+    constraints = np.frombuffer(matrix).reshape(shape)
+    k = shape[1]
     rank = int(np.linalg.matrix_rank(constraints))
     if math.comb(k, rank) > MAX_BASES:
         raise ValueError(
@@ -37,8 +40,11 @@ def _bases(constraints: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     subsets = np.array(list(itertools.combinations(range(k), rank)), dtype=int)
     columns = np.moveaxis(constraints[:, subsets], 1, 0)  # (S, m, r)
     independent = np.linalg.matrix_rank(columns) == rank
-    columns = columns[independent]
-    return subsets[independent], columns, np.linalg.pinv(columns)
+    subsets, columns = subsets[independent], columns[independent]
+    inverses = np.linalg.pinv(columns)
+    optimal = np.max(inverses.sum(axis=1) @ constraints, axis=1) <= 1.0 + TIE_RTOL
+    weights = np.sum(constraints * constraints, axis=0)[subsets][:, :, None]  # (S, r, 1)
+    return subsets[optimal], columns[optimal], inverses[optimal], weights[optimal]
 
 
 def solve_nonnegative_lp(constraints, rhs) -> np.ndarray:
@@ -46,14 +52,13 @@ def solve_nonnegative_lp(constraints, rhs) -> np.ndarray:
 
     ``rhs`` is one target (m,) or a stack (..., m); the result has shape
     (..., k), with NaN rows for targets outside the conic hull of the
-    columns.  A basis is feasible when x_B >= -BASIS_TOL and
-    |B x_B - d| <= BASIS_TOL, both for d scaled to unit max-norm.
-    Among feasible bases the least flow time 1.x wins; flow times within
-    TIE_RTOL of it go to the least replay spread sum_i x_i |v_i|^2, and
-    spreads within TIE_RTOL to the lowest subset index.  Entries of x_B up
-    to TIE_RTOL times the flow time are rounding and become 0, so a target
-    along one column gets a one-hot solution.  Raises ValueError when the
-    columns have more than MAX_BASES candidate bases.
+    columns.  A kept (dual-feasible) basis is feasible for a target when
+    x_B >= -BASIS_TOL and |B x_B - d| <= BASIS_TOL, both for d scaled to
+    unit max-norm, and is then optimal; the least replay spread
+    sum_i x_i |v_i|^2 wins, spreads within TIE_RTOL going to the lowest
+    subset index.  Entries of x_B up to TIE_RTOL times the flow time
+    become 0, so a target along one column gets a one-hot solution.
+    Raises ValueError when the columns have more than MAX_BASES candidate bases.
     """
     a = np.asarray(constraints, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -65,8 +70,7 @@ def solve_nonnegative_lp(constraints, rhs) -> np.ndarray:
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("linear program data must be finite")
 
-    subsets, columns, inverses = _bases(a)
-    weights = np.sum(a * a, axis=0)[subsets][:, :, None]  # (S, r, 1)
+    subsets, columns, inverses, weights = _optimal_bases(a.tobytes(), a.shape)
     targets = b.reshape(-1, m)
     scale = np.max(np.abs(targets), axis=1)
     scale[scale == 0.0] = 1.0
@@ -80,17 +84,13 @@ def solve_nonnegative_lp(constraints, rhs) -> np.ndarray:
         feasible = np.all(xb >= -BASIS_TOL, axis=1) & np.all(
             np.abs(residual) <= BASIS_TOL, axis=1
         )
-        flow = np.where(feasible, xb.sum(axis=1), np.inf)
-        best = flow.min(axis=0)
-        spread = np.where(
-            flow <= best + TIE_RTOL * np.abs(best), np.sum(xb * weights, axis=1), np.inf
-        )
+        spread = np.where(feasible, np.sum(xb * weights, axis=1), np.inf)
         least = spread.min(axis=0)
         pick = np.argmax(spread <= least + TIE_RTOL * np.abs(least), axis=0)
-        found = np.flatnonzero(np.isfinite(best))
+        found = np.flatnonzero(np.isfinite(least))
         rows = start + found
         x[rows] = 0.0
         chosen = xb[pick[found], :, found]  # (found, r)
-        chosen[chosen <= TIE_RTOL * best[found, None]] = 0.0
+        chosen[chosen <= TIE_RTOL * chosen.sum(axis=1, keepdims=True)] = 0.0
         x[rows[:, None], subsets[pick[found]]] = chosen * scale[rows, None]
     return x.reshape(b.shape[:-1] + (k,))

@@ -45,9 +45,6 @@ class TrajectoryDataset:
     def dimension(self) -> int:
         return self.states.shape[2]
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.states.shape[1]) * self.dt
-
     def increments(self) -> np.ndarray:
         """Forward differences, shape (trials, steps, dimension)."""
         if self.steps < 1:

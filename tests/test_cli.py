@@ -255,6 +255,9 @@ class TestEmulate:
         assert "infeasible_increments=0" in report
         mean_line = [l for l in report.splitlines() if l.startswith("mean_discrepancy_rms=")][0]
         assert float(mean_line.split("=")[1]) <= 1e-9
+        # identical trials: the training covariance is rounding, not a scale
+        cov_line = [l for l in report.splitlines() if l.startswith("cov_discrepancy_rms=")][0]
+        assert float(cov_line.split("=")[1]) <= 1e-9
         emulated = read_trajectories(out)
         assert np.max(np.abs(emulated.states[0] - states[0])) <= 1e-9
 

@@ -29,7 +29,7 @@ from lincoder import (
     simplex_compress,
     simplex_decompress,
 )
-from lincoder.simplexlp import MAX_BASES
+from lincoder.simplexlp import BASIS_TOL, MAX_BASES, TIE_RTOL
 
 
 def family_from(*vectors):
@@ -186,6 +186,37 @@ class TestOneHotCompress:
         assert onehot_code_rate_bits(2, 8, 1) == pytest.approx(8.0)
 
 
+def exhaustive_simplex_code(vectors, target):
+    """Reference: every basis, least flow within TIE_RTOL, then least spread, then lowest index.
+
+    Returns (fractions, flow time), or None when no basis is feasible.
+    """
+    k = vectors.shape[1]
+    rank = int(np.linalg.matrix_rank(vectors))
+    scale = np.max(np.abs(target)) or 1.0
+    d = target / scale
+    weights = np.sum(vectors**2, axis=0)
+    candidates = []
+    for subset in itertools.combinations(range(k), rank):
+        columns = vectors[:, subset]
+        if rank and np.linalg.matrix_rank(columns) < rank:
+            continue
+        xb = np.linalg.pinv(columns) @ d
+        if np.any(xb < -BASIS_TOL) or np.any(np.abs(columns @ xb - d) > BASIS_TOL):
+            continue
+        candidates.append((xb.sum(), xb @ weights[list(subset)], subset, xb))
+    if not candidates:
+        return None
+    best = min(c[0] for c in candidates)
+    tied = [c for c in candidates if c[0] <= best + TIE_RTOL * abs(best)]
+    least = min(c[1] for c in tied)
+    _, _, subset, xb = next(c for c in tied if c[1] <= least + TIE_RTOL * abs(least))
+    x = np.zeros(k)
+    x[list(subset)] = np.where(xb <= TIE_RTOL * best, 0.0, xb) * scale
+    z = x.sum()
+    return (x / z if z > 0.0 else np.full(k, 1.0 / k)), z
+
+
 class TestSimplexCodec:
     def test_hand_lp(self):
         fam = family_from([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0])
@@ -261,6 +292,56 @@ class TestSimplexCodec:
                 assert abs(code.flow_time - reference.fun) <= 1e-9
                 verdicts.add(True)
         assert verdicts == {True, False}
+
+    def test_optimal_bases_match_exhaustive_reference(self):
+        rng = np.random.default_rng(41)
+        angles = np.deg2rad(np.linspace(-75.0, 75.0, 9))
+        axes = np.eye(3) * rng.uniform(0.5, 2.0, 3)
+        base = rng.normal(size=(2, 5))
+        families = [
+            planar_grid_family().field_matrix(),
+            np.hstack([axes, -axes, rng.normal(size=(3, 6))]),  # 3-D, 12 fields
+            np.vstack([np.cos(angles), np.sin(angles)]) * rng.uniform(0.8, 1.6, 9),  # 150 deg
+            rng.normal(size=(3, 2)) @ rng.normal(size=(2, 6)),  # rank 2 in R^3
+            np.hstack([base, base[:, :3]]),  # duplicate fields
+            np.zeros((2, 3)),
+        ]
+        verdicts = set()
+        for vectors in families:
+            fam = family_from(*vectors.T)
+            n, k = vectors.shape
+            targets = np.vstack(
+                [
+                    rng.normal(size=(15, n)),
+                    (vectors @ rng.uniform(0.0, 1.0, (k, 15))).T,
+                    0.7 * vectors.T,  # along one field: a degenerate vertex
+                    np.zeros((1, n)),
+                ]
+            )
+            for target in targets:
+                reference = exhaustive_simplex_code(vectors, target)
+                verdicts.add(reference is not None)
+                if reference is None:
+                    with pytest.raises(InfeasibleTargetError):
+                        simplex_compress(fam, target)
+                    continue
+                code = simplex_compress(fam, target)
+                assert np.allclose(code.probabilities, reference[0], rtol=0, atol=1e-12)
+                assert abs(code.flow_time - reference[1]) <= 1e-12 * max(1.0, reference[1])
+        assert verdicts == {True, False}
+
+    def test_family_bases_are_built_once(self, monkeypatch):
+        calls = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(
+            np.linalg, "pinv", lambda *args, **kwargs: calls.append(1) or pinv(*args, **kwargs)
+        )
+        rng = np.random.default_rng(43)
+        vectors = rng.normal(size=(2, 9))
+        fam = family_from(*vectors.T)
+        for target in (vectors @ rng.uniform(0.0, 1.0, (9, 100))).T:
+            simplex_compress(fam, target)
+        assert len(calls) == 1
 
     def test_grid_tie_goes_to_least_spread(self):
         # (2, 0.5) is reached at flow time 1 by any pair of fields on the

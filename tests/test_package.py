@@ -38,6 +38,28 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+def _module_constants(tree):
+    """Module-level UPPER_CASE names a module assigns."""
+    targets = [t for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+    return {t.id for t in targets if isinstance(t, ast.Name) and t.id.lstrip("_").isupper()}
+
+
+def test_no_unread_constants():
+    package = pathlib.Path(lincoder.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    unread = {
+        stem: sorted(names)
+        for stem, tree in trees.items()
+        if (names := _module_constants(tree) - read)
+    }
+    assert unread == {}
+
+
 def _bench_constant(filename, name):
     """Literal value of a module-level assignment in a bench script, read without importing it."""
     tree = ast.parse((BENCH / filename).read_text())
