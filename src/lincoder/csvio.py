@@ -28,13 +28,17 @@ def write_trajectories(dataset: TrajectoryDataset, path) -> None:
     """Dataset as CSV: header trial,k,t,x1..xn; rows sorted by (trial, k)."""
     n = dataset.dimension
     header = "trial,k,t," + ",".join(f"x{i + 1}" for i in range(n))
-    lines = [header]
-    for trial in range(dataset.trials):
-        for k in range(dataset.steps + 1):
-            row = [str(trial), str(k), format_float(k * dataset.dt)]
-            row.extend(format_float(v) for v in dataset.states[trial, k])
-            lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    # Each trial is one "%" over a flat list of cells, row by row: the "k,t"
+    # cells are shared by every trial, and "%.17g" formats as format_float.
+    cells = [None] * ((dataset.steps + 1) * (n + 1))
+    cells[:: n + 1] = [f"{k},{format_float(k * dataset.dt)}" for k in range(dataset.steps + 1)]
+    with open(path, "w", newline="\n") as out:
+        out.write(header + "\n")
+        for trial in range(dataset.trials):
+            trial_format = (f"{trial},%s" + ",%.17g" * n + "\n") * (dataset.steps + 1)
+            for i, column in enumerate(dataset.states[trial].T.tolist(), start=1):
+                cells[i :: n + 1] = column
+            out.write(trial_format % tuple(cells))
 
 
 def read_trajectories(path) -> TrajectoryDataset:
@@ -51,37 +55,36 @@ def read_trajectories(path) -> TrajectoryDataset:
     header = lines[0].split(",")
     if header[:3] != ["trial", "k", "t"] or len(header) < 4:
         raise ValueError(f"dataset file {path} has an unexpected header")
-    n = len(header) - 3
-    index, values = [], []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ValueError(f"dataset file {path} has a malformed row: {line!r}")
-        index.append((int(parts[0]), int(parts[1])))
-        values.append([float(v) for v in parts[2:]])
-    if not index:
+    if len(lines) == 1:
         raise ValueError(f"dataset file {path} contains no data rows")
-    trial, k = np.array(index).T
-    table = np.array(values)
-    times = table[:, 0]
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"dataset file {path} has a malformed row: {exc}") from exc
+    if table.shape[1] != len(header):
+        raise ValueError(f"dataset file {path} has a malformed row: {lines[1]!r}")
+    index = table[:, :2]
+    if not np.all(index % 1 == 0):
+        raise ValueError(f"dataset file {path} has a non-integer trial or step index")
+    trial, k = index.astype(np.int64).T
+    times = table[:, 2]
     if trial.min() < 0 or k.min() < 0:
         raise ValueError(f"dataset file {path} has a negative trial or step index")
     trials, steps = int(trial.max()) + 1, int(k.max())
     if steps < 1:
         raise ValueError(f"dataset file {path} holds a single time point per trial")
-    cell = trial * (steps + 1) + k
-    counts = np.bincount(cell, minlength=trials * (steps + 1))
-    if counts.max() > 1:
+    distinct = np.unique(trial * (steps + 1) + k).size
+    if distinct < trial.size:
         raise ValueError(f"dataset file {path} repeats a (trial, k) row")
-    if counts.min() == 0:
+    if distinct < trials * (steps + 1):
         raise ValueError(f"dataset file {path} does not cover a complete grid")
     dt = float(times[k == 1][0])
     if not np.isfinite(dt) or dt <= 0.0:
         raise ValueError(f"dataset file {path} has no usable time column")
     if not np.all(np.abs(times - k * dt) <= TIME_GRID_RTOL * steps * dt):
         raise ValueError(f"dataset file {path} has a non-uniform time column")
-    states = np.empty((trials, steps + 1, n))
-    states[trial, k] = table[:, 1:]
+    states = np.empty((trials, steps + 1, len(header) - 3))
+    states[trial, k] = table[:, 3:]
     return TrajectoryDataset(dt, states)
 
 

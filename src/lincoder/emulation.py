@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InfeasibleTargetError
 from .linalg import as_square, as_vector, mat_exp
-from .rng import EMULATION_LANE, substream
+from .rng import EMULATION_LANE, CellStreams, substream
 from .simplexlp import solve_nonnegative_lp
 from .trajectories import TrajectoryDataset
 
@@ -475,13 +475,15 @@ def emulate_steps(
 
     Each step draws, from its own stream (seed, EMULATION_LANE, 0, step),
     one feasible trial uniformly, then field-selection counts from the
-    multinomial with that trial's fractions, and decompresses them at the
-    step's averaged flow time and the current emulated state.  The mixture
-    keeps the averaged field law and step mean at every resolution and
-    restores the cross-trial spread that averaging removes.  Codes without
-    per-trial fractions, and steps with no feasible trial, draw no trial
-    index and use the averaged fractions.  Deterministic given (codes, x0,
-    resolution, seed).
+    multinomial with that trial's fractions, and moves by the step's
+    averaged flow time times V @ (counts / resolution), as
+    ``simplex_decompress`` would: V holds the field values at the current
+    emulated state, taken once for a constant family.  The mixture keeps the
+    averaged field law and step mean at every resolution and restores the
+    cross-trial spread that averaging removes.  Codes without per-trial
+    fractions, and steps with no feasible trial, draw no trial index and use
+    the averaged fractions.  Deterministic given (codes, x0, resolution,
+    seed).
     """
     resolution = int(resolution)
     if resolution < 1:
@@ -489,20 +491,29 @@ def emulate_steps(
     x = as_vector(x0, "initial state").copy()
     if x.shape[0] != family.dimension:
         raise ValueError("initial state dimension does not match the family")
+    if codes.probabilities.shape[1] != family.size or (
+        codes.trial_probabilities is not None and codes.trial_probabilities.shape[2] != family.size
+    ):
+        raise ValueError("code length does not match the family size")
+    flow_times = codes.flow_times.astype(float).tolist()
+    if not all(math.isfinite(z) and z >= 0.0 for z in flow_times):
+        raise ValueError("flow time must be finite and nonnegative")
+    vectors = family.field_matrix() if family.is_constant else None
+    streams = CellStreams(seed, EMULATION_LANE)
     states = np.empty((codes.steps + 1, x.shape[0]))
     states[0] = x
     for step in range(codes.steps):
-        stream = substream(seed, EMULATION_LANE, 0, step)
+        stream = substream(streams, 0, step)
         p = codes.probabilities[step]
         if codes.trial_feasible is not None:
             candidates = np.flatnonzero(codes.trial_feasible[step])
             if candidates.size:
                 p = codes.trial_probabilities[step, candidates[stream.integers(candidates.size)]]
-        p = np.clip(p, 0.0, None)
+        p = np.maximum(p, 0.0)
         p /= p.sum()
         counts = stream.multinomial(resolution, p)
-        code = SimplexCode(counts / resolution, float(codes.flow_times[step]))
-        x = x + simplex_decompress(family, x, code)
+        fields = family.evaluate(x) if vectors is None else vectors
+        x = x + flow_times[step] * (fields @ (counts / resolution))
         states[step + 1] = x
     return states
 

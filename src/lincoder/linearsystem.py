@@ -15,7 +15,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .linalg import as_square, as_vector, check_symmetric, mat_exp, max_abs
-from .rng import PATH_LANE, substream
+from .rng import PATH_LANE, CellStreams, substream
 from .trajectories import TrajectoryDataset
 
 #: Most negative eigenvalue accepted in the noise intensity matrix.
@@ -240,10 +240,12 @@ def sample_paths(
 ) -> TrajectoryDataset:
     """Exact-discretization sample paths of a constant-drift model.
 
-    x_{k+1} = Phi x_k + xi_k with xi_k ~ N(0, W(dt)) drawn through a
-    counter-based generator keyed by (seed, trial, step), so the dataset is
-    a pure function of the arguments regardless of evaluation order and
-    trials are statistically independent.
+    x_{k+1} = Phi x_k + xi_k with xi_k = R z_k, R R^T = W(dt), and z_k the
+    standard normals of the counter-based cell (seed, PATH_LANE, trial, k),
+    so the dataset is a pure function of the arguments regardless of
+    evaluation order and trials are statistically independent.  All trials
+    advance together, one step at a time, as stacked matvecs that give each
+    trial the same bits as its own Phi @ x + R @ z.
     """
     if not model.is_constant:
         raise ValueError("sample paths require constant drift")
@@ -258,12 +260,16 @@ def sample_paths(
         raise ValueError("initial state dimension does not match the model")
     phi, cov = _lti_transition_and_gramian(model.drift.matrix, model.noise_intensity, dt)
     root = _covariance_sqrt(cov)
+    streams = CellStreams(seed, PATH_LANE)
     states = np.empty((trials, steps + 1, n))
-    for trial in range(trials):
-        x = x0
-        states[trial, 0] = x
+    states[:, 0] = x0
+    # Each cell's standard normals wait in the slot of the state they drive.
+    for trial, shocks in enumerate(states[:, 1:]):
         for k in range(steps):
-            shock = root @ substream(seed, PATH_LANE, trial, k).standard_normal(n)
-            x = phi @ x + shock
-            states[trial, k + 1] = x
+            shocks[k] = substream(streams, trial, k).standard_normal(n)
+    # Stacked (n, n) @ (n, 1) products round as phi @ x does; x @ phi.T does not.
+    for k in range(steps):
+        x = states[:, k, :, np.newaxis]
+        z = states[:, k + 1, :, np.newaxis]
+        states[:, k + 1] = (phi @ x)[..., 0] + (root @ z)[..., 0]
     return TrajectoryDataset(dt, states)

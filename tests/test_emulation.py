@@ -15,6 +15,7 @@ from lincoder import (
     PiecewiseSchedule,
     SimplexCode,
     SourceFamily,
+    StepCodes,
     TrajectoryDataset,
     compress_dataset,
     emulate,
@@ -29,6 +30,7 @@ from lincoder import (
     simplex_compress,
     simplex_decompress,
 )
+from lincoder.rng import EMULATION_LANE
 from lincoder.simplexlp import BASIS_TOL, MAX_BASES, TIE_RTOL
 
 
@@ -498,8 +500,6 @@ class TestEmulate:
         assert np.array_equal(result.states[1], result.states[0])
 
     def test_multinomial_variance_scales_inversely_with_resolution(self):
-        from lincoder import StepCodes
-
         fam = family_from([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0])
         p = np.tile(np.array([0.4, 0.3, 0.2, 0.1]), (1, 1))
         codes = StepCodes(p, np.array([1.0]), np.array([1]), np.array([0]))
@@ -521,9 +521,6 @@ class TestEmulate:
     def test_averaged_codes_replay_as_one_pseudo_trial(self):
         # Codes without per-trial fractions draw no trial index: each step is
         # Mult(R, p_bar) from the step's stream, decompressed at the flow time.
-        from lincoder import StepCodes
-        from lincoder.rng import EMULATION_LANE, substream
-
         rng = np.random.default_rng(4)
         fam = planar_grid_family()
         vectors = fam.field_matrix()
@@ -540,11 +537,69 @@ class TestEmulate:
             for step in range(steps):
                 p = np.clip(codes.probabilities[step], 0.0, None)
                 p /= p.sum()
-                counts = substream(9, EMULATION_LANE, 0, step).multinomial(resolution, p)
+                cell = np.random.Philox(counter=[0, step, 0, 0], key=[9, EMULATION_LANE])
+                counts = np.random.Generator(cell).multinomial(resolution, p)
                 x = x + codes.flow_times[step] * (vectors @ (counts / resolution))
                 expected.append(x)
             replay = emulate_steps(codes, fam, [0.5, -1.0], resolution, 9)
             assert np.array_equal(replay, np.array(expected))
+
+    def test_affine_family_replay_matches_per_step_decompression(self):
+        # Affine fields are evaluated at the current emulated state every
+        # step; the replay must equal a loop over simplex_decompress.
+        fam = SourceFamily(
+            (
+                AffineField([[-0.5, 1.0], [-1.0, -0.5]], [0.2, 0.0]),
+                AffineField(-np.eye(2), [0.0, -0.3]),
+                ConstantField([1.0, 1.0]),
+            )
+        )
+        rng = np.random.default_rng(8)
+        steps = 20
+        codes = StepCodes(
+            rng.dirichlet(np.ones(3), size=steps),
+            rng.uniform(0.01, 0.05, steps),
+            np.full(steps, 2),
+            np.zeros(steps, dtype=int),
+            rng.dirichlet(np.ones(3), size=(steps, 2)),
+            rng.uniform(size=(steps, 2)) < 0.7,
+        )
+        for resolution in (1, 100):
+            x = np.array([0.5, -1.0])
+            expected = [x]
+            for step in range(steps):
+                cell = np.random.Generator(
+                    np.random.Philox(counter=[0, step, 0, 0], key=[4, EMULATION_LANE])
+                )
+                p = codes.probabilities[step]
+                candidates = np.flatnonzero(codes.trial_feasible[step])
+                if candidates.size:
+                    p = codes.trial_probabilities[step, candidates[cell.integers(candidates.size)]]
+                p = np.clip(p, 0.0, None)
+                p /= p.sum()
+                counts = cell.multinomial(resolution, p)
+                code = SimplexCode(counts / resolution, float(codes.flow_times[step]))
+                x = x + simplex_decompress(fam, x, code)
+                expected.append(x)
+            replay = emulate_steps(codes, fam, [0.5, -1.0], resolution, 4)
+            assert np.array_equal(replay, np.array(expected))
+
+    @pytest.mark.parametrize("flow_time", [-0.01, np.inf, np.nan])
+    def test_replay_rejects_bad_flow_time(self, flow_time):
+        fam = planar_grid_family()
+        flow_times = np.full(5, 0.01)
+        flow_times[3] = flow_time
+        probabilities = np.full((5, fam.size), 1.0 / fam.size)
+        codes = StepCodes(probabilities, flow_times, np.full(5, 1), np.zeros(5, dtype=int))
+        with pytest.raises(ValueError):
+            emulate_steps(codes, fam, [0.0, 0.0], 3, 0)
+
+    def test_replay_rejects_code_length_mismatch(self):
+        fam = planar_grid_family()
+        probabilities = np.full((5, fam.size - 1), 1.0 / (fam.size - 1))
+        codes = StepCodes(probabilities, np.full(5, 0.01), np.full(5, 1), np.zeros(5, dtype=int))
+        with pytest.raises(ValueError):
+            emulate_steps(codes, fam, [0.0, 0.0], 3, 0)
 
     def test_each_step_replays_one_trial_not_their_average(self):
         # Three trials move along e1, e2 and -e1 at the same flow time.  The

@@ -7,11 +7,14 @@ import pytest
 
 from lincoder import (
     LinearSystemModel,
+    TrajectoryDataset,
     increment_distribution,
     sample_paths,
     state_transition,
 )
 from lincoder.csvio import read_trajectories, write_trajectories
+from lincoder.linearsystem import GRAMIAN_SPLIT_NORM, _covariance_sqrt, _lti_transition_and_gramian
+from lincoder.rng import PATH_LANE
 
 
 def max_abs(a):
@@ -193,6 +196,55 @@ class TestSamplePaths:
         assert max_abs(empirical - np.eye(2)) <= bound
         assert max_abs(increments.mean(axis=0)) <= bound
 
+    @staticmethod
+    def per_cell_reference(model, x0, dt, steps, trials, seed):
+        """One fresh Philox cell per (trial, step), then phi @ x + root @ z."""
+        phi, cov = _lti_transition_and_gramian(model.drift.matrix, model.noise_intensity, dt)
+        root = _covariance_sqrt(cov)
+        n = model.dimension
+        key = np.array([seed, PATH_LANE], dtype=np.uint64)
+        states = np.empty((trials, steps + 1, n))
+        for trial in range(trials):
+            x = np.asarray(x0, dtype=float)
+            states[trial, 0] = x
+            for k in range(steps):
+                counter = np.array([0, k, trial, 0], dtype=np.uint64)
+                cell = np.random.Generator(np.random.Philox(counter=counter, key=key))
+                x = phi @ x + root @ cell.standard_normal(n)
+                states[trial, k + 1] = x
+        return states
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dt", [0.05, 40.0], ids=["one-exponential", "doublings"])
+    @pytest.mark.parametrize("singular", [False, True], ids=["cholesky", "eigen-root"])
+    def test_bit_identical_to_per_cell_loop(self, n, dt, singular):
+        rng = np.random.default_rng(100 * n + int(singular))
+        a = random_hurwitz(rng, n)
+        b = rng.normal(size=(n, n))
+        if singular:
+            # The last coordinate decouples and gets no noise: W(dt) is
+            # singular and the noise square root takes the eigen path.
+            a[-1, :-1] = a[:-1, -1] = 0.0
+            b[-1] = 0.0
+        model = LinearSystemModel.constant(a, b @ b.T)
+        _, cov = _lti_transition_and_gramian(a, model.noise_intensity, dt)
+        assert (np.linalg.matrix_rank(cov) < n) == singular
+        assert (np.linalg.norm(a, 1) * dt > GRAMIAN_SPLIT_NORM) == (dt > 1.0)
+        x0 = rng.normal(size=n)
+        seed = 2**64 - 1 if n == 3 else 31
+        data = sample_paths(model, x0, dt, steps=25, trials=6, seed=seed)
+        assert np.array_equal(data.states, self.per_cell_reference(model, x0, dt, 25, 6, seed))
+
+    def test_builds_one_generator(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(
+            np.random, "Philox", lambda *args, **kwargs: built.append(1) or philox(*args, **kwargs)
+        )
+        model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
+        sample_paths(model, [1.0, 1.0], 0.01, steps=300, trials=40, seed=7)
+        assert len(built) <= 1
+
     def test_requires_constant_drift(self):
         model = LinearSystemModel.time_varying(lambda t: -np.eye(2), 2, np.eye(2))
         with pytest.raises(ValueError):
@@ -250,6 +302,23 @@ class TestDatasetCsv:
         assert loaded.dt == data.dt
         assert np.array_equal(loaded.states, data.states)
 
+    @pytest.mark.parametrize("dt", [0.1, 0.01, 1.0 / 3.0])
+    def test_bytes_match_per_value_writer(self, tmp_path, dt):
+        rng = np.random.default_rng(17)
+        states = rng.normal(size=(3, 12, 2)) * 10.0 ** rng.integers(-300, 300, size=(3, 12, 2))
+        states[0, 1] = [-0.0, 0.0]
+        states[2, 5] = [1e-320, -np.finfo(float).max]
+        path = tmp_path / "data.csv"
+        write_trajectories(TrajectoryDataset(dt, states), path)
+        lines = ["trial,k,t,x1,x2"]
+        for trial in range(3):
+            for k in range(12):
+                values = [f"{k * dt:.17g}", *(f"{v:.17g}" for v in states[trial, k])]
+                lines.append(",".join([str(trial), str(k), *values]))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert b"-0," in path.read_bytes()
+        assert np.array_equal(read_trajectories(path).states, states)
+
     def test_header_and_ordering(self, tmp_path):
         model = LinearSystemModel.constant([[0.0]], [[1.0]])
         data = sample_paths(model, [0.0], 0.5, steps=2, trials=2, seed=1)
@@ -266,8 +335,18 @@ class TestDatasetCsv:
             ["0,0,0,1", "0,1,0.5,2", "1,0,0,3", "1,1,0.5,4", "-1,1,0.5,9"],  # negative trial
             ["0,0,0,1", "0,1,0.5,2", "0,1,0.5,9"],  # duplicate (trial, k)
             ["0,0,0,1", "0,1,0.5,2", "0,2,1.5,3"],  # non-uniform time column
+            ["0,0,0,1", "0,1,0.5", "0,2,1.0,3"],  # ragged row
+            ["0,0,0,1", "0,1,0.5,2", "1.5,0,0,3", "1.5,1,0.5,4"],  # non-integer trial
+            ["0,0,0,1", "0,1,0.5,2", "1000000000000000,0,0,3"],  # grid too large to hold
         ],
-        ids=["negative-index", "duplicate-row", "non-uniform-t"],
+        ids=[
+            "negative-index",
+            "duplicate-row",
+            "non-uniform-t",
+            "ragged-row",
+            "non-integer-trial",
+            "huge-trial-index",
+        ],
     )
     def test_malformed_grid_rejected(self, tmp_path, rows):
         path = tmp_path / "data.csv"
