@@ -23,16 +23,12 @@ from .csvio import (
     write_rate_curve,
     write_trajectories,
 )
-from .emulation import emulate
+from .emulation import emulate, replay_statistics
 from .errors import LincoderError
 from .linearsystem import LinearSystemModel, sample_paths
 from .presets import demo_model, demo_names
 from .ratedistortion import GaussianSource, rdf
 from .trajectories import TrajectoryDataset
-
-#: Floor on the scale of each cov_discrepancy_rms gap, relative to the step's mean
-#: squared training increment: below it the covariance is rounding (identical trials).
-COV_SCALE_RTOL = 1e-12
 
 
 class ConfigError(Exception):
@@ -88,9 +84,11 @@ def _grid_from_config(spec) -> tuple[np.ndarray, str]:
         points = int(_require(spec, "points"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid grid specification: {exc}") from exc
-    log = bool(spec.get("log", True))
-    if points < 1 or low <= 0.0 or (points > 1 and high <= low):
-        raise ConfigError("grid needs points >= 1 and 0 < min < max")
+    log = spec.get("log", True)
+    if not isinstance(log, bool):
+        raise ConfigError("grid log must be true or false")
+    if points < 1 or not low > 0.0 or (points > 1 and not low < high < np.inf):
+        raise ConfigError("grid needs points >= 1 and 0 < min < max < inf")
     if points == 1:
         axis_values = np.array([low])
     elif log:
@@ -101,17 +99,10 @@ def _grid_from_config(spec) -> tuple[np.ndarray, str]:
     return dts, axis
 
 
-def _distortion_from_config(config: dict) -> float:
-    value = float(_require(config, "distortion"))
-    if value < 0.0:
-        raise ConfigError("distortion must be nonnegative")
-    return value
-
-
 def _cmd_rdf_curve(args) -> int:
     config = _load_config(args.config)
     model = _model_from_config(_require(config, "system"))
-    distortion = _distortion_from_config(config)
+    distortion = _distortion_type(_require(config, "distortion"))
     dts, axis = _grid_from_config(_require(config, "grid"))
     out = args.out or config.get("out")
     if not out:
@@ -127,7 +118,7 @@ def _cmd_rdf_curve(args) -> int:
 def _cmd_min_rate(args) -> int:
     config = _load_config(args.config)
     model = _model_from_config(_require(config, "system"))
-    distortion = _distortion_from_config(config)
+    distortion = _distortion_type(_require(config, "distortion"))
     capacity = float(_require(config, "capacity_bits"))
     result = min_sampling_rate(model, distortion, capacity)
     if isinstance(result, NotNeeded):
@@ -141,12 +132,13 @@ def _cmd_min_rate(args) -> int:
 def _cmd_sample(args) -> int:
     config = _load_config(args.config)
     model = _model_from_config(_require(config, "system"))
-    if "dt" in config:
-        dt = float(config["dt"])
-    elif "fs" in config:
-        dt = 1.0 / float(config["fs"])
-    else:
+    key = "dt" if "dt" in config else "fs"
+    if key not in config:
         raise ConfigError("config needs 'dt' or 'fs'")
+    value = float(config[key])
+    if not 0.0 < value < np.inf:
+        raise ConfigError(f"{key} must be positive and finite")
+    dt = value if key == "dt" else 1.0 / value
     x0 = np.asarray(_require(config, "x0"), dtype=float)
     steps = int(_require(config, "steps"))
     trials = int(_require(config, "trials"))
@@ -164,68 +156,23 @@ def _cmd_emulate(args) -> int:
     family = load_family(args.family)
     result = emulate(dataset, family, args.resolution, args.seed)
     write_trajectories(TrajectoryDataset(dataset.dt, result.states[np.newaxis]), args.out)
-
-    increments = dataset.increments()
-    emu_increments = np.diff(result.states, axis=0)
-    gap = emu_increments - increments.mean(axis=0)
-    scale = np.sqrt(np.mean(np.sum(increments**2, axis=2), axis=0)) + 1e-300
-    mean_discrepancy = float(np.sqrt(np.mean((np.linalg.norm(gap, axis=1) / scale) ** 2)))
-
+    mean_rms, cov_rms, pooled = replay_statistics(dataset, result, family, args.resolution)
     lines = [
         f"steps={dataset.steps}",
         f"trials={dataset.trials}",
         f"infeasible_increments={result.infeasible_count}",
-        f"mean_discrepancy_rms={format_float(mean_discrepancy)}",
+        f"mean_discrepancy_rms={format_float(mean_rms)}",
     ]
-    if dataset.trials >= 2 and family.is_constant:
-        # Per-step gap between the training covariance and the covariance the
-        # replay implies at the reported resolution: with a uniform draw j over
-        # the feasible trials and counts c ~ Mult(R, p_j), the increment
-        # z V c / R has covariance z^2 [Cov_j(V p_j) + E_j V Cov_Mult(p_j) V^T / R].
-        # The draw is a bootstrap over the m trials, so Cov_j is the population
-        # covariance, (m-1)/m of the unbiased training estimate: an exact replay
-        # of one-hot codes reads about 1/m here.
-        vectors = family.field_matrix()
-        codes = result.codes
-        cov_gaps = []
-        for k in range(dataset.steps):
-            train_cov = np.cov(increments[:, k, :], rowvar=False)
-            p = codes.trial_probabilities[k][codes.trial_feasible[k]]
-            if len(p) == 0:
-                model_cov = np.zeros_like(train_cov)  # the replay holds still
-            else:
-                fields = p @ vectors.T
-                mean_field = fields.mean(axis=0)
-                second_moment = fields.T @ fields / len(p)
-                spread = second_moment - np.outer(mean_field, mean_field)
-                multinomial = (vectors * p.mean(axis=0)) @ vectors.T - second_moment
-                model_cov = codes.flow_times[k] ** 2 * (spread + multinomial / args.resolution)
-            distance = np.linalg.norm(model_cov - train_cov)
-            floor = COV_SCALE_RTOL * np.mean(np.sum(increments[:, k, :] ** 2, axis=1))
-            cov_gaps.append(distance / max(np.linalg.norm(train_cov), floor) if distance else 0.0)
-        lines.append(
-            f"cov_discrepancy_rms={format_float(float(np.sqrt(np.mean(np.square(cov_gaps)))))}"
-        )
-    pooled = _pooled_increment_covariance(increments)
     if pooled is not None:
-        rate = rdf(GaussianSource(np.zeros(dataset.dimension), pooled), args.distortion)
-        lines.append(f"distortion={format_float(args.distortion)}")
-        lines.append(f"rate_bits_at_distortion={format_float(rate.rate_bits)}")
+        source = GaussianSource(np.zeros(dataset.dimension), pooled)
+        lines += [
+            f"cov_discrepancy_rms={format_float(cov_rms)}",
+            f"distortion={format_float(args.distortion)}",
+            f"rate_bits_at_distortion={format_float(rdf(source, args.distortion).rate_bits)}",
+        ]
     lines.append(f"out={args.out}")
     print("\n".join(lines))
     return 0
-
-
-def _pooled_increment_covariance(increments: np.ndarray):
-    """Average per-step increment covariance estimated from the trials."""
-    trials = increments.shape[0]
-    if trials < 2:
-        return None
-    centered = increments - increments.mean(axis=0, keepdims=True)
-    pooled = np.einsum("lkn,lkm->nm", centered, centered) / (
-        increments.shape[1] * (trials - 1)
-    )
-    return 0.5 * (pooled + pooled.T)
 
 
 def _seed_type(value: str) -> int:
@@ -233,6 +180,13 @@ def _seed_type(value: str) -> int:
     if not 0 <= seed < 2**64:
         raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
     return seed
+
+
+def _distortion_type(value) -> float:
+    distortion = float(value)
+    if not distortion >= 0.0:
+        raise argparse.ArgumentTypeError("distortion must be nonnegative")
+    return distortion
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     emu.add_argument("--resolution", type=int, required=True, help="multinomial resolution")
     emu.add_argument("--seed", type=_seed_type, required=True)
     emu.add_argument("--out", required=True)
-    emu.add_argument("--distortion", type=float, default=0.01)
+    emu.add_argument("--distortion", type=_distortion_type, default=0.01)
     emu.set_defaults(handler=_cmd_emulate)
 
     return parser
@@ -274,7 +228,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (LincoderError, ValueError, OSError) as exc:

@@ -46,7 +46,7 @@ class RateQuery:
     def __post_init__(self):
         if float(self.dt) <= 0.0:
             raise ValueError("sampling interval must be positive")
-        if float(self.distortion) < 0.0:
+        if not float(self.distortion) >= 0.0:
             raise ValueError("distortion budget must be nonnegative")
         if float(self.t) < 0.0:
             raise ValueError("time must be nonnegative")
@@ -175,7 +175,7 @@ def min_sampling_rate(
     if not model.is_constant:
         raise ValueError("minimum sampling rate requires constant drift")
     capacity_bits = float(capacity_bits)
-    if capacity_bits <= 0.0:
+    if not capacity_bits > 0.0:
         raise ValueError("capacity must be positive")
     threshold = capacity_bits - CAPACITY_MARGIN_BITS
 

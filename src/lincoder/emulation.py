@@ -15,7 +15,8 @@ On top of the simplex codec sits a non-parametric emulator: observed
 increments of an unknown system are compressed trial by trial, and each
 emulated step replays the code of one feasible trial drawn uniformly at
 random, through multinomial draws of its field-selection frequencies, at
-the step's cross-trial average flow time.
+the step's cross-trial average flow time.  ``replay_statistics`` measures
+how well a replay matches its training data.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from .trajectories import TrajectoryDataset
 
 #: Simplex membership slack accepted by SimplexCode.
 SIMPLEX_TOL = 5e-12
+#: Floor on the scale of each cov_discrepancy_rms gap, relative to the step's mean
+#: squared training increment: below it the covariance is rounding (identical trials).
+COV_SCALE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -546,3 +550,44 @@ def emulate(
     x0 = dataset.states[:, 0, :].mean(axis=0)
     states = emulate_steps(codes, family, x0, resolution, seed)
     return EmulationResult(states, codes.infeasible_count, codes)
+
+
+def replay_statistics(
+    dataset: TrajectoryDataset, result: EmulationResult, family: SourceFamily, resolution: int
+) -> tuple[float, Optional[float], Optional[np.ndarray]]:
+    """mean_discrepancy_rms, cov_discrepancy_rms and pooled increment covariance.
+
+    Per step, all steps at once: the emulated increment's distance from the
+    mean training increment, over the RMS training increment; and the
+    Frobenius gap between the unbiased training covariance and the replay's
+    covariance at this resolution, z^2 [Cov_j(V p_j) + E_j V Cov_Mult(p_j) V^T / R]
+    for a uniform draw j over the feasible trials (0 with none), over the
+    training covariance's norm floored at COV_SCALE_RTOL times the mean
+    squared increment.  The draw is a bootstrap, so Cov_j is (m-1)/m of the
+    unbiased estimate.  Both gaps are reported as RMS over steps; the pooled
+    covariance is the mean training covariance.  With one trial the last two
+    are None.
+    """
+    increments = dataset.increments()  # (trials, steps, n)
+    mean_square = np.mean(np.sum(increments**2, axis=2), axis=0)
+    gap = np.diff(result.states, axis=0) - increments.mean(axis=0)
+    relative = np.linalg.norm(gap, axis=1) / (np.sqrt(mean_square) + 1e-300)
+    mean_rms = float(np.sqrt(np.mean(relative**2)))
+    if dataset.trials < 2:
+        return mean_rms, None, None
+    centered = increments - increments.mean(axis=0)
+    training = np.einsum("lkn,lkm->knm", centered, centered) / (dataset.trials - 1)
+    codes = result.codes
+    vectors = family.field_matrix()
+    p = np.where(codes.trial_feasible[..., None], codes.trial_probabilities, 0.0)
+    count = np.maximum(codes.feasible_trials, 1)[:, None, None]
+    fields = p @ vectors.T  # (steps, trials, n); zero rows for infeasible trials
+    mean_field = fields.sum(axis=1, keepdims=True) / count
+    second_moment = fields.swapaxes(1, 2) @ fields / count
+    spread = second_moment - mean_field.swapaxes(1, 2) * mean_field
+    multinomial = (vectors * (p.sum(axis=1, keepdims=True) / count)) @ vectors.T - second_moment
+    model = codes.flow_times[:, None, None] ** 2 * (spread + multinomial / resolution)
+    distance = np.linalg.norm(model - training, axis=(1, 2))
+    scale = np.maximum(np.linalg.norm(training, axis=(1, 2)), COV_SCALE_RTOL * mean_square)
+    gaps = np.divide(distance, scale, out=np.zeros_like(distance), where=distance > 0.0)
+    return mean_rms, float(np.sqrt(np.mean(gaps**2))), training.mean(axis=0)

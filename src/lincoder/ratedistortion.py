@@ -79,7 +79,7 @@ def rdf(source: GaussianSource, distortion: float) -> RdfResult:
     any positive variance yields an infinite rate.
     """
     distortion = float(distortion)
-    if distortion < 0.0:
+    if not distortion >= 0.0:
         raise ValueError("distortion budget must be nonnegative")
     variances = _mode_variances(source)
     suffix = np.cumsum(variances[::-1])[::-1]  # suffix[i] = sum(variances[i:])
@@ -112,7 +112,7 @@ def rdf_small_distortion(source: GaussianSource, distortion: float) -> float:
     the caller must use the full water-filling path.
     """
     distortion = float(distortion)
-    if distortion < 0.0:
+    if not distortion >= 0.0:
         raise ValueError("distortion budget must be nonnegative")
     n = source.dimension
     smallest = float(_mode_variances(source)[-1])

@@ -89,6 +89,41 @@ class TestRdfCurve:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_distortion_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            "curve.json",
+            {
+                "system": "stable",
+                "distortion": float("nan"),
+                "grid": {"min": 0.01, "max": 10.0, "points": 3},
+            },
+        )
+        assert main(["rdf-curve", "--config", config, "--out", str(tmp_path / "c.csv")]) == 2
+        assert "distortion must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"log": "false"}, "grid log must be true or false"),
+            ({"max": float("inf")}, "0 < min < max < inf"),
+        ],
+    )
+    def test_bad_grid_is_a_config_error(self, tmp_path, capsys, grid, message):
+        config = write_config(
+            tmp_path,
+            "curve.json",
+            {
+                "system": "stable",
+                "distortion": 0.01,
+                "grid": {"min": 1.0, "max": 3.0, "points": 3, **grid},
+            },
+        )
+        out = tmp_path / "c.csv"
+        assert main(["rdf-curve", "--config", config, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["rdf-curve", "--config", str(tmp_path / "absent.json")])
         assert rc == 2
@@ -131,6 +166,25 @@ class TestMinRate:
     def test_capacity_required(self, tmp_path, capsys):
         config = write_config(tmp_path, "mr.json", {"system": "stable", "distortion": 0.01})
         assert main(["min-rate", "--config", config]) == 2
+
+    def test_nan_distortion_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            "mr.json",
+            {"system": "unstable", "distortion": float("nan"), "capacity_bits": 8.0},
+        )
+        assert main(["min-rate", "--config", config]) == 2
+        assert "distortion must be nonnegative" in capsys.readouterr().err
+
+    def test_nan_capacity_is_rejected_like_a_negative_one(self, tmp_path, capsys):
+        for capacity in (float("nan"), -1.0):
+            config = write_config(
+                tmp_path,
+                "mr.json",
+                {"system": "unstable", "distortion": 0.01, "capacity_bits": capacity},
+            )
+            assert main(["min-rate", "--config", config]) == 1
+            assert capsys.readouterr().err == "error: capacity must be positive\n"
 
     def test_infeasible_capacity_fails(self, tmp_path, capsys):
         config = write_config(
@@ -181,6 +235,20 @@ class TestSample:
         expected = 2.0 * np.exp(-0.5 * np.arange(5))
         assert np.max(np.abs(data.states[0, :, 0] - expected)) <= 1e-12
         assert np.array_equal(data.states[0], data.states[1])
+
+    @pytest.mark.parametrize(
+        "spacing", [{"fs": 0.0}, {"dt": -0.1}, {"dt": float("nan")}, {"fs": float("inf")}]
+    )
+    def test_bad_sampling_interval_is_a_config_error(self, tmp_path, capsys, spacing):
+        config = write_config(
+            tmp_path,
+            "sample.json",
+            {"system": "stable", "x0": [0, 0], "steps": 2, "trials": 1, **spacing},
+        )
+        out = tmp_path / "x.csv"
+        assert main(["sample", "--config", config, "--out", str(out), "--seed", "1"]) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_is_required(self, tmp_path, capsys):
         config = write_config(
@@ -298,6 +366,26 @@ class TestEmulate:
         training = np.diag([0.0, 2.0])
         expected = np.linalg.norm(implied - training) / np.linalg.norm(training)
         assert float(report["cov_discrepancy_rms"]) == pytest.approx(expected, rel=1e-9)
+
+    def test_single_trial_reports_no_covariance_or_rate(self, tmp_path, capsys):
+        data_path, family_path = self._write_inputs(tmp_path, trials=1)
+        out = tmp_path / "emu.csv"
+        argv = [data_path, family_path, "--resolution", "3", "--seed", "4", "--out", str(out)]
+        assert main(["emulate", *argv]) == 0
+        keys = [line.split("=", 1)[0] for line in capsys.readouterr().out.splitlines()]
+        assert keys == ["steps", "trials", "infeasible_increments", "mean_discrepancy_rms", "out"]
+
+    @pytest.mark.parametrize("trials", [1, 5])
+    @pytest.mark.parametrize("distortion", ["nan", "-0.5"])
+    def test_bad_distortion_is_a_usage_error(self, tmp_path, capsys, trials, distortion):
+        data_path, family_path = self._write_inputs(tmp_path, trials=trials)
+        out = tmp_path / "emu.csv"
+        argv = [data_path, family_path, "--resolution", "3", "--seed", "4", "--out", str(out)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["emulate", *argv, "--distortion", distortion])
+        assert exit_info.value.code == 2
+        assert "distortion must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_dataset_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

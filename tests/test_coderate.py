@@ -55,6 +55,8 @@ class TestIncrementRate:
             RateQuery(model, dt=0.0, distortion=0.01)
         with pytest.raises(ValueError):
             RateQuery(model, dt=1.0, distortion=-0.01)
+        with pytest.raises(ValueError, match="nonnegative"):
+            RateQuery(model, dt=1.0, distortion=float("nan"))
 
 
 class TestRateCeiling:

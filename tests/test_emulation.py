@@ -30,6 +30,7 @@ from lincoder import (
     simplex_compress,
     simplex_decompress,
 )
+from lincoder.emulation import COV_SCALE_RTOL, replay_statistics
 from lincoder.rng import EMULATION_LANE
 from lincoder.simplexlp import BASIS_TOL, MAX_BASES, TIE_RTOL
 
@@ -676,3 +677,72 @@ class TestEmulate:
         data = single_field_dataset([1.0, 0.0], 0.1, steps=2, trials=1)
         with pytest.raises(ValueError):
             emulate(data, fam, resolution=3, seed=0)
+
+
+def reference_replay_statistics(dataset, result, family, resolution):
+    """Per-step loop over the replay statistics: the oracle for the batched version."""
+    increments = dataset.increments()
+    gap = np.diff(result.states, axis=0) - increments.mean(axis=0)
+    scale = np.sqrt(np.mean(np.sum(increments**2, axis=2), axis=0)) + 1e-300
+    mean_rms = float(np.sqrt(np.mean((np.linalg.norm(gap, axis=1) / scale) ** 2)))
+    if dataset.trials < 2:
+        return mean_rms, None, None
+    vectors = family.field_matrix()
+    codes = result.codes
+    cov_gaps = []
+    for k in range(dataset.steps):
+        train_cov = np.cov(increments[:, k, :], rowvar=False)
+        p = codes.trial_probabilities[k][codes.trial_feasible[k]]
+        if len(p) == 0:
+            model_cov = np.zeros_like(train_cov)  # the replay holds still
+        else:
+            fields = p @ vectors.T
+            mean_field = fields.mean(axis=0)
+            second_moment = fields.T @ fields / len(p)
+            spread = second_moment - np.outer(mean_field, mean_field)
+            multinomial = (vectors * p.mean(axis=0)) @ vectors.T - second_moment
+            model_cov = codes.flow_times[k] ** 2 * (spread + multinomial / resolution)
+        distance = np.linalg.norm(model_cov - train_cov)
+        floor = COV_SCALE_RTOL * np.mean(np.sum(increments[:, k, :] ** 2, axis=1))
+        cov_gaps.append(distance / max(np.linalg.norm(train_cov), floor) if distance else 0.0)
+    centered = increments - increments.mean(axis=0, keepdims=True)
+    pooled = np.einsum("lkn,lkm->nm", centered, centered) / (
+        dataset.steps * (dataset.trials - 1)
+    )
+    return mean_rms, float(np.sqrt(np.mean(np.square(cov_gaps)))), 0.5 * (pooled + pooled.T)
+
+
+class TestReplayStatistics:
+    def assert_matches_reference(self, data, fam, resolution):
+        result = emulate(data, fam, resolution, seed=42)
+        mean_rms, cov_rms, pooled = replay_statistics(data, result, fam, resolution)
+        ref_mean, ref_cov, ref_pooled = reference_replay_statistics(data, result, fam, resolution)
+        assert mean_rms == ref_mean
+        assert cov_rms == pytest.approx(ref_cov, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(pooled - ref_pooled)) <= 1e-12 * np.max(np.abs(ref_pooled))
+        return result
+
+    @pytest.mark.parametrize("trials", [3, 50])
+    @pytest.mark.parametrize("resolution", [1, 100])
+    def test_matches_per_step_reference(self, trials, resolution):
+        model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
+        data = sample_paths(model, [1.0, 1.0], 0.01, steps=300, trials=trials, seed=7)
+        self.assert_matches_reference(data, planar_grid_family(), resolution)
+
+    @pytest.mark.parametrize("resolution", [1, 7])
+    def test_partial_cone_with_all_infeasible_step(self, resolution):
+        fam = family_from([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])  # cone = first quadrant
+        increments = np.random.default_rng(3).uniform(0.01, 0.1, (4, 6, 2))
+        increments[:, 2] *= -1.0  # no trial can be compressed at step 2
+        increments[0, 4, 0] *= -1.0  # one trial out of the cone at step 4
+        states = np.concatenate([np.zeros((4, 1, 2)), np.cumsum(increments, axis=1)], axis=1)
+        result = self.assert_matches_reference(TrajectoryDataset(0.1, states), fam, resolution)
+        assert result.codes.feasible_trials.tolist() == [4, 4, 0, 4, 3, 4]
+
+    def test_single_trial_has_no_covariance_statistics(self):
+        data = single_field_dataset([1.0, 0.5], 0.1, steps=4, trials=1)
+        fam = planar_grid_family()
+        result = emulate(data, fam, 3, seed=1)
+        mean_rms, cov_rms, pooled = replay_statistics(data, result, fam, 3)
+        assert (cov_rms, pooled) == (None, None)
+        assert mean_rms == reference_replay_statistics(data, result, fam, 3)[0]

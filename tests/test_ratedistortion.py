@@ -86,6 +86,12 @@ class TestRdfExamples:
         with pytest.raises(ValueError):
             GaussianSource(np.zeros(0), np.zeros((0, 0)))
 
+    def test_nan_distortion_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rdf(source(np.eye(2)), math.nan)
+        with pytest.raises(ValueError, match="nonnegative"):
+            rdf_small_distortion(source(np.eye(2)), math.nan)
+
 
 class TestFastPath:
     def test_identity_small_budget(self):
