@@ -25,6 +25,7 @@ from .csvio import (
 )
 from .emulation import emulate, replay_statistics
 from .errors import LincoderError
+from .linalg import as_vector
 from .linearsystem import LinearSystemModel, sample_paths
 from .presets import demo_model, demo_names
 from .ratedistortion import GaussianSource, rdf
@@ -54,6 +55,21 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _read(config: dict, key: str, kind=float):
+    """Required config value converted by kind, or a ConfigError.
+
+    JSON booleans are refused, and kind=int takes JSON integers only, so
+    2.7 is not truncated to 2 nor true read as 1.
+    """
+    value = _require(config, key)
+    if isinstance(value, bool) or (kind is int and not isinstance(value, int)):
+        raise ConfigError(f"{key} must be a JSON {'integer' if kind is int else 'number'}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {key}: {exc}") from exc
+
+
 def _model_from_config(spec) -> LinearSystemModel:
     if isinstance(spec, str):
         if spec not in demo_names():
@@ -78,12 +94,9 @@ def _grid_from_config(spec) -> tuple[np.ndarray, str]:
     axis = spec.get("axis", "dt")
     if axis not in ("dt", "fs"):
         raise ConfigError("grid axis must be 'dt' or 'fs'")
-    try:
-        low = float(_require(spec, "min"))
-        high = float(_require(spec, "max"))
-        points = int(_require(spec, "points"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid grid specification: {exc}") from exc
+    low = _read(spec, "min")
+    high = _read(spec, "max")
+    points = _read(spec, "points", int)
     log = spec.get("log", True)
     if not isinstance(log, bool):
         raise ConfigError("grid log must be true or false")
@@ -102,7 +115,7 @@ def _grid_from_config(spec) -> tuple[np.ndarray, str]:
 def _cmd_rdf_curve(args) -> int:
     config = _load_config(args.config)
     model = _model_from_config(_require(config, "system"))
-    distortion = _distortion_type(_require(config, "distortion"))
+    distortion = _read(config, "distortion", _distortion_type)
     dts, axis = _grid_from_config(_require(config, "grid"))
     out = args.out or config.get("out")
     if not out:
@@ -118,8 +131,8 @@ def _cmd_rdf_curve(args) -> int:
 def _cmd_min_rate(args) -> int:
     config = _load_config(args.config)
     model = _model_from_config(_require(config, "system"))
-    distortion = _distortion_type(_require(config, "distortion"))
-    capacity = float(_require(config, "capacity_bits"))
+    distortion = _read(config, "distortion", _distortion_type)
+    capacity = _read(config, "capacity_bits")
     result = min_sampling_rate(model, distortion, capacity)
     if isinstance(result, NotNeeded):
         ceiling = "none" if result.ceiling_bits is None else format_float(result.ceiling_bits)
@@ -135,13 +148,13 @@ def _cmd_sample(args) -> int:
     key = "dt" if "dt" in config else "fs"
     if key not in config:
         raise ConfigError("config needs 'dt' or 'fs'")
-    value = float(config[key])
+    value = _read(config, key)
     if not 0.0 < value < np.inf:
         raise ConfigError(f"{key} must be positive and finite")
     dt = value if key == "dt" else 1.0 / value
-    x0 = np.asarray(_require(config, "x0"), dtype=float)
-    steps = int(_require(config, "steps"))
-    trials = int(_require(config, "trials"))
+    x0 = _read(config, "x0", as_vector)
+    steps = _read(config, "steps", int)
+    trials = _read(config, "trials", int)
     out = args.out or config.get("out")
     if not out:
         raise ConfigError("no output path: pass --out or set 'out' in the config")
@@ -182,6 +195,13 @@ def _seed_type(value: str) -> int:
     return seed
 
 
+def _resolution_type(value: str) -> int:
+    resolution = int(value)
+    if resolution < 1:
+        raise argparse.ArgumentTypeError("resolution must be a positive integer")
+    return resolution
+
+
 def _distortion_type(value) -> float:
     distortion = float(value)
     if not distortion >= 0.0:
@@ -214,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     emu = sub.add_parser("emulate", help="emulate a trajectory from a dataset")
     emu.add_argument("dataset", help="training dataset CSV")
     emu.add_argument("family", help="vector-field family JSON")
-    emu.add_argument("--resolution", type=int, required=True, help="multinomial resolution")
+    emu.add_argument(
+        "--resolution", type=_resolution_type, required=True, help="multinomial resolution"
+    )
     emu.add_argument("--seed", type=_seed_type, required=True)
     emu.add_argument("--out", required=True)
     emu.add_argument("--distortion", type=_distortion_type, default=0.01)

@@ -44,11 +44,11 @@ class RateQuery:
     t: float = 0.0
 
     def __post_init__(self):
-        if float(self.dt) <= 0.0:
+        if not float(self.dt) > 0.0:
             raise ValueError("sampling interval must be positive")
         if not float(self.distortion) >= 0.0:
             raise ValueError("distortion budget must be nonnegative")
-        if float(self.t) < 0.0:
+        if not float(self.t) >= 0.0:
             raise ValueError("time must be nonnegative")
 
 

@@ -4,6 +4,10 @@ Models dx = A(t) x dt + dw with noise intensity N, computes the Gaussian
 law of the forward increment X(t + dt) - X(t) | X(t), and draws sample
 paths by exact discretization (the sampled chain has exactly the analyzed
 increment law; there is no integrator bias).
+
+The transition matrix Phi and the increment covariance W of both drift
+kinds come from one function, which state_transition,
+increment_distribution and sample_paths share.
 """
 
 from __future__ import annotations
@@ -145,46 +149,51 @@ def _van_loan(a: np.ndarray, noise: np.ndarray, dt: float):
     return phi, 0.5 * (w + w.T)
 
 
-def _lti_transition_and_gramian(a: np.ndarray, noise: np.ndarray, dt: float):
-    """Transition matrix and increment covariance of an LTI system.
+def _transition_and_gramian(model: LinearSystemModel, t: float, dt: float):
+    """Transition matrix Phi and increment covariance W over [t, t + dt].
 
-    One augmented exponential over dt / 2^k, then k interval doublings
-    W(2t) = Phi W Phi^T + W; k is 0 while norm1(A) * dt <= GRAMIAN_SPLIT_NORM.
-    For unstable drift at extreme horizons entries may overflow to inf,
-    which callers treat as an unbounded-rate signal.
+    Constant drift: one augmented exponential over dt / 2^k, then k interval
+    doublings W(2s) = Phi W Phi^T + W; k is 0 while norm1(A) * dt <=
+    GRAMIAN_SPLIT_NORM.  For unstable drift at extreme horizons entries may
+    overflow to inf, which callers treat as an unbounded-rate signal.
+    Time-varying drift: one fixed-substep fourth-order pass on the pair
+    dPhi/dt = A Phi, dW/dt = A W + W A^T + N, so results are deterministic.
     """
-    n = a.shape[0]
-    if dt == 0.0:
-        return np.eye(n), np.zeros((n, n))
-    scale = max(float(np.linalg.norm(a, 1)) * dt, GRAMIAN_SPLIT_NORM)
-    doublings = min(96, int(math.ceil(math.log2(scale / GRAMIAN_SPLIT_NORM))))
-    phi, w = _van_loan(a, noise, dt / (2**doublings))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(doublings):
-            w = phi @ w @ phi.T + w
-            w = 0.5 * (w + w.T)
-            phi = phi @ phi
-    return phi, w
+    if not 0.0 < dt < math.inf:
+        raise ValueError("sampling interval must be positive and finite")
+    noise = model.noise_intensity
+    if model.is_constant:
+        a = model.drift.matrix
+        scale = max(float(np.linalg.norm(a, 1)) * dt, GRAMIAN_SPLIT_NORM)
+        doublings = min(96, int(math.ceil(math.log2(scale / GRAMIAN_SPLIT_NORM))))
+        phi, w = _van_loan(a, noise, dt / (2**doublings))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(doublings):
+                w = phi @ w @ phi.T + w
+                w = 0.5 * (w + w.T)
+                phi = phi @ phi
+        return phi, w
+    drift = model.drift
+
+    def ode(tau, pair):
+        a = drift.evaluate(tau)
+        phi, w = pair
+        return np.stack((a @ phi, a @ w + w @ a.T + noise))
+
+    n = model.dimension
+    steps = _substep_count(dt, float(np.linalg.norm(drift.evaluate(t), 1)))
+    phi, w = _rk4(ode, np.stack((np.eye(n), np.zeros((n, n)))), float(t), dt, steps)
+    return phi, 0.5 * (w + w.T)
 
 
 def state_transition(model: LinearSystemModel, t: float, dt: float) -> np.ndarray:
-    """Transition matrix over [t, t + dt].
-
-    Equals the matrix exponential for constant drift; for time-varying
-    drift the variational equation is integrated with a fixed-substep
-    fourth-order scheme so results are deterministic.
-    """
+    """Transition matrix over [t, t + dt]: the Phi of the increment law, or I at dt = 0."""
     dt = float(dt)
     if dt < 0.0:
         raise ValueError("sampling interval must be nonnegative")
-    n = model.dimension
     if dt == 0.0:
-        return np.eye(n)
-    if model.is_constant:
-        return mat_exp(model.drift.matrix, dt)
-    drift = model.drift
-    steps = _substep_count(dt, float(np.linalg.norm(drift.evaluate(t), 1)))
-    return _rk4(lambda tau, phi: drift.evaluate(tau) @ phi, np.eye(n), float(t), dt, steps)
+        return np.eye(model.dimension)
+    return _transition_and_gramian(model, t, dt)[0]
 
 
 def increment_distribution(
@@ -192,27 +201,10 @@ def increment_distribution(
 ) -> IncrementDistribution:
     """Gaussian law of X(t + dt) - X(t) given X(t) = x_t."""
     dt = float(dt)
-    if dt <= 0.0:
-        raise ValueError("sampling interval must be positive")
     x = as_vector(x_t, "state")
     if x.shape[0] != model.dimension:
         raise ValueError("state dimension does not match the model")
-    if model.is_constant:
-        phi, cov = _lti_transition_and_gramian(
-            model.drift.matrix, model.noise_intensity, dt
-        )
-    else:
-        phi = state_transition(model, t, dt)
-        drift = model.drift
-        noise = model.noise_intensity
-        steps = _substep_count(dt, float(np.linalg.norm(drift.evaluate(t), 1)))
-
-        def ode(tau, w):
-            a = drift.evaluate(tau)
-            return a @ w + w @ a.T + noise
-
-        cov = _rk4(ode, np.zeros((model.dimension,) * 2), float(t), dt, steps)
-        cov = 0.5 * (cov + cov.T)
+    phi, cov = _transition_and_gramian(model, t, dt)
     mean = (phi - np.eye(model.dimension)) @ x
     return IncrementDistribution(mean, cov, float(t), dt)
 
@@ -250,15 +242,13 @@ def sample_paths(
     if not model.is_constant:
         raise ValueError("sample paths require constant drift")
     dt = float(dt)
-    if dt <= 0.0:
-        raise ValueError("sampling interval must be positive")
     if steps < 1 or trials < 1:
         raise ValueError("need at least one step and one trial")
     x0 = as_vector(x0, "initial state")
     n = model.dimension
     if x0.shape[0] != n:
         raise ValueError("initial state dimension does not match the model")
-    phi, cov = _lti_transition_and_gramian(model.drift.matrix, model.noise_intensity, dt)
+    phi, cov = _transition_and_gramian(model, 0.0, dt)
     root = _covariance_sqrt(cov)
     streams = CellStreams(seed, PATH_LANE)
     states = np.empty((trials, steps + 1, n))

@@ -387,6 +387,17 @@ class TestEmulate:
         assert "distortion must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("resolution", ["0", "-3"])
+    def test_nonpositive_resolution_is_a_usage_error(self, tmp_path, capsys, resolution):
+        data_path, family_path = self._write_inputs(tmp_path)
+        out = tmp_path / "emu.csv"
+        argv = [data_path, family_path, "--resolution", resolution, "--seed", "4"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["emulate", *argv, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "resolution must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_dataset_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -450,6 +461,60 @@ class TestEmulate:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+BASE_CONFIGS = {
+    "rdf-curve": {
+        "system": "stable",
+        "distortion": 0.01,
+        "grid": {"min": 0.1, "max": 1.0, "points": 3},
+    },
+    "min-rate": {"system": "unstable", "distortion": 0.01, "capacity_bits": 8.0},
+    "sample": {"system": "stable", "x0": [1.0, 1.0], "dt": 0.1, "steps": 2, "trials": 2},
+}
+
+
+class TestConfigValueTypes:
+    @pytest.mark.parametrize(
+        "command, change",
+        [
+            ("rdf-curve", {"distortion": None}),
+            ("rdf-curve", {"grid": {"min": 0.1, "max": 1.0, "points": 2.5}}),
+            ("min-rate", {"distortion": None}),
+            ("min-rate", {"capacity_bits": [1]}),
+            ("sample", {"dt": None}),
+            ("sample", {"steps": None}),
+            ("sample", {"x0": {}}),
+            ("sample", {"x0": [1.0, None]}),
+            ("sample", {"steps": 2.7}),
+            ("sample", {"steps": True}),
+            ("sample", {"trials": True}),
+        ],
+        ids=[
+            "curve-distortion-null",
+            "curve-points-float",
+            "min-rate-distortion-null",
+            "capacity-list",
+            "dt-null",
+            "steps-null",
+            "x0-object",
+            "x0-null-entry",
+            "steps-float",
+            "steps-bool",
+            "trials-bool",
+        ],
+    )
+    def test_wrong_json_type_is_a_config_error(self, tmp_path, capsys, command, change):
+        config = write_config(tmp_path, "config.json", {**BASE_CONFIGS[command], **change})
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", config]
+        if command != "min-rate":
+            argv += ["--out", str(out)]
+        if command == "sample":
+            argv += ["--seed", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestCurveByteDeterminism:

@@ -57,6 +57,10 @@ class TestIncrementRate:
             RateQuery(model, dt=1.0, distortion=-0.01)
         with pytest.raises(ValueError, match="nonnegative"):
             RateQuery(model, dt=1.0, distortion=float("nan"))
+        with pytest.raises(ValueError, match="sampling interval"):
+            RateQuery(model, dt=float("nan"), distortion=0.01)
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            RateQuery(model, dt=1.0, distortion=0.01, t=float("nan"))
 
 
 class TestRateCeiling:

@@ -7,13 +7,20 @@ import pytest
 
 from lincoder import (
     LinearSystemModel,
+    RateQuery,
     TrajectoryDataset,
     increment_distribution,
+    increment_rate,
     sample_paths,
     state_transition,
 )
 from lincoder.csvio import read_trajectories, write_trajectories
-from lincoder.linearsystem import GRAMIAN_SPLIT_NORM, _covariance_sqrt, _lti_transition_and_gramian
+from lincoder.linearsystem import (
+    GRAMIAN_SPLIT_NORM,
+    MIN_SUBSTEPS,
+    SUBSTEP_NORM_FACTOR,
+    _covariance_sqrt,
+)
 from lincoder.rng import PATH_LANE
 
 
@@ -67,6 +74,81 @@ class TestStateTransition:
             phi = state_transition(model, t, dt)
             expected = math.exp(math.cos(t) - math.cos(t + dt)) * np.eye(2)
             assert max_abs(phi - expected) <= 1e-8
+
+    def test_constant_drift_matches_scipy_expm(self):
+        import scipy.linalg
+
+        rng = np.random.default_rng(71)
+        for n in range(1, 9):
+            for reach in (0.1, 1.0, 10.0, 100.0):  # norm1(A) * dt
+                a = rng.normal(size=(n, n))
+                dt = reach / np.linalg.norm(a, 1)
+                expected = scipy.linalg.expm(a * dt)
+                phi = state_transition(LinearSystemModel.constant(a, np.eye(n)), 0.0, dt)
+                assert max_abs(phi - expected) <= 1e-11 * np.linalg.norm(expected)
+
+
+def sinusoidal_drift(rng, n):
+    """A(t) = A0 + sin(t) A1 with Gaussian A0, A1, and a PSD noise intensity."""
+    a0, a1, b = rng.normal(size=(3, n, n))
+    return LinearSystemModel.time_varying(lambda t: a0 + math.sin(t) * a1, n, b @ b.T)
+
+
+def reference_substeps(model, t, dt):
+    norm = float(np.linalg.norm(model.drift.evaluate(t), 1))
+    return max(MIN_SUBSTEPS, int(math.ceil(dt * norm * SUBSTEP_NORM_FACTOR)))
+
+
+def two_pass_reference(model, t, dt):
+    """Phi and W of a time-varying drift as two separate RK4 passes on one grid."""
+    drift, noise, n = model.drift, model.noise_intensity, model.dimension
+    steps = reference_substeps(model, t, dt)
+
+    def rk4(f, y):
+        h, tau = dt / steps, t
+        for _ in range(steps):
+            k1 = f(tau, y)
+            k2 = f(tau + 0.5 * h, y + 0.5 * h * k1)
+            k3 = f(tau + 0.5 * h, y + 0.5 * h * k2)
+            k4 = f(tau + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            tau += h
+        return y
+
+    def gramian_ode(tau, w):
+        a = drift.evaluate(tau)
+        return a @ w + w @ a.T + noise
+
+    phi = rk4(lambda tau, p: drift.evaluate(tau) @ p, np.eye(n))
+    w = rk4(gramian_ode, np.zeros((n, n)))
+    return phi, 0.5 * (w + w.T)
+
+
+class TestTimeVaryingPass:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bit_identical_to_two_pass_reference(self, n):
+        rng = np.random.default_rng(80 + n)
+        for _ in range(5):
+            model = sinusoidal_drift(rng, n)
+            t, dt = rng.uniform(0.0, 3.0), rng.uniform(0.05, 2.0)
+            x = rng.normal(size=n)
+            phi, w = two_pass_reference(model, t, dt)
+            law = increment_distribution(model, x, t, dt)
+            assert np.array_equal(law.covariance, w)
+            assert np.array_equal(law.mean, (phi - np.eye(n)) @ x)
+            assert np.array_equal(state_transition(model, t, dt), phi)
+
+    def test_one_drift_evaluation_per_stage(self):
+        rng = np.random.default_rng(89)
+        a0, a1 = rng.normal(size=(2, 3, 3))
+        calls = []
+        model = LinearSystemModel.time_varying(
+            lambda t: calls.append(t) or a0 + math.sin(t) * a1, 3, np.eye(3)
+        )
+        steps = reference_substeps(model, 0.4, 1.5)
+        calls.clear()
+        increment_distribution(model, np.zeros(3), 0.4, 1.5)
+        assert len(calls) <= 4 * steps + 1
 
 
 class TestIncrementDistribution:
@@ -125,6 +207,34 @@ class TestIncrementDistribution:
         model = LinearSystemModel.constant([[-1.0]], [[1.0]])
         with pytest.raises(ValueError):
             increment_distribution(model, [0.0], 0.0, 0.0)
+
+    @pytest.mark.parametrize("dt", [0.5, 10.0], ids=["one-exponential", "doublings"])
+    def test_mean_uses_the_state_transition_bit_for_bit(self, dt):
+        # Slowly decaying rotations keep Phi of order one, so a second route
+        # to Phi would show in the mean's last bits.
+        rng = np.random.default_rng(67)
+        for n in (2, 3, 4) * 5:
+            s = rng.normal(size=(n, n))
+            model = LinearSystemModel.constant(s - s.T - 0.02 * np.eye(n), 0.1 * np.eye(n))
+            x = rng.normal(size=n)
+            law = increment_distribution(model, x, 0.0, dt)
+            assert np.array_equal(law.mean, (state_transition(model, 0.0, dt) - np.eye(n)) @ x)
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "entry", ["state_transition", "increment_distribution", "increment_rate", "sample_paths"]
+)
+def test_non_finite_interval_rejected(entry, dt):
+    model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
+    calls = {
+        "state_transition": lambda: state_transition(model, 0.0, dt),
+        "increment_distribution": lambda: increment_distribution(model, [1.0, 1.0], 0.0, dt),
+        "increment_rate": lambda: increment_rate(RateQuery(model, dt, 0.01)),
+        "sample_paths": lambda: sample_paths(model, [1.0, 1.0], dt, 2, 2, seed=0),
+    }
+    with pytest.raises(ValueError, match="sampling interval must be positive"):
+        calls[entry]()
 
 
 def gramian_derivative_residual(model, dt_grid, step):
@@ -199,9 +309,9 @@ class TestSamplePaths:
     @staticmethod
     def per_cell_reference(model, x0, dt, steps, trials, seed):
         """One fresh Philox cell per (trial, step), then phi @ x + root @ z."""
-        phi, cov = _lti_transition_and_gramian(model.drift.matrix, model.noise_intensity, dt)
-        root = _covariance_sqrt(cov)
         n = model.dimension
+        phi = state_transition(model, 0.0, dt)
+        root = _covariance_sqrt(increment_distribution(model, np.zeros(n), 0.0, dt).covariance)
         key = np.array([seed, PATH_LANE], dtype=np.uint64)
         states = np.empty((trials, steps + 1, n))
         for trial in range(trials):
@@ -227,7 +337,7 @@ class TestSamplePaths:
             a[-1, :-1] = a[:-1, -1] = 0.0
             b[-1] = 0.0
         model = LinearSystemModel.constant(a, b @ b.T)
-        _, cov = _lti_transition_and_gramian(a, model.noise_intensity, dt)
+        cov = increment_distribution(model, np.zeros(n), 0.0, dt).covariance
         assert (np.linalg.matrix_rank(cov) < n) == singular
         assert (np.linalg.norm(a, 1) * dt > GRAMIAN_SPLIT_NORM) == (dt > 1.0)
         x0 = rng.normal(size=n)

@@ -44,20 +44,45 @@ def _module_constants(tree):
     return {t.id for t in targets if isinstance(t, ast.Name) and t.id.lstrip("_").isupper()}
 
 
-def test_no_unread_constants():
+def _package_trees():
     package = pathlib.Path(lincoder.__file__).parent
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
+def _read_names(trees):
+    """Every name or attribute the package loads anywhere."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
                 read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return read
+
+
+def test_no_unread_constants():
+    trees = _package_trees()
+    read = _read_names(trees)
     unread = {
         stem: sorted(names)
         for stem, tree in trees.items()
         if (names := _module_constants(tree) - read)
     }
     assert unread == {}
+
+
+def test_no_uncalled_private_functions():
+    trees = _package_trees()
+    read = _read_names(trees)
+    uncalled = {}
+    for stem, tree in trees.items():
+        private = {
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        }
+        if names := private - read:
+            uncalled[stem] = sorted(names)
+    assert uncalled == {}
 
 
 def _bench_constant(filename, name):
