@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import CapacityInfeasibleError, NoEquilibriumError
 from .linalg import lyapunov_solve
-from .linearsystem import LinearSystemModel, increment_distribution
-from .ratedistortion import GaussianSource, RdfResult, rdf
+from .linearsystem import LinearSystemModel, _transition_and_gramian
+from .ratedistortion import LN2, GaussianSource, RdfResult, _water_fill, rdf
 
 #: Eigenvalue real parts must be below -HURWITZ_TOL for a drift to count as stable.
 HURWITZ_TOL = 1e-10
@@ -30,8 +30,11 @@ CAPACITY_MARGIN_BITS = 1e-9
 DT_FLOOR = 1e-6
 #: Largest sampling interval tried before declaring no minimum rate needed.
 DT_CEILING = 1e12
-#: Relative width at which the crossing bisection stops.
+#: Relative width at which the crossing refinement stops.
 BISECTION_RTOL = 1e-9
+#: Geometric parts per refinement round of the crossing decade: one round
+#: narrows it as much as four bisection steps, in one stacked evaluation.
+_REFINE_PARTS = 16
 
 
 @dataclass(frozen=True)
@@ -84,19 +87,32 @@ class RateCurve:
             yield dt, 1.0 / dt, float(self.rate_bits[i])
 
 
-def increment_rate(query: RateQuery) -> RdfResult:
-    """Minimum admissible code rate for one (model, t, dt, D) query.
+def _increment_rates(model: LinearSystemModel, t: float, dts: np.ndarray, distortion: float):
+    """Water-filling of the increment covariance at each interval of a stack.
 
-    The increment mean is irrelevant to the rate, so the law is built at
-    the origin.  A covariance that overflowed to non-finite values (wildly
-    unstable drift at an extreme horizon) reports an infinite rate.
+    Returns the stacks (rate_nats, water_level, allocations); the one rate
+    path behind increment_rate, rate_curve and min_sampling_rate.  The
+    increment mean is irrelevant to the rate.  A covariance that overflowed
+    to non-finite values (wildly unstable drift at an extreme horizon)
+    reports an infinite rate.
     """
-    n = query.model.dimension
-    law = increment_distribution(query.model, np.zeros(n), query.t, query.dt)
-    cov = law.covariance
-    if not np.all(np.isfinite(cov)):
-        return RdfResult(math.inf, math.inf, math.inf, np.full(n, math.inf))
-    return rdf(GaussianSource(np.zeros(n), cov), query.distortion)
+    _, covariances = _transition_and_gramian(model, t, dts)
+    finite = np.all(np.isfinite(covariances), axis=(1, 2))
+    rates = np.full(dts.shape, math.inf)
+    levels = np.full(dts.shape, math.inf)
+    allocations = np.full(dts.shape + (model.dimension,), math.inf)
+    rates[finite], levels[finite], allocations[finite] = _water_fill(
+        covariances[finite], distortion
+    )
+    return rates, levels, allocations
+
+
+def increment_rate(query: RateQuery) -> RdfResult:
+    """Minimum admissible code rate for one (model, t, dt, D) query."""
+    rate, level, allocations = _increment_rates(
+        query.model, query.t, np.array([float(query.dt)]), query.distortion
+    )
+    return RdfResult(float(rate[0]), float(rate[0]) / LN2, float(level[0]), allocations[0])
 
 
 def is_hurwitz(matrix: np.ndarray) -> bool:
@@ -137,6 +153,8 @@ def rate_curve(
     model: LinearSystemModel, distortion: float, dt_grid, axis: str = "dt"
 ) -> RateCurve:
     """Code rate at each grid point, with the saturation rate when it exists."""
+    if not model.is_constant:
+        raise ValueError("rate curve requires constant drift")
     if axis not in ("dt", "fs"):
         raise ValueError("axis must be 'dt' or 'fs'")
     grid = np.asarray(dt_grid, dtype=float)
@@ -144,9 +162,7 @@ def rate_curve(
         raise ValueError("dt grid must be a non-empty vector")
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("dt grid must be positive and strictly increasing")
-    rates = np.array(
-        [increment_rate(RateQuery(model, float(dt), distortion)).rate_bits for dt in grid]
-    )
+    rates = _increment_rates(model, 0.0, grid, distortion)[0] / LN2
     try:
         asymptote = rate_ceiling(model, distortion).rate_bits
     except NoEquilibriumError:
@@ -162,11 +178,12 @@ def min_sampling_rate(
     The rate is nondecreasing in the sampling interval (the increment
     covariance grows in the Loewner order) and, for Hurwitz drift, never
     exceeds the Lyapunov ceiling.  So a stable model whose ceiling is below
-    capacity returns NotNeeded at once.  Otherwise one tenfold bracket from
-    dt = 1 finds a decade holding the crossing: down while the rate is at or
-    above capacity, else up while it is below.  That decade is bisected in
-    log space, and 1 / dt is returned for its final lower end, the longest
-    interval found below capacity.
+    capacity returns NotNeeded at once.  Otherwise one stacked evaluation at
+    every decade from DT_FLOOR to DT_CEILING finds the first decade at or
+    above capacity.  The decade below it is cut into _REFINE_PARTS geometric
+    parts per stacked evaluation, keeping the part that holds the crossing,
+    until it is narrower than BISECTION_RTOL; 1 / dt is returned for its
+    lower end, the longest interval found below capacity.
 
     Raises CapacityInfeasibleError when the rate is at or above capacity
     even at DT_FLOOR; returns NotNeeded when it stays below capacity up to
@@ -187,27 +204,27 @@ def min_sampling_rate(
     except NoEquilibriumError:
         pass
 
-    def rate(dt: float) -> float:
-        return increment_rate(RateQuery(model, dt, distortion)).rate_bits
+    def rate_bits(dts: np.ndarray) -> np.ndarray:
+        return _increment_rates(model, 0.0, dts, distortion)[0] / LN2
 
-    decade, last_rate = 0, rate(1.0)
-    up = last_rate < threshold
-    while (last_rate < threshold) == up:
-        decade += 1 if up else -1
-        if 10.0**decade > DT_CEILING:
-            return NotNeeded(ceiling_bits=ceiling, zero_rate=(last_rate <= 0.0))
-        if 10.0**decade < DT_FLOOR:
-            raise CapacityInfeasibleError(
-                f"code rate stays at or above {capacity_bits} bits down to dt={DT_FLOOR}"
-            )
-        last_rate = rate(10.0**decade)
-    lo = 10.0 ** (decade - 1 if up else decade)
-    hi = 10.0 ** (decade if up else decade + 1)
+    def first_not_below(bits: np.ndarray) -> int:
+        below = bits < threshold
+        return below.size if np.all(below) else int(np.argmin(below))
 
+    first, last = (round(math.log10(dt)) for dt in (DT_FLOOR, DT_CEILING))
+    decades = np.array([10.0**decade for decade in range(first, last + 1)])
+    bits = rate_bits(decades)
+    crossing = first_not_below(bits)
+    if crossing == decades.size:
+        return NotNeeded(ceiling_bits=ceiling, zero_rate=bool(bits[-1] <= 0.0))
+    if crossing == 0:
+        raise CapacityInfeasibleError(
+            f"code rate stays at or above {capacity_bits} bits down to dt={DT_FLOOR}"
+        )
+    lo, hi = decades[crossing - 1], decades[crossing]
     while hi / lo > 1.0 + BISECTION_RTOL:
-        mid = math.sqrt(lo * hi)
-        if rate(mid) < threshold:
-            lo = mid
-        else:
-            hi = mid
-    return 1.0 / lo
+        inner = lo * (hi / lo) ** (np.arange(1.0, _REFINE_PARTS) / _REFINE_PARTS)
+        edges = np.concatenate(([lo], inner, [hi]))
+        part = first_not_below(rate_bits(inner))
+        lo, hi = edges[part], edges[part + 1]
+    return 1.0 / float(lo)

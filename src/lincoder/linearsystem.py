@@ -7,7 +7,8 @@ increment law; there is no integrator bias).
 
 The transition matrix Phi and the increment covariance W of both drift
 kinds come from one function, which state_transition,
-increment_distribution and sample_paths share.
+increment_distribution and sample_paths share, and which the rate path in
+coderate calls with a whole stack of sampling intervals.
 """
 
 from __future__ import annotations
@@ -134,56 +135,73 @@ def _rk4(f, y0: np.ndarray, t0: float, dt: float, steps: int) -> np.ndarray:
     return y
 
 
-def _van_loan(a: np.ndarray, noise: np.ndarray, dt: float):
-    """One augmented exponential: returns (transition, increment covariance)."""
+def _van_loan(a: np.ndarray, noise: np.ndarray, dts: np.ndarray):
+    """One augmented exponential per interval: returns (transition, covariance) stacks."""
     n = a.shape[0]
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -a
     block[:n, n:] = noise
     block[n:, n:] = a.T
-    exp = mat_exp(block, dt)
-    f12 = exp[:n, n:]
-    f22 = exp[n:, n:]
-    phi = f22.T
+    exp = mat_exp(block * dts[:, np.newaxis, np.newaxis])
+    f12 = exp[:, :n, n:]
+    phi = np.ascontiguousarray(exp[:, n:, n:].swapaxes(1, 2))
     w = phi @ f12
-    return phi, 0.5 * (w + w.T)
+    return phi, 0.5 * (w + w.swapaxes(1, 2))
 
 
-def _transition_and_gramian(model: LinearSystemModel, t: float, dt: float):
+def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     """Transition matrix Phi and increment covariance W over [t, t + dt].
 
-    Constant drift: one augmented exponential over dt / 2^k, then k interval
-    doublings W(2s) = Phi W Phi^T + W; k is 0 while norm1(A) * dt <=
-    GRAMIAN_SPLIT_NORM.  For unstable drift at extreme horizons entries may
-    overflow to inf, which callers treat as an unbounded-rate signal.
-    Time-varying drift: one fixed-substep fourth-order pass on the pair
-    dPhi/dt = A Phi, dW/dt = A W + W A^T + N, so results are deterministic.
+    dt is a scalar or an array of intervals; Phi and W come back with dt's
+    shape followed by (n, n), each interval computed on its own, so its result
+    does not depend on the rest of the array.
+    Constant drift: per interval, one augmented exponential over dt / 2^k,
+    then k interval doublings W(2s) = Phi W Phi^T + W; k is 0 while
+    norm1(A) * dt <= GRAMIAN_SPLIT_NORM.  The exponentials of all intervals
+    are one stacked call, and each interval is doubled only its own k times.
+    For unstable drift at extreme horizons entries may overflow to inf, which
+    callers treat as an unbounded-rate signal.
+    Time-varying drift: per interval, one fixed-substep fourth-order pass on
+    the pair dPhi/dt = A Phi, dW/dt = A W + W A^T + N, so results are
+    deterministic.
     """
-    if not 0.0 < dt < math.inf:
+    dts = np.asarray(dt, dtype=float)
+    if not np.all((dts > 0.0) & (dts < math.inf)):
         raise ValueError("sampling interval must be positive and finite")
+    intervals = dts.ravel()
     noise = model.noise_intensity
+    n = model.dimension
     if model.is_constant:
         a = model.drift.matrix
-        scale = max(float(np.linalg.norm(a, 1)) * dt, GRAMIAN_SPLIT_NORM)
-        doublings = min(96, int(math.ceil(math.log2(scale / GRAMIAN_SPLIT_NORM))))
-        phi, w = _van_loan(a, noise, dt / (2**doublings))
+        scale = np.maximum(np.linalg.norm(a, 1) * intervals, GRAMIAN_SPLIT_NORM)
+        doublings = np.minimum(96, np.ceil(np.log2(scale / GRAMIAN_SPLIT_NORM))).astype(int)
+        # Sorted by doubling count, the intervals still doubling are a prefix.
+        order = np.argsort(-doublings, kind="stable")
+        phi, w = _van_loan(a, noise, intervals[order] / 2.0 ** doublings[order])
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(doublings):
-                w = phi @ w @ phi.T + w
-                w = 0.5 * (w + w.T)
-                phi = phi @ phi
-        return phi, w
-    drift = model.drift
+            for step in range(int(doublings.max(initial=0))):
+                live = int(np.count_nonzero(doublings > step))
+                p = phi[:live]
+                v = p @ w[:live] @ p.swapaxes(1, 2) + w[:live]
+                w[:live] = 0.5 * (v + v.swapaxes(1, 2))
+                phi[:live] = p @ p
+        phi[order], w[order] = phi.copy(), w.copy()
+    else:
+        drift = model.drift
 
-    def ode(tau, pair):
-        a = drift.evaluate(tau)
-        phi, w = pair
-        return np.stack((a @ phi, a @ w + w @ a.T + noise))
+        def ode(tau, pair):
+            a = drift.evaluate(tau)
+            phi, w = pair
+            return np.stack((a @ phi, a @ w + w @ a.T + noise))
 
-    n = model.dimension
-    steps = _substep_count(dt, float(np.linalg.norm(drift.evaluate(t), 1)))
-    phi, w = _rk4(ode, np.stack((np.eye(n), np.zeros((n, n)))), float(t), dt, steps)
-    return phi, 0.5 * (w + w.T)
+        norm = float(np.linalg.norm(drift.evaluate(t), 1))
+        start = np.stack((np.eye(n), np.zeros((n, n))))
+        pairs = np.array(
+            [_rk4(ode, start, float(t), h, _substep_count(h, norm)) for h in intervals.tolist()]
+        )
+        phi, w = pairs[:, 0], pairs[:, 1]
+        w = 0.5 * (w + w.swapaxes(1, 2))
+    return phi.reshape(dts.shape + (n, n)), w.reshape(dts.shape + (n, n))
 
 
 def state_transition(model: LinearSystemModel, t: float, dt: float) -> np.ndarray:

@@ -60,14 +60,44 @@ class RdfResult:
     allocations: np.ndarray
 
 
-def _mode_variances(source: GaussianSource) -> np.ndarray:
-    """Eigenvalues of the covariance, descending, small/negative clamped to 0."""
-    values = sym_eig(source.covariance).values
-    top = float(values[0])
-    if float(values[-1]) < -NEGATIVE_EIGENVALUE_TOL * max(1.0, abs(top)):
+def _mode_variances(covariances: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each covariance of a stack, descending, small/negative clamped to 0."""
+    values = sym_eig(covariances).values
+    top = values[..., :1]
+    if np.any(values[..., -1:] < -NEGATIVE_EIGENVALUE_TOL * np.maximum(1.0, np.abs(top))):
         raise ValueError("covariance is not positive semidefinite within tolerance")
-    cutoff = ZERO_MODE_RTOL * max(top, 0.0)
-    return np.where(values > cutoff, values, 0.0)
+    return np.where(values > ZERO_MODE_RTOL * np.maximum(top, 0.0), values, 0.0)
+
+
+def _water_fill(covariances: np.ndarray, distortion: float):
+    """Reverse water-filling on a stack of covariances (m, n, n) at one budget.
+
+    Returns the stacks (rate_nats, water_level, allocations).  Every
+    covariance is filled on its own, so its result does not depend on the
+    rest of the stack.
+    """
+    distortion = float(distortion)
+    if not distortion >= 0.0:
+        raise ValueError("distortion budget must be nonnegative")
+    variances = _mode_variances(covariances)
+    suffix = np.cumsum(variances[:, ::-1], axis=1)[:, ::-1]  # suffix[:, i] = sum(variances[:, i:])
+    # With the k largest modes above water, the level solves k * theta +
+    # tails[k - 1] = D (Cover & Thomas, Thm 10.3.3).  As k * theta +
+    # tails[k - 1] >= sum(min(theta, variances)) for every theta, each of
+    # these n candidate levels is at most the true one, which is among them.
+    tails = np.concatenate((suffix[:, 1:], np.zeros((len(suffix), 1))), axis=1)
+    theta = ((distortion - tails) / np.arange(1, variances.shape[1] + 1)).max(axis=1)
+    allocations = np.minimum(theta[:, None], variances)
+    active = variances > allocations
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate_nats = 0.5 * np.log(np.where(active, variances / allocations, 1.0)).sum(axis=1)
+    # A budget covering the total variance costs nothing: every mode is fully
+    # allocated.  Otherwise a zero budget on positive variance costs infinity.
+    free = distortion >= suffix[:, 0]
+    if distortion == 0.0:
+        rate_nats[:], theta[:], allocations[:] = math.inf, 0.0, 0.0
+    rate_nats[free], theta[free], allocations[free] = 0.0, variances[free, 0], variances[free]
+    return rate_nats, theta, allocations
 
 
 def rdf(source: GaussianSource, distortion: float) -> RdfResult:
@@ -78,30 +108,8 @@ def rdf(source: GaussianSource, distortion: float) -> RdfResult:
     is translation invariant.  A budget of exactly zero on a source with
     any positive variance yields an infinite rate.
     """
-    distortion = float(distortion)
-    if not distortion >= 0.0:
-        raise ValueError("distortion budget must be nonnegative")
-    variances = _mode_variances(source)
-    suffix = np.cumsum(variances[::-1])[::-1]  # suffix[i] = sum(variances[i:])
-    total = float(suffix[0])
-    if distortion >= total:
-        # Budget covers the total variance: zero rate, every mode fully allocated.
-        return RdfResult(0.0, 0.0, float(variances[0]), variances.copy())
-    if distortion == 0.0:
-        return RdfResult(math.inf, math.inf, 0.0, np.zeros_like(variances))
-
-    # With the k largest modes above water, sum(min(theta, variances)) is
-    # k * theta + tails[k - 1]; mode k is above water exactly when that sum at
-    # theta = variances[k - 1] exceeds the budget (Cover & Thomas, Thm
-    # 10.3.3).  Row k = 1 is the total, so k >= 1.
-    tails = np.append(suffix[1:], 0.0)
-    ranks = np.arange(1, variances.size + 1)
-    k = int(np.count_nonzero(ranks * variances + tails > distortion))
-    theta = (distortion - float(tails[k - 1])) / k
-    allocations = np.minimum(theta, variances)
-    active = variances > allocations
-    rate_nats = 0.5 * float(np.sum(np.log(variances[active] / allocations[active])))
-    return RdfResult(rate_nats, rate_nats / LN2, theta, allocations)
+    rate, level, allocations = _water_fill(source.covariance[np.newaxis], distortion)
+    return RdfResult(float(rate[0]), float(rate[0]) / LN2, float(level[0]), allocations[0])
 
 
 def rdf_small_distortion(source: GaussianSource, distortion: float) -> float:
@@ -115,7 +123,7 @@ def rdf_small_distortion(source: GaussianSource, distortion: float) -> float:
     if not distortion >= 0.0:
         raise ValueError("distortion budget must be nonnegative")
     n = source.dimension
-    smallest = float(_mode_variances(source)[-1])
+    smallest = float(_mode_variances(source.covariance)[-1])
     if smallest <= 0.0 or distortion / n >= smallest:
         raise FastPathDomainError(
             "shortcut requires distortion/n strictly below the smallest eigenvalue"

@@ -20,6 +20,7 @@ from lincoder.linearsystem import (
     MIN_SUBSTEPS,
     SUBSTEP_NORM_FACTOR,
     _covariance_sqrt,
+    _transition_and_gramian,
 )
 from lincoder.rng import PATH_LANE
 
@@ -202,6 +203,19 @@ class TestIncrementDistribution:
         w_lti = increment_distribution(lti, np.zeros(2), 0.0, dt).covariance
         w_tv = increment_distribution(frozen, np.zeros(2), 0.0, dt).covariance
         assert max_abs(w_lti - w_tv) <= 1e-8
+
+    def test_interval_stack_matches_single_intervals_bit_for_bit(self):
+        # Shuffled intervals on both sides of the doubling switch: each one
+        # gets its own exponential and its own number of doublings.
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(2, 3, 3))
+        model = LinearSystemModel.constant(a, b @ b.T)
+        grid = rng.permutation(np.logspace(-3, 2, 30))
+        phis, covariances = _transition_and_gramian(model, 0.0, grid)
+        for dt, phi, cov in zip(grid, phis, covariances):
+            assert np.array_equal(phi, state_transition(model, 0.0, dt))
+            law = increment_distribution(model, np.zeros(3), 0.0, dt)
+            assert np.array_equal(cov, law.covariance)
 
     def test_nonpositive_interval_rejected(self):
         model = LinearSystemModel.constant([[-1.0]], [[1.0]])

@@ -38,6 +38,52 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+#: The scipy names the package may use at run time: only the Bartels-Stewart
+#: Lyapunov solve.  Tests and the benchmark use scipy freely as an oracle.
+SCIPY_RUNTIME_SURFACE = ("scipy.linalg.solve_continuous_lyapunov",)
+
+
+def _scipy_references(tree):
+    """Dotted scipy names a module imports or loads (stdlib-only lint)."""
+    bound, references = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "scipy":
+                    local = alias.asname or alias.name.split(".")[0]
+                    bound[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                references.add(f"{node.module}.{alias.name}")
+    # Only the outermost node of an attribute chain names the whole reference.
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Name, ast.Attribute)) or id(node) in inner:
+            continue
+        attributes = []
+        while isinstance(node, ast.Attribute):
+            attributes.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in bound:
+            references.add(".".join([bound[node.id], *reversed(attributes)]))
+    return references
+
+
+def test_scipy_runtime_surface():
+    sample = "import scipy.linalg as sl\nfrom scipy import linalg\nsl.expm(a)\nlinalg.eig(a)"
+    found = _scipy_references(ast.parse(sample))
+    assert found == {"scipy.linalg", "scipy.linalg.expm", "scipy.linalg.eig"}
+    allowed = set(SCIPY_RUNTIME_SURFACE)
+    allowed |= {name.rsplit(".", depth)[0] for name in allowed for depth in (1, 2)}
+    outside = {
+        stem: sorted(names)
+        for stem, tree in _package_trees().items()
+        if (names := _scipy_references(tree) - allowed)
+    }
+    assert outside == {}
+
+
 def _module_constants(tree):
     """Module-level UPPER_CASE names a module assigns."""
     targets = [t for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
