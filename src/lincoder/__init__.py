@@ -12,7 +12,6 @@ from .coderate import (
     RateCurve,
     RateQuery,
     increment_rate,
-    is_hurwitz,
     min_sampling_rate,
     model_fingerprint,
     rate_ceiling,
@@ -48,7 +47,7 @@ from .errors import (
     NoEquilibriumError,
     NotPositiveDefiniteError,
 )
-from .linalg import SymmetricEigen, logdet_psd, lyapunov_solve, mat_exp, sym_eig
+from .linalg import SymmetricEigen, is_hurwitz, logdet_psd, lyapunov_solve, mat_exp, sym_eig
 from .linearsystem import (
     ConstantDrift,
     IncrementDistribution,

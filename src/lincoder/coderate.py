@@ -22,8 +22,6 @@ from .linalg import lyapunov_solve
 from .linearsystem import LinearSystemModel, _transition_and_gramian
 from .ratedistortion import LN2, GaussianSource, RdfResult, _water_fill, rdf
 
-#: Eigenvalue real parts must be below -HURWITZ_TOL for a drift to count as stable.
-HURWITZ_TOL = 1e-10
 #: Safety margin (bits) used when comparing rates against a capacity.
 CAPACITY_MARGIN_BITS = 1e-9
 #: Smallest sampling interval tried before declaring a capacity infeasible.
@@ -115,27 +113,18 @@ def increment_rate(query: RateQuery) -> RdfResult:
     return RdfResult(float(rate[0]), float(rate[0]) / LN2, float(level[0]), allocations[0])
 
 
-def is_hurwitz(matrix: np.ndarray) -> bool:
-    """True when every eigenvalue real part is below -HURWITZ_TOL."""
-    return bool(np.max(np.linalg.eigvals(matrix).real) < -HURWITZ_TOL)
-
-
 def rate_ceiling(model: LinearSystemModel, distortion: float) -> RdfResult:
     """Saturation rate of a stable time-invariant model.
 
     The increment covariance converges to the Lyapunov equilibrium, so the
     rate at any sampling interval is bounded by the rate of that Gaussian.
-    Raises NoEquilibriumError when the drift is not Hurwitz (the increment
-    covariance then has no limit).
+    Raises NoEquilibriumError (from lyapunov_solve) when the drift is not
+    Hurwitz (the increment covariance then has no limit).
     """
     if not model.is_constant:
         raise ValueError("rate ceiling requires constant drift")
-    a = model.drift.matrix
-    if not is_hurwitz(a):
-        raise NoEquilibriumError("drift is not Hurwitz: increment covariance has no limit")
-    equilibrium = lyapunov_solve(a, model.noise_intensity)
-    n = model.dimension
-    return rdf(GaussianSource(np.zeros(n), equilibrium), distortion)
+    equilibrium = lyapunov_solve(model.drift.matrix, model.noise_intensity)
+    return rdf(GaussianSource(np.zeros(model.dimension), equilibrium), distortion)
 
 
 def model_fingerprint(model: LinearSystemModel) -> str:
@@ -186,8 +175,8 @@ def min_sampling_rate(
     lower end, the longest interval found below capacity.
 
     Raises CapacityInfeasibleError when the rate is at or above capacity
-    even at DT_FLOOR; returns NotNeeded when it stays below capacity up to
-    DT_CEILING.
+    even at DT_FLOOR, and ValueError when it overflows short of capacity;
+    returns NotNeeded when it stays below capacity up to DT_CEILING.
     """
     if not model.is_constant:
         raise ValueError("minimum sampling rate requires constant drift")
@@ -221,10 +210,13 @@ def min_sampling_rate(
         raise CapacityInfeasibleError(
             f"code rate stays at or above {capacity_bits} bits down to dt={DT_FLOOR}"
         )
-    lo, hi = decades[crossing - 1], decades[crossing]
+    lo, hi, hi_bits = decades[crossing - 1], decades[crossing], bits[crossing]
     while hi / lo > 1.0 + BISECTION_RTOL:
         inner = lo * (hi / lo) ** (np.arange(1.0, _REFINE_PARTS) / _REFINE_PARTS)
         edges = np.concatenate(([lo], inner, [hi]))
-        part = first_not_below(rate_bits(inner))
-        lo, hi = edges[part], edges[part + 1]
+        inner_bits = rate_bits(inner)
+        part = first_not_below(inner_bits)
+        lo, hi, hi_bits = edges[part], edges[part + 1], np.append(inner_bits, hi_bits)[part]
+    if not math.isfinite(hi_bits):
+        raise ValueError(f"code rate overflows at dt={float(hi)!r}, short of {capacity_bits} bits")
     return 1.0 / float(lo)

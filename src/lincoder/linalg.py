@@ -8,19 +8,19 @@ accept anything array-like, and return fresh float64 arrays.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NoEquilibriumError, NotPositiveDefiniteError
 
 #: Largest accepted asymmetry max|S - S^T|, relative to max(1, max|S|).
 SYMMETRY_TOL = 1e-9
-#: Smallest accepted min|lambda_i + lambda_j| over eigenvalue pairs of the
-#: drift, relative to norm1(A).  Below it A and -A^T share an eigenvalue (to
-#: working precision) and the Lyapunov equation has no unique solution.
-LYAPUNOV_SEPARATION_RTOL = 1e-12
+#: Eigenvalue real parts must be below -HURWITZ_TOL for a drift to count as stable.
+HURWITZ_TOL = 1e-10
+#: Most sign-iteration steps of the Lyapunov solve (random Hurwitz drifts take 2-8).
+LYAPUNOV_MAX_STEPS = 100
 #: Bytes of each slice of a matrix stack that the exponential works on.
 _EXP_CHUNK_BYTES = 1 << 16
 #: Pade degrees m of the exponential, each with the bound theta_m on the
@@ -234,29 +234,39 @@ def sym_eig(matrix) -> SymmetricEigen:
     return SymmetricEigen(values[..., ::-1].copy(), vectors[..., ::-1].copy())
 
 
+def is_hurwitz(matrix) -> bool:
+    """True when every eigenvalue real part is below -HURWITZ_TOL."""
+    return bool(np.max(np.linalg.eigvals(matrix).real) < -HURWITZ_TOL)
+
+
 def lyapunov_solve(a, noise) -> np.ndarray:
-    """Equilibrium W of the continuous-time Lyapunov equation.
+    """Equilibrium W of A W + W A^T + N = 0 for a Hurwitz drift A.
 
-    Solves A W + W A^T + N = 0 by the Bartels-Stewart method (Schur
-    decomposition of A) and symmetrizes the result; the residual
-    max|A W + W A^T + N| stays within 1e-8 * max(1, max|N|).
-
-    Raises NoEquilibriumError when A and -A^T share an eigenvalue, i.e.
-    min|lambda_i + lambda_j| <= LYAPUNOV_SEPARATION_RTOL * norm1(A), so no
-    unique equilibrium exists.
+    Sign-function iteration with determinant scaling (Roberts 1980, Int. J.
+    Control 32(4); Benner & Quintana-Orti 1999, Numer. Algorithms 20):
+    A <- (A/c + c A^-1)/2, N <- (N/c + c A^-1 N A^-T)/2, c = |det A|^(1/n)
+    via slogdet, until A = -I to rounding; W = N/2, symmetrized.  Accuracy
+    drops as the spectrum nears the imaginary axis or A grows non-normal.
+    Raises NoEquilibriumError unless is_hurwitz(A), and rather than return
+    an unconverged or non-finite W.
     """
     arr = as_square(a, "drift matrix")
     sym = check_symmetric(as_square(noise, "noise matrix"), "noise matrix")
-    if sym.shape[0] != arr.shape[0]:
+    n = arr.shape[0]
+    if sym.shape[0] != n:
         raise ValueError("drift and noise matrices must have the same size")
-    eigs = np.linalg.eigvals(arr)
-    separation = float(np.min(np.abs(eigs[:, None] + eigs[None, :])))
-    if separation <= LYAPUNOV_SEPARATION_RTOL * float(np.linalg.norm(arr, 1)):
-        raise NoEquilibriumError(
-            "no unique equilibrium: drift and its negative transpose share an eigenvalue"
-        )
-    w = scipy.linalg.solve_continuous_lyapunov(arr, -sym)
-    return 0.5 * (w + w.T)
+    if not is_hurwitz(arr):
+        raise NoEquilibriumError("drift is not Hurwitz: no stable equilibrium exists")
+    with np.errstate(all="ignore"), suppress(np.linalg.LinAlgError):
+        for _ in range(LYAPUNOV_MAX_STEPS):
+            inverse = np.linalg.inv(arr)
+            c = np.exp(np.linalg.slogdet(arr)[1] / n)
+            sym = 0.5 * (sym / c + c * (inverse @ sym @ inverse.T))
+            arr = 0.5 * (arr / c + c * inverse)
+            converged = np.linalg.norm(arr + np.eye(n), 1) <= n * np.finfo(float).eps
+            if converged and np.all(np.isfinite(sym)):
+                return 0.25 * (sym + sym.T)
+    raise NoEquilibriumError("sign iteration reached no finite equilibrium")
 
 
 def logdet_psd(matrix) -> float:

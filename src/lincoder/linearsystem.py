@@ -175,17 +175,14 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
         a = model.drift.matrix
         scale = np.maximum(np.linalg.norm(a, 1) * intervals, GRAMIAN_SPLIT_NORM)
         doublings = np.minimum(96, np.ceil(np.log2(scale / GRAMIAN_SPLIT_NORM))).astype(int)
-        # Sorted by doubling count, the intervals still doubling are a prefix.
-        order = np.argsort(-doublings, kind="stable")
-        phi, w = _van_loan(a, noise, intervals[order] / 2.0 ** doublings[order])
+        phi, w = _van_loan(a, noise, intervals / 2.0**doublings)
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(int(doublings.max(initial=0))):
-                live = int(np.count_nonzero(doublings > step))
-                p = phi[:live]
-                v = p @ w[:live] @ p.swapaxes(1, 2) + w[:live]
-                w[:live] = 0.5 * (v + v.swapaxes(1, 2))
-                phi[:live] = p @ p
-        phi[order], w[order] = phi.copy(), w.copy()
+                live = np.flatnonzero(doublings > step)
+                p = phi[live]
+                v = p @ w[live] @ p.swapaxes(1, 2) + w[live]
+                w[live] = 0.5 * (v + v.swapaxes(1, 2))
+                phi[live] = p @ p
     else:
         drift = model.drift
 

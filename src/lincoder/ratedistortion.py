@@ -89,7 +89,7 @@ def _water_fill(covariances: np.ndarray, distortion: float):
     theta = ((distortion - tails) / np.arange(1, variances.shape[1] + 1)).max(axis=1)
     allocations = np.minimum(theta[:, None], variances)
     active = variances > allocations
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rate_nats = 0.5 * np.log(np.where(active, variances / allocations, 1.0)).sum(axis=1)
     # A budget covering the total variance costs nothing: every mode is fully
     # allocated.  Otherwise a zero budget on positive variance costs infinity.

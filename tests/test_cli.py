@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,23 @@ class TestMinRate:
             )
             assert main(["min-rate", "--config", config]) == 1
             assert capsys.readouterr().err == "error: capacity must be positive\n"
+
+    @pytest.mark.parametrize("capacity", [1030.0, 1e300])
+    def test_capacity_beyond_overflow_horizon_fails_without_warning(
+        self, tmp_path, capsys, capacity
+    ):
+        config = write_config(
+            tmp_path,
+            "mr.json",
+            {"system": "unstable", "distortion": 0.01, "capacity_bits": capacity},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["min-rate", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: code rate overflows at dt=")
+        assert captured.err.count("\n") == 1
 
     def test_infeasible_capacity_fails(self, tmp_path, capsys):
         config = write_config(

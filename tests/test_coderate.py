@@ -270,6 +270,17 @@ class TestMinSamplingRate:
         with pytest.raises(CapacityInfeasibleError):
             min_sampling_rate(demo_model("brownian"), 1e-30, 1.0)
 
+    @pytest.mark.parametrize("capacity", [1030.0, 1e300])
+    def test_capacity_beyond_overflow_horizon_raises(self, capacity):
+        # The unstable rate is 1015.6 bits at dt = 703.3 and overflows at dt = 709.09.
+        with pytest.raises(ValueError, match="overflows"):
+            min_sampling_rate(demo_model("unstable"), 0.01, capacity)
+
+    def test_capacity_below_overflow_horizon_is_crossed(self):
+        fs = min_sampling_rate(demo_model("unstable"), 0.01, 1000.0)
+        rate = increment_rate(RateQuery(demo_model("unstable"), 1.0 / fs, 0.01)).rate_bits
+        assert 999.0 < rate < 1000.0
+
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             min_sampling_rate(demo_model("stable"), 0.01, 0.0)

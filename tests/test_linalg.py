@@ -163,6 +163,36 @@ class TestLyapunov:
         with pytest.raises(NoEquilibriumError):
             lyapunov_solve(np.diag([-1.0, 1.0]), np.eye(2))
 
+    def test_solvable_anti_stable_drift_has_no_equilibrium(self):
+        # A = I has the unique solution W = -I/2, which is not a covariance.
+        with pytest.raises(NoEquilibriumError):
+            lyapunov_solve(np.eye(2), np.eye(2))
+
+    @staticmethod
+    def _large_drift():
+        rng = np.random.default_rng(65)
+        raw = rng.normal(size=(65, 65))
+        a = raw - (np.max(np.linalg.eigvals(raw).real) + 0.5) * np.eye(65)
+        b = rng.normal(size=(65, 65))
+        return a, b @ b.T
+
+    @pytest.mark.parametrize("case", ["jordan", "chain", "stiff", "large/1e-6", "large/1e6"])
+    def test_matches_bartels_stewart_oracle(self, case):
+        import scipy.linalg
+
+        if case == "jordan":
+            a, noise = -np.eye(4) + np.eye(4, k=1), np.eye(4)
+        elif case == "chain":
+            a, noise = -np.eye(4) + 100.0 * np.eye(4, k=1), np.eye(4)
+        elif case == "stiff":
+            a, noise = np.diag([-1e-4, -1.0, -1e4]), np.eye(3)
+        else:
+            a, noise = self._large_drift()
+            a = a * float(case.split("/")[1])
+        w = lyapunov_solve(a, noise)
+        oracle = scipy.linalg.solve_continuous_lyapunov(a, -noise)
+        assert max_abs(w - oracle) <= 1e-12 * max_abs(oracle)
+
     def test_against_long_horizon_ode_integration(self):
         # independent oracle: integrate dW/dt = A W + W A^T + N to t = 50
         a = np.array([[-1.0, 1.0], [0.0, -2.0]])
@@ -195,11 +225,7 @@ class TestLyapunov:
             assert max_abs(residual) <= 1e-8 * max(1.0, max_abs(noise))
 
     def test_large_problem_residual(self):
-        rng = np.random.default_rng(65)
-        raw = rng.normal(size=(65, 65))
-        a = raw - (np.max(np.linalg.eigvals(raw).real) + 0.5) * np.eye(65)
-        b = rng.normal(size=(65, 65))
-        noise = b @ b.T
+        a, noise = self._large_drift()
         w = lyapunov_solve(a, noise)
         residual = a @ w + w @ a.T + noise
         assert max_abs(residual) <= 1e-8 * max(1.0, max_abs(noise))

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import lincoder
 
@@ -38,11 +41,6 @@ def test_no_unused_imports():
     assert unused == {}
 
 
-#: The scipy names the package may use at run time: only the Bartels-Stewart
-#: Lyapunov solve.  Tests and the benchmark use scipy freely as an oracle.
-SCIPY_RUNTIME_SURFACE = ("scipy.linalg.solve_continuous_lyapunov",)
-
-
 def _scipy_references(tree):
     """Dotted scipy names a module imports or loads (stdlib-only lint)."""
     bound, references = {}, set()
@@ -71,17 +69,29 @@ def _scipy_references(tree):
 
 
 def test_scipy_runtime_surface():
+    # numpy is the only runtime dependency; tests and the benchmark use scipy as an oracle.
     sample = "import scipy.linalg as sl\nfrom scipy import linalg\nsl.expm(a)\nlinalg.eig(a)"
     found = _scipy_references(ast.parse(sample))
     assert found == {"scipy.linalg", "scipy.linalg.expm", "scipy.linalg.eig"}
-    allowed = set(SCIPY_RUNTIME_SURFACE)
-    allowed |= {name.rsplit(".", depth)[0] for name in allowed for depth in (1, 2)}
-    outside = {
+    used = {
         stem: sorted(names)
         for stem, tree in _package_trees().items()
-        if (names := _scipy_references(tree) - allowed)
+        if (names := _scipy_references(tree))
     }
-    assert outside == {}
+    assert used == {}
+
+
+def test_import_loads_no_scipy():
+    # A fresh interpreter also sees imports the ast lint cannot, such as transitive ones.
+    code = (
+        "import sys, lincoder, lincoder.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = [str(pathlib.Path(lincoder.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def _module_constants(tree):
