@@ -477,48 +477,51 @@ def emulate_steps(
 ) -> np.ndarray:
     """Replay step codes through a per-step trial draw and multinomial counts.
 
-    Each step draws, from its own stream (seed, EMULATION_LANE, 0, step),
-    one feasible trial uniformly, then field-selection counts from the
-    multinomial with that trial's fractions, and moves by the step's
+    Each step draws one feasible trial uniformly, then field-selection counts
+    from the multinomial with that trial's fractions, and moves by the step's
     averaged flow time times V @ (counts / resolution), as
     ``simplex_decompress`` would: V holds the field values at the current
     emulated state, taken once for a constant family.  The mixture keeps the
     averaged field law and step mean at every resolution and restores the
     cross-trial spread that averaging removes.  Codes without per-trial
     fractions, and steps with no feasible trial, draw no trial index and use
-    the averaged fractions.  Deterministic given (codes, x0, resolution,
-    seed).
+    the averaged fractions.  Cell (seed, EMULATION_LANE, 0, 0) draws all trial
+    picks in one integers call, cell (0, 1) all counts in one multinomial call;
+    the replay is deterministic and its first k steps replay as a prefix.
     """
     resolution = int(resolution)
     if resolution < 1:
         raise ValueError("resolution must be a positive integer")
-    x = as_vector(x0, "initial state").copy()
+    x = as_vector(x0, "initial state")
     if x.shape[0] != family.dimension:
         raise ValueError("initial state dimension does not match the family")
     if codes.probabilities.shape[1] != family.size or (
         codes.trial_probabilities is not None and codes.trial_probabilities.shape[2] != family.size
     ):
         raise ValueError("code length does not match the family size")
-    flow_times = codes.flow_times.astype(float).tolist()
-    if not all(math.isfinite(z) and z >= 0.0 for z in flow_times):
+    flow_times = codes.flow_times.astype(float)
+    if not np.all(np.isfinite(flow_times) & (flow_times >= 0.0)):
         raise ValueError("flow time must be finite and nonnegative")
-    vectors = family.field_matrix() if family.is_constant else None
     streams = CellStreams(seed, EMULATION_LANE)
+    p = np.array(codes.probabilities, dtype=float)
+    if codes.trial_feasible is not None:
+        sizes = codes.trial_feasible.sum(axis=1)
+        drawn = np.flatnonzero(sizes)
+        picks = substream(streams, 0, 0).integers(sizes[drawn])
+        # The picked trial is the first whose running feasible count exceeds the pick.
+        ranks = np.cumsum(codes.trial_feasible[drawn], axis=1)
+        p[drawn] = codes.trial_probabilities[drawn, np.argmax(ranks > picks[:, None], axis=1)]
+    p = np.maximum(p, 0.0)
+    p /= p.sum(axis=1, keepdims=True)
+    fractions = substream(streams, 0, 1).multinomial(resolution, p) / resolution
     states = np.empty((codes.steps + 1, x.shape[0]))
     states[0] = x
-    for step in range(codes.steps):
-        stream = substream(streams, 0, step)
-        p = codes.probabilities[step]
-        if codes.trial_feasible is not None:
-            candidates = np.flatnonzero(codes.trial_feasible[step])
-            if candidates.size:
-                p = codes.trial_probabilities[step, candidates[stream.integers(candidates.size)]]
-        p = np.maximum(p, 0.0)
-        p /= p.sum()
-        counts = stream.multinomial(resolution, p)
-        fields = family.evaluate(x) if vectors is None else vectors
-        x = x + flow_times[step] * (fields @ (counts / resolution))
-        states[step + 1] = x
+    if family.is_constant:
+        # Stacked (n, K) @ (K, 1) products round as V @ f does; cumsum adds in step order.
+        states[1:] = flow_times[:, None] * (family.field_matrix() @ fractions[..., None])[..., 0]
+        return np.cumsum(states, axis=0, out=states)
+    for k in range(codes.steps):
+        states[k + 1] = states[k] + flow_times[k] * (family.evaluate(states[k]) @ fractions[k])
     return states
 
 

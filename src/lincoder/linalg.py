@@ -17,8 +17,8 @@ from .errors import NoEquilibriumError, NotPositiveDefiniteError
 
 #: Largest accepted asymmetry max|S - S^T|, relative to max(1, max|S|).
 SYMMETRY_TOL = 1e-9
-#: Eigenvalue real parts must be below -HURWITZ_TOL for a drift to count as stable.
-HURWITZ_TOL = 1e-10
+#: Eigenvalue real parts must be below -HURWITZ_RTOL * norm1(A) for A to count as stable.
+HURWITZ_RTOL = 1e-10
 #: Most sign-iteration steps of the Lyapunov solve (random Hurwitz drifts take 2-8).
 LYAPUNOV_MAX_STEPS = 100
 #: Bytes of each slice of a matrix stack that the exponential works on.
@@ -235,8 +235,8 @@ def sym_eig(matrix) -> SymmetricEigen:
 
 
 def is_hurwitz(matrix) -> bool:
-    """True when every eigenvalue real part is below -HURWITZ_TOL."""
-    return bool(np.max(np.linalg.eigvals(matrix).real) < -HURWITZ_TOL)
+    """True when every eigenvalue real part is below -HURWITZ_RTOL * norm1(A); never for A = 0."""
+    return bool(np.max(np.linalg.eigvals(matrix).real) < -HURWITZ_RTOL * np.linalg.norm(matrix, 1))
 
 
 def lyapunov_solve(a, noise) -> np.ndarray:

@@ -247,12 +247,13 @@ def sample_paths(
 ) -> TrajectoryDataset:
     """Exact-discretization sample paths of a constant-drift model.
 
-    x_{k+1} = Phi x_k + xi_k with xi_k = R z_k, R R^T = W(dt), and z_k the
-    standard normals of the counter-based cell (seed, PATH_LANE, trial, k),
-    so the dataset is a pure function of the arguments regardless of
-    evaluation order and trials are statistically independent.  All trials
-    advance together, one step at a time, as stacked matvecs that give each
-    trial the same bits as its own Phi @ x + R @ z.
+    x_{k+1} = Phi x_k + xi_k with xi_k = R z_k, R R^T = W(dt), and z_k row k
+    of one standard_normal((steps, n)) draw from the trial's counter-based
+    cell (seed, PATH_LANE, trial, 0), so the dataset is a pure function of
+    the arguments regardless of evaluation order, trials are independent,
+    and shorter runs are prefixes of longer ones.  All shocks R z_k are one
+    stacked product; then all trials advance together, one step at a time,
+    as stacked matvecs that give each trial the bits of its own Phi @ x + R @ z.
     """
     if not model.is_constant:
         raise ValueError("sample paths require constant drift")
@@ -266,15 +267,11 @@ def sample_paths(
     phi, cov = _transition_and_gramian(model, 0.0, dt)
     root = _covariance_sqrt(cov)
     streams = CellStreams(seed, PATH_LANE)
+    z = np.stack([substream(streams, t, 0).standard_normal((steps, n)) for t in range(trials)])
     states = np.empty((trials, steps + 1, n))
     states[:, 0] = x0
-    # Each cell's standard normals wait in the slot of the state they drive.
-    for trial, shocks in enumerate(states[:, 1:]):
-        for k in range(steps):
-            shocks[k] = substream(streams, trial, k).standard_normal(n)
     # Stacked (n, n) @ (n, 1) products round as phi @ x does; x @ phi.T does not.
+    states[:, 1:] = (root @ z[..., np.newaxis])[..., 0]
     for k in range(steps):
-        x = states[:, k, :, np.newaxis]
-        z = states[:, k + 1, :, np.newaxis]
-        states[:, k + 1] = (phi @ x)[..., 0] + (root @ z)[..., 0]
+        states[:, k + 1] += (phi @ states[:, k, :, np.newaxis])[..., 0]
     return TrajectoryDataset(dt, states)

@@ -2,7 +2,7 @@
 
 Every (seed, lane, major, minor) cell owns an independent Philox stream, so
 draws are a pure function of those four integers regardless of the order in
-which cells are consumed.  ``major``/``minor`` are typically (trial, step).
+which cells are consumed.  Paths draw trial t from cell (t, 0); a replay from (0, 0) and (0, 1).
 
 A run makes one ``CellStreams`` per (seed, lane): a single Philox generator
 that ``substream`` repositions onto each cell by overwriting its counter

@@ -113,6 +113,16 @@ class TestRateCeiling:
         assert not is_hurwitz(np.zeros((2, 2)))
         assert not is_hurwitz(np.array([[0.5, 1.0], [-1.0, 0.5]]))
 
+    def test_ceiling_is_invariant_to_drift_and_noise_scale(self):
+        # Scaling A and N together leaves the equilibrium covariance, and so
+        # the ceiling, unchanged: the stable preset gives 1.0 bit at D = 0.01.
+        stable = demo_model("stable")
+        for scale in (1.0, 1e-9, 1e-11):
+            model = LinearSystemModel.constant(
+                scale * stable.drift.matrix, scale * stable.noise_intensity
+            )
+            assert rate_ceiling(model, 0.01).rate_bits == pytest.approx(1.0, abs=1e-12)
+
 
 class TestRateCurve:
     def test_single_point_matches_pointwise_rate(self):

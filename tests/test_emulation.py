@@ -1,5 +1,6 @@
 """Codec and emulator tests, with exhaustive/vertex-enumeration oracles."""
 
+import dataclasses
 import itertools
 import math
 
@@ -30,8 +31,9 @@ from lincoder import (
     simplex_compress,
     simplex_decompress,
 )
+from lincoder import emulation
 from lincoder.emulation import COV_SCALE_RTOL, replay_statistics
-from lincoder.rng import EMULATION_LANE
+from lincoder.rng import EMULATION_LANE, substream
 from lincoder.simplexlp import BASIS_TOL, MAX_BASES, TIE_RTOL
 
 
@@ -452,6 +454,26 @@ def single_field_dataset(vector, flow_time, steps, trials):
     return TrajectoryDataset(0.1, states)
 
 
+def half_plane_codes(per_trial, steps=30):
+    """Codes of 3 sampled trials for fields spanning only the half-plane y >= 0.
+
+    About one step in eight has no feasible trial and draws no trial pick.
+    """
+    model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
+    data = sample_paths(model, [0.0, 0.0], 0.01, steps=steps, trials=3, seed=3)
+    codes = compress_dataset(data, family_from([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]))
+    if per_trial:
+        return codes
+    return StepCodes(
+        codes.probabilities, codes.flow_times, codes.feasible_trials, codes.infeasible_trials
+    )
+
+
+def first_steps(codes, k):
+    fields = (getattr(codes, f.name) for f in dataclasses.fields(codes))
+    return StepCodes(*(None if value is None else value[:k] for value in fields))
+
+
 class TestEmulate:
     def test_single_field_flow_is_reproduced_exactly(self):
         fam = family_from([1.0, 2.0], [0.0, -1.0])
@@ -521,7 +543,7 @@ class TestEmulate:
 
     def test_averaged_codes_replay_as_one_pseudo_trial(self):
         # Codes without per-trial fractions draw no trial index: each step is
-        # Mult(R, p_bar) from the step's stream, decompressed at the flow time.
+        # the next Mult(R, p_bar) of cell (0, 1), decompressed at the flow time.
         rng = np.random.default_rng(4)
         fam = planar_grid_family()
         vectors = fam.field_matrix()
@@ -535,11 +557,12 @@ class TestEmulate:
         for resolution in (1, 7):
             x = np.array([0.5, -1.0])
             expected = [x]
+            bits = np.random.Philox(counter=[0, 1, 0, 0], key=[9, EMULATION_LANE])
+            cell = np.random.Generator(bits)
             for step in range(steps):
                 p = np.clip(codes.probabilities[step], 0.0, None)
                 p /= p.sum()
-                cell = np.random.Philox(counter=[0, step, 0, 0], key=[9, EMULATION_LANE])
-                counts = np.random.Generator(cell).multinomial(resolution, p)
+                counts = cell.multinomial(resolution, p)
                 x = x + codes.flow_times[step] * (vectors @ (counts / resolution))
                 expected.append(x)
             replay = emulate_steps(codes, fam, [0.5, -1.0], resolution, 9)
@@ -568,22 +591,44 @@ class TestEmulate:
         for resolution in (1, 100):
             x = np.array([0.5, -1.0])
             expected = [x]
+            # Cell (0, 0) draws the trial picks, cell (0, 1) the counts, in step order.
+            picks, draws = (
+                np.random.Generator(np.random.Philox(counter=[0, c, 0, 0], key=[4, EMULATION_LANE]))
+                for c in (0, 1)
+            )
             for step in range(steps):
-                cell = np.random.Generator(
-                    np.random.Philox(counter=[0, step, 0, 0], key=[4, EMULATION_LANE])
-                )
                 p = codes.probabilities[step]
                 candidates = np.flatnonzero(codes.trial_feasible[step])
                 if candidates.size:
-                    p = codes.trial_probabilities[step, candidates[cell.integers(candidates.size)]]
+                    p = codes.trial_probabilities[step, candidates[picks.integers(candidates.size)]]
                 p = np.clip(p, 0.0, None)
                 p /= p.sum()
-                counts = cell.multinomial(resolution, p)
+                counts = draws.multinomial(resolution, p)
                 code = SimplexCode(counts / resolution, float(codes.flow_times[step]))
                 x = x + simplex_decompress(fam, x, code)
                 expected.append(x)
             replay = emulate_steps(codes, fam, [0.5, -1.0], resolution, 4)
             assert np.array_equal(replay, np.array(expected))
+
+    @pytest.mark.parametrize("per_trial", [True, False], ids=["per-trial", "averaged"])
+    def test_replay_of_first_steps_is_a_prefix(self, per_trial):
+        fam = family_from([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])
+        codes = half_plane_codes(per_trial)
+        assert 0 < np.count_nonzero(codes.feasible_trials == 0) < codes.steps
+        full = emulate_steps(codes, fam, [1.0, 1.0], 7, 11)
+        for k in (1, 12, 29):
+            prefix = emulate_steps(first_steps(codes, k), fam, [1.0, 1.0], 7, 11)
+            assert np.array_equal(prefix, full[: k + 1])
+
+    @pytest.mark.parametrize("steps", [1, 300])
+    def test_replay_positions_two_cells(self, monkeypatch, steps):
+        positioned = []
+        monkeypatch.setattr(
+            emulation, "substream", lambda *args: positioned.append(1) or substream(*args)
+        )
+        fam = family_from([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])
+        emulate_steps(half_plane_codes(True, steps), fam, [1.0, 1.0], 7, 11)
+        assert len(positioned) <= 2
 
     @pytest.mark.parametrize("flow_time", [-0.01, np.inf, np.nan])
     def test_replay_rejects_bad_flow_time(self, flow_time):

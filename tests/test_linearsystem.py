@@ -14,6 +14,7 @@ from lincoder import (
     sample_paths,
     state_transition,
 )
+from lincoder import linearsystem
 from lincoder.csvio import read_trajectories, write_trajectories
 from lincoder.linearsystem import (
     GRAMIAN_SPLIT_NORM,
@@ -22,7 +23,7 @@ from lincoder.linearsystem import (
     _covariance_sqrt,
     _transition_and_gramian,
 )
-from lincoder.rng import PATH_LANE
+from lincoder.rng import PATH_LANE, substream
 
 
 def max_abs(a):
@@ -322,18 +323,18 @@ class TestSamplePaths:
 
     @staticmethod
     def per_cell_reference(model, x0, dt, steps, trials, seed):
-        """One fresh Philox cell per (trial, step), then phi @ x + root @ z."""
+        """One fresh Philox cell per trial, drawn step by step, then phi @ x + root @ z."""
         n = model.dimension
         phi = state_transition(model, 0.0, dt)
         root = _covariance_sqrt(increment_distribution(model, np.zeros(n), 0.0, dt).covariance)
         key = np.array([seed, PATH_LANE], dtype=np.uint64)
         states = np.empty((trials, steps + 1, n))
         for trial in range(trials):
+            counter = np.array([0, 0, trial, 0], dtype=np.uint64)
+            cell = np.random.Generator(np.random.Philox(counter=counter, key=key))
             x = np.asarray(x0, dtype=float)
             states[trial, 0] = x
             for k in range(steps):
-                counter = np.array([0, k, trial, 0], dtype=np.uint64)
-                cell = np.random.Generator(np.random.Philox(counter=counter, key=key))
                 x = phi @ x + root @ cell.standard_normal(n)
                 states[trial, k + 1] = x
         return states
@@ -368,6 +369,22 @@ class TestSamplePaths:
         model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
         sample_paths(model, [1.0, 1.0], 0.01, steps=300, trials=40, seed=7)
         assert len(built) <= 1
+
+    def test_shorter_run_is_a_prefix(self):
+        model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
+        short = sample_paths(model, [1.0, 1.0], 0.1, steps=10, trials=3, seed=7)
+        full = sample_paths(model, [1.0, 1.0], 0.1, steps=25, trials=6, seed=7)
+        assert np.array_equal(short.states, full.states[:3, :11])
+
+    @pytest.mark.parametrize("steps", [1, 300])
+    def test_positions_one_cell_per_trial(self, monkeypatch, steps):
+        positioned = []
+        monkeypatch.setattr(
+            linearsystem, "substream", lambda *args: positioned.append(1) or substream(*args)
+        )
+        model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
+        sample_paths(model, [1.0, 1.0], 0.01, steps=steps, trials=40, seed=7)
+        assert len(positioned) <= 40
 
     def test_requires_constant_drift(self):
         model = LinearSystemModel.time_varying(lambda t: -np.eye(2), 2, np.eye(2))
