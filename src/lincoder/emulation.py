@@ -242,7 +242,7 @@ def _advance_segment(family: SourceFamily, x: np.ndarray, active, length: float)
             block[:n, n] += field.vector * a
     if not np.any(block[:n, :n]):
         return x + block[:n, n] * length
-    exp = mat_exp(block, length)
+    exp = mat_exp(block * length)
     return exp[:n, :n] @ x + exp[:n, n]
 
 

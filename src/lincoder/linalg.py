@@ -23,39 +23,23 @@ HURWITZ_RTOL = 1e-10
 LYAPUNOV_MAX_STEPS = 100
 #: Bytes of each slice of a matrix stack that the exponential works on.
 _EXP_CHUNK_BYTES = 1 << 16
-#: Pade degrees m of the exponential, each with the bound theta_m on the
-#: power norms d_k = ||A^k||^(1/k) up to which it is exact to double
-#: precision (Al-Mohy & Higham 2009, Table 3.1).
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068,
-    13: 4.25,
-}
-_PADE_DEGREES = np.array(list(_PADE_THETA))
-_PADE_BOUNDS = np.array([[theta] for theta in _PADE_THETA.values()])
-#: Row m holds the coefficients b_j = (2m - j)! / (j! (m - j)!) of the
-#: degree-m approximant, zero for j > m and for degrees off the ladder.
-_PADE_TABLE = np.array(
-    [
-        [
-            math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
-            if m in _PADE_THETA and j <= m
-            else 0
-            for j in range(14)
-        ]
-        for m in range(14)
-    ],
-    dtype=float,
+#: Bound theta_13 on the power norms d_k = ||A^k||^(1/k) up to which the
+#: degree-13 Pade approximant is exact to double precision (Al-Mohy &
+#: Higham 2009, Table 3.1).
+_PADE_THETA13 = 4.25
+#: Coefficients b_j / b_0 of the degree-13 approximant, b_j = (26 - j)! /
+#: (j! (13 - j)!).  With b_0 = 1 the approximant of A = 0 is exactly I:
+#: LAPACK solves b_0 I X = b_0 I through the reciprocal pivot, which for the
+#: raw b_0 = 26!/13! leaves 1 - 1.1e-16 on the diagonal.
+_PADE_COEFFICIENTS = tuple(
+    math.factorial(26 - j) * math.factorial(13)
+    / (math.factorial(j) * math.factorial(13 - j) * math.factorial(26))
+    for j in range(14)
 )
-#: log2 of 1/|c_(2m+1)| = (2m)! (2m + 1)! / (m!)^2, the reciprocal leading
-#: coefficient of the Pade error exp(x) - r_m(x).
-_PADE_LOG2_ERROR_RECIPROCALS = np.log2(
-    [
-        [math.factorial(2 * m) * math.factorial(2 * m + 1) / math.factorial(m) ** 2]
-        for m in _PADE_THETA
-    ]
+#: log2 of 1/|c_27| = 26! 27! / (13!)^2, the reciprocal leading coefficient
+#: of the Pade error exp(x) - r_13(x).
+_PADE_LOG2_ERROR_RECIPROCAL = math.log2(
+    math.factorial(26) * math.factorial(27) / math.factorial(13) ** 2
 )
 
 
@@ -114,62 +98,53 @@ def _as_square_stack(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _pade_choice(a: np.ndarray, a4, a6, a8):
-    """Pade degree and squaring count of each matrix A of a stack (m, n, n).
+def _squarings(a: np.ndarray, a4, a6, a8) -> np.ndarray:
+    """Squaring count s of each matrix A of a stack (m, n, n) for the degree-13 approximant.
 
     a4, a6 and a8 are the powers A^4, A^6 and A^8 of the stack.
 
-    Al-Mohy & Higham 2009, Algorithm 5.1, with exact 1-norms.  Degree and
-    scaling follow the norms of powers, d_k = ||A^k||^(1/k), rather than
-    ||A||.  That avoids overscaling, and the rounding the extra squarings
-    would amplify, when ||A|| far exceeds the spectral radius, as in the
-    augmented block of a nearly driftless system.  The correction ell(A, m)
-    = ceil(log2(alpha_m / u) / 2m), with alpha_m = |c_(2m+1)| ||(|A|)^(2m+1)||
-    / ||A|| and u = 2^-53, rejects a degree (or adds squarings) where
-    rounding in the Pade evaluation of a highly non-normal matrix would
-    dominate.  ||(|A|)^p|| is the largest entry of 1^T (|A| / ||A||)^p times
-    ||A||^p, taken by vector products so that huge norms cannot overflow.
+    Al-Mohy & Higham 2009, Algorithm 5.1, at degree 13 only, with exact
+    1-norms.  The scaling follows the norms of powers, d_k = ||A^k||^(1/k),
+    rather than ||A||.  That avoids overscaling, and the rounding the extra
+    squarings would amplify, when ||A|| far exceeds the spectral radius, as
+    in the augmented block of a nearly driftless system.  The correction
+    ell(A, 13) = ceil(log2(alpha / u) / 26), with alpha = |c_27|
+    ||(|A|)^27|| / ||A|| and u = 2^-53, adds squarings where rounding in the
+    Pade evaluation of a highly non-normal matrix would dominate.
+    ||(|A|)^27|| is the largest entry of 1^T (|A| / ||A||)^27 times
+    ||A||^27, taken by vector products so that huge norms cannot overflow.
     """
     count = len(a)
-    power_norms = np.linalg.norm(np.concatenate((a, a4, a6, a8, a4 @ a6)), 1, axis=(1, 2))
-    exponents = 1.0 / np.array([[1.0], [4.0], [6.0], [8.0], [10.0]])
-    norms, d4, d6, d8, d10 = power_norms.reshape(5, count) ** exponents
-    eta1, eta3 = np.maximum(d4, d6), np.maximum(d6, d8)
+    power_norms = np.linalg.norm(np.concatenate((a, a6, a8, a4 @ a6)), 1, axis=(1, 2))
+    exponents = 1.0 / np.array([[1.0], [6.0], [8.0], [10.0]])
+    norms, d6, d8, d10 = power_norms.reshape(4, count) ** exponents
     # d_k <= ||A||, which also stands in for a power norm that overflowed.
-    eta5 = np.fmin(np.minimum(eta3, np.maximum(d8, d10)), norms)
+    eta5 = np.fmin(np.minimum(np.maximum(d6, d8), np.maximum(d8, d10)), norms)
     unit = np.abs(a) / np.where(norms > 0.0, norms, 1.0)[:, np.newaxis, np.newaxis]
     unit2 = unit @ unit
     unit4 = unit2 @ unit2
-    # Rows 1^T |A|^p / ||A||^p for p = 3, 7, ..., 27; the 2m + 1 of the
-    # ladder are p = 7, 11, 15, 19 and 27.
-    rows = [np.ones((count, 1, a.shape[-1])) @ unit @ unit2]
-    while len(rows) < 7:
-        rows.append(rows[-1] @ unit4)
-    largest = np.concatenate(rows, axis=1).max(axis=2).T[[1, 2, 3, 4, 6]]
-    degrees = _PADE_DEGREES[:, np.newaxis]
+    row = np.ones((count, 1, a.shape[-1])) @ unit @ unit2
+    for _ in range(6):
+        row = row @ unit4
     with np.errstate(divide="ignore"):
-        log_alpha = 2 * degrees * np.log2(norms) + np.log2(largest) - _PADE_LOG2_ERROR_RECIPROCALS
-        ell = np.ceil((log_alpha + 53.0) / (2 * degrees))
-        # Scaling by 2^-s lowers log2(alpha_13) by 26 s, so ell(2^-s A, 13) = ell - s.
-        squarings = np.maximum(np.ceil(np.log2(eta5 / _PADE_THETA[13])), ell[-1])
-    unscaled = (np.array([eta1, eta1, eta3, eta3]) <= _PADE_BOUNDS[:-1]) & (ell[:-1] <= 0.0)
-    choice = np.where(unscaled.any(axis=0), _PADE_DEGREES[unscaled.argmax(axis=0)], 13)
-    return choice, np.where(choice == 13, np.maximum(squarings, 0.0), 0.0).astype(int)
+        log_alpha = 26 * np.log2(norms) + np.log2(row.max(axis=(1, 2)))
+        ell = np.ceil((log_alpha - _PADE_LOG2_ERROR_RECIPROCAL + 53.0) / 26)
+        # Scaling by 2^-s lowers log2(alpha) by 26 s, so ell(2^-s A, 13) = ell - s.
+        squarings = np.maximum(np.ceil(np.log2(eta5 / _PADE_THETA13)), ell)
+    return np.maximum(squarings, 0.0).astype(int)
 
 
-def _pade(a: np.ndarray, a2, a4, a6, degrees: np.ndarray):
-    """Numerator and denominator of the Pade approximant of exp for each matrix of a stack.
+def _pade(a: np.ndarray, a2, a4, a6):
+    """Numerator and denominator of the degree-13 Pade approximant of exp for a stack.
 
-    Higham's degree-13 grouping with each matrix's own coefficients; those
-    of a lower degree are zero beyond it, so the same products give every
-    degree of the ladder.
+    Higham's grouping of the products, with the coefficients scaled to b_0 = 1.
     """
-    b = _PADE_TABLE[degrees][..., np.newaxis, np.newaxis]
+    b = _PADE_COEFFICIENTS
     eye = np.eye(a.shape[-1])
-    odd = a6 @ (b[:, 13] * a6 + b[:, 11] * a4 + b[:, 9] * a2) + b[:, 7] * a6 + b[:, 5] * a4
-    u = a @ (odd + b[:, 3] * a2 + b[:, 1] * eye)
-    even = a6 @ (b[:, 12] * a6 + b[:, 10] * a4 + b[:, 8] * a2) + b[:, 6] * a6 + b[:, 4] * a4
-    v = even + b[:, 2] * a2 + b[:, 0] * eye
+    odd = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4
+    u = a @ (odd + b[3] * a2 + b[1] * eye)
+    even = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4
+    v = even + b[2] * a2 + eye
     return v + u, v - u
 
 
@@ -179,12 +154,12 @@ def _exp_stack(a: np.ndarray) -> np.ndarray:
         a2 = a @ a
         a4 = a2 @ a2
         a6 = a4 @ a2
-        degrees, squarings = _pade_choice(a, a4, a6, a4 @ a4)
+        squarings = _squarings(a, a4, a6, a4 @ a4)
         if squarings.any():
             scale = (0.5**squarings)[:, np.newaxis, np.newaxis]
             for k, power in enumerate((a, a2, a4, a6)):
                 power *= scale ** max(1, 2 * k)
-        numerator, denominator = _pade(a, a2, a4, a6, degrees)
+        numerator, denominator = _pade(a, a2, a4, a6)
     out = np.linalg.solve(denominator, numerator)
     for step in range(int(squarings.max(initial=0))):
         picked = np.flatnonzero(squarings > step)
@@ -192,23 +167,20 @@ def _exp_stack(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def mat_exp(matrix, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential exp(matrix * t) of one matrix or of a stack (..., n, n).
+def mat_exp(matrix) -> np.ndarray:
+    """Matrix exponential of one matrix or of a stack (..., n, n).
 
-    Scaling and squaring with Pade approximants of degree 3, 5, 7, 9 or 13
-    (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4); degree and scaling
-    chosen as in Al-Mohy & Higham 2009, ibid. 31(3)).  Degree, scaling and
-    squarings are chosen per matrix, and each matrix is squared only its own
-    number of times, so a matrix's result does not depend on the rest of its
-    stack.  Stacks go through in slices of _EXP_CHUNK_BYTES, which keeps the
-    temporaries small and changes no result.
+    Scaling and squaring with the degree-13 Pade approximant (Higham 2005,
+    SIAM J. Matrix Anal. Appl. 26(4); scaling chosen as in Al-Mohy & Higham
+    2009, ibid. 31(3)).  The squaring count is chosen per matrix, and each
+    matrix is squared only its own number of times, so a matrix's result
+    does not depend on the rest of its stack.  Stacks go through in slices
+    of _EXP_CHUNK_BYTES, which keeps the temporaries small and changes no
+    result.  The caller's array is never written to.
     """
     arr = _as_square_stack(matrix)
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError("time argument must be finite")
     n = arr.shape[-1]
-    a = (arr * t).reshape(-1, n, n)
+    a = arr.reshape(-1, n, n).copy()
     size = max(1, _EXP_CHUNK_BYTES // (a.itemsize * n * n))
     chunks = [_exp_stack(a[i : i + size]) for i in range(0, max(len(a), 1), size)]
     return np.concatenate(chunks).reshape(arr.shape)

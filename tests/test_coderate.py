@@ -145,6 +145,26 @@ class TestRateCurve:
         assert curve.asymptote_bits is None
         assert curve.rate_bits[-1] > 12.0  # grows without bound over the grid
 
+    def test_marginal_curve_matches_closed_form(self):
+        # A = [[0, 1], [0, 0]], N = q I: W(t) = q [[t + t^3/3, t^2/2], [t^2/2, t]].
+        # The small eigenvalue is det / top, det = q^2 (t^2 + t^4/12), which
+        # avoids the cancellation of the 2x2 formula; then reverse
+        # water-filling on the two modes at D = 0.01.
+        q, d = 0.01, 0.01
+        grid = np.logspace(-4, 4, 100)
+        curve = rate_curve(demo_model("marginal"), d, grid)
+        a, b, c = q * (grid + grid**3 / 3), q * grid**2 / 2, q * grid
+        top = 0.5 * (a + c + np.hypot(a - c, 2 * b))
+        low = q * q * (grid**2 + grid**4 / 12) / top
+        level = np.where(low >= d / 2, d / 2, d - low)
+        bits = 0.5 * np.log2(top / level) + np.where(low > level, 0.5 * np.log2(low / level), 0.0)
+        expected = np.where(d >= top + low, 0.0, bits)
+        positive = expected > 0.0
+        assert positive.sum() > 40
+        assert np.all(curve.rate_bits[~positive] == 0.0)
+        gap = np.abs(curve.rate_bits[positive] - expected[positive]) / expected[positive]
+        assert np.max(gap) <= 1e-13
+
     def test_grid_validation(self):
         model = demo_model("stable")
         with pytest.raises(ValueError):
@@ -177,7 +197,7 @@ class TestRateCurve:
     )
     def test_curve_matches_pointwise_rates_bit_for_bit(self, name, top):
         # norm1(A) * dt crosses GRAMIAN_SPLIT_NORM on these grids, so the
-        # points differ in doubling count, Pade degree and scaling.
+        # points differ in doubling count and Pade scaling.
         model = rotation_model(8) if name == "rotation8" else demo_model(name)
         grid = np.logspace(-3, top, 10 * (top + 3) + 1)
         curve = rate_curve(model, 0.01, grid)

@@ -21,15 +21,15 @@ def max_abs(a):
 
 class TestMatExp:
     def test_zero_matrix_gives_identity(self):
-        assert np.array_equal(mat_exp(np.zeros((3, 3)), 2.5), np.eye(3))
+        assert np.array_equal(mat_exp(np.zeros((3, 3)) * 2.5), np.eye(3))
 
     def test_nilpotent_closed_form(self):
         # exp([[0,1],[0,0]]) = [[1,1],[0,1]] exactly (series truncates)
-        result = mat_exp([[0.0, 1.0], [0.0, 0.0]], 1.0)
+        result = mat_exp([[0.0, 1.0], [0.0, 0.0]])
         assert max_abs(result - np.array([[1.0, 1.0], [0.0, 1.0]])) <= 1e-14
 
     def test_diagonal_matches_scalar_exponentials(self):
-        result = mat_exp(np.diag([-1.0, -2.0]), 0.5)
+        result = mat_exp(np.diag([-1.0, -2.0]) * 0.5)
         expected = np.diag([math.exp(-0.5), math.exp(-1.0)])
         assert max_abs(result - expected) <= 1e-12 * max(1.0, max_abs(expected))
 
@@ -39,22 +39,22 @@ class TestMatExp:
             m = rng.normal(size=(4, 4))
             m *= 2.0 / (np.linalg.norm(m, 1) + 1e-12)  # keep norm(M(s+t)) <= 5
             s, t = rng.uniform(0.2, 1.0, size=2)
-            lhs = mat_exp(m, s) @ mat_exp(m, t)
-            rhs = mat_exp(m, s + t)
+            lhs = mat_exp(m * s) @ mat_exp(m * t)
+            rhs = mat_exp(m * (s + t))
             assert max_abs(lhs - rhs) <= 1e-9
 
     def test_stack_matches_single_matrices_bit_for_bit(self):
-        # Norms from 1e-4 to 1e3 cross every degree of the ladder and need
-        # different squaring counts; each matrix must come out as if alone.
+        # Norms from 1e-4 to 1e3 need different squaring counts; each
+        # matrix must come out as if alone.
         rng = np.random.default_rng(17)
         for n in (1, 2, 5, 16):
             stack = rng.normal(size=(60, n, n))
             norms = np.linalg.norm(stack, 1, axis=(1, 2))
             stack *= (np.logspace(-4, 3, 60) / norms)[:, None, None]
-            together = mat_exp(stack, 0.7)
+            together = mat_exp(stack * 0.7)
             assert together.shape == stack.shape
             for matrix, result in zip(stack, together):
-                assert np.array_equal(result, mat_exp(matrix, 0.7))
+                assert np.array_equal(result, mat_exp(matrix * 0.7))
         grid = rng.normal(size=(2, 3, 4, 4))
         assert np.array_equal(mat_exp(grid)[1, 2], mat_exp(grid[1, 2]))
 
@@ -63,29 +63,38 @@ class TestMatExp:
         import scipy.linalg
 
         rng = np.random.default_rng(100 + n)
-        for reach in (1e-3, 0.1, 1.0, 10.0, 100.0):  # norm1(M) * t
+        for reach in (1e-3, 0.015, 0.1, 0.25, 0.95, 1.0, 2.1, 10.0, 100.0):  # norm1(M) * t
             for _ in range(4):
                 m = rng.normal(size=(n, n))
                 m /= np.linalg.norm(m, 1)
                 expected = scipy.linalg.expm(m * reach)
-                gap = max_abs(mat_exp(m, reach) - expected)
+                gap = max_abs(mat_exp(m * reach) - expected)
                 assert gap <= 1e-11 * np.linalg.norm(expected)
 
     def test_nilpotent_block_is_not_overscaled(self):
-        # ||M|| = 1e12 but M^2 = 0: the degree and scaling follow the norms
-        # of the powers, so there are no squarings to amplify rounding.
+        # ||M|| = 1e12 but M^2 = 0: the scaling follows the norms of the
+        # powers, so there are no squarings to amplify rounding.
         result = mat_exp([[0.0, 1e12], [0.0, 0.0]])
         assert np.array_equal(result, [[1.0, 1e12], [0.0, 1.0]])
 
     def test_nonnormal_matrix_is_not_underscaled(self):
         # M^2 = (a^2 - fl(a^2)) I, about 1e-8 I, so exp(M) = I + M to 1e-16
-        # relative; but |M|^p grows like (2a)^p.  The power norms alone pick
-        # the unscaled degree-3 approximant, which loses 8.6e-6 here; the
-        # rounding correction ell(M, m) adds squarings instead.
+        # relative; but |M|^p grows like (2a)^p.  The power norms alone ask
+        # for no squarings, and the unscaled approximant loses 8.6e-6
+        # here; the rounding correction ell(M, 13) adds the squarings.
         a = 12345.678
         m = np.array([[a, a * a], [-1.0, -a]])
         expected = np.eye(2) + m
         assert max_abs(mat_exp(m) - expected) <= 1e-6 * np.linalg.norm(expected)
+
+    def test_caller_array_is_left_unchanged(self):
+        # The exponential scales its working stack in place before squaring.
+        m = np.random.default_rng(3).normal(size=(2, 4, 4))
+        m *= 100.0 / np.linalg.norm(m, 1, axis=(1, 2))[:, None, None]
+        before = m.copy()
+        mat_exp(m)
+        mat_exp(m[0])
+        assert np.array_equal(m, before)
 
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):
@@ -95,7 +104,7 @@ class TestMatExp:
         with pytest.raises(ValueError):
             mat_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
-            mat_exp(np.eye(2), np.inf)
+            mat_exp(np.full((2, 2), np.inf))
 
 
 class TestSymEig:
