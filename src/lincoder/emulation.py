@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InfeasibleTargetError
 from .linalg import as_square, as_vector, mat_exp
-from .rng import EMULATION_LANE, CellStreams, substream
+from .rng import EMULATION_LANE, substream
 from .simplexlp import solve_nonnegative_lp
 from .trajectories import TrajectoryDataset
 
@@ -502,18 +502,17 @@ def emulate_steps(
     flow_times = codes.flow_times.astype(float)
     if not np.all(np.isfinite(flow_times) & (flow_times >= 0.0)):
         raise ValueError("flow time must be finite and nonnegative")
-    streams = CellStreams(seed, EMULATION_LANE)
     p = np.array(codes.probabilities, dtype=float)
     if codes.trial_feasible is not None:
         sizes = codes.trial_feasible.sum(axis=1)
         drawn = np.flatnonzero(sizes)
-        picks = substream(streams, 0, 0).integers(sizes[drawn])
+        picks = substream(seed, EMULATION_LANE, 0, 0).integers(sizes[drawn])
         # The picked trial is the first whose running feasible count exceeds the pick.
         ranks = np.cumsum(codes.trial_feasible[drawn], axis=1)
         p[drawn] = codes.trial_probabilities[drawn, np.argmax(ranks > picks[:, None], axis=1)]
     p = np.maximum(p, 0.0)
     p /= p.sum(axis=1, keepdims=True)
-    fractions = substream(streams, 0, 1).multinomial(resolution, p) / resolution
+    fractions = substream(seed, EMULATION_LANE, 0, 1).multinomial(resolution, p) / resolution
     states = np.empty((codes.steps + 1, x.shape[0]))
     states[0] = x
     if family.is_constant:

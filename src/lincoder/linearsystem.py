@@ -20,7 +20,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .linalg import as_square, as_vector, check_symmetric, mat_exp, max_abs
-from .rng import PATH_LANE, CellStreams, substream
+from .rng import PATH_LANE, substream
 from .trajectories import TrajectoryDataset
 
 #: Most negative eigenvalue accepted in the noise intensity matrix.
@@ -266,8 +266,9 @@ def sample_paths(
         raise ValueError("initial state dimension does not match the model")
     phi, cov = _transition_and_gramian(model, 0.0, dt)
     root = _covariance_sqrt(cov)
-    streams = CellStreams(seed, PATH_LANE)
-    z = np.stack([substream(streams, t, 0).standard_normal((steps, n)) for t in range(trials)])
+    z = np.stack(
+        [substream(seed, PATH_LANE, t, 0).standard_normal((steps, n)) for t in range(trials)]
+    )
     states = np.empty((trials, steps + 1, n))
     states[:, 0] = x0
     # Stacked (n, n) @ (n, 1) products round as phi @ x does; x @ phi.T does not.

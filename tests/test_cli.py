@@ -480,6 +480,17 @@ class TestEmulate:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_affine_family_fails_without_output(self, tmp_path, capsys):
+        data_path, _ = self._write_inputs(tmp_path)
+        family_path = tmp_path / "affine_family.json"
+        affine = {"M": [[-1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0]}
+        family_path.write_text(json.dumps([affine, [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
+        out = tmp_path / "x.csv"
+        args = [data_path, str(family_path), "--resolution", "5", "--seed", "1"]
+        assert main(["emulate", *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: simplex compression requires constant fields\n"
+        assert not out.exists()
+
 
 BASE_CONFIGS = {
     "rdf-curve": {

@@ -360,7 +360,8 @@ class TestSamplePaths:
         data = sample_paths(model, x0, dt, steps=25, trials=6, seed=seed)
         assert np.array_equal(data.states, self.per_cell_reference(model, x0, dt, 25, 6, seed))
 
-    def test_builds_one_generator(self, monkeypatch):
+    def test_builds_one_generator_per_trial(self, monkeypatch):
+        # One Philox per trial (40), not one per (trial, step) cell (12 000).
         built = []
         philox = np.random.Philox
         monkeypatch.setattr(
@@ -368,7 +369,7 @@ class TestSamplePaths:
         )
         model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
         sample_paths(model, [1.0, 1.0], 0.01, steps=300, trials=40, seed=7)
-        assert len(built) <= 1
+        assert len(built) <= 40
 
     def test_shorter_run_is_a_prefix(self):
         model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))

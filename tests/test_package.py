@@ -41,16 +41,16 @@ def test_no_unused_imports():
     assert unused == {}
 
 
-def _scipy_references(tree):
-    """Dotted scipy names a module imports or loads (stdlib-only lint)."""
+def _references(tree, root):
+    """Dotted names under package ``root`` that a module imports or loads (stdlib-only lint)."""
     bound, references = {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.split(".")[0] == "scipy":
+                if alias.name.split(".")[0] == root:
                     local = alias.asname or alias.name.split(".")[0]
                     bound[local] = alias.name if alias.asname else local
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == root:
             for alias in node.names:
                 bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
                 references.add(f"{node.module}.{alias.name}")
@@ -71,14 +71,35 @@ def _scipy_references(tree):
 def test_scipy_runtime_surface():
     # numpy is the only runtime dependency; tests and the benchmark use scipy as an oracle.
     sample = "import scipy.linalg as sl\nfrom scipy import linalg\nsl.expm(a)\nlinalg.eig(a)"
-    found = _scipy_references(ast.parse(sample))
+    found = _references(ast.parse(sample), "scipy")
     assert found == {"scipy.linalg", "scipy.linalg.expm", "scipy.linalg.eig"}
     used = {
         stem: sorted(names)
         for stem, tree in _package_trees().items()
-        if (names := _scipy_references(tree))
+        if (names := _references(tree, "scipy"))
     }
     assert used == {}
+
+
+def _random_references(tree):
+    """Dotted numpy.random names a module imports or loads."""
+    return {name for name in _references(tree, "numpy") if name.split(".")[1:2] == ["random"]}
+
+
+def test_random_draws_only_from_rng_cells():
+    # Every draw comes from a seeded Philox cell, so rng.py alone may build generators.
+    sample = (
+        "import numpy as np\nfrom numpy.random import default_rng\n"
+        "np.random.Philox(key)\nnp.random.normal(1)\nnp.linalg.norm(a)"
+    )
+    found = _random_references(ast.parse(sample))
+    assert found == {"numpy.random.default_rng", "numpy.random.Philox", "numpy.random.normal"}
+    used = {
+        stem: sorted(names)
+        for stem, tree in _package_trees().items()
+        if (names := _random_references(tree))
+    }
+    assert used == {"rng": ["numpy.random.Generator", "numpy.random.Philox"]}
 
 
 def test_import_loads_no_scipy():
