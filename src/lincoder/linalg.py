@@ -159,11 +159,19 @@ def _exp_stack(a: np.ndarray) -> np.ndarray:
             scale = (0.5**squarings)[:, np.newaxis, np.newaxis]
             for k, power in enumerate((a, a2, a4, a6)):
                 power *= scale ** max(1, 2 * k)
+            # A power that overflowed before scaling is inf, and inf * 2^-2ks
+            # is NaN: form those matrices' powers again from the scaled A.
+            lost = np.flatnonzero(~np.isfinite(a6).all(axis=(1, 2)))
+            if lost.size:
+                a2[lost] = a[lost] @ a[lost]
+                a4[lost] = a2[lost] @ a2[lost]
+                a6[lost] = a4[lost] @ a2[lost]
         numerator, denominator = _pade(a, a2, a4, a6)
     out = np.linalg.solve(denominator, numerator)
-    for step in range(int(squarings.max(initial=0))):
-        picked = np.flatnonzero(squarings > step)
-        out[picked] = out[picked] @ out[picked]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(int(squarings.max(initial=0))):
+            picked = np.flatnonzero(squarings > step)
+            out[picked] = out[picked] @ out[picked]
     return out
 
 

@@ -226,7 +226,10 @@ def increment_distribution(
 
 def _covariance_sqrt(cov: np.ndarray) -> np.ndarray:
     """Cholesky factor, or the eigenvalue square root when near-singular."""
-    trace = float(np.trace(cov))
+    with np.errstate(over="ignore"):
+        # A finite W near the float limit can have an infinite trace; the
+        # eigenvalue square root then takes over.
+        trace = float(np.trace(cov))
     try:
         chol = np.linalg.cholesky(cov)
         if float(np.min(np.diag(chol))) ** 2 >= SQRT_PIVOT_RTOL * max(trace, 0.0):
@@ -251,9 +254,14 @@ def sample_paths(
     of one standard_normal((steps, n)) draw from the trial's counter-based
     cell (seed, PATH_LANE, trial, 0), so the dataset is a pure function of
     the arguments regardless of evaluation order, trials are independent,
-    and shorter runs are prefixes of longer ones.  All shocks R z_k are one
-    stacked product; then all trials advance together, one step at a time,
-    as stacked matvecs that give each trial the bits of its own Phi @ x + R @ z.
+    and shorter runs are prefixes of longer ones.  The states are held
+    step-major, one (trials, n, 1) block per step: all shocks R z_k are one
+    stacked product written into the blocks of steps 1..steps, and then
+    each step adds Phi times the block before it, in place, through one
+    preallocated buffer.  Every stacked (n, n) @ (n, 1) product is the
+    matvec Phi @ x itself, so each trial keeps the bits of its own
+    Phi @ x + R @ z.  Raises ValueError if Phi or W is not finite at this dt,
+    or, naming the first trial and step, if a path leaves the float range.
     """
     if not model.is_constant:
         raise ValueError("sample paths require constant drift")
@@ -265,14 +273,26 @@ def sample_paths(
     if x0.shape[0] != n:
         raise ValueError("initial state dimension does not match the model")
     phi, cov = _transition_and_gramian(model, 0.0, dt)
+    if not (np.isfinite(phi).all() and np.isfinite(cov).all()):
+        raise ValueError(f"the increment law overflows at dt = {dt:g}")
     root = _covariance_sqrt(cov)
     z = np.stack(
-        [substream(seed, PATH_LANE, t, 0).standard_normal((steps, n)) for t in range(trials)]
+        [substream(seed, PATH_LANE, t, 0).standard_normal((steps, n)) for t in range(trials)],
+        axis=1,
     )
-    states = np.empty((trials, steps + 1, n))
-    states[:, 0] = x0
-    # Stacked (n, n) @ (n, 1) products round as phi @ x does; x @ phi.T does not.
-    states[:, 1:] = (root @ z[..., np.newaxis])[..., 0]
-    for k in range(steps):
-        states[:, k + 1] += (phi @ states[:, k, :, np.newaxis])[..., 0]
-    return TrajectoryDataset(dt, states)
+    states = np.empty((steps + 1, trials, n, 1))
+    states[0] = x0[:, np.newaxis]
+    drift = np.empty((trials, n, 1))
+    rows = list(states)
+    # Stacked (n, n) @ (n, 1) products round as phi @ x does; x @ phi.T and
+    # one product over all trials' columns do not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(root, z[..., np.newaxis], out=states[1:])
+        for before, after in zip(rows, rows[1:]):
+            np.matmul(phi, before, out=drift)
+            np.add(after, drift, out=after)
+    finite = np.isfinite(states).all(axis=(2, 3))
+    if not finite.all():
+        step, trial = np.argwhere(~finite)[0]
+        raise ValueError(f"sample path of trial {trial} overflows at step {step} (dt = {dt:g})")
+    return TrajectoryDataset(dt, states[..., 0].swapaxes(0, 1))

@@ -268,6 +268,19 @@ class TestSample:
         assert "must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_paths_fail_cleanly(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            "sample.json",
+            {"system": "unstable", "x0": [1, 1], "dt": 1000, "steps": 3, "trials": 2},
+        )
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sample", "--config", config, "--out", str(out), "--seed", "7"]) == 1
+        assert capsys.readouterr().err == "error: the increment law overflows at dt = 1000\n"
+        assert not out.exists()
+
     def test_seed_is_required(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

@@ -1,6 +1,7 @@
 """Kernel tests: matrix exponential, symmetric eigen, Lyapunov, logdet."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,22 @@ class TestMatExp:
         m = np.array([[a, a * a], [-1.0, -a]])
         expected = np.eye(2) + m
         assert max_abs(mat_exp(m) - expected) <= 1e-6 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("entry", [-1e200, -1e160])
+    def test_huge_negative_scalar_decays_to_zero(self, entry):
+        # A^2 overflows before scaling; the powers are formed again from
+        # the scaled A instead of giving inf * 2^-2s = NaN.
+        assert np.array_equal(mat_exp([[entry]]), [[0.0]])
+
+    def test_overflowing_matrix_leaves_its_stack_neighbours_unchanged(self):
+        together = mat_exp([[[-1e200]], [[-1.0]]])
+        assert np.array_equal(together[0], [[0.0]])
+        assert np.array_equal(together[1], mat_exp([[-1.0]]))
+
+    def test_huge_positive_scalar_overflows_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(mat_exp([[1e200]]), [[np.inf]])
 
     def test_caller_array_is_left_unchanged(self):
         # The exponential scales its working stack in place before squaring.

@@ -1,6 +1,7 @@
 """Forward-increment law and sample-path tests with closed-form oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,9 @@ class TestGramianOdeResidual:
         assert coarse / fine == pytest.approx(4.0, rel=0.25)
 
 
+UNSTABLE_SPIRAL = [[0.5, 1.0], [-1.0, 0.5]]
+
+
 class TestSamplePaths:
     def test_zero_noise_is_deterministic(self):
         a = np.array([[-0.5, 0.0], [0.0, -1.0]])
@@ -359,6 +363,35 @@ class TestSamplePaths:
         seed = 2**64 - 1 if n == 3 else 31
         data = sample_paths(model, x0, dt, steps=25, trials=6, seed=seed)
         assert np.array_equal(data.states, self.per_cell_reference(model, x0, dt, 25, 6, seed))
+
+    @pytest.mark.parametrize("trials", [1, 2, 40])
+    def test_bit_identical_to_per_cell_loop_at_bench_widths(self, trials):
+        # Each step advances one (trials, n, 1) block in place; every width
+        # must keep the bits of the per-trial phi @ x + root @ z.
+        model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
+        data = sample_paths(model, [1.0, -0.5], 0.05, steps=300, trials=trials, seed=5)
+        expected = self.per_cell_reference(model, [1.0, -0.5], 0.05, 300, trials, 5)
+        assert np.array_equal(data.states, expected)
+
+    @pytest.mark.parametrize(
+        "a, dt, message",
+        [
+            # Unstable spiral: Phi grows like e^(dt/2) and W like e^dt.
+            (UNSTABLE_SPIRAL, 700.0, "sample path of trial 0 overflows at step 3 (dt = 700)"),
+            (UNSTABLE_SPIRAL, 1000.0, "the increment law overflows at dt = 1000"),
+            (UNSTABLE_SPIRAL, 5000.0, "the increment law overflows at dt = 5000"),
+            # W is finite but its trace overflows, which picks the eigen root.
+            (0.5 * np.eye(3), 709.0, "sample path of trial 1 overflows at step 2 (dt = 709)"),
+        ],
+    )
+    def test_overflow_is_a_clear_error_without_warnings(self, a, dt, message):
+        n = len(a)
+        model = LinearSystemModel.constant(a, np.eye(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                sample_paths(model, np.ones(n), dt, steps=3, trials=2, seed=7)
+        assert str(info.value) == message
 
     def test_builds_one_generator_per_trial(self, monkeypatch):
         # One Philox per trial (40), not one per (trial, step) cell (12 000).
