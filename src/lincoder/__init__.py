@@ -18,8 +18,6 @@ from .coderate import (
     rate_curve,
 )
 from .emulation import (
-    AffineField,
-    ConstantField,
     EmulationResult,
     IntegerCode,
     OneHotSchedule,
@@ -64,10 +62,8 @@ from .trajectories import TrajectoryDataset
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineField",
     "CapacityInfeasibleError",
     "ConstantDrift",
-    "ConstantField",
     "EmulationResult",
     "FastPathDomainError",
     "GaussianSource",

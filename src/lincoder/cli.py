@@ -145,9 +145,9 @@ def _cmd_min_rate(args) -> int:
 def _cmd_sample(args) -> int:
     config = _load_config(args.config)
     model = _model_from_config(_require(config, "system"))
+    if ("dt" in config) == ("fs" in config):
+        raise ConfigError("config needs exactly one of 'dt' and 'fs'")
     key = "dt" if "dt" in config else "fs"
-    if key not in config:
-        raise ConfigError("config needs 'dt' or 'fs'")
     value = _read(config, key)
     if not 0.0 < value < np.inf:
         raise ConfigError(f"{key} must be positive and finite")

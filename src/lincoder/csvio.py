@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .coderate import RateCurve
-from .emulation import AffineField, ConstantField, SourceFamily
+from .emulation import SourceFamily
 from .trajectories import TrajectoryDataset
 
 #: Largest accepted |t - k * dt| in a dataset CSV, relative to the horizon.
@@ -102,28 +102,16 @@ def write_rate_curve(curve: RateCurve, path) -> None:
 
 
 def load_family(path) -> SourceFamily:
-    """Family JSON: an array whose entries are vectors or {M, b} objects."""
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, list) or not data:
-        raise ValueError(f"family file {path} must hold a non-empty array")
-    fields = []
-    for entry in data:
-        if isinstance(entry, dict):
-            try:
-                fields.append(AffineField(np.asarray(entry["M"], dtype=float),
-                                          np.asarray(entry["b"], dtype=float)))
-            except KeyError as exc:
-                raise ValueError(f"family file {path}: affine entries need M and b") from exc
-        else:
-            fields.append(ConstantField(np.asarray(entry, dtype=float)))
-    return SourceFamily(tuple(fields))
+    """Family JSON: a non-empty array of length-n vectors, one per constant field."""
+    try:
+        data = json.loads(Path(path).read_text())
+        if not isinstance(data, list) or not all(isinstance(v, list) for v in data):
+            raise ValueError("expected an array of vectors")
+        return SourceFamily.from_vectors(data)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"family file {path}: {exc}") from exc
 
 
 def dump_family(family: SourceFamily, path) -> None:
-    entries = []
-    for field in family.fields:
-        if isinstance(field, ConstantField):
-            entries.append(list(field.vector))
-        else:
-            entries.append({"M": field.matrix.tolist(), "b": list(field.offset)})
+    entries = family.field_matrix().T.tolist()
     Path(path).write_text(json.dumps(entries, indent=2) + "\n", newline="\n")

@@ -1,15 +1,17 @@
 """Source-family codecs and data-based trajectory emulation.
 
-A family of vector fields driven by binary activations defines a control
-system whose endpoint map doubles as a decompressor for observed state
-increments.  Two codecs are provided:
+A family of constant vector fields, stored as the columns of one matrix V
+and driven by binary activations, defines a control system whose endpoint
+map doubles as a decompressor for observed state increments.  Constant
+fields commute, so an endpoint depends only on how long each field is
+active: it is x + V @ occupancy.  Two codecs are provided:
 
 * one-hot index sequences (the system flows along one field per uniform
   sub-segment), compressed greedily;
-* simplex codes (relative flow-time fractions plus a total flow time) for
-  constant fields, compressed exactly by the linear program minimizing the
-  total flow time, solved over the family's optimal (dual-feasible) bases,
-  found once per family; among optimal codes the least replay spread wins.
+* simplex codes (relative flow-time fractions plus a total flow time),
+  compressed exactly by the linear program minimizing the total flow time,
+  solved over the family's optimal (dual-feasible) bases, found once per
+  family; among optimal codes the least replay spread wins.
 
 On top of the simplex codec sits a non-parametric emulator: observed
 increments of an unknown system are compressed trial by trial, and each
@@ -28,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InfeasibleTargetError
-from .linalg import as_square, as_vector, mat_exp
+from .linalg import as_matrix, as_vector
 from .rng import EMULATION_LANE, substream
 from .simplexlp import solve_nonnegative_lp
 from .trajectories import TrajectoryDataset
@@ -40,93 +42,38 @@ SIMPLEX_TOL = 5e-12
 COV_SCALE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ConstantField:
-    """Vector field with the same value everywhere."""
-
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vec = as_vector(self.vector, "field vector").copy()
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
-
-    @property
-    def dimension(self) -> int:
-        return self.vector.shape[0]
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.vector
-
-
-@dataclass(frozen=True)
-class AffineField:
-    """Vector field x -> M x + b."""
-
-    matrix: np.ndarray
-    offset: np.ndarray
-
-    def __post_init__(self):
-        mat = as_square(self.matrix, "field matrix").copy()
-        off = as_vector(self.offset, "field offset").copy()
-        if off.shape[0] != mat.shape[0]:
-            raise ValueError("field matrix and offset sizes do not agree")
-        mat.setflags(write=False)
-        off.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "offset", off)
-
-    @property
-    def dimension(self) -> int:
-        return self.offset.shape[0]
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x + self.offset
-
-
-Field = Union[ConstantField, AffineField]
-
-
-@dataclass(frozen=True)
 class SourceFamily:
-    """Finite set of vector fields sharing one state dimension."""
+    """Finite family of constant vector fields sharing one state dimension.
 
-    fields: tuple
+    The fields are the columns of one read-only (dimension, size) matrix V.
+    """
 
-    def __post_init__(self):
-        fields = tuple(self.fields)
-        if not fields:
-            raise ValueError("a source family needs at least one field")
-        dim = fields[0].dimension
-        if any(f.dimension != dim for f in fields):
-            raise ValueError("all fields must share the same dimension")
-        object.__setattr__(self, "fields", fields)
+    def __init__(self, matrix):
+        matrix = as_matrix(matrix, "field matrix").copy()
+        matrix.setflags(write=False)
+        self._matrix = matrix
 
     @classmethod
     def from_vectors(cls, vectors) -> "SourceFamily":
-        return cls(tuple(ConstantField(v) for v in vectors))
+        """Family with one field per row or entry of ``vectors``."""
+        fields = [as_vector(v, "field vector") for v in vectors]
+        if not fields:
+            raise ValueError("a source family needs at least one field")
+        if any(f.shape != fields[0].shape for f in fields):
+            raise ValueError("all fields must share the same dimension")
+        return cls(np.column_stack(fields))
 
     @property
     def size(self) -> int:
-        return len(self.fields)
+        return self._matrix.shape[1]
 
     @property
     def dimension(self) -> int:
-        return self.fields[0].dimension
-
-    @property
-    def is_constant(self) -> bool:
-        return all(isinstance(f, ConstantField) for f in self.fields)
+        return self._matrix.shape[0]
 
     def field_matrix(self) -> np.ndarray:
-        """Constant-field values as columns, shape (dimension, size)."""
-        if not self.is_constant:
-            raise ValueError("field matrix requires constant fields")
-        return np.column_stack([f.vector for f in self.fields])
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Field values at x as columns, shape (dimension, size)."""
-        return np.column_stack([f.evaluate(x) for f in self.fields])
+        """Field values as columns, shape (dimension, size); read-only."""
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -223,37 +170,15 @@ class IntegerCode:
         object.__setattr__(self, "resolution", resolution)
 
 
-def _advance_segment(family: SourceFamily, x: np.ndarray, active, length: float) -> np.ndarray:
-    """Flow along the activated combination of fields for one segment.
-
-    The combined field x -> M x + b is affine, so the flow is exact: x
-    advances by b * length when M = 0, and otherwise through the augmented
-    exponential exp([[M, b], [0, 0]] length) = [[E, e], [0, 1]], x <- E x + e.
-    """
-    n = x.shape[0]
-    block = np.zeros((n + 1, n + 1))
-    for field, a in zip(family.fields, active):
-        if not a:
-            continue
-        if isinstance(field, AffineField):
-            block[:n, :n] += field.matrix * a
-            block[:n, n] += field.offset * a
-        else:
-            block[:n, n] += field.vector * a
-    if not np.any(block[:n, :n]):
-        return x + block[:n, n] * length
-    exp = mat_exp(block * length)
-    return exp[:n, :n] @ x + exp[:n, n]
-
-
 def endpoint_map(family: SourceFamily, x_t, schedule: Schedule) -> np.ndarray:
     """Terminal state after driving the family with the given activations.
 
-    One-hot schedules realize the composition of single-field flows over
-    uniform sub-segments; piecewise schedules may activate several fields
-    at once.  Every segment advances the state exactly.
+    One-hot schedules activate one field per uniform sub-segment; piecewise
+    schedules may activate several fields at once.  Constant fields commute,
+    so the endpoint is x_t + V @ occupancy, with occupancy_i the total time
+    field i is active.
     """
-    x = as_vector(x_t, "state").copy()
+    x = as_vector(x_t, "state")
     if x.shape[0] != family.dimension:
         raise ValueError("state dimension does not match the family")
     k = family.size
@@ -261,19 +186,15 @@ def endpoint_map(family: SourceFamily, x_t, schedule: Schedule) -> np.ndarray:
         if any(i < 0 or i >= k for i in schedule.indices):
             raise ValueError("schedule index out of range")
         length = schedule.horizon / len(schedule.indices)
-        for idx in schedule.indices:
-            active = np.zeros(k)
-            active[idx] = 1.0
-            x = _advance_segment(family, x, active, length)
-        return x
-    if isinstance(schedule, PiecewiseSchedule):
+        occupancy = np.bincount(schedule.indices, minlength=k) * length
+    elif isinstance(schedule, PiecewiseSchedule):
         if any(len(p) != k for p in schedule.patterns):
             raise ValueError("pattern length does not match the family size")
-        boundaries = list(schedule.switch_times) + [schedule.horizon]
-        for pattern, start, stop in zip(schedule.patterns, boundaries, boundaries[1:]):
-            x = _advance_segment(family, x, pattern, stop - start)
-        return x
-    raise TypeError(f"unsupported schedule type: {type(schedule).__name__}")
+        lengths = np.diff(schedule.switch_times + (schedule.horizon,))
+        occupancy = lengths @ np.array(schedule.patterns, dtype=float)
+    else:
+        raise TypeError(f"unsupported schedule type: {type(schedule).__name__}")
+    return x + family.field_matrix() @ occupancy
 
 
 def onehot_compress(
@@ -286,8 +207,6 @@ def onehot_compress(
     toward the target is chosen (ties to the lowest index).  Deterministic
     but not guaranteed optimal.
     """
-    if not family.is_constant:
-        raise ValueError("one-hot compression requires constant fields")
     segments = int(segments)
     if segments < 1:
         raise ValueError("need at least one segment")
@@ -325,8 +244,6 @@ def _simplex_codes(family: SourceFamily, targets: np.ndarray) -> tuple[np.ndarra
     Increments outside the conic hull of the fields get NaN fractions and
     flow times; a zero flow time gets uniform fractions.
     """
-    if not family.is_constant:
-        raise ValueError("simplex compression requires constant fields")
     per_field = solve_nonnegative_lp(family.field_matrix(), targets)
     z = per_field.sum(axis=-1)
     p = np.full(per_field.shape, 1.0 / family.size)
@@ -359,13 +276,13 @@ def simplex_compress(family: SourceFamily, target_dx) -> SimplexCode:
 
 
 def simplex_decompress(family: SourceFamily, x_t, code: SimplexCode) -> np.ndarray:
-    """Increment reproduced from a simplex code, fields evaluated at x_t."""
+    """Increment V @ p times the flow time; the fields are the same at every x_t."""
     x = as_vector(x_t, "state")
     if x.shape[0] != family.dimension:
         raise ValueError("state dimension does not match the family")
     if code.probabilities.shape[0] != family.size:
         raise ValueError("code length does not match the family size")
-    return code.flow_time * (family.evaluate(x) @ code.probabilities)
+    return code.flow_time * (family.field_matrix() @ code.probabilities)
 
 
 def integer_quantize(code: SimplexCode, resolution: int) -> IntegerCode:
@@ -480,14 +397,13 @@ def emulate_steps(
     Each step draws one feasible trial uniformly, then field-selection counts
     from the multinomial with that trial's fractions, and moves by the step's
     averaged flow time times V @ (counts / resolution), as
-    ``simplex_decompress`` would: V holds the field values at the current
-    emulated state, taken once for a constant family.  The mixture keeps the
-    averaged field law and step mean at every resolution and restores the
-    cross-trial spread that averaging removes.  Codes without per-trial
-    fractions, and steps with no feasible trial, draw no trial index and use
-    the averaged fractions.  Cell (seed, EMULATION_LANE, 0, 0) draws all trial
-    picks in one integers call, cell (0, 1) all counts in one multinomial call;
-    the replay is deterministic and its first k steps replay as a prefix.
+    ``simplex_decompress`` would, so the states are one cumulative sum.  The
+    mixture keeps the averaged field law and step mean at every resolution and
+    restores the cross-trial spread that averaging removes.  Codes without
+    per-trial fractions, and steps with no feasible trial, draw no trial index
+    and use the averaged fractions.  Cell (seed, EMULATION_LANE, 0, 0) draws all
+    trial picks in one integers call, cell (0, 1) all counts in one multinomial
+    call; the replay is deterministic and its first k steps replay as a prefix.
     """
     resolution = int(resolution)
     if resolution < 1:
@@ -515,13 +431,9 @@ def emulate_steps(
     fractions = substream(seed, EMULATION_LANE, 0, 1).multinomial(resolution, p) / resolution
     states = np.empty((codes.steps + 1, x.shape[0]))
     states[0] = x
-    if family.is_constant:
-        # Stacked (n, K) @ (K, 1) products round as V @ f does; cumsum adds in step order.
-        states[1:] = flow_times[:, None] * (family.field_matrix() @ fractions[..., None])[..., 0]
-        return np.cumsum(states, axis=0, out=states)
-    for k in range(codes.steps):
-        states[k + 1] = states[k] + flow_times[k] * (family.evaluate(states[k]) @ fractions[k])
-    return states
+    # Stacked (n, K) @ (K, 1) products round as V @ f does; cumsum adds in step order.
+    states[1:] = flow_times[:, None] * (family.field_matrix() @ fractions[..., None])[..., 0]
+    return np.cumsum(states, axis=0, out=states)
 
 
 @dataclass(frozen=True)

@@ -75,17 +75,25 @@ def max_abs(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
+def _symmetrize(arr: np.ndarray) -> np.ndarray:
+    """S/2 + S^T/2 of one matrix or a stack (..., n, n).
+
+    Halving before adding keeps every finite S finite; below the overflow
+    it has the bits of (S + S^T)/2.
+    """
+    return 0.5 * arr + 0.5 * arr.swapaxes(-1, -2)
+
+
 def check_symmetric(arr: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Reject asymmetry beyond SYMMETRY_TOL, then return (S + S^T)/2.
+    """Reject asymmetry beyond SYMMETRY_TOL, then return S/2 + S^T/2.
 
     Works on one matrix or a stack (..., n, n); the tolerance is relative to
     each matrix's own max|S|.
     """
-    flipped = arr.swapaxes(-1, -2)
-    gap = np.max(np.abs(arr - flipped), axis=(-2, -1))
+    gap = np.max(np.abs(arr - arr.swapaxes(-1, -2)), axis=(-2, -1))
     if np.any(gap > SYMMETRY_TOL * np.maximum(1.0, np.max(np.abs(arr), axis=(-2, -1)))):
         raise ValueError(f"{name} is not symmetric (max asymmetry {float(np.max(gap)):.3e})")
-    return 0.5 * (arr + flipped)
+    return _symmetrize(arr)
 
 
 def _as_square_stack(value, name: str = "matrix") -> np.ndarray:
@@ -245,7 +253,7 @@ def lyapunov_solve(a, noise) -> np.ndarray:
             arr = 0.5 * (arr / c + c * inverse)
             converged = np.linalg.norm(arr + np.eye(n), 1) <= n * np.finfo(float).eps
             if converged and np.all(np.isfinite(sym)):
-                return 0.25 * (sym + sym.T)
+                return 0.5 * _symmetrize(sym)
     raise NoEquilibriumError("sign iteration reached no finite equilibrium")
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .linalg import as_square, as_vector, check_symmetric, mat_exp, max_abs
+from .linalg import _symmetrize, as_square, as_vector, check_symmetric, mat_exp, max_abs
 from .rng import PATH_LANE, substream
 from .trajectories import TrajectoryDataset
 
@@ -145,8 +145,7 @@ def _van_loan(a: np.ndarray, noise: np.ndarray, dts: np.ndarray):
     exp = mat_exp(block * dts[:, np.newaxis, np.newaxis])
     f12 = exp[:, :n, n:]
     phi = np.ascontiguousarray(exp[:, n:, n:].swapaxes(1, 2))
-    w = phi @ f12
-    return phi, 0.5 * (w + w.swapaxes(1, 2))
+    return phi, _symmetrize(phi @ f12)
 
 
 def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
@@ -181,7 +180,7 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
                 live = np.flatnonzero(doublings > step)
                 p = phi[live]
                 v = p @ w[live] @ p.swapaxes(1, 2) + w[live]
-                w[live] = 0.5 * (v + v.swapaxes(1, 2))
+                w[live] = _symmetrize(v)
                 phi[live] = p @ p
     else:
         drift = model.drift
@@ -197,7 +196,7 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
             [_rk4(ode, start, float(t), h, _substep_count(h, norm)) for h in intervals.tolist()]
         )
         phi, w = pairs[:, 0], pairs[:, 1]
-        w = 0.5 * (w + w.swapaxes(1, 2))
+        w = _symmetrize(w)
     return phi.reshape(dts.shape + (n, n)), w.reshape(dts.shape + (n, n))
 
 
@@ -236,7 +235,7 @@ def _covariance_sqrt(cov: np.ndarray) -> np.ndarray:
             return chol
     except np.linalg.LinAlgError:
         pass
-    values, vectors = np.linalg.eigh(0.5 * (cov + cov.T))
+    values, vectors = np.linalg.eigh(_symmetrize(cov))
     return vectors * np.sqrt(np.clip(values, 0.0, None))
 
 

@@ -268,6 +268,18 @@ class TestSample:
         assert "must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spacing", [{"dt": 0.1, "fs": 100.0}, {}], ids=["both", "neither"])
+    def test_dt_and_fs_are_exclusive(self, tmp_path, capsys, spacing):
+        config = write_config(
+            tmp_path,
+            "sample.json",
+            {"system": "stable", "x0": [0, 0], "steps": 2, "trials": 1, **spacing},
+        )
+        out = tmp_path / "x.csv"
+        assert main(["sample", "--config", config, "--out", str(out), "--seed", "1"]) == 2
+        assert capsys.readouterr().err == "error: config needs exactly one of 'dt' and 'fs'\n"
+        assert not out.exists()
+
     def test_overflowing_paths_fail_cleanly(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -501,7 +513,7 @@ class TestEmulate:
         out = tmp_path / "x.csv"
         args = [data_path, str(family_path), "--resolution", "5", "--seed", "1"]
         assert main(["emulate", *args, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: simplex compression requires constant fields\n"
+        assert capsys.readouterr().err == f"error: family file {family_path}: expected an array of vectors\n"
         assert not out.exists()
 
 

@@ -3,13 +3,12 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from lincoder import (
-    AffineField,
-    ConstantField,
     InfeasibleTargetError,
     LinearSystemModel,
     OneHotSchedule,
@@ -32,6 +31,7 @@ from lincoder import (
     simplex_decompress,
 )
 from lincoder import emulation
+from lincoder.csvio import dump_family, load_family
 from lincoder.emulation import COV_SCALE_RTOL, replay_statistics
 from lincoder.rng import EMULATION_LANE, substream
 from lincoder.simplexlp import BASIS_TOL, MAX_BASES, TIE_RTOL
@@ -59,6 +59,60 @@ def vertex_enumeration_min_flow(vectors, target, tol=1e-9):
             if best is None or value < best:
                 best = value
     return best
+
+
+class TestSourceFamily:
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [
+            ([], "at least one field"),
+            ([[1.0, 0.0], [1.0]], "same dimension"),
+            ([[1.0, np.nan]], "non-finite"),
+            ([[1.0, np.inf], [0.0, 1.0]], "non-finite"),
+            ([[[1.0, 0.0], [0.0, 1.0]]], "1-dimensional"),
+        ],
+        ids=["empty", "ragged", "nan", "inf", "2-d-entry"],
+    )
+    def test_from_vectors_rejects(self, vectors, message):
+        with pytest.raises(ValueError, match=message):
+            SourceFamily.from_vectors(vectors)
+
+    def test_rows_are_fields(self):
+        rows = np.arange(6.0).reshape(3, 2)
+        fam = SourceFamily.from_vectors(rows)
+        assert (fam.dimension, fam.size) == (2, 3)
+        assert np.array_equal(fam.field_matrix(), rows.T)
+        rows[0, 0] = 9.0  # the family keeps its own copy
+        assert fam.field_matrix()[0, 0] == 0.0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '[{"M": [[-1, 0], [0, -1]], "b": [0, 0]}, [1, 0]]',
+            '[[1, 0], "0 1"]',
+            '"[[1, 0], [0, 1]]"',
+            "[[[1, 0], [0, 1]]]",
+            "[]",
+            "[[1, 0], [0, 1]",
+        ],
+        ids=["affine-object", "string-entry", "string", "nested-list", "empty", "malformed"],
+    )
+    def test_load_rejects_anything_but_vectors(self, tmp_path, text):
+        path = tmp_path / "family.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"family file {path}")):
+            load_family(path)
+
+    def test_dump_load_round_trip_is_exact_and_read_only(self, tmp_path):
+        rng = np.random.default_rng(12)
+        for fam in (planar_grid_family(), SourceFamily.from_vectors(rng.normal(size=(7, 3)))):
+            path = tmp_path / "family.json"
+            dump_family(fam, path)
+            matrix = load_family(path).field_matrix()
+            assert np.array_equal(matrix, fam.field_matrix())
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
 
 
 class TestEndpointMap:
@@ -90,33 +144,6 @@ class TestEndpointMap:
         out = endpoint_map(fam, [0.0, 0.0], schedule)
         assert np.allclose(out, [0.5, 1.0], atol=1e-15)
 
-    def test_affine_field_against_closed_form(self):
-        # x(L) = e^{ML} x + int_0^L e^{Ms} b ds, per coordinate for diagonal M
-        def flow(m, b, x, length):
-            return [
-                math.exp(mi * length) * xi + bi * math.expm1(mi * length) / mi
-                for mi, bi, xi in zip(m, b, x)
-            ]
-
-        # single field x -> -x: flow over dt scales the state by exp(-dt)
-        fam = SourceFamily((AffineField(-np.eye(2), np.zeros(2)),))
-        out = endpoint_map(fam, [1.0, -2.0], OneHotSchedule((0,), 0.8))
-        assert np.max(np.abs(out - math.exp(-0.8) * np.array([1.0, -2.0]))) <= 1e-8
-        # non-zero offset
-        fam = SourceFamily((AffineField(np.diag([-1.0, 0.5]), [0.3, -0.7]),))
-        out = endpoint_map(fam, [1.0, -2.0], OneHotSchedule((0,), 0.8))
-        expected = flow([-1.0, 0.5], [0.3, -0.7], [1.0, -2.0], 0.8)
-        assert np.max(np.abs(out - expected)) <= 1e-12
-        # constant + affine active together, then the affine field alone
-        fam = SourceFamily(
-            (AffineField(np.diag([-1.0, -2.0]), [0.5, 0.0]), ConstantField([0.0, 1.0]))
-        )
-        schedule = PiecewiseSchedule((0.0, 0.3), ((1, 1), (1, 0)), 0.8)
-        out = endpoint_map(fam, [1.0, -2.0], schedule)
-        mid = flow([-1.0, -2.0], [0.5, 1.0], [1.0, -2.0], 0.3)
-        expected = flow([-1.0, -2.0], [0.5, 0.0], mid, 0.5)
-        assert np.max(np.abs(out - expected)) <= 1e-12
-
     def test_onehot_equals_sequential_flows(self):
         rng = np.random.default_rng(5)
         fam = family_from(*rng.normal(size=(3, 2)))
@@ -127,7 +154,7 @@ class TestEndpointMap:
         seg = horizon / 3
         manual = x.copy()
         for idx in indices:
-            manual = manual + fam.fields[idx].vector * seg
+            manual = manual + fam.field_matrix()[:, idx] * seg
         assert np.max(np.abs(out - manual)) <= 1e-12
 
     def test_index_out_of_range(self):
@@ -380,10 +407,6 @@ class TestSimplexCodec:
         onehot = SimplexCode(np.array([0.0, 1.0]), 0.3)
         assert np.allclose(simplex_decompress(fam, [0.0, 0.0], onehot), [0.0, 0.6])
 
-    def test_decompress_evaluates_fields_at_state(self):
-        fam = SourceFamily((AffineField(np.eye(2), np.zeros(2)),))
-        code = SimplexCode(np.array([1.0]), 2.0)
-        assert np.allclose(simplex_decompress(fam, [1.0, -3.0], code), [2.0, -6.0])
 
 
 class TestIntegerQuantize:
@@ -566,48 +589,6 @@ class TestEmulate:
                 x = x + codes.flow_times[step] * (vectors @ (counts / resolution))
                 expected.append(x)
             replay = emulate_steps(codes, fam, [0.5, -1.0], resolution, 9)
-            assert np.array_equal(replay, np.array(expected))
-
-    def test_affine_family_replay_matches_per_step_decompression(self):
-        # Affine fields are evaluated at the current emulated state every
-        # step; the replay must equal a loop over simplex_decompress.
-        fam = SourceFamily(
-            (
-                AffineField([[-0.5, 1.0], [-1.0, -0.5]], [0.2, 0.0]),
-                AffineField(-np.eye(2), [0.0, -0.3]),
-                ConstantField([1.0, 1.0]),
-            )
-        )
-        rng = np.random.default_rng(8)
-        steps = 20
-        codes = StepCodes(
-            rng.dirichlet(np.ones(3), size=steps),
-            rng.uniform(0.01, 0.05, steps),
-            np.full(steps, 2),
-            np.zeros(steps, dtype=int),
-            rng.dirichlet(np.ones(3), size=(steps, 2)),
-            rng.uniform(size=(steps, 2)) < 0.7,
-        )
-        for resolution in (1, 100):
-            x = np.array([0.5, -1.0])
-            expected = [x]
-            # Cell (0, 0) draws the trial picks, cell (0, 1) the counts, in step order.
-            picks, draws = (
-                np.random.Generator(np.random.Philox(counter=[0, c, 0, 0], key=[4, EMULATION_LANE]))
-                for c in (0, 1)
-            )
-            for step in range(steps):
-                p = codes.probabilities[step]
-                candidates = np.flatnonzero(codes.trial_feasible[step])
-                if candidates.size:
-                    p = codes.trial_probabilities[step, candidates[picks.integers(candidates.size)]]
-                p = np.clip(p, 0.0, None)
-                p /= p.sum()
-                counts = draws.multinomial(resolution, p)
-                code = SimplexCode(counts / resolution, float(codes.flow_times[step]))
-                x = x + simplex_decompress(fam, x, code)
-                expected.append(x)
-            replay = emulate_steps(codes, fam, [0.5, -1.0], resolution, 4)
             assert np.array_equal(replay, np.array(expected))
 
     @pytest.mark.parametrize("per_trial", [True, False], ids=["per-trial", "averaged"])

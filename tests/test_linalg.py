@@ -14,6 +14,7 @@ from lincoder import (
     mat_exp,
     sym_eig,
 )
+from lincoder.linalg import _symmetrize
 
 
 def max_abs(a):
@@ -255,6 +256,18 @@ class TestLyapunov:
         w = lyapunov_solve(a, noise)
         residual = a @ w + w @ a.T + noise
         assert max_abs(residual) <= 1e-8 * max(1.0, max_abs(noise))
+
+
+class TestSymmetrize:
+    def test_bits_of_the_half_sum_below_overflow(self):
+        scales = np.logspace(-300, 300, 5)[:, np.newaxis, np.newaxis]
+        stack = np.random.default_rng(4).normal(size=(5, 3, 3)) * scales
+        assert np.array_equal(_symmetrize(stack), 0.5 * (stack + stack.swapaxes(1, 2)))
+
+    def test_finite_where_the_sum_overflows(self):
+        half = 2.0**1023  # the sum 2.5 * half is above the float range
+        out = _symmetrize(np.array([[1.0, half], [1.5 * half, 1.0]]))
+        assert np.array_equal(out, [[1.0, 1.25 * half], [1.25 * half, 1.0]])
 
 
 class TestLogdet:

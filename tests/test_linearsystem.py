@@ -224,6 +224,13 @@ class TestIncrementDistribution:
         with pytest.raises(ValueError):
             increment_distribution(model, [0.0], 0.0, 0.0)
 
+    @pytest.mark.parametrize("dt", [709.1, 709.7])
+    def test_covariance_stays_finite_near_the_float_limit(self, dt):
+        # W = expm1(dt) for a = 1/2, N = 1: finite, but W + W^T overflows.
+        model = LinearSystemModel.constant([[0.5]], [[1.0]])
+        law = increment_distribution(model, [0.0], 0.0, dt)
+        assert abs(law.covariance[0, 0] / math.expm1(dt) - 1.0) <= 1e-12
+
     @pytest.mark.parametrize("dt", [0.5, 10.0], ids=["one-exponential", "doublings"])
     def test_mean_uses_the_state_transition_bit_for_bit(self, dt):
         # Slowly decaying rotations keep Phi of order one, so a second route
