@@ -20,8 +20,6 @@ from .coderate import (
 from .emulation import (
     EmulationResult,
     IntegerCode,
-    OneHotSchedule,
-    PiecewiseSchedule,
     SimplexCode,
     SourceFamily,
     StepCodes,
@@ -75,8 +73,6 @@ __all__ = [
     "NoEquilibriumError",
     "NotNeeded",
     "NotPositiveDefiniteError",
-    "OneHotSchedule",
-    "PiecewiseSchedule",
     "RateCurve",
     "RateQuery",
     "RdfResult",

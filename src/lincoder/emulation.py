@@ -3,15 +3,18 @@
 A family of constant vector fields, stored as the columns of one matrix V
 and driven by binary activations, defines a control system whose endpoint
 map doubles as a decompressor for observed state increments.  Constant
-fields commute, so an endpoint depends only on how long each field is
-active: it is x + V @ occupancy.  Two codecs are provided:
+fields commute, so an endpoint depends only on the occupancy, the time
+each field is active: it is x + V @ occupancy, and every code decodes
+through its occupancy.  Two codecs are provided:
 
 * one-hot index sequences (the system flows along one field per uniform
-  sub-segment), compressed greedily;
-* simplex codes (relative flow-time fractions plus a total flow time),
-  compressed exactly by the linear program minimizing the total flow time,
-  solved over the family's optimal (dual-feasible) bases, found once per
-  family; among optimal codes the least replay spread wins.
+  sub-segment, so a field's occupancy is its count times the sub-segment
+  length), compressed greedily;
+* simplex codes (relative flow-time fractions plus a total flow time,
+  whose product is the occupancy), compressed exactly by the linear
+  program minimizing the total flow time, solved over the family's optimal
+  (dual-feasible) bases, found once per family; among optimal codes the
+  least replay spread wins.
 
 On top of the simplex codec sits a non-parametric emulator: observed
 increments of an unknown system are compressed trial by trial, and each
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -40,6 +43,13 @@ SIMPLEX_TOL = 5e-12
 #: Floor on the scale of each cov_discrepancy_rms gap, relative to the step's mean
 #: squared training increment: below it the covariance is rounding (identical trials).
 COV_SCALE_RTOL = 1e-12
+
+
+def _positive_int(value, name: str) -> int:
+    """A Python or numpy integer of at least 1, as an int; bools, floats and the rest raise."""
+    if not np.issubdtype(type(value), np.integer) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    return int(value)
 
 
 class SourceFamily:
@@ -77,58 +87,6 @@ class SourceFamily:
 
 
 @dataclass(frozen=True)
-class OneHotSchedule:
-    """One active field per uniform sub-segment of the horizon."""
-
-    indices: tuple
-    horizon: float
-
-    def __post_init__(self):
-        indices = tuple(int(i) for i in self.indices)
-        if not indices:
-            raise ValueError("schedule needs at least one segment")
-        if float(self.horizon) <= 0.0:
-            raise ValueError("schedule horizon must be positive")
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "horizon", float(self.horizon))
-
-
-@dataclass(frozen=True)
-class PiecewiseSchedule:
-    """Piecewise-constant activation patterns in {0,1}^K over the horizon.
-
-    ``switch_times`` are offsets from the start; the first must be 0 and
-    they must increase strictly inside the horizon.  ``patterns[j]`` is
-    active on [switch_times[j], switch_times[j+1]).
-    """
-
-    switch_times: tuple
-    patterns: tuple
-    horizon: float
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.switch_times)
-        patterns = tuple(tuple(int(u) for u in p) for p in self.patterns)
-        horizon = float(self.horizon)
-        if horizon <= 0.0:
-            raise ValueError("schedule horizon must be positive")
-        if len(times) != len(patterns) or not times:
-            raise ValueError("need one pattern per switching time")
-        if times[0] != 0.0:
-            raise ValueError("first switching time must be 0")
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])) or times[-1] >= horizon:
-            raise ValueError("switching times must increase strictly inside the horizon")
-        if any(u not in (0, 1) for p in patterns for u in p):
-            raise ValueError("activation patterns must be binary")
-        object.__setattr__(self, "switch_times", times)
-        object.__setattr__(self, "patterns", patterns)
-        object.__setattr__(self, "horizon", horizon)
-
-
-Schedule = Union[OneHotSchedule, PiecewiseSchedule]
-
-
-@dataclass(frozen=True)
 class SimplexCode:
     """Relative flow-time fractions plus the total flow time."""
 
@@ -157,12 +115,13 @@ class IntegerCode:
     resolution: int
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=int).copy()
-        resolution = int(self.resolution)
+        counts = np.asarray(self.counts)
+        resolution = _positive_int(self.resolution, "resolution")
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError("counts must be a non-empty vector")
-        if resolution < 1:
-            raise ValueError("resolution must be a positive integer")
+        if not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError("counts must be integers")
+        counts = counts.astype(int)
         if np.any(counts < 0) or int(counts.sum()) != resolution:
             raise ValueError("counts must be nonnegative and sum to the resolution")
         counts.setflags(write=False)
@@ -170,59 +129,47 @@ class IntegerCode:
         object.__setattr__(self, "resolution", resolution)
 
 
-def endpoint_map(family: SourceFamily, x_t, schedule: Schedule) -> np.ndarray:
-    """Terminal state after driving the family with the given activations.
+def endpoint_map(family: SourceFamily, x_t, occupancy) -> np.ndarray:
+    """Terminal state x_t + V @ occupancy, occupancy_i being the time field i is active.
 
-    One-hot schedules activate one field per uniform sub-segment; piecewise
-    schedules may activate several fields at once.  Constant fields commute,
-    so the endpoint is x_t + V @ occupancy, with occupancy_i the total time
-    field i is active.
+    Constant fields commute, so neither the order of the activations nor
+    their overlap moves the endpoint: any binary activation schedule
+    reaches it through its occupancy.  A one-hot sequence of N indices over
+    a horizon T has occupancy ``bincount(indices, minlength=K) * (T / N)``.
     """
     x = as_vector(x_t, "state")
+    occupancy = as_vector(occupancy, "occupancy")
     if x.shape[0] != family.dimension:
         raise ValueError("state dimension does not match the family")
-    k = family.size
-    if isinstance(schedule, OneHotSchedule):
-        if any(i < 0 or i >= k for i in schedule.indices):
-            raise ValueError("schedule index out of range")
-        length = schedule.horizon / len(schedule.indices)
-        occupancy = np.bincount(schedule.indices, minlength=k) * length
-    elif isinstance(schedule, PiecewiseSchedule):
-        if any(len(p) != k for p in schedule.patterns):
-            raise ValueError("pattern length does not match the family size")
-        lengths = np.diff(schedule.switch_times + (schedule.horizon,))
-        occupancy = lengths @ np.array(schedule.patterns, dtype=float)
-    else:
-        raise TypeError(f"unsupported schedule type: {type(schedule).__name__}")
+    if occupancy.shape[0] != family.size:
+        raise ValueError("occupancy length does not match the family size")
+    if np.any(occupancy < 0.0):
+        raise ValueError("occupancy must be nonnegative")
     return x + family.field_matrix() @ occupancy
 
 
-def onehot_compress(
-    family: SourceFamily, x_t, target_dx, segments: int, dt: float
-) -> np.ndarray:
-    """Greedy one-hot index sequence steering toward x_t + target_dx.
+def onehot_compress(family: SourceFamily, target_dx, segments: int, dt: float) -> np.ndarray:
+    """Greedy one-hot index sequence steering from the origin toward target_dx.
 
     At each of the ``segments`` uniform sub-segments the index bringing the
     running endpoint closest to the proportional point on the straight line
     toward the target is chosen (ties to the lowest index).  Deterministic
-    but not guaranteed optimal.
+    but not guaranteed optimal.  The fields are constant, so the picks do
+    not depend on where the increment starts.
     """
-    segments = int(segments)
-    if segments < 1:
-        raise ValueError("need at least one segment")
+    segments = _positive_int(segments, "segments")
     dt = float(dt)
-    if dt <= 0.0:
-        raise ValueError("horizon must be positive")
-    x = as_vector(x_t, "state")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("horizon must be positive and finite")
     target = as_vector(target_dx, "target increment")
-    if x.shape[0] != family.dimension or target.shape[0] != family.dimension:
-        raise ValueError("dimensions do not match the family")
+    if target.shape[0] != family.dimension:
+        raise ValueError("target dimension does not match the family")
     vectors = family.field_matrix()
     h = dt / segments
-    position = x.copy()
+    position = np.zeros(family.dimension)
     indices = np.empty(segments, dtype=int)
     for j in range(segments):
-        waypoint = x + target * ((j + 1) / segments)
+        waypoint = target * ((j + 1) / segments)
         candidates = position[:, None] + vectors * h
         distances = np.linalg.norm(candidates - waypoint[:, None], axis=0)
         pick = int(np.argmin(distances))
@@ -233,9 +180,8 @@ def onehot_compress(
 
 def onehot_code_rate_bits(family_size: int, segments: int, blocklength: int) -> float:
     """Code rate of the induced (K^N, L) block code, bits per symbol."""
-    if family_size < 1 or segments < 1 or blocklength < 1:
-        raise ValueError("family size, segments and blocklength must be positive")
-    return segments / blocklength * math.log2(family_size)
+    bits = math.log2(_positive_int(family_size, "family size"))
+    return _positive_int(segments, "segments") / _positive_int(blocklength, "blocklength") * bits
 
 
 def _simplex_codes(family: SourceFamily, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,11 +221,8 @@ def simplex_compress(family: SourceFamily, target_dx) -> SimplexCode:
     return SimplexCode(p, float(z))
 
 
-def simplex_decompress(family: SourceFamily, x_t, code: SimplexCode) -> np.ndarray:
-    """Increment V @ p times the flow time; the fields are the same at every x_t."""
-    x = as_vector(x_t, "state")
-    if x.shape[0] != family.dimension:
-        raise ValueError("state dimension does not match the family")
+def simplex_decompress(family: SourceFamily, code: SimplexCode) -> np.ndarray:
+    """Increment V @ p times the flow time, the same from every starting state."""
     if code.probabilities.shape[0] != family.size:
         raise ValueError("code length does not match the family size")
     return code.flow_time * (family.field_matrix() @ code.probabilities)
@@ -292,9 +235,7 @@ def integer_quantize(code: SimplexCode, resolution: int) -> IntegerCode:
     fractional parts (ties to the lowest index).  Guarantees
     max|counts/resolution - p| <= 1/resolution.
     """
-    resolution = int(resolution)
-    if resolution < 1:
-        raise ValueError("resolution must be a positive integer")
+    resolution = _positive_int(resolution, "resolution")
     scaled = code.probabilities * resolution
     counts = np.floor(scaled).astype(int)
     remainder = resolution - int(counts.sum())
@@ -304,9 +245,7 @@ def integer_quantize(code: SimplexCode, resolution: int) -> IntegerCode:
     return IntegerCode(counts, resolution)
 
 
-def integer_decompress(
-    family: SourceFamily, x_t, code: IntegerCode, flow_time: float
-) -> np.ndarray:
+def integer_decompress(family: SourceFamily, code: IntegerCode, flow_time: float) -> np.ndarray:
     """Increment reproduced from integer counts at the given total flow time.
 
     Callers normally pass the flow time carried alongside the counts; pass
@@ -314,13 +253,13 @@ def integer_decompress(
     fields are active for the whole interval.
     """
     fractions = code.counts / code.resolution
-    return simplex_decompress(family, x_t, SimplexCode(fractions, flow_time))
+    return simplex_decompress(family, SimplexCode(fractions, flow_time))
 
 
 def integer_code_count(family_size: int, resolution: int) -> int:
     """Number of distinct integer codes: C(resolution + K - 1, K - 1)."""
-    if family_size < 1 or resolution < 1:
-        raise ValueError("family size and resolution must be positive")
+    family_size = _positive_int(family_size, "family size")
+    resolution = _positive_int(resolution, "resolution")
     return math.comb(resolution + family_size - 1, family_size - 1)
 
 
@@ -405,9 +344,7 @@ def emulate_steps(
     trial picks in one integers call, cell (0, 1) all counts in one multinomial
     call; the replay is deterministic and its first k steps replay as a prefix.
     """
-    resolution = int(resolution)
-    if resolution < 1:
-        raise ValueError("resolution must be a positive integer")
+    resolution = _positive_int(resolution, "resolution")
     x = as_vector(x0, "initial state")
     if x.shape[0] != family.dimension:
         raise ValueError("initial state dimension does not match the family")
@@ -457,8 +394,9 @@ def emulate(
     simplex code and average the flow times over the feasible trials, then
     draw one feasible trial, draw field-selection counts from the
     multinomial with that trial's fractions, and decompress them at the
-    averaged flow time and the current emulated state.  The emulated path
-    starts at the mean initial state.
+    averaged flow time; the fields are constant, so the move does not
+    depend on the emulated state.  The emulated path starts at the mean
+    initial state.
     """
     codes = compress_dataset(dataset, family)
     x0 = dataset.states[:, 0, :].mean(axis=0)

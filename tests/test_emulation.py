@@ -10,9 +10,8 @@ import pytest
 
 from lincoder import (
     InfeasibleTargetError,
+    IntegerCode,
     LinearSystemModel,
-    OneHotSchedule,
-    PiecewiseSchedule,
     SimplexCode,
     SourceFamily,
     StepCodes,
@@ -115,33 +114,36 @@ class TestSourceFamily:
                 matrix[0, 0] = 1.0
 
 
+def onehot_occupancy(indices, horizon, size):
+    """Occupancy of a one-hot sequence: each index is active for horizon / N."""
+    return np.bincount(indices, minlength=size) * (horizon / len(indices))
+
+
 class TestEndpointMap:
     def test_all_zero_activation_holds_still(self):
         fam = family_from([1.0, 0.0], [0.0, 1.0])
-        schedule = PiecewiseSchedule((0.0,), ((0, 0),), 1.0)
-        assert np.array_equal(endpoint_map(fam, [3.0, 4.0], schedule), [3.0, 4.0])
+        assert np.array_equal(endpoint_map(fam, [3.0, 4.0], [0.0, 0.0]), [3.0, 4.0])
 
     def test_one_hot_unit_fields(self):
         fam = family_from([1.0, 0.0], [0.0, 1.0])
-        out = endpoint_map(fam, [0.0, 0.0], OneHotSchedule((0, 1), 1.0))
+        out = endpoint_map(fam, [0.0, 0.0], onehot_occupancy((0, 1), 1.0, 2))
         assert np.allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_constant_fields_match_occupancy_formula(self):
         rng = np.random.default_rng(3)
         fam = family_from(*rng.normal(size=(4, 3)))
         x = rng.normal(size=3)
-        indices = (2, 0, 0, 3, 1, 2)
-        horizon = 1.8
-        out = endpoint_map(fam, x, OneHotSchedule(indices, horizon))
+        occupancy = onehot_occupancy((2, 0, 0, 3, 1, 2), 1.8, 4)
+        out = endpoint_map(fam, x, occupancy)
         # constants factor out of the integral: dx = sum_i V_i * occupancy_i
-        occupancy = np.bincount(indices, minlength=4) * (horizon / len(indices))
-        expected = x + fam.field_matrix() @ occupancy
+        expected = x + sum(fam.field_matrix()[:, i] * t for i, t in enumerate(occupancy))
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_overlapping_activations_sum_fields(self):
         fam = family_from([1.0, 0.0], [0.0, 1.0])
-        schedule = PiecewiseSchedule((0.0, 0.5), ((1, 1), (0, 1)), 1.0)
-        out = endpoint_map(fam, [0.0, 0.0], schedule)
+        # patterns (1, 1) on [0, 0.5) and (0, 1) on [0.5, 1): durations @ patterns
+        occupancy = np.diff((0.0, 0.5, 1.0)) @ np.array([[1.0, 1.0], [0.0, 1.0]])
+        out = endpoint_map(fam, [0.0, 0.0], occupancy)
         assert np.allclose(out, [0.5, 1.0], atol=1e-15)
 
     def test_onehot_equals_sequential_flows(self):
@@ -150,17 +152,29 @@ class TestEndpointMap:
         x = rng.normal(size=2)
         indices = (1, 2, 0)
         horizon = 0.9
-        out = endpoint_map(fam, x, OneHotSchedule(indices, horizon))
+        out = endpoint_map(fam, x, onehot_occupancy(indices, horizon, 3))
         seg = horizon / 3
         manual = x.copy()
         for idx in indices:
             manual = manual + fam.field_matrix()[:, idx] * seg
         assert np.max(np.abs(out - manual)) <= 1e-12
 
-    def test_index_out_of_range(self):
-        fam = family_from([1.0])
-        with pytest.raises(ValueError):
-            endpoint_map(fam, [0.0], OneHotSchedule((1,), 1.0))
+    @pytest.mark.parametrize(
+        "occupancy, message",
+        [
+            ([1.0], "family size"),
+            ([1.0, 0.0, 0.0], "family size"),
+            ([1.0, -0.5], "nonnegative"),
+            ([np.nan, 0.0], "non-finite"),
+            ([np.inf, 0.0], "non-finite"),
+            ([[1.0, 0.0]], "1-dimensional"),
+        ],
+        ids=["short", "long", "negative", "nan", "inf", "2-d"],
+    )
+    def test_rejects_malformed_occupancy(self, occupancy, message):
+        fam = family_from([1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match=message):
+            endpoint_map(fam, [0.0, 0.0], occupancy)
 
 
 class TestOneHotCompress:
@@ -168,17 +182,17 @@ class TestOneHotCompress:
         fam = family_from([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])
         dt, segments = 1.0, 4
         target = dt * np.array([0.0, 1.0])  # exactly field 1 all the way
-        indices = onehot_compress(fam, [0.0, 0.0], target, segments, dt)
+        indices = onehot_compress(fam, target, segments, dt)
         assert list(indices) == [1, 1, 1, 1]
-        out = endpoint_map(fam, [0.0, 0.0], OneHotSchedule(tuple(indices), dt))
+        out = endpoint_map(fam, [0.0, 0.0], onehot_occupancy(indices, dt, 3))
         assert np.max(np.abs(out - target)) <= 1e-12
 
     def test_antipodal_fields_cancel(self):
         v = np.array([0.7, -0.2])
         fam = family_from(v, -v)
         dt, segments = 1.0, 6
-        indices = onehot_compress(fam, [0.0, 0.0], np.zeros(2), segments, dt)
-        out = endpoint_map(fam, [0.0, 0.0], OneHotSchedule(tuple(indices), dt))
+        indices = onehot_compress(fam, np.zeros(2), segments, dt)
+        out = endpoint_map(fam, [0.0, 0.0], onehot_occupancy(indices, dt, 2))
         greedy_error = float(np.linalg.norm(out))
         # exhaustive oracle over all K^N sequences
         best = math.inf
@@ -198,7 +212,7 @@ class TestOneHotCompress:
         for _ in range(5):
             weights = rng.uniform(0.0, 1.0, size=3)
             target = vectors @ weights * (dt / weights.sum())
-            indices = onehot_compress(fam, np.zeros(2), target, segments, dt)
+            indices = onehot_compress(fam, target, segments, dt)
             reached = vectors @ (np.bincount(indices, minlength=3) * h)
             greedy_error = float(np.linalg.norm(reached - target))
             best = min(
@@ -210,8 +224,16 @@ class TestOneHotCompress:
 
     def test_deterministic_with_lowest_index_ties(self):
         fam = family_from([1.0, 0.0], [1.0, 0.0])  # duplicate fields tie everywhere
-        indices = onehot_compress(fam, [0.0, 0.0], [1.0, 0.0], 5, 1.0)
+        indices = onehot_compress(fam, [1.0, 0.0], 5, 1.0)
         assert list(indices) == [0, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "dt", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
+    )
+    def test_rejects_a_horizon_that_is_not_positive_and_finite(self, dt):
+        fam = family_from([1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            onehot_compress(fam, [1.0, 0.0], 4, dt)
 
     def test_block_code_rate(self):
         assert onehot_code_rate_bits(24, 3, 6) == pytest.approx(0.5 * math.log2(24))
@@ -271,11 +293,10 @@ class TestSimplexCodec:
         rng = np.random.default_rng(21)
         vectors = rng.normal(size=(2, 24))
         fam = family_from(*vectors.T)
-        x = np.zeros(2)
         for _ in range(50):
             target = vectors @ rng.uniform(0.0, 1.0, size=24)
             code = simplex_compress(fam, target)
-            rebuilt = simplex_decompress(fam, x, code)
+            rebuilt = simplex_decompress(fam, code)
             assert np.max(np.abs(rebuilt - target)) <= 1e-9
 
     def test_minimality_against_vertex_enumeration(self):
@@ -403,9 +424,9 @@ class TestSimplexCodec:
     def test_decompress_trivial_cases(self):
         fam = family_from([1.0, 0.0], [0.0, 2.0])
         zero = SimplexCode(np.array([0.5, 0.5]), 0.0)
-        assert np.array_equal(simplex_decompress(fam, [9.9, -1.0], zero), [0.0, 0.0])
+        assert np.array_equal(simplex_decompress(fam, zero), [0.0, 0.0])
         onehot = SimplexCode(np.array([0.0, 1.0]), 0.3)
-        assert np.allclose(simplex_decompress(fam, [0.0, 0.0], onehot), [0.0, 0.6])
+        assert np.allclose(simplex_decompress(fam, onehot), [0.0, 0.6])
 
 
 
@@ -436,13 +457,12 @@ class TestIntegerQuantize:
         rng = np.random.default_rng(33)
         vectors = rng.normal(size=(2, 6))
         fam = family_from(*vectors.T)
-        x = np.zeros(2)
         for resolution in (1, 5, 50):
             target = vectors @ rng.uniform(0.0, 1.0, size=6)
             code = simplex_compress(fam, target)
             quantized = integer_quantize(code, resolution)
             approx = SimplexCode(quantized.counts / resolution, code.flow_time)
-            gap = simplex_decompress(fam, x, code) - simplex_decompress(fam, x, approx)
+            gap = simplex_decompress(fam, code) - simplex_decompress(fam, approx)
             bound = code.flow_time * max(np.linalg.norm(v) for v in vectors.T) * 6 / resolution
             assert float(np.linalg.norm(gap)) <= bound + 1e-12
 
@@ -461,11 +481,60 @@ class TestIntegerQuantize:
         fam = family_from([1.0, 0.0], [0.0, 1.0])
         code = simplex_compress(fam, [0.6, 0.2])
         quantized = integer_quantize(code, 4)
-        carried = integer_decompress(fam, [0.0, 0.0], quantized, code.flow_time)
+        carried = integer_decompress(fam, quantized, code.flow_time)
         assert np.allclose(carried, code.flow_time * (quantized.counts / 4))
         # full-interval convention: the caller passes the sampling interval
-        full = integer_decompress(fam, [0.0, 0.0], quantized, 1.0)
+        full = integer_decompress(fam, quantized, 1.0)
         assert np.allclose(full, quantized.counts / 4)
+
+
+def uniform_codes(steps, size):
+    """Averaged-only codes moving every step by 0.1 * mean field."""
+    return StepCodes(
+        np.full((steps, size), 1.0 / size),
+        np.full(steps, 0.1),
+        np.ones(steps, dtype=int),
+        np.zeros(steps, dtype=int),
+    )
+
+
+# Each entry point that takes a count, as a function of that count alone.
+COUNT_CALLS = {
+    "integer_quantize": lambda n: integer_quantize(SimplexCode([0.5, 0.5], 1.0), n).counts,
+    "IntegerCode": lambda n: IntegerCode([0, n], n).counts,
+    "emulate_steps": lambda n: emulate_steps(
+        uniform_codes(3, 2), family_from([1.0, 0.0], [0.0, 1.0]), [0.0, 0.0], n, 0
+    ),
+    "onehot_compress": lambda n: onehot_compress(
+        family_from([1.0, 0.0], [0.0, 1.0]), [1.0, 1.0], n, 1.0
+    ),
+    "onehot_code_rate_bits": lambda n: onehot_code_rate_bits(24, n, 1),
+    "integer_code_count": lambda n: integer_code_count(3, n),
+}
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("call", COUNT_CALLS.values(), ids=COUNT_CALLS.keys())
+    @pytest.mark.parametrize(
+        "count",
+        [2.7, 3.0, True, np.True_, 0, -1, "3"],
+        ids=["fraction", "integral-float", "bool", "numpy-bool", "zero", "negative", "string"],
+    )
+    def test_refuses_anything_but_a_positive_integer(self, call, count):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            call(count)
+
+    @pytest.mark.parametrize("call", COUNT_CALLS.values(), ids=COUNT_CALLS.keys())
+    def test_numpy_integers_count_as_python_integers(self, call):
+        assert np.array_equal(call(np.int64(3)), call(3))
+        assert np.array_equal(call(np.uint8(3)), call(3))
+
+    @pytest.mark.parametrize(
+        "counts", [[1.5, 0.5], [1.0, 0.0], [True, False]], ids=["fraction", "float", "bool"]
+    )
+    def test_integer_code_refuses_counts_that_are_not_integers(self, counts):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            IntegerCode(counts, 1)
 
 
 def single_field_dataset(vector, flow_time, steps, trials):

@@ -18,17 +18,22 @@ def test_every_exported_name_resolves():
     assert len(set(lincoder.__all__)) == len(lincoder.__all__)
 
 
-def _unused_imports(path):
-    """Names a module imports but never references (stdlib-only lint)."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+def _imported_names(tree):
+    """Names a module binds by import statements, __future__ imports aside."""
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return imported
+
+
+def _unused_imports(path):
+    """Names a module imports but never references (stdlib-only lint)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(imported - used)
+    return sorted(_imported_names(tree) - used)
 
 
 def test_no_unused_imports():
@@ -39,6 +44,13 @@ def test_no_unused_imports():
         if path.name != "__init__.py" and (names := _unused_imports(path))
     }
     assert unused == {}
+
+
+def test_init_imports_exactly_the_exported_names():
+    # test_no_unused_imports skips __init__.py, whose imports are read through __all__.
+    path = pathlib.Path(lincoder.__file__)
+    imported = _imported_names(ast.parse(path.read_text(), filename=str(path)))
+    assert sorted(imported ^ set(lincoder.__all__)) == []
 
 
 def _references(tree, root):

@@ -1,8 +1,10 @@
-"""The README's CLI examples run and print what the README says they print."""
+"""The README's library and CLI examples run and print what the README says they print."""
 
 import pathlib
 import re
 import shlex
+
+import numpy as np
 
 from lincoder.cli import main
 
@@ -17,6 +19,19 @@ def test_min_rate_example_output(tmp_path, capsys):
     path.write_text(config)
     assert main(["min-rate", "--config", str(path)]) == 0
     assert capsys.readouterr().out == expected + "\n"
+
+
+def test_library_quickstart_runs(capsys):
+    block = re.search(
+        r"^## Library quickstart\n.*?```python\n(.*?)```", README.read_text(), re.S | re.M
+    ).group(1)
+    namespace = {}
+    exec(block, namespace)
+    rate_bits, ceiling_bits = map(float, capsys.readouterr().out.split())
+    assert rate_bits > 0.0
+    assert abs(ceiling_bits - 1.0) <= 1e-12  # the README says 1.0 bit for this preset
+    recorded = namespace["data"].states[0, 1]
+    assert np.max(np.abs(namespace["endpoint"] - recorded)) <= 1e-12
 
 
 def _walkthrough():
