@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfeasibleTargetError
-from .linalg import as_matrix, as_vector
+from .linalg import _positive_int, as_matrix, as_vector
 from .rng import EMULATION_LANE, substream
 from .simplexlp import solve_nonnegative_lp
 from .trajectories import TrajectoryDataset
@@ -43,13 +43,6 @@ SIMPLEX_TOL = 5e-12
 #: Floor on the scale of each cov_discrepancy_rms gap, relative to the step's mean
 #: squared training increment: below it the covariance is rounding (identical trials).
 COV_SCALE_RTOL = 1e-12
-
-
-def _positive_int(value, name: str) -> int:
-    """A Python or numpy integer of at least 1, as an int; bools, floats and the rest raise."""
-    if not np.issubdtype(type(value), np.integer) or value < 1:
-        raise ValueError(f"{name} must be a positive integer")
-    return int(value)
 
 
 class SourceFamily:

@@ -71,6 +71,13 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _positive_int(value, name: str) -> int:
+    """A Python or numpy integer of at least 1, as an int; bools, floats and the rest raise."""
+    if not np.issubdtype(type(value), np.integer) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    return int(value)
+
+
 def max_abs(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 

@@ -19,7 +19,15 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .linalg import _symmetrize, as_square, as_vector, check_symmetric, mat_exp, max_abs
+from .linalg import (
+    _positive_int,
+    _symmetrize,
+    as_square,
+    as_vector,
+    check_symmetric,
+    mat_exp,
+    max_abs,
+)
 from .rng import PATH_LANE, substream
 from .trajectories import TrajectoryDataset
 
@@ -259,14 +267,14 @@ def sample_paths(
     each step adds Phi times the block before it, in place, through one
     preallocated buffer.  Every stacked (n, n) @ (n, 1) product is the
     matvec Phi @ x itself, so each trial keeps the bits of its own
-    Phi @ x + R @ z.  Raises ValueError if Phi or W is not finite at this dt,
-    or, naming the first trial and step, if a path leaves the float range.
+    Phi @ x + R @ z.  Raises ValueError if steps or trials is not a positive
+    integer, if Phi or W is not finite at this dt, or, naming the first trial
+    and step, if a path leaves the float range.
     """
     if not model.is_constant:
         raise ValueError("sample paths require constant drift")
     dt = float(dt)
-    if steps < 1 or trials < 1:
-        raise ValueError("need at least one step and one trial")
+    steps, trials = _positive_int(steps, "steps"), _positive_int(trials, "trials")
     x0 = as_vector(x0, "initial state")
     n = model.dimension
     if x0.shape[0] != n:

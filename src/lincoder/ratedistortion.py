@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FastPathDomainError
-from .linalg import as_vector, check_symmetric, as_square, logdet_psd, sym_eig
+from .linalg import as_vector, check_symmetric, as_square, logdet_psd
 
 #: Eigenvalues below this fraction of the largest are treated as exact zero
 #: modes: they carry no rate and numerical noise must not produce -inf.
@@ -61,8 +61,12 @@ class RdfResult:
 
 
 def _mode_variances(covariances: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each covariance of a stack, descending, small/negative clamped to 0."""
-    values = sym_eig(covariances).values
+    """Eigenvalues of each covariance of a stack, descending, small/negative clamped to 0.
+
+    Every caller passes exactly symmetric, finite matrices (a symmetrized W
+    or a GaussianSource covariance), so eigh needs no check before it.
+    """
+    values = np.linalg.eigh(covariances)[0][..., ::-1]
     top = values[..., :1]
     if np.any(values[..., -1:] < -NEGATIVE_EIGENVALUE_TOL * np.maximum(1.0, np.abs(top))):
         raise ValueError("covariance is not positive semidefinite within tolerance")

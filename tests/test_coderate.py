@@ -22,18 +22,85 @@ from lincoder import (
     rdf,
 )
 from lincoder import coderate
+from lincoder.ratedistortion import LN2
 
 
-def rotation_model(n, seed=8):
-    """Seeded n-dimensional drift Q J Q^T with stable 2x2 rotation blocks J."""
+def rotation_model(n, seed=8, lead=-1.0):
+    """Seeded n-dimensional drift Q J Q^T with 2x2 rotation blocks J.
+
+    The blocks have real parts lead * U(0.3, 0.8), stable by default; an
+    odd n leaves one zero eigenvalue, so lead = 0 gives a marginal drift.
+    """
     rng = np.random.default_rng(seed)
     block = np.zeros((n, n))
     for i in range(0, n - 1, 2):
-        sigma, omega = -rng.uniform(0.3, 0.8), rng.uniform(0.5, 1.5)
+        sigma, omega = lead * rng.uniform(0.3, 0.8), rng.uniform(0.5, 1.5)
         block[i : i + 2, i : i + 2] = [[sigma, omega], [-omega, sigma]]
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     b = rng.normal(size=(n, n))
     return LinearSystemModel.constant(q @ block @ q.T, 0.05 * b @ b.T / n)
+
+
+def outcome(call):
+    """The value of call(), or the type and message of the error it raises."""
+    try:
+        return call()
+    except (CapacityInfeasibleError, ValueError) as error:
+        return type(error), str(error)
+
+
+def plain_refinement(model, distortion, capacity_bits):
+    """min_sampling_rate by cutting the crossing cell into 16 parts per round.
+
+    Returns its outcome and the (dt, bits) it evaluated on the lattice of the
+    crossing decade, edges included: the reference for the predicted
+    descent, which must keep each cell this loop keeps.
+    """
+    lattice = {}
+    threshold = capacity_bits - coderate.CAPACITY_MARGIN_BITS
+
+    def rate_bits(dts):
+        bits = coderate._increment_rates(model, 0.0, dts, distortion)[0] / LN2
+        lattice.update(zip(dts.tolist(), bits.tolist()))
+        return bits
+
+    def first_not_below(bits):
+        below = bits < threshold
+        return below.size if np.all(below) else int(np.argmin(below))
+
+    def search():
+        try:
+            ceiling = rate_ceiling(model, distortion).rate_bits
+            if ceiling < capacity_bits:
+                return NotNeeded(ceiling_bits=ceiling, zero_rate=(ceiling <= 0.0))
+        except NoEquilibriumError:
+            ceiling = None
+        decades = np.array([10.0**decade for decade in range(-6, 13)])
+        bits = rate_bits(decades)
+        crossing = first_not_below(bits)
+        if crossing == decades.size:
+            return NotNeeded(ceiling_bits=ceiling, zero_rate=bool(bits[-1] <= 0.0))
+        if crossing == 0:
+            raise CapacityInfeasibleError(
+                f"code rate stays at or above {capacity_bits} bits down to dt={1e-6}"
+            )
+        lo, hi, hi_bits = decades[crossing - 1], decades[crossing], bits[crossing]
+        lattice.clear()
+        lattice.update({float(lo): float(bits[crossing - 1]), float(hi): float(hi_bits)})
+        while hi / lo > 1.0 + 1e-9:
+            inner = lo * (hi / lo) ** (np.arange(1.0, 16) / 16)
+            edges = np.concatenate(([lo], inner, [hi]))
+            inner_bits = rate_bits(inner)
+            part = first_not_below(inner_bits)
+            lo, hi = edges[part], edges[part + 1]
+            hi_bits = np.append(inner_bits, hi_bits)[part]
+        if not math.isfinite(hi_bits):
+            raise ValueError(
+                f"code rate overflows at dt={float(hi)!r}, short of {capacity_bits} bits"
+            )
+        return 1.0 / float(lo)
+
+    return outcome(search), lattice
 
 
 class TestIncrementRate:
@@ -314,3 +381,117 @@ class TestMinSamplingRate:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             min_sampling_rate(demo_model("stable"), 0.01, 0.0)
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("marginal", ("0.04781211705272364", "0.002968186593429725")),
+            ("unstable", ("0.20576925962192485", "0.09617938711533254")),
+            ("brownian", ("0.0015258789085970759", "2.3283064399567012e-08")),
+            ("stable", ("NotNeeded(ceiling_bits=0.9999999999999997, zero_rate=False)",) * 2),
+        ],
+    )
+    def test_preset_crossings_are_pinned(self, name, expected):
+        # Recorded from the plain 16-part refinement; the descent must keep every bit.
+        results = tuple(repr(min_sampling_rate(demo_model(name), 0.01, c)) for c in (8.0, 16.0))
+        assert results == expected
+
+
+PRESET_QUERIES = [
+    (name, distortion, capacity)
+    for name in ("stable", "marginal", "unstable", "brownian")
+    for distortion in (1e-3, 1e-2, 1e-1)
+    for capacity in (4.0, 8.0, 16.0, 32.0)
+]
+#: (n, lead, seed) of the rotation drifts checked against the plain refinement.
+ROTATION_DRIFTS = [(2, 1.0, 0), (2, 0.2, 1), (3, 0.0, 2), (4, 0.5, 3), (5, 0.0, 4), (6, 1.5, 5)]
+
+
+def diagonal_mode_drop_model():
+    """A = diag(0.3, -0.2, 0.05) in a seeded orthogonal basis, N = 0.01 I.
+
+    Its reported rate is not monotone at the lattice scale: rounding of the
+    small eigenvalue makes it fall by up to 2.6e-6 bits between edges near
+    dt = 39.5, and past dt = 60 modes under the zero-mode cutoff are
+    dropped while still above the water level.
+    """
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    return LinearSystemModel.constant(q @ np.diag([0.3, -0.2, 0.05]) @ q.T, 0.01 * np.eye(3))
+
+
+class TestPredictedDescent:
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """Every (dt, bits) that min_sampling_rate evaluates, and the call count."""
+        record = {"calls": 0, "bits": {}}
+        original = coderate._increment_rates
+
+        def recording(model, t, dts, distortion):
+            rates = original(model, t, dts, distortion)
+            record["calls"] += 1
+            record["bits"].update(zip(dts.tolist(), (rates[0] / LN2).tolist()))
+            return rates
+
+        monkeypatch.setattr(coderate, "_increment_rates", recording)
+        return record
+
+    def check_against_plain_refinement(self, model, distortion, capacity, evaluated):
+        reference, lattice = plain_refinement(model, distortion, capacity)
+        evaluated["bits"].clear()
+        result = outcome(lambda: min_sampling_rate(model, distortion, capacity))
+        bits = np.array([lattice[dt] for dt in sorted(lattice)])
+        if np.all(bits[1:] >= bits[:-1]) or not isinstance(reference, float):
+            assert result == reference
+            return
+        # A rate that falls somewhere along the lattice may move the crossing
+        # cell; the result must still be bracketed within BISECTION_RTOL.
+        threshold = capacity - coderate.CAPACITY_MARGIN_BITS
+        seen = evaluated["bits"]
+        lo = next(dt for dt in seen if 1.0 / dt == result)
+        hi = min(dt for dt in seen if dt > lo)
+        assert seen[lo] < threshold <= seen[hi]
+        assert hi / lo <= 1.0 + coderate.BISECTION_RTOL
+
+    @pytest.mark.parametrize("name, distortion, capacity", PRESET_QUERIES)
+    def test_presets_match_plain_refinement(self, name, distortion, capacity, evaluated):
+        self.check_against_plain_refinement(demo_model(name), distortion, capacity, evaluated)
+
+    @pytest.mark.parametrize("n, lead, seed", ROTATION_DRIFTS)
+    @pytest.mark.parametrize("distortion", [1e-3, 1e-2, 1e-1])
+    def test_rotation_drifts_match_plain_refinement(self, n, lead, seed, distortion, evaluated):
+        model = rotation_model(n, seed, lead)
+        for capacity in (4.0, 8.0, 16.0, 32.0):
+            self.check_against_plain_refinement(model, distortion, capacity, evaluated)
+
+    @pytest.mark.parametrize("capacity", [20.0, 30.0, 32.0, 35.0])
+    def test_falling_rate_keeps_the_bracket(self, capacity, evaluated):
+        model = diagonal_mode_drop_model()
+        for distortion in (1e-3, 1e-2, 1e-1):
+            self.check_against_plain_refinement(model, distortion, capacity, evaluated)
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda below, below_bits, above, above_bits, threshold: below,
+            lambda below, below_bits, above, above_bits, threshold: above,
+            lambda *args: 1e-300,
+            lambda *args: math.inf,
+            lambda *args: math.nan,
+        ],
+        ids=["lower-end", "upper-end", "far-below", "infinite", "nan"],
+    )
+    @pytest.mark.parametrize("name", ["marginal", "unstable", "brownian"])
+    def test_wrong_prediction_costs_at_most_the_plain_rounds(
+        self, name, wrong, evaluated, monkeypatch
+    ):
+        expected = min_sampling_rate(demo_model(name), 0.01, 8.0)
+        monkeypatch.setattr(coderate, "_predict_crossing", wrong)
+        evaluated["calls"] = 0
+        assert min_sampling_rate(demo_model(name), 0.01, 8.0) == expected
+        # One decade scan and eight 16-part rounds, as in the plain refinement.
+        assert evaluated["calls"] <= 9
+
+    def test_unstable_crossing_takes_at_most_six_evaluations(self, evaluated):
+        # The plain refinement takes 9: a decade scan and eight rounds.
+        min_sampling_rate(demo_model("unstable"), 0.01, 8.0)
+        assert evaluated["calls"] <= 6

@@ -432,6 +432,24 @@ class TestSamplePaths:
         with pytest.raises(ValueError):
             sample_paths(model, [0.0, 0.0], 0.1, 2, 2, 0)
 
+    @pytest.mark.parametrize("name", ["steps", "trials"])
+    @pytest.mark.parametrize(
+        "count",
+        [2.7, 2.5, True, np.True_, 0, -1, "3"],
+        ids=["fraction", "half", "bool", "numpy-bool", "zero", "negative", "string"],
+    )
+    def test_counts_must_be_positive_integers(self, name, count):
+        model = LinearSystemModel.constant([[-0.5]], [[0.1]])
+        counts = {"steps": 3, "trials": 2, name: count}
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
+            sample_paths(model, [0.0], 0.1, seed=0, **counts)
+
+    def test_numpy_integer_counts_give_the_same_bytes(self):
+        model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
+        plain = sample_paths(model, [1.0, 1.0], 0.1, steps=3, trials=3, seed=7)
+        numpy = sample_paths(model, [1.0, 1.0], 0.1, steps=np.int64(3), trials=np.int64(3), seed=7)
+        assert plain.states.tobytes() == numpy.states.tobytes()
+
 
 class TestGramianInvariants:
     def test_semigroup_identity(self):
