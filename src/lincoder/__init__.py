@@ -10,10 +10,8 @@ vector-field source codes.
 from .coderate import (
     NotNeeded,
     RateCurve,
-    RateQuery,
     increment_rate,
     min_sampling_rate,
-    model_fingerprint,
     rate_ceiling,
     rate_curve,
 )
@@ -54,7 +52,7 @@ from .linearsystem import (
     state_transition,
 )
 from .presets import demo_model, demo_names, planar_grid_family
-from .ratedistortion import GaussianSource, RdfResult, rdf, rdf_small_distortion
+from .ratedistortion import RdfResult, rdf, rdf_small_distortion
 from .trajectories import TrajectoryDataset
 
 __version__ = "0.1.0"
@@ -64,7 +62,6 @@ __all__ = [
     "ConstantDrift",
     "EmulationResult",
     "FastPathDomainError",
-    "GaussianSource",
     "IncrementDistribution",
     "InfeasibleTargetError",
     "IntegerCode",
@@ -74,7 +71,6 @@ __all__ = [
     "NotNeeded",
     "NotPositiveDefiniteError",
     "RateCurve",
-    "RateQuery",
     "RdfResult",
     "SimplexCode",
     "SourceFamily",
@@ -98,7 +94,6 @@ __all__ = [
     "lyapunov_solve",
     "mat_exp",
     "min_sampling_rate",
-    "model_fingerprint",
     "onehot_code_rate_bits",
     "onehot_compress",
     "planar_grid_family",

@@ -28,7 +28,7 @@ from .errors import LincoderError
 from .linalg import as_vector
 from .linearsystem import LinearSystemModel, sample_paths
 from .presets import demo_model, demo_names
-from .ratedistortion import GaussianSource, rdf
+from .ratedistortion import rdf
 from .trajectories import TrajectoryDataset
 
 
@@ -75,16 +75,13 @@ def _model_from_config(spec) -> LinearSystemModel:
         if spec not in demo_names():
             raise ConfigError(f"unknown system preset {spec!r}; choose from {sorted(demo_names())}")
         return demo_model(spec)
-    if isinstance(spec, dict):
-        if "preset" in spec:
-            return _model_from_config(spec["preset"])
-        if "A" in spec and "N" in spec:
-            try:
-                return LinearSystemModel.constant(
-                    np.asarray(spec["A"], dtype=float), np.asarray(spec["N"], dtype=float)
-                )
-            except ValueError as exc:
-                raise ConfigError(f"invalid system matrices: {exc}") from exc
+    if isinstance(spec, dict) and "A" in spec and "N" in spec:
+        try:
+            return LinearSystemModel.constant(
+                np.asarray(spec["A"], dtype=float), np.asarray(spec["N"], dtype=float)
+            )
+        except ValueError as exc:
+            raise ConfigError(f"invalid system matrices: {exc}") from exc
     raise ConfigError("system must be a preset name or an object with A and N matrices")
 
 
@@ -173,15 +170,14 @@ def _cmd_emulate(args) -> int:
     lines = [
         f"steps={dataset.steps}",
         f"trials={dataset.trials}",
-        f"infeasible_increments={result.infeasible_count}",
+        f"infeasible_increments={result.codes.infeasible_count}",
         f"mean_discrepancy_rms={format_float(mean_rms)}",
     ]
     if pooled is not None:
-        source = GaussianSource(np.zeros(dataset.dimension), pooled)
         lines += [
             f"cov_discrepancy_rms={format_float(cov_rms)}",
             f"distortion={format_float(args.distortion)}",
-            f"rate_bits_at_distortion={format_float(rdf(source, args.distortion).rate_bits)}",
+            f"rate_bits_at_distortion={format_float(rdf(pooled, args.distortion).rate_bits)}",
         ]
     lines.append(f"out={args.out}")
     print("\n".join(lines))

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CapacityInfeasibleError, NoEquilibriumError
 from .linalg import lyapunov_solve
 from .linearsystem import LinearSystemModel, _transition_and_gramian
-from .ratedistortion import LN2, GaussianSource, RdfResult, _water_fill, rdf
+from .ratedistortion import LN2, RdfResult, _water_fill, rdf
 
 #: Safety margin (bits) used when comparing rates against a capacity.
 CAPACITY_MARGIN_BITS = 1e-9
@@ -33,24 +33,6 @@ BISECTION_RTOL = 1e-9
 #: Geometric parts per refinement round of the crossing decade: one round
 #: narrows it as much as four bisection steps, in one stacked evaluation.
 _REFINE_PARTS = 16
-
-
-@dataclass(frozen=True)
-class RateQuery:
-    """One point on the time / fidelity / attention axes."""
-
-    model: LinearSystemModel
-    dt: float
-    distortion: float
-    t: float = 0.0
-
-    def __post_init__(self):
-        if not float(self.dt) > 0.0:
-            raise ValueError("sampling interval must be positive")
-        if not float(self.distortion) >= 0.0:
-            raise ValueError("distortion budget must be nonnegative")
-        if not float(self.t) >= 0.0:
-            raise ValueError("time must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -105,11 +87,13 @@ def _increment_rates(model: LinearSystemModel, t: float, dts: np.ndarray, distor
     return rates, levels, allocations
 
 
-def increment_rate(query: RateQuery) -> RdfResult:
-    """Minimum admissible code rate for one (model, t, dt, D) query."""
-    rate, level, allocations = _increment_rates(
-        query.model, query.t, np.array([float(query.dt)]), query.distortion
-    )
+def increment_rate(
+    model: LinearSystemModel, dt: float, distortion: float, t: float = 0.0
+) -> RdfResult:
+    """Minimum admissible code rate of the increment over [t, t + dt] at distortion D."""
+    if not float(t) >= 0.0:
+        raise ValueError("time must be nonnegative")
+    rate, level, allocations = _increment_rates(model, t, np.array([float(dt)]), distortion)
     return RdfResult(float(rate[0]), float(rate[0]) / LN2, float(level[0]), allocations[0])
 
 
@@ -124,13 +108,11 @@ def rate_ceiling(model: LinearSystemModel, distortion: float) -> RdfResult:
     if not model.is_constant:
         raise ValueError("rate ceiling requires constant drift")
     equilibrium = lyapunov_solve(model.drift.matrix, model.noise_intensity)
-    return rdf(GaussianSource(np.zeros(model.dimension), equilibrium), distortion)
+    return rdf(equilibrium, distortion)
 
 
-def model_fingerprint(model: LinearSystemModel) -> str:
+def _model_fingerprint(model: LinearSystemModel) -> str:
     """Short content hash of a constant-drift model (drift and noise)."""
-    if not model.is_constant:
-        raise ValueError("fingerprint requires constant drift")
     digest = hashlib.sha256()
     digest.update(np.ascontiguousarray(model.drift.matrix).tobytes())
     digest.update(b"/")
@@ -156,7 +138,7 @@ def rate_curve(
         asymptote = rate_ceiling(model, distortion).rate_bits
     except NoEquilibriumError:
         asymptote = None
-    return RateCurve(grid, rates, axis, float(distortion), asymptote, model_fingerprint(model))
+    return RateCurve(grid, rates, axis, float(distortion), asymptote, _model_fingerprint(model))
 
 
 def _parts(lo: float, hi: float) -> np.ndarray:
@@ -223,8 +205,9 @@ def min_sampling_rate(
     the result is that of refining one level per round, in about half the
     evaluations; a wrong prediction costs only its extra stack entries.
 
-    Raises CapacityInfeasibleError when the rate is at or above capacity
-    even at DT_FLOOR, and ValueError when it overflows short of capacity;
+    Raises ValueError for a capacity that is not positive and finite,
+    CapacityInfeasibleError when the rate is at or above capacity even at
+    DT_FLOOR, and ValueError when it overflows short of capacity;
     returns NotNeeded when it stays below capacity up to DT_CEILING.
     """
     if not model.is_constant:
@@ -232,6 +215,8 @@ def min_sampling_rate(
     capacity_bits = float(capacity_bits)
     if not capacity_bits > 0.0:
         raise ValueError("capacity must be positive")
+    if capacity_bits == math.inf:
+        raise ValueError("capacity must be finite")
     threshold = capacity_bits - CAPACITY_MARGIN_BITS
 
     ceiling = None

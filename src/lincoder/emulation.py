@@ -371,7 +371,6 @@ class EmulationResult:
     """Emulated trajectory plus compression diagnostics."""
 
     states: np.ndarray
-    infeasible_count: int
     codes: StepCodes
 
 
@@ -394,7 +393,7 @@ def emulate(
     codes = compress_dataset(dataset, family)
     x0 = dataset.states[:, 0, :].mean(axis=0)
     states = emulate_steps(codes, family, x0, resolution, seed)
-    return EmulationResult(states, codes.infeasible_count, codes)
+    return EmulationResult(states, codes)
 
 
 def replay_statistics(

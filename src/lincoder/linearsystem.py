@@ -103,7 +103,7 @@ class LinearSystemModel:
 
     @classmethod
     def time_varying(cls, matrix_at, dimension, noise) -> "LinearSystemModel":
-        return cls(TimeVaryingDrift(matrix_at, int(dimension)), noise)
+        return cls(TimeVaryingDrift(matrix_at, _positive_int(dimension, "dimension")), noise)
 
     @property
     def dimension(self) -> int:

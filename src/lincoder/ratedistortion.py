@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FastPathDomainError
-from .linalg import as_vector, check_symmetric, as_square, logdet_psd
+from .linalg import as_square, check_symmetric, logdet_psd
 
 #: Eigenvalues below this fraction of the largest are treated as exact zero
 #: modes: they carry no rate and numerical noise must not produce -inf.
@@ -24,30 +24,6 @@ ZERO_MODE_RTOL = 1e-12
 NEGATIVE_EIGENVALUE_TOL = 1e-9
 
 LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class GaussianSource:
-    """Memoryless Gaussian source with the given mean and covariance."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mean = as_vector(self.mean, "mean")
-        if mean.size == 0:
-            raise ValueError("source dimension must be at least 1")
-        cov = check_symmetric(as_square(self.covariance, "covariance"), "covariance")
-        if cov.shape[0] != mean.shape[0]:
-            raise ValueError("mean and covariance dimensions do not agree")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-
-    @property
-    def dimension(self) -> int:
-        return self.mean.shape[0]
 
 
 @dataclass(frozen=True)
@@ -64,7 +40,7 @@ def _mode_variances(covariances: np.ndarray) -> np.ndarray:
     """Eigenvalues of each covariance of a stack, descending, small/negative clamped to 0.
 
     Every caller passes exactly symmetric, finite matrices (a symmetrized W
-    or a GaussianSource covariance), so eigh needs no check before it.
+    or a covariance checked on entry), so eigh needs no check before it.
     """
     values = np.linalg.eigh(covariances)[0][..., ::-1]
     top = values[..., :1]
@@ -104,34 +80,37 @@ def _water_fill(covariances: np.ndarray, distortion: float):
     return rate_nats, theta, allocations
 
 
-def rdf(source: GaussianSource, distortion: float) -> RdfResult:
-    """Rate distortion function at the given mean-square distortion budget.
+def rdf(covariance, distortion: float) -> RdfResult:
+    """Rate distortion function of a Gaussian at the given mean-square distortion budget.
 
     Returns the rate in nats and bits per symbol, the water level, and the
-    distortion allocated to each eigenmode.  The mean is ignored: the rate
-    is translation invariant.  A budget of exactly zero on a source with
-    any positive variance yields an infinite rate.
+    distortion allocated to each eigenmode.  The rate depends on the
+    covariance alone (it is translation invariant), which must be finite,
+    square and symmetric within SYMMETRY_TOL.  A budget of exactly zero on
+    a source with any positive variance yields an infinite rate.
     """
-    rate, level, allocations = _water_fill(source.covariance[np.newaxis], distortion)
+    covariance = check_symmetric(as_square(covariance, "covariance"), "covariance")
+    rate, level, allocations = _water_fill(covariance[np.newaxis], distortion)
     return RdfResult(float(rate[0]), float(rate[0]) / LN2, float(level[0]), allocations[0])
 
 
-def rdf_small_distortion(source: GaussianSource, distortion: float) -> float:
+def rdf_small_distortion(covariance, distortion: float) -> float:
     """log-det shortcut for the rate (nats) when no mode is drowned.
 
     Valid only for distortion/n strictly below the smallest eigenvalue of a
     positive definite covariance; otherwise raises FastPathDomainError and
     the caller must use the full water-filling path.
     """
+    covariance = check_symmetric(as_square(covariance, "covariance"), "covariance")
     distortion = float(distortion)
     if not distortion >= 0.0:
         raise ValueError("distortion budget must be nonnegative")
-    n = source.dimension
-    smallest = float(_mode_variances(source.covariance)[-1])
+    n = covariance.shape[0]
+    smallest = float(_mode_variances(covariance)[-1])
     if smallest <= 0.0 or distortion / n >= smallest:
         raise FastPathDomainError(
             "shortcut requires distortion/n strictly below the smallest eigenvalue"
         )
     if distortion == 0.0:
         return math.inf
-    return 0.5 * logdet_psd(source.covariance) - 0.5 * n * math.log(distortion / n)
+    return 0.5 * logdet_psd(covariance) - 0.5 * n * math.log(distortion / n)

@@ -16,8 +16,6 @@ import scipy.linalg
 
 from lincoder import (
     LinearSystemModel,
-    RateQuery,
-    GaussianSource,
     demo_model,
     emulate,
     emulate_steps,
@@ -145,11 +143,10 @@ def test_criterion_4_water_filling_correctness():
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         eigs = rng.uniform(0.05, 4.0, size=n)
         cov = q @ np.diag(eigs) @ q.T
-        source = GaussianSource(np.zeros(n), cov)
         trace = float(np.trace(cov))
         d1, d2 = np.sort(rng.uniform(0.0, 1.3, size=2)) * trace
-        r1 = rdf(source, d1)
-        r2 = rdf(source, d2)
+        r1 = rdf(cov, d1)
+        r2 = rdf(cov, d2)
         worst_sum = max(
             worst_sum,
             abs(float(r1.allocations.sum()) - min(d1, trace)),
@@ -159,8 +156,8 @@ def test_criterion_4_water_filling_correctness():
             monotone = False
         d_fast = float(rng.uniform(0.1, 0.99)) * n * float(eigs.min())
         try:
-            fast = rdf_small_distortion(source, d_fast)
-            worst_fast = max(worst_fast, abs(fast - rdf(source, d_fast).rate_nats))
+            fast = rdf_small_distortion(cov, d_fast)
+            worst_fast = max(worst_fast, abs(fast - rdf(cov, d_fast).rate_nats))
             fast_checked += 1
         except FastPathDomainError:
             pass
@@ -176,7 +173,7 @@ def test_criterion_4_water_filling_correctness():
         ratios = eigs / np.minimum(theta, eigs)
         oracle = 0.5 * float(np.sum(np.log(np.maximum(ratios, 1.0))))
         worst_grid = max(
-            worst_grid, abs(rdf(GaussianSource(np.zeros(2), cov), d).rate_nats - oracle)
+            worst_grid, abs(rdf(cov, d).rate_nats - oracle)
         )
     ok = worst_sum <= 1e-9 and monotone and worst_fast <= 1e-9 and worst_grid <= 1e-6
     report(
@@ -220,8 +217,8 @@ def test_criterion_6_min_sampling_rate():
         if not isinstance(fs, float):
             failures.append((name, "not finite"))
             continue
-        below = increment_rate(RateQuery(model, 1.0 / fs, distortion)).rate_bits
-        above = increment_rate(RateQuery(model, 1.0 / (0.99 * fs), distortion)).rate_bits
+        below = increment_rate(model, 1.0 / fs, distortion).rate_bits
+        above = increment_rate(model, 1.0 / (0.99 * fs), distortion).rate_bits
         if not (below < capacity <= above):
             failures.append((name, f"bracket {below:.6f}/{above:.6f}"))
         details.append(f"{name}: fs={fs:.6g}")
@@ -303,7 +300,7 @@ def test_criterion_8_emulation_statistical_match():
     dataset = sample_paths(model, [1.0, 1.0], 0.01, steps=300, trials=trials, seed=2468)
     family = planar_grid_family()
     result = emulate(dataset, family, resolution=resolution, seed=1)
-    infeasible = result.infeasible_count
+    infeasible = result.codes.infeasible_count
 
     ensemble = 200
     x0 = dataset.states[:, 0, :].mean(axis=0)

@@ -187,6 +187,28 @@ class TestMinRate:
             assert main(["min-rate", "--config", config]) == 1
             assert capsys.readouterr().err == "error: capacity must be positive\n"
 
+    def test_infinite_capacity_is_rejected(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            "mr.json",
+            {"system": "unstable", "distortion": 0.01, "capacity_bits": math.inf},
+        )
+        assert "Infinity" in (tmp_path / "mr.json").read_text()
+        assert main(["min-rate", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: capacity must be finite\n")
+
+    def test_preset_object_is_not_a_system(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            "mr.json",
+            {"system": {"preset": "unstable"}, "distortion": 0.01, "capacity_bits": 8.0},
+        )
+        assert main(["min-rate", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            "error: system must be a preset name or an object with A and N matrices\n"
+        )
+
     @pytest.mark.parametrize("capacity", [1030.0, 1e300])
     def test_capacity_beyond_overflow_horizon_fails_without_warning(
         self, tmp_path, capsys, capacity

@@ -7,11 +7,9 @@ import pytest
 
 from lincoder import (
     CapacityInfeasibleError,
-    GaussianSource,
     LinearSystemModel,
     NoEquilibriumError,
     NotNeeded,
-    RateQuery,
     demo_model,
     increment_distribution,
     increment_rate,
@@ -107,20 +105,20 @@ class TestIncrementRate:
     def test_scalar_brownian_half_bit(self):
         # a = 0, sigma^2 = 1, dt = 1, D = 0.5: W = 1, rate = ln 2 / 2 nats
         model = demo_model("brownian")
-        result = increment_rate(RateQuery(model, dt=1.0, distortion=0.5))
+        result = increment_rate(model, dt=1.0, distortion=0.5)
         assert result.rate_nats == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
         assert result.rate_bits == pytest.approx(0.5, abs=1e-12)
 
     def test_budget_above_total_variance_is_free(self):
         model = demo_model("stable")
         w = 0.01 * np.eye(2)  # equilibrium for this preset
-        result = increment_rate(RateQuery(model, dt=100.0, distortion=1.0))
+        result = increment_rate(model, dt=100.0, distortion=1.0)
         assert result.rate_bits == 0.0
         assert float(result.allocations.sum()) <= np.trace(w) * 1.01
 
     def test_rate_vanishes_as_interval_shrinks(self):
         model = demo_model("unstable")
-        result = increment_rate(RateQuery(model, dt=1e-6, distortion=0.01))
+        result = increment_rate(model, dt=1e-6, distortion=0.01)
         assert result.rate_bits == 0.0
 
     def test_time_varying_query_is_a_stack_of_one(self):
@@ -129,16 +127,16 @@ class TestIncrementRate:
         model = LinearSystemModel.time_varying(
             lambda t: math.sin(t) * np.eye(2) - np.eye(2), 2, np.eye(2)
         )
-        result = increment_rate(RateQuery(model, dt=0.5, distortion=0.01, t=0.3))
+        result = increment_rate(model, dt=0.5, distortion=0.01, t=0.3)
         cov = increment_distribution(model, np.zeros(2), 0.3, 0.5).covariance
-        expected = rdf(GaussianSource(np.zeros(2), cov), 0.01)
+        expected = rdf(cov, 0.01)
         assert (result.rate_nats, result.water_level) == (expected.rate_nats, expected.water_level)
         assert np.array_equal(result.allocations, expected.allocations)
 
     def test_monotone_in_distortion(self):
         model = demo_model("stable")
         rates = [
-            increment_rate(RateQuery(model, dt=1.0, distortion=d)).rate_bits
+            increment_rate(model, dt=1.0, distortion=d).rate_bits
             for d in (0.001, 0.01, 0.1, 1.0)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
@@ -146,15 +144,15 @@ class TestIncrementRate:
     def test_query_validation(self):
         model = demo_model("stable")
         with pytest.raises(ValueError):
-            RateQuery(model, dt=0.0, distortion=0.01)
+            increment_rate(model, dt=0.0, distortion=0.01)
         with pytest.raises(ValueError):
-            RateQuery(model, dt=1.0, distortion=-0.01)
+            increment_rate(model, dt=1.0, distortion=-0.01)
         with pytest.raises(ValueError, match="nonnegative"):
-            RateQuery(model, dt=1.0, distortion=float("nan"))
+            increment_rate(model, dt=1.0, distortion=float("nan"))
         with pytest.raises(ValueError, match="sampling interval"):
-            RateQuery(model, dt=float("nan"), distortion=0.01)
+            increment_rate(model, dt=float("nan"), distortion=0.01)
         with pytest.raises(ValueError, match="time must be nonnegative"):
-            RateQuery(model, dt=1.0, distortion=0.01, t=float("nan"))
+            increment_rate(model, dt=1.0, distortion=0.01, t=float("nan"))
 
 
 class TestRateCeiling:
@@ -195,7 +193,7 @@ class TestRateCurve:
     def test_single_point_matches_pointwise_rate(self):
         model = demo_model("stable")
         curve = rate_curve(model, 0.01, [0.5])
-        point = increment_rate(RateQuery(model, dt=0.5, distortion=0.01))
+        point = increment_rate(model, dt=0.5, distortion=0.01)
         assert curve.rate_bits[0] == point.rate_bits
         assert curve.asymptote_bits is not None
 
@@ -269,7 +267,7 @@ class TestRateCurve:
         grid = np.logspace(-3, top, 10 * (top + 3) + 1)
         curve = rate_curve(model, 0.01, grid)
         for dt, rate in zip(grid, curve.rate_bits):
-            point = increment_rate(RateQuery(model, dt=float(dt), distortion=0.01))
+            point = increment_rate(model, dt=float(dt), distortion=0.01)
             assert rate == point.rate_bits
 
     def test_unstable_rates_overflow_to_infinity(self):
@@ -311,10 +309,8 @@ class TestMinSamplingRate:
         model = demo_model("unstable")
         capacity = 8.0
         fs = min_sampling_rate(model, 0.01, capacity)
-        below = increment_rate(RateQuery(model, dt=1.0 / fs, distortion=0.01)).rate_bits
-        above = increment_rate(
-            RateQuery(model, dt=1.0 / (0.99 * fs), distortion=0.01)
-        ).rate_bits
+        below = increment_rate(model, dt=1.0 / fs, distortion=0.01).rate_bits
+        above = increment_rate(model, dt=1.0 / (0.99 * fs), distortion=0.01).rate_bits
         assert below < capacity
         assert above >= capacity
 
@@ -375,12 +371,20 @@ class TestMinSamplingRate:
 
     def test_capacity_below_overflow_horizon_is_crossed(self):
         fs = min_sampling_rate(demo_model("unstable"), 0.01, 1000.0)
-        rate = increment_rate(RateQuery(demo_model("unstable"), 1.0 / fs, 0.01)).rate_bits
+        rate = increment_rate(demo_model("unstable"), 1.0 / fs, 0.01).rate_bits
         assert 999.0 < rate < 1000.0
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             min_sampling_rate(demo_model("stable"), 0.01, 0.0)
+
+    @pytest.mark.parametrize("name", ["stable", "marginal", "unstable", "brownian"])
+    def test_infinite_capacity_raises_before_any_rate(self, name, rate_calls, monkeypatch):
+        ceilings = []
+        monkeypatch.setattr(coderate, "rate_ceiling", lambda *args: ceilings.append(args))
+        with pytest.raises(ValueError, match="capacity must be finite"):
+            min_sampling_rate(demo_model(name), 0.01, math.inf)
+        assert rate_calls == [] and ceilings == []
 
     @pytest.mark.parametrize(
         "name, expected",

@@ -571,7 +571,7 @@ class TestEmulate:
         fam = family_from([1.0, 2.0], [0.0, -1.0])
         data = single_field_dataset([1.0, 2.0], 0.05, steps=10, trials=4)
         result = emulate(data, fam, resolution=7, seed=42)
-        assert result.infeasible_count == 0
+        assert result.codes.infeasible_count == 0
         assert np.max(np.abs(result.states - data.states[0])) <= 1e-12
 
     def test_determinism(self):
@@ -611,7 +611,7 @@ class TestEmulate:
         states[0, 1] = [-1.0, -1.0]
         data = TrajectoryDataset(0.1, states)
         result = emulate(data, fam, resolution=3, seed=5)
-        assert result.infeasible_count == 1
+        assert result.codes.infeasible_count == 1
         assert np.array_equal(result.states[1], result.states[0])
 
     def test_multinomial_variance_scales_inversely_with_resolution(self):

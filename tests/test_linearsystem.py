@@ -8,7 +8,6 @@ import pytest
 
 from lincoder import (
     LinearSystemModel,
-    RateQuery,
     TrajectoryDataset,
     increment_distribution,
     increment_rate,
@@ -77,6 +76,15 @@ class TestStateTransition:
             phi = state_transition(model, t, dt)
             expected = math.exp(math.cos(t) - math.cos(t + dt)) * np.eye(2)
             assert max_abs(phi - expected) <= 1e-8
+
+    @pytest.mark.parametrize("dimension", [2.7, True, 0])
+    def test_time_varying_dimension_must_be_a_positive_integer(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            LinearSystemModel.time_varying(lambda t: -np.eye(2), dimension, np.eye(2))
+
+    def test_time_varying_dimension_accepts_numpy_integers(self):
+        model = LinearSystemModel.time_varying(lambda t: -np.eye(2), np.int64(2), np.eye(2))
+        assert model.dimension == 2 and type(model.dimension) is int
 
     def test_constant_drift_matches_scipy_expm(self):
         import scipy.linalg
@@ -253,7 +261,7 @@ def test_non_finite_interval_rejected(entry, dt):
     calls = {
         "state_transition": lambda: state_transition(model, 0.0, dt),
         "increment_distribution": lambda: increment_distribution(model, [1.0, 1.0], 0.0, dt),
-        "increment_rate": lambda: increment_rate(RateQuery(model, dt, 0.01)),
+        "increment_rate": lambda: increment_rate(model, dt, 0.01),
         "sample_paths": lambda: sample_paths(model, [1.0, 1.0], dt, 2, 2, seed=0),
     }
     with pytest.raises(ValueError, match="sampling interval must be positive"):
