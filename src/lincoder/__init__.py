@@ -49,7 +49,6 @@ from .linearsystem import (
     TimeVaryingDrift,
     increment_distribution,
     sample_paths,
-    state_transition,
 )
 from .presets import demo_model, demo_names, planar_grid_family
 from .ratedistortion import RdfResult, rdf, rdf_small_distortion
@@ -104,6 +103,5 @@ __all__ = [
     "sample_paths",
     "simplex_compress",
     "simplex_decompress",
-    "state_transition",
     "sym_eig",
 ]

@@ -117,8 +117,8 @@ def _cmd_rdf_curve(args) -> int:
     out = args.out or config.get("out")
     if not out:
         raise ConfigError("no output path: pass --out or set 'out' in the config")
-    curve = rate_curve(model, distortion, dts, axis=axis)
-    write_rate_curve(curve, out)
+    curve = rate_curve(model, distortion, dts)
+    write_rate_curve(model, distortion, dts, curve, axis, out)
     if curve.asymptote_bits is not None:
         print(f"asymptote_bits={format_float(curve.asymptote_bits)}")
     print(f"out={out}")

@@ -10,7 +10,6 @@ rate.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -50,21 +49,10 @@ class NotNeeded:
 
 @dataclass(frozen=True)
 class RateCurve:
-    """Code rate sampled along a sampling-interval grid."""
+    """Code rate (bits) at each interval of a grid, with the saturation rate when it exists."""
 
-    dts: np.ndarray
     rate_bits: np.ndarray
-    axis: str  # "dt" or "fs"
-    distortion: float
     asymptote_bits: Optional[float]
-    model_hash: str
-
-    def rows(self):
-        """(dt, fs, rate_bits) tuples ordered by the curve's axis."""
-        order = range(len(self.dts)) if self.axis == "dt" else reversed(range(len(self.dts)))
-        for i in order:
-            dt = float(self.dts[i])
-            yield dt, 1.0 / dt, float(self.rate_bits[i])
 
 
 def _increment_rates(model: LinearSystemModel, t: float, dts: np.ndarray, distortion: float):
@@ -111,23 +99,10 @@ def rate_ceiling(model: LinearSystemModel, distortion: float) -> RdfResult:
     return rdf(equilibrium, distortion)
 
 
-def _model_fingerprint(model: LinearSystemModel) -> str:
-    """Short content hash of a constant-drift model (drift and noise)."""
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(model.drift.matrix).tobytes())
-    digest.update(b"/")
-    digest.update(np.ascontiguousarray(model.noise_intensity).tobytes())
-    return digest.hexdigest()[:12]
-
-
-def rate_curve(
-    model: LinearSystemModel, distortion: float, dt_grid, axis: str = "dt"
-) -> RateCurve:
+def rate_curve(model: LinearSystemModel, distortion: float, dt_grid) -> RateCurve:
     """Code rate at each grid point, with the saturation rate when it exists."""
     if not model.is_constant:
         raise ValueError("rate curve requires constant drift")
-    if axis not in ("dt", "fs"):
-        raise ValueError("axis must be 'dt' or 'fs'")
     grid = np.asarray(dt_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("dt grid must be a non-empty vector")
@@ -138,7 +113,7 @@ def rate_curve(
         asymptote = rate_ceiling(model, distortion).rate_bits
     except NoEquilibriumError:
         asymptote = None
-    return RateCurve(grid, rates, axis, float(distortion), asymptote, _model_fingerprint(model))
+    return RateCurve(rates, asymptote)
 
 
 def _parts(lo: float, hi: float) -> np.ndarray:

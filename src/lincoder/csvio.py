@@ -7,6 +7,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from .coderate import RateCurve
 from .emulation import SourceFamily
+from .linearsystem import LinearSystemModel
 from .trajectories import TrajectoryDataset
 
 #: Largest accepted |t - k * dt| in a dataset CSV, relative to the horizon.
@@ -88,16 +90,35 @@ def read_trajectories(path) -> TrajectoryDataset:
     return TrajectoryDataset(dt, states)
 
 
-def write_rate_curve(curve: RateCurve, path) -> None:
-    """Rate curve as CSV with a comment line carrying run metadata."""
+def _model_fingerprint(model: LinearSystemModel) -> str:
+    """Short content hash of a constant-drift model (drift and noise)."""
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(model.drift.matrix).tobytes())
+    digest.update(b"/")
+    digest.update(np.ascontiguousarray(model.noise_intensity).tobytes())
+    return digest.hexdigest()[:12]
+
+
+def write_rate_curve(
+    model: LinearSystemModel, distortion: float, dt_grid, curve: RateCurve, axis: str, path
+) -> None:
+    """Rate curve of ``model`` over ``dt_grid`` as CSV, after a comment line of run metadata.
+
+    Rows dt,fs,rate_bits run along the grid for axis "dt" and against it
+    (fs ascending) for axis "fs".
+    """
+    if axis not in ("dt", "fs"):
+        raise ValueError("axis must be 'dt' or 'fs'")
+    dts = np.asarray(dt_grid, dtype=float).tolist()
+    rows = list(zip(dts, curve.rate_bits.tolist(), strict=True))
     asymptote = "none" if curve.asymptote_bits is None else format_float(curve.asymptote_bits)
     lines = [
-        f"# distortion={format_float(curve.distortion)}"
-        f" asymptote_bits={asymptote} model={curve.model_hash}",
+        f"# distortion={format_float(distortion)}"
+        f" asymptote_bits={asymptote} model={_model_fingerprint(model)}",
         "dt,fs,rate_bits",
     ]
-    for dt, fs, rate in curve.rows():
-        lines.append(f"{format_float(dt)},{format_float(fs)},{format_float(rate)}")
+    for dt, rate in rows if axis == "dt" else reversed(rows):
+        lines.append(f"{format_float(dt)},{format_float(1.0 / dt)},{format_float(rate)}")
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 

@@ -230,8 +230,12 @@ def sym_eig(matrix) -> SymmetricEigen:
 
 
 def is_hurwitz(matrix) -> bool:
-    """True when every eigenvalue real part is below -HURWITZ_RTOL * norm1(A); never for A = 0."""
-    return bool(np.max(np.linalg.eigvals(matrix).real) < -HURWITZ_RTOL * np.linalg.norm(matrix, 1))
+    """True when every eigenvalue real part is below -HURWITZ_RTOL * norm1(A); never for A = 0.
+
+    Raises ValueError unless A is a finite, non-empty square matrix.
+    """
+    arr = as_square(matrix)
+    return bool(np.max(np.linalg.eigvals(arr).real) < -HURWITZ_RTOL * np.linalg.norm(arr, 1))
 
 
 def lyapunov_solve(a, noise) -> np.ndarray:

@@ -6,9 +6,9 @@ paths by exact discretization (the sampled chain has exactly the analyzed
 increment law; there is no integrator bias).
 
 The transition matrix Phi and the increment covariance W of both drift
-kinds come from one function, which state_transition,
-increment_distribution and sample_paths share, and which the rate path in
-coderate calls with a whole stack of sampling intervals.
+kinds come from one function, which increment_distribution and
+sample_paths share, and which the rate path in coderate calls with a whole
+stack of sampling intervals.
 """
 
 from __future__ import annotations
@@ -120,8 +120,6 @@ class IncrementDistribution:
 
     mean: np.ndarray
     covariance: np.ndarray
-    t: float
-    dt: float
 
 
 def _substep_count(dt: float, norm: float) -> int:
@@ -208,27 +206,15 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     return phi.reshape(dts.shape + (n, n)), w.reshape(dts.shape + (n, n))
 
 
-def state_transition(model: LinearSystemModel, t: float, dt: float) -> np.ndarray:
-    """Transition matrix over [t, t + dt]: the Phi of the increment law, or I at dt = 0."""
-    dt = float(dt)
-    if dt < 0.0:
-        raise ValueError("sampling interval must be nonnegative")
-    if dt == 0.0:
-        return np.eye(model.dimension)
-    return _transition_and_gramian(model, t, dt)[0]
-
-
 def increment_distribution(
     model: LinearSystemModel, x_t, t: float, dt: float
 ) -> IncrementDistribution:
     """Gaussian law of X(t + dt) - X(t) given X(t) = x_t."""
-    dt = float(dt)
     x = as_vector(x_t, "state")
     if x.shape[0] != model.dimension:
         raise ValueError("state dimension does not match the model")
-    phi, cov = _transition_and_gramian(model, t, dt)
-    mean = (phi - np.eye(model.dimension)) @ x
-    return IncrementDistribution(mean, cov, float(t), dt)
+    phi, cov = _transition_and_gramian(model, t, float(dt))
+    return IncrementDistribution((phi - np.eye(model.dimension)) @ x, cov)
 
 
 def _covariance_sqrt(cov: np.ndarray) -> np.ndarray:

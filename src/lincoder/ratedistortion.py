@@ -16,9 +16,6 @@ import numpy as np
 from .errors import FastPathDomainError
 from .linalg import as_square, check_symmetric, logdet_psd
 
-#: Eigenvalues below this fraction of the largest are treated as exact zero
-#: modes: they carry no rate and numerical noise must not produce -inf.
-ZERO_MODE_RTOL = 1e-12
 #: Most negative eigenvalue accepted (then clamped to zero) before the
 #: covariance is rejected as non-PSD.
 NEGATIVE_EIGENVALUE_TOL = 1e-9
@@ -37,8 +34,10 @@ class RdfResult:
 
 
 def _mode_variances(covariances: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each covariance of a stack, descending, small/negative clamped to 0.
+    """Eigenvalues of each covariance of a stack, descending, unresolved/negative clamped to 0.
 
+    An eigenvalue at or below eigh's error floor n * eps * lambda_max is a
+    zero mode: it carries no rate, and rounding must not produce -inf.
     Every caller passes exactly symmetric, finite matrices (a symmetrized W
     or a covariance checked on entry), so eigh needs no check before it.
     """
@@ -46,7 +45,8 @@ def _mode_variances(covariances: np.ndarray) -> np.ndarray:
     top = values[..., :1]
     if np.any(values[..., -1:] < -NEGATIVE_EIGENVALUE_TOL * np.maximum(1.0, np.abs(top))):
         raise ValueError("covariance is not positive semidefinite within tolerance")
-    return np.where(values > ZERO_MODE_RTOL * np.maximum(top, 0.0), values, 0.0)
+    floor = values.shape[-1] * np.finfo(float).eps * np.maximum(top, 0.0)
+    return np.where(values > floor, values, 0.0)
 
 
 def _water_fill(covariances: np.ndarray, distortion: float):

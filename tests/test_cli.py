@@ -1,5 +1,6 @@
 """End-to-end CLI tests: outputs, reports, exit codes, determinism."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -108,6 +109,7 @@ class TestRdfCurve:
         [
             ({"log": "false"}, "grid log must be true or false"),
             ({"max": float("inf")}, "0 < min < max < inf"),
+            ({"axis": "hz"}, "grid axis must be 'dt' or 'fs'"),
         ],
     )
     def test_bad_grid_is_a_config_error(self, tmp_path, capsys, grid, message):
@@ -609,3 +611,48 @@ class TestCurveByteDeterminism:
         assert main(["rdf-curve", "--config", config, "--out", str(out1)]) == 0
         assert main(["rdf-curve", "--config", config, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestCurveGoldenBytes:
+    """rdf-curve outputs recorded byte for byte; any change to them is a determinism notice."""
+
+    def run(self, tmp_path, capsys, payload):
+        config = write_config(tmp_path, "curve.json", payload)
+        out = tmp_path / "curve.csv"
+        assert main(["rdf-curve", "--config", config, "--out", str(out)]) == 0
+        return out.read_bytes(), capsys.readouterr().out
+
+    def test_readme_stable_config_on_the_dt_axis(self, tmp_path, capsys):
+        grid = {"min": 0.001, "max": 100.0, "points": 100, "log": True, "axis": "dt"}
+        data, printed = self.run(
+            tmp_path, capsys, {"system": "stable", "distortion": 0.01, "grid": grid}
+        )
+        lines = data.decode().splitlines()
+        assert lines[:3] == [
+            "# distortion=0.01 asymptote_bits=0.99999999999999967 model=e120e2bc878c",
+            "dt,fs,rate_bits",
+            "0.001,1000,0",
+        ]
+        assert lines[-1] == "100,0.01,0.99999999999999989"
+        assert hashlib.sha256(data).hexdigest() == (
+            "7b7e2d105a51bb185942ccd67d3a2851526ef9808a5ee233707c6c72f0a28420"
+        )
+        assert printed == f"asymptote_bits=0.99999999999999967\nout={tmp_path / 'curve.csv'}\n"
+
+    def test_explicit_matrices_on_a_linear_fs_axis(self, tmp_path, capsys):
+        system = {"A": [[-0.3, 2.0], [-1.5, -0.1]], "N": [[0.02, 0.005], [0.005, 0.01]]}
+        grid = {"min": 0.5, "max": 20.0, "points": 6, "log": False, "axis": "fs"}
+        data, printed = self.run(
+            tmp_path, capsys, {"system": system, "distortion": 0.001, "grid": grid}
+        )
+        assert data == (
+            b"# distortion=0.001 asymptote_bits=6.1453425853561825 model=edf704cf8448\n"
+            b"dt,fs,rate_bits\n"
+            b"2,0.5,5.2839013083622648\n"
+            b"0.22727272727272727,4.4000000000000004,2.528353252943202\n"
+            b"0.12048192771084336,8.3000000000000007,1.639395191399643\n"
+            b"0.081967213114754106,12.199999999999999,1.0939187209989909\n"
+            b"0.062111801242236017,16.100000000000001,0.69987590495964891\n"
+            b"0.050000000000000003,20,0.42475611522311546\n"
+        )
+        assert printed == f"asymptote_bits=6.1453425853561825\nout={tmp_path / 'curve.csv'}\n"

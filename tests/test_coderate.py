@@ -20,6 +20,7 @@ from lincoder import (
     rdf,
 )
 from lincoder import coderate
+from lincoder.csvio import write_rate_curve
 from lincoder.ratedistortion import LN2
 
 
@@ -278,11 +279,22 @@ class TestRateCurve:
         assert np.all(np.isfinite(curve.rate_bits[grid <= 100.0]))
         assert np.all(curve.rate_bits[grid >= 1e3] == math.inf)
 
-    def test_fs_axis_row_ordering(self):
-        model = demo_model("stable")
-        curve = rate_curve(model, 0.01, np.array([0.1, 1.0, 10.0]), axis="fs")
-        fs = [row[1] for row in curve.rows()]
-        assert fs == sorted(fs)
+    def test_fs_axis_row_ordering(self, tmp_path):
+        model, grid = demo_model("stable"), np.array([0.1, 1.0, 10.0])
+        curve = rate_curve(model, 0.01, grid)
+        write_rate_curve(model, 0.01, grid, curve, "fs", tmp_path / "curve.csv")
+        rows = [line.split(",") for line in (tmp_path / "curve.csv").read_text().splitlines()[2:]]
+        assert [float(fs) for _, fs, _ in rows] == [0.1, 1.0, 10.0]
+        assert [float(bits) for _, _, bits in rows] == curve.rate_bits[::-1].tolist()
+
+    def test_written_curve_refuses_a_bad_axis_or_grid(self, tmp_path):
+        model, grid = demo_model("stable"), np.array([0.1, 1.0, 10.0])
+        curve = rate_curve(model, 0.01, grid)
+        with pytest.raises(ValueError, match="axis must be 'dt' or 'fs'"):
+            write_rate_curve(model, 0.01, grid, curve, "hz", tmp_path / "curve.csv")
+        with pytest.raises(ValueError):
+            write_rate_curve(model, 0.01, grid[:2], curve, "dt", tmp_path / "curve.csv")
+        assert not (tmp_path / "curve.csv").exists()
 
 
 class TestMinSamplingRate:
@@ -401,6 +413,32 @@ class TestMinSamplingRate:
         assert results == expected
 
 
+def marginal_closed_form_bits(dt, distortion, q=0.01):
+    """Rate of the marginal preset from det W = q^2 t^2 (1 + t^2 / 12), both modes above water.
+
+    The small eigenvalue det / top needs no extended precision; the oracle
+    holds while it exceeds D / 2, which is asserted.
+    """
+    det = q * q * dt * dt * (1.0 + dt * dt / 12.0)
+    top = 0.5 * q * (2 * dt + dt**3 / 3 + math.hypot(dt**3 / 3, dt * dt))
+    assert det / top > distortion / 2
+    return 0.5 * math.log2(det) - math.log2(distortion / 2)
+
+
+class TestZeroModeFloor:
+    """Modes above eigh's error floor n * eps * lambda_max carry their rate."""
+
+    @pytest.mark.parametrize("dt", [1e6, 1e7])
+    def test_marginal_rate_matches_closed_form_at_long_intervals(self, dt):
+        rate = increment_rate(demo_model("marginal"), dt, 0.01).rate_bits
+        assert abs(rate / marginal_closed_form_bits(dt, 0.01) - 1.0) <= 1e-9
+
+    def test_marginal_crossing_at_35_bits(self):
+        fs = min_sampling_rate(demo_model("marginal"), 0.01, 35.0)
+        assert 1.0 / fs == pytest.approx(2.4395e5, rel=1e-4)
+        assert 35.0 - 1e-6 <= marginal_closed_form_bits(1.0 / fs, 0.01) <= 35.0
+
+
 PRESET_QUERIES = [
     (name, distortion, capacity)
     for name in ("stable", "marginal", "unstable", "brownian")
@@ -416,8 +454,9 @@ def diagonal_mode_drop_model():
 
     Its reported rate is not monotone at the lattice scale: rounding of the
     small eigenvalue makes it fall by up to 2.6e-6 bits between edges near
-    dt = 39.5, and past dt = 60 modes under the zero-mode cutoff are
-    dropped while still above the water level.
+    dt = 39.5.  From about dt = 55 eigh cannot resolve the small mode, and
+    from dt = 60 it is under eigh's error floor and dropped while still
+    above the water level.
     """
     q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
     return LinearSystemModel.constant(q @ np.diag([0.3, -0.2, 0.05]) @ q.T, 0.01 * np.eye(3))

@@ -9,6 +9,7 @@ import pytest
 from lincoder import (
     NoEquilibriumError,
     NotPositiveDefiniteError,
+    is_hurwitz,
     logdet_psd,
     lyapunov_solve,
     mat_exp,
@@ -256,6 +257,22 @@ class TestLyapunov:
         w = lyapunov_solve(a, noise)
         residual = a @ w + w @ a.T + noise
         assert max_abs(residual) <= 1e-8 * max(1.0, max_abs(noise))
+
+
+class TestIsHurwitz:
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.zeros((2, 3)), "must be square, got shape"),
+            (np.array([-1.0, -2.0]), "must be 2-dimensional"),
+            (np.array([[-1.0, np.nan], [0.0, -1.0]]), "non-finite"),
+            (np.zeros((0, 0)), "must be non-empty"),
+        ],
+        ids=["non-square", "one-dimensional", "non-finite", "empty"],
+    )
+    def test_malformed_input_is_a_value_error(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            is_hurwitz(matrix)
 
 
 class TestSymmetrize:

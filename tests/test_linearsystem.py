@@ -12,7 +12,6 @@ from lincoder import (
     increment_distribution,
     increment_rate,
     sample_paths,
-    state_transition,
 )
 from lincoder import linearsystem
 from lincoder.csvio import read_trajectories, write_trajectories
@@ -52,19 +51,15 @@ def random_hurwitz(rng, n):
 
 
 class TestStateTransition:
-    def test_zero_interval_is_identity(self):
-        model = LinearSystemModel.constant([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
-        assert np.array_equal(state_transition(model, 0.0, 0.0), np.eye(2))
-
     def test_diagonal_scalar_oracle(self):
         model = LinearSystemModel.constant(np.diag([-1.0, -2.0]), np.eye(2))
-        phi = state_transition(model, 0.0, 1.0)
+        phi = _transition_and_gramian(model, 0.0, 1.0)[0]
         assert max_abs(phi - np.diag([math.exp(-1.0), math.exp(-2.0)])) <= 1e-12
 
     def test_negative_interval_rejected(self):
         model = LinearSystemModel.constant(np.eye(1), np.eye(1))
-        with pytest.raises(ValueError):
-            state_transition(model, 0.0, -0.5)
+        with pytest.raises(ValueError, match="sampling interval must be positive"):
+            _transition_and_gramian(model, 0.0, -0.5)
 
     def test_time_varying_scalar_commuting(self):
         # A(t) = sin(t) I commutes with itself: Phi = exp(int sin) I, and the
@@ -73,7 +68,7 @@ class TestStateTransition:
             lambda t: math.sin(t) * np.eye(2), 2, np.eye(2)
         )
         for t, dt in ((0.3, 1.0), (1.1, 0.5), (0.0, 1.2)):
-            phi = state_transition(model, t, dt)
+            phi = _transition_and_gramian(model, t, dt)[0]
             expected = math.exp(math.cos(t) - math.cos(t + dt)) * np.eye(2)
             assert max_abs(phi - expected) <= 1e-8
 
@@ -95,7 +90,8 @@ class TestStateTransition:
                 a = rng.normal(size=(n, n))
                 dt = reach / np.linalg.norm(a, 1)
                 expected = scipy.linalg.expm(a * dt)
-                phi = state_transition(LinearSystemModel.constant(a, np.eye(n)), 0.0, dt)
+                model = LinearSystemModel.constant(a, np.eye(n))
+                phi = _transition_and_gramian(model, 0.0, dt)[0]
                 assert max_abs(phi - expected) <= 1e-11 * np.linalg.norm(expected)
 
 
@@ -147,7 +143,7 @@ class TestTimeVaryingPass:
             law = increment_distribution(model, x, t, dt)
             assert np.array_equal(law.covariance, w)
             assert np.array_equal(law.mean, (phi - np.eye(n)) @ x)
-            assert np.array_equal(state_transition(model, t, dt), phi)
+            assert np.array_equal(_transition_and_gramian(model, t, dt)[0], phi)
 
     def test_one_drift_evaluation_per_stage(self):
         rng = np.random.default_rng(89)
@@ -182,7 +178,7 @@ class TestIncrementDistribution:
         model = LinearSystemModel.constant(a, 0.1 * np.eye(2))
         x = np.array([2.0, -1.0])
         law = increment_distribution(model, x, 0.0, 0.4)
-        phi = state_transition(model, 0.0, 0.4)
+        phi = _transition_and_gramian(model, 0.0, 0.4)[0]
         assert max_abs(law.mean - (phi - np.eye(2)) @ x) <= 1e-12
 
     def test_van_loan_matches_quadrature(self):
@@ -223,7 +219,7 @@ class TestIncrementDistribution:
         grid = rng.permutation(np.logspace(-3, 2, 30))
         phis, covariances = _transition_and_gramian(model, 0.0, grid)
         for dt, phi, cov in zip(grid, phis, covariances):
-            assert np.array_equal(phi, state_transition(model, 0.0, dt))
+            assert np.array_equal(phi, _transition_and_gramian(model, 0.0, dt)[0])
             law = increment_distribution(model, np.zeros(3), 0.0, dt)
             assert np.array_equal(cov, law.covariance)
 
@@ -249,17 +245,15 @@ class TestIncrementDistribution:
             model = LinearSystemModel.constant(s - s.T - 0.02 * np.eye(n), 0.1 * np.eye(n))
             x = rng.normal(size=n)
             law = increment_distribution(model, x, 0.0, dt)
-            assert np.array_equal(law.mean, (state_transition(model, 0.0, dt) - np.eye(n)) @ x)
+            phi = _transition_and_gramian(model, 0.0, dt)[0]
+            assert np.array_equal(law.mean, (phi - np.eye(n)) @ x)
 
 
 @pytest.mark.parametrize("dt", [math.inf, math.nan], ids=["inf", "nan"])
-@pytest.mark.parametrize(
-    "entry", ["state_transition", "increment_distribution", "increment_rate", "sample_paths"]
-)
+@pytest.mark.parametrize("entry", ["increment_distribution", "increment_rate", "sample_paths"])
 def test_non_finite_interval_rejected(entry, dt):
     model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
     calls = {
-        "state_transition": lambda: state_transition(model, 0.0, dt),
         "increment_distribution": lambda: increment_distribution(model, [1.0, 1.0], 0.0, dt),
         "increment_rate": lambda: increment_rate(model, dt, 0.01),
         "sample_paths": lambda: sample_paths(model, [1.0, 1.0], dt, 2, 2, seed=0),
@@ -314,7 +308,7 @@ class TestSamplePaths:
         a = np.array([[-0.5, 0.0], [0.0, -1.0]])
         model = LinearSystemModel.constant(a, np.zeros((2, 2)))
         data = sample_paths(model, [1.0, 2.0], 0.5, steps=4, trials=3, seed=99)
-        phi = state_transition(model, 0.0, 0.5)
+        phi = _transition_and_gramian(model, 0.0, 0.5)[0]
         x = np.array([1.0, 2.0])
         for k in range(5):
             for trial in range(3):
@@ -344,7 +338,7 @@ class TestSamplePaths:
     def per_cell_reference(model, x0, dt, steps, trials, seed):
         """One fresh Philox cell per trial, drawn step by step, then phi @ x + root @ z."""
         n = model.dimension
-        phi = state_transition(model, 0.0, dt)
+        phi = _transition_and_gramian(model, 0.0, dt)[0]
         root = _covariance_sqrt(increment_distribution(model, np.zeros(n), 0.0, dt).covariance)
         key = np.array([seed, PATH_LANE], dtype=np.uint64)
         states = np.empty((trials, steps + 1, n))
@@ -468,7 +462,7 @@ class TestGramianInvariants:
         w_s = increment_distribution(model, np.zeros(2), 0.0, s).covariance
         w_t = increment_distribution(model, np.zeros(2), 0.0, t).covariance
         w_st = increment_distribution(model, np.zeros(2), 0.0, s + t).covariance
-        phi_t = state_transition(model, 0.0, t)
+        phi_t = _transition_and_gramian(model, 0.0, t)[0]
         assert max_abs(w_st - (phi_t @ w_s @ phi_t.T + w_t)) <= 1e-8
 
     def test_loewner_monotonicity(self):
@@ -481,7 +475,7 @@ class TestGramianInvariants:
             dt1, dt2 = 0.4, 1.0
             w1 = increment_distribution(model, np.zeros(3), 0.0, dt1).covariance
             w2 = increment_distribution(model, np.zeros(3), 0.0, dt2).covariance
-            phi = state_transition(model, 0.0, dt2 - dt1)
+            phi = _transition_and_gramian(model, 0.0, dt2 - dt1)[0]
             gap = w2 - phi @ w1 @ phi.T
             assert np.linalg.eigvalsh(0.5 * (gap + gap.T))[0] >= -1e-9
 

@@ -47,6 +47,17 @@ class TestRdfExamples:
         assert result.rate_nats == pytest.approx(grid_search_rate(variances, distortion), abs=1e-5)
         assert float(result.allocations.sum()) == pytest.approx(distortion, abs=1e-12)
 
+    def test_mode_above_the_eigh_error_floor_carries_rate(self):
+        # 1e-13 of the top mode is above eigh's error floor 2 eps, and above water.
+        result = rdf(np.diag([1.0, 1e-13]), 1e-14)
+        assert result.allocations.tolist() == [5e-15, 5e-15]
+        assert result.rate_bits == pytest.approx(0.5 * math.log2(1e-13 / 2.5e-29), rel=1e-14)
+
+    def test_mode_under_the_eigh_error_floor_is_a_zero_mode(self):
+        result = rdf(np.diag([1.0, 1e-17]), 1e-18)
+        assert result.allocations.tolist() == [1e-18, 0.0]
+        assert result.rate_bits == pytest.approx(0.5 * math.log2(1e18), rel=1e-14)
+
     def test_budget_covers_total_variance(self):
         for n in (1, 3, 6):
             result = rdf(np.eye(n), float(n))
