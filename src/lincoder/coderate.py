@@ -79,8 +79,6 @@ def increment_rate(
     model: LinearSystemModel, dt: float, distortion: float, t: float = 0.0
 ) -> RdfResult:
     """Minimum admissible code rate of the increment over [t, t + dt] at distortion D."""
-    if not float(t) >= 0.0:
-        raise ValueError("time must be nonnegative")
     rate, level, allocations = _increment_rates(model, t, np.array([float(dt)]), distortion)
     return RdfResult(float(rate[0]), float(rate[0]) / LN2, float(level[0]), allocations[0])
 

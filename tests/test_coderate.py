@@ -123,7 +123,7 @@ class TestIncrementRate:
         assert result.rate_bits == 0.0
 
     def test_time_varying_query_is_a_stack_of_one(self):
-        # The RK4 pass runs once for the one interval, and the rate is the
+        # The Magnus pass runs once for the one interval, and the rate is the
         # water-filling of exactly the covariance increment_distribution gives.
         model = LinearSystemModel.time_varying(
             lambda t: math.sin(t) * np.eye(2) - np.eye(2), 2, np.eye(2)

@@ -101,61 +101,93 @@ def sinusoidal_drift(rng, n):
     return LinearSystemModel.time_varying(lambda t: a0 + math.sin(t) * a1, n, b @ b.T)
 
 
-def reference_substeps(model, t, dt):
+def segment_count(model, t, dt):
     norm = float(np.linalg.norm(model.drift.evaluate(t), 1))
     return max(MIN_SUBSTEPS, int(math.ceil(dt * norm * SUBSTEP_NORM_FACTOR)))
 
 
-def two_pass_reference(model, t, dt):
-    """Phi and W of a time-varying drift as two separate RK4 passes on one grid."""
-    drift, noise, n = model.drift, model.noise_intensity, model.dimension
-    steps = reference_substeps(model, t, dt)
+#: a(t) = -0.4 + 0.9 sin t with q = 1.3: Phi and W over [0, dt] have a
+#: closed-form exponent and a one-dimensional quadrature.
+SCALAR_DRIFT = LinearSystemModel.time_varying(lambda t: [[-0.4 + 0.9 * math.sin(t)]], 1, [[1.3]])
 
-    def rk4(f, y):
-        h, tau = dt / steps, t
-        for _ in range(steps):
-            k1 = f(tau, y)
-            k2 = f(tau + 0.5 * h, y + 0.5 * h * k1)
-            k3 = f(tau + 0.5 * h, y + 0.5 * h * k2)
-            k4 = f(tau + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            tau += h
-        return y
 
-    def gramian_ode(tau, w):
-        a = drift.evaluate(tau)
-        return a @ w + w @ a.T + noise
+def scalar_drift_oracle(dt):
+    from scipy.integrate import quad
 
-    phi = rk4(lambda tau, p: drift.evaluate(tau) @ p, np.eye(n))
-    w = rk4(gramian_ode, np.zeros((n, n)))
-    return phi, 0.5 * (w + w.T)
+    def exponent(s):  # integral of a over [s, dt]
+        return -0.4 * (dt - s) + 0.9 * (math.cos(s) - math.cos(dt))
+
+    w = quad(lambda s: 1.3 * math.exp(2.0 * exponent(s)), 0.0, dt, epsabs=0.0, epsrel=1e-13)[0]
+    return math.exp(exponent(0.0)), w
+
+
+def scalar_drift_errors(dt):
+    phi, w = _transition_and_gramian(SCALAR_DRIFT, 0.0, dt)
+    phi_exact, w_exact = scalar_drift_oracle(dt)
+    return abs(phi[0, 0] / phi_exact - 1.0), abs(w[0, 0] / w_exact - 1.0)
+
+
+#: A fast decaying rotation J with J + J^T = -2 I.
+ROTATION = np.array([[-1.0, 20.0], [-20.0, -1.0]])
 
 
 class TestTimeVaryingPass:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_bit_identical_to_two_pass_reference(self, n):
-        rng = np.random.default_rng(80 + n)
-        for _ in range(5):
-            model = sinusoidal_drift(rng, n)
-            t, dt = rng.uniform(0.0, 3.0), rng.uniform(0.05, 2.0)
-            x = rng.normal(size=n)
-            phi, w = two_pass_reference(model, t, dt)
-            law = increment_distribution(model, x, t, dt)
-            assert np.array_equal(law.covariance, w)
-            assert np.array_equal(law.mean, (phi - np.eye(n)) @ x)
-            assert np.array_equal(_transition_and_gramian(model, t, dt)[0], phi)
+    def test_scalar_quadrature_oracle(self):
+        phi_error, w_error = scalar_drift_errors(5.0)
+        assert phi_error <= 1e-6 and w_error <= 1e-6
 
-    def test_one_drift_evaluation_per_stage(self):
+    def test_halving_the_segment_divides_the_error_by_at_least_12(self, monkeypatch):
+        monkeypatch.setattr(linearsystem, "SUBSTEP_NORM_FACTOR", 0.0)
+        errors = []
+        for segments in (16, 32):
+            monkeypatch.setattr(linearsystem, "MIN_SUBSTEPS", segments)
+            errors.append(scalar_drift_errors(5.0))
+        (phi_coarse, w_coarse), (phi_fine, w_fine) = errors
+        assert phi_coarse >= 12.0 * phi_fine and w_coarse >= 12.0 * w_fine
+
+    def test_two_drift_evaluations_per_segment(self):
         rng = np.random.default_rng(89)
         a0, a1 = rng.normal(size=(2, 3, 3))
         calls = []
         model = LinearSystemModel.time_varying(
             lambda t: calls.append(t) or a0 + math.sin(t) * a1, 3, np.eye(3)
         )
-        steps = reference_substeps(model, 0.4, 1.5)
+        segments = segment_count(model, 0.4, 1.5)
         calls.clear()
         increment_distribution(model, np.zeros(3), 0.4, 1.5)
-        assert len(calls) <= 4 * steps + 1
+        assert len(calls) <= 2 * segments + 1
+
+    def test_rotating_drift_closed_form(self):
+        # A(t) = sin(t) J commutes with itself: Phi(3, s) = expm((cos s - cos 3) J),
+        # and J + J^T = -2 I makes W = I * int_0^3 exp(-2 (cos s - cos 3)) ds.
+        # A(0) = 0 sets the segment count to its floor, far below what the
+        # rotation later asks for.
+        import scipy.linalg
+        from scipy.integrate import quad
+
+        model = LinearSystemModel.time_varying(lambda t: math.sin(t) * ROTATION, 2, np.eye(2))
+        phi, w = _transition_and_gramian(model, 0.0, 3.0)
+        phi_exact = scipy.linalg.expm((1.0 - math.cos(3.0)) * ROTATION)
+        gain = lambda s: math.exp(-2.0 * (math.cos(s) - math.cos(3.0)))  # noqa: E731
+        w_exact = quad(gain, 0.0, 3.0, epsabs=0.0, epsrel=1e-13)[0] * np.eye(2)
+        assert np.linalg.norm(phi - phi_exact) <= 1e-6 * np.linalg.norm(phi_exact)
+        assert np.linalg.norm(w - w_exact) <= 1e-6 * np.linalg.norm(w_exact)
+
+    def test_peak_memory_does_not_grow_with_the_segment_count(self):
+        import tracemalloc
+
+        model = LinearSystemModel.time_varying(lambda t: math.cos(t) * ROTATION, 2, np.eye(2))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for dt in (3.0, 3.0, 30.0):  # the first call warms caches up
+                tracemalloc.reset_peak()
+                _transition_and_gramian(model, 0.0, dt)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert segment_count(model, 0.0, 3.0) <= 1100 and segment_count(model, 0.0, 30.0) >= 1e4
+        assert peaks[2] <= 1.5 * peaks[1]
 
 
 class TestIncrementDistribution:
@@ -210,17 +242,22 @@ class TestIncrementDistribution:
         w_tv = increment_distribution(frozen, np.zeros(2), 0.0, dt).covariance
         assert max_abs(w_lti - w_tv) <= 1e-8
 
-    def test_interval_stack_matches_single_intervals_bit_for_bit(self):
+    @pytest.mark.parametrize("kind", ["constant", "time-varying"])
+    def test_interval_stack_matches_single_intervals_bit_for_bit(self, kind):
         # Shuffled intervals on both sides of the doubling switch: each one
-        # gets its own exponential and its own number of doublings.
+        # gets its own exponential and its own number of doublings, or its
+        # own number of Magnus segments.
         rng = np.random.default_rng(5)
-        a, b = rng.normal(size=(2, 3, 3))
-        model = LinearSystemModel.constant(a, b @ b.T)
+        if kind == "constant":
+            a, b = rng.normal(size=(2, 3, 3))
+            model, t = LinearSystemModel.constant(a, b @ b.T), 0.0
+        else:
+            model, t = sinusoidal_drift(rng, 3), 0.7
         grid = rng.permutation(np.logspace(-3, 2, 30))
-        phis, covariances = _transition_and_gramian(model, 0.0, grid)
+        phis, covariances = _transition_and_gramian(model, t, grid)
         for dt, phi, cov in zip(grid, phis, covariances):
-            assert np.array_equal(phi, _transition_and_gramian(model, 0.0, dt)[0])
-            law = increment_distribution(model, np.zeros(3), 0.0, dt)
+            assert np.array_equal(phi, _transition_and_gramian(model, t, dt)[0])
+            law = increment_distribution(model, np.zeros(3), t, dt)
             assert np.array_equal(cov, law.covariance)
 
     def test_nonpositive_interval_rejected(self):
@@ -259,6 +296,22 @@ def test_non_finite_interval_rejected(entry, dt):
         "sample_paths": lambda: sample_paths(model, [1.0, 1.0], dt, 2, 2, seed=0),
     }
     with pytest.raises(ValueError, match="sampling interval must be positive"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("kind", ["constant", "time-varying"])
+@pytest.mark.parametrize("entry", ["increment_distribution", "increment_rate"])
+def test_bad_time_rejected(entry, kind, t):
+    if kind == "constant":
+        model = LinearSystemModel.constant(-np.eye(2), np.eye(2))
+    else:
+        model = LinearSystemModel.time_varying(lambda s: math.sin(s) * np.eye(2), 2, np.eye(2))
+    calls = {
+        "increment_distribution": lambda: increment_distribution(model, [1.0, 1.0], t, 0.5),
+        "increment_rate": lambda: increment_rate(model, 0.5, 0.01, t=t),
+    }
+    with pytest.raises(ValueError, match="^time must be nonnegative"):
         calls[entry]()
 
 
