@@ -11,6 +11,7 @@ rate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -128,10 +129,13 @@ def _lattice_path(lo: float, hi: float, point: float) -> list:
     computes them.  The path ends at the first cell no wider than
     BISECTION_RTOL.
     """
+    # NaN sorts above every edge, as in np.searchsorted.
+    point = math.inf if math.isnan(point) else point
+    lo, hi = float(lo), float(hi)
     cells = []
     while hi / lo > 1.0 + BISECTION_RTOL:
-        edges = np.concatenate(([lo], _parts(lo, hi), [hi]))
-        part = int(np.clip(np.searchsorted(edges, point) - 1, 0, _REFINE_PARTS - 1))
+        edges = [lo, *_parts(lo, hi).tolist(), hi]
+        part = min(max(bisect_left(edges, point) - 1, 0), _REFINE_PARTS - 1)
         lo, hi = edges[part], edges[part + 1]
         cells.append((lo, hi))
     return cells

@@ -128,6 +128,19 @@ def _squarings(a: np.ndarray, a4, a6, a8) -> np.ndarray:
     Pade evaluation of a highly non-normal matrix would dominate.
     ||(|A|)^27|| is the largest entry of 1^T (|A| / ||A||)^27 times
     ||A||^27, taken by vector products so that huge norms cannot overflow.
+
+    The 1-norm is submultiplicative, so ||(|A|)^27|| <= ||A||^27, the
+    largest entry is at most 1, and ell <= ceil((26 log2 ||A|| + 1 -
+    log2(1/|c_27|) + 53) / 26).  The 1 is the margin for the rounding of the
+    computed entry: each of its 54 roundings (nonnegative products, and the
+    norm it is divided by) scales it by at most 1 + (n + 1) u, so it stays
+    below 2, and its log2 below 1, for any n short of 10^13.  The bound is
+    the formula for ell with that log2 replaced by 1, and every step of the
+    formula is monotone in floating point, so the computed ell is at most
+    the computed bound.  When, for every matrix of the stack, the bound is
+    at most the count from the d_k alone, ell cannot raise the count and
+    the 27th power is not formed: the count is the one the full formula
+    gives.
     """
     count = len(a)
     power_norms = np.linalg.norm(np.concatenate((a, a6, a8, a4 @ a6)), 1, axis=(1, 2))
@@ -135,6 +148,12 @@ def _squarings(a: np.ndarray, a4, a6, a8) -> np.ndarray:
     norms, d6, d8, d10 = power_norms.reshape(4, count) ** exponents
     # d_k <= ||A||, which also stands in for a power norm that overflowed.
     eta5 = np.fmin(np.minimum(np.maximum(d6, d8), np.maximum(d8, d10)), norms)
+    with np.errstate(divide="ignore"):
+        log_norms = np.log2(norms)
+        squarings = np.ceil(np.log2(eta5 / _PADE_THETA13))
+        bound = np.ceil((26 * log_norms + 1.0 - _PADE_LOG2_ERROR_RECIPROCAL + 53.0) / 26)
+    if np.all(bound <= np.maximum(squarings, 0.0)):
+        return np.maximum(squarings, 0.0).astype(int)
     unit = np.abs(a) / np.where(norms > 0.0, norms, 1.0)[:, np.newaxis, np.newaxis]
     unit2 = unit @ unit
     unit4 = unit2 @ unit2
@@ -142,10 +161,10 @@ def _squarings(a: np.ndarray, a4, a6, a8) -> np.ndarray:
     for _ in range(6):
         row = row @ unit4
     with np.errstate(divide="ignore"):
-        log_alpha = 26 * np.log2(norms) + np.log2(row.max(axis=(1, 2)))
+        log_alpha = 26 * log_norms + np.log2(row.max(axis=(1, 2)))
         ell = np.ceil((log_alpha - _PADE_LOG2_ERROR_RECIPROCAL + 53.0) / 26)
         # Scaling by 2^-s lowers log2(alpha) by 26 s, so ell(2^-s A, 13) = ell - s.
-        squarings = np.maximum(np.ceil(np.log2(eta5 / _PADE_THETA13)), ell)
+        squarings = np.maximum(squarings, ell)
     return np.maximum(squarings, 0.0).astype(int)
 
 

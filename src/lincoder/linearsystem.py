@@ -15,6 +15,7 @@ per fourth-order Magnus segment, composed by the interval-doubling rule.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -71,10 +72,25 @@ class TimeVaryingDrift:
     dimension: int
 
     def evaluate(self, t: float) -> np.ndarray:
-        arr = as_square(self.matrix_at(float(t)), "drift matrix")
-        if arr.shape[0] != self.dimension:
-            raise ValueError("time-varying drift returned a matrix of wrong size")
-        return arr
+        return self._stack([t])[0]
+
+    def _stack(self, times: list) -> np.ndarray:
+        """A(s) at each time of a list as one stack (len(times), n, n), checked at once.
+
+        A stack that fails the check is checked again matrix by matrix, so
+        the error and its message are the first bad matrix's own.
+        """
+        values = [self.matrix_at(float(s)) for s in times]
+        with suppress(TypeError, ValueError):
+            stack = np.array(values, dtype=float)
+            if stack.shape[1:] == (self.dimension,) * 2 and np.isfinite(stack).all():
+                return stack
+        checked = []
+        for value in values:
+            checked.append(as_square(value, "drift matrix"))
+            if checked[-1].shape[0] != self.dimension:
+                raise ValueError("time-varying drift returned a matrix of wrong size")
+        return np.array(checked)
 
 
 Drift = Union[ConstantDrift, TimeVaryingDrift]
@@ -157,7 +173,10 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     Constant drift: per interval, one exponential of M dt / 2^k, then k
     interval doublings (_compose with Phi_j = Phi); k is 0 while
     norm1(A) * dt <= GRAMIAN_SPLIT_NORM.  The exponentials of all intervals
-    are one stacked call, and each interval is doubled only its own k times.
+    are one stacked call, and each interval is doubled only its own k times:
+    when any interval doubles, the stack is sorted once by k, so that the
+    intervals still doubling in each round are a suffix of it, and put back
+    in order at the end.
     For unstable drift at extreme horizons entries may overflow to inf, which
     callers treat as an unbounded-rate signal.
     Time-varying drift: per interval, max(MIN_SUBSTEPS, ceil(SUBSTEP_NORM_FACTOR
@@ -166,7 +185,8 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     generator h/2 (M1 + M2) + sqrt(3) h^2/12 (M1 M2 - M2 M1), M1 and M2 at
     the two Gauss nodes (Blanes, Casas, Oteo & Ros 2009, Phys. Rep. 470), so
     the error falls as h^4.  Segments are exponentiated in slices of
-    _EXP_CHUNK_BYTES, so memory does not grow with their number.
+    _EXP_CHUNK_BYTES, so memory does not grow with their number, and the
+    drift matrices of a slice are checked as one stack.
     """
     if not 0.0 <= float(t) < math.inf:
         raise ValueError("time must be nonnegative and finite")
@@ -180,12 +200,20 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
         a = model.drift.matrix
         scale = np.maximum(np.linalg.norm(a, 1) * intervals, GRAMIAN_SPLIT_NORM)
         doublings = np.minimum(96, np.ceil(np.log2(scale / GRAMIAN_SPLIT_NORM))).astype(int)
+        order = np.argsort(doublings, kind="stable") if doublings.any() else None
+        if order is not None:
+            intervals, doublings = intervals[order], doublings[order]
         phi, w = _van_loan(_generators(a, noise) * (intervals / 2.0**doublings)[:, None, None])
+        # In ascending order of doublings, those doubled more than k times
+        # are the suffix from the first with more than k.
+        starts = np.searchsorted(doublings, np.arange(doublings.max(initial=0)), side="right")
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(int(doublings.max(initial=0))):
-                live = np.flatnonzero(doublings > step)
-                p = phi[live]
-                phi[live], w[live] = _compose(p, w[live], p, w[live])
+            for start in starts.tolist():
+                p, q = phi[start:], w[start:]
+                phi[start:], w[start:] = _compose(p, q, p, q)
+        if order is not None:
+            restore = np.argsort(order)
+            phi, w = phi[restore], w[restore]
     else:
         norm = float(np.linalg.norm(model.drift.evaluate(t), 1))
         nodes = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
@@ -197,12 +225,13 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
             pair = np.eye(n), np.zeros((n, n))
             for first in range(0, m, size):
                 times = t + (np.arange(first, min(first + size, m))[:, None] + nodes) * h
-                a = np.array([[model.drift.evaluate(s) for s in row] for row in times.tolist()])
+                a = model.drift._stack(times.ravel().tolist()).reshape(times.shape + (n, n))
                 m1, m2 = _generators(a, noise).swapaxes(0, 1)
                 commutator = m1 @ m2 - m2 @ m1
                 omegas = 0.5 * h * (m1 + m2) + (math.sqrt(3.0) / 12.0 * h * h) * commutator
-                for phi_j, w_j in zip(*_van_loan(omegas)):
-                    pair = _compose(phi_j, w_j, *pair)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for phi_j, w_j in zip(*_van_loan(omegas)):
+                        pair = _compose(phi_j, w_j, *pair)
             phi[i], w[i] = pair
     return phi.reshape(dts.shape + (n, n)), w.reshape(dts.shape + (n, n))
 

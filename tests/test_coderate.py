@@ -538,3 +538,33 @@ class TestPredictedDescent:
         # The plain refinement takes 9: a decade scan and eight rounds.
         min_sampling_rate(demo_model("unstable"), 0.01, 8.0)
         assert evaluated["calls"] <= 6
+
+
+def searchsorted_lattice_path(lo, hi, point):
+    """The lattice path picked by np.searchsorted over the concatenated edges, clipped."""
+    cells = []
+    while hi / lo > 1.0 + coderate.BISECTION_RTOL:
+        edges = np.concatenate(([lo], coderate._parts(lo, hi), [hi]))
+        part = int(np.clip(np.searchsorted(edges, point) - 1, 0, coderate._REFINE_PARTS - 1))
+        lo, hi = edges[part], edges[part + 1]
+        cells.append((lo, hi))
+    return cells
+
+
+class TestLatticePath:
+    @pytest.mark.parametrize("lo, hi", [(1e-6, 1e-5), (0.1, 1.0), (100.0, 1000.0)])
+    def test_cells_match_the_searchsorted_choice(self, lo, hi):
+        lo, hi = np.float64(lo), np.float64(hi)
+        rng = np.random.default_rng(61)
+        points = [lo / 2, hi * 2, math.inf, -math.inf, math.nan, 1e-300, 0.0, -1.0]
+        points += (lo * (hi / lo) ** rng.uniform(size=20)).tolist()
+        # Every edge of every cell on the paths to a few inner points.
+        for inner in points[-3:]:
+            for cell_lo, cell_hi in [(lo, hi)] + searchsorted_lattice_path(lo, hi, inner):
+                points += [cell_lo, *coderate._parts(cell_lo, cell_hi).tolist(), cell_hi]
+        for point in points:
+            expected = searchsorted_lattice_path(lo, hi, point)
+            cells = coderate._lattice_path(lo, hi, point)
+            assert len(cells) == len(expected) >= 7
+            for cell, reference in zip(cells, expected):
+                assert cell == tuple(map(float, reference))

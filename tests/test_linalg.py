@@ -15,11 +15,58 @@ from lincoder import (
     mat_exp,
     sym_eig,
 )
-from lincoder.linalg import _symmetrize
+from lincoder.linalg import _squarings, _symmetrize
 
 
 def max_abs(a):
     return float(np.max(np.abs(a)))
+
+
+#: log2 of 26! 27! / (13!)^2, the reciprocal leading coefficient of the
+#: degree-13 Pade error.
+LOG2_ERROR_RECIPROCAL = math.log2(
+    math.factorial(26) * math.factorial(27) / math.factorial(13) ** 2
+)
+
+
+def stack_powers(stack):
+    """A, A^4, A^6 and A^8 of a stack, formed as the exponential forms them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = stack @ stack
+        a4 = a2 @ a2
+        return stack, a4, a4 @ a2, a4 @ a4
+
+
+def squarings_of(stack):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _squarings(*stack_powers(stack))
+
+
+def full_squarings(stack):
+    """Al-Mohy & Higham 2009 squaring counts at degree 13, with the ell term always formed.
+
+    Returns the counts and the terms from the power norms alone.  The norm
+    ||(|A| / ||A||)^27|| comes from np.linalg.matrix_power, one matrix at a
+    time.
+    """
+    counts, eta_terms = [], []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for a, a4, a6, a8 in zip(*stack_powers(stack)):
+            norm = np.linalg.norm(a, 1)
+            d6, d8, d10 = (
+                np.linalg.norm(power, 1) ** (1.0 / k)
+                for power, k in ((a6, 6.0), (a8, 8.0), (a4 @ a6, 10.0))
+            )
+            eta5 = np.fmin(np.minimum(np.maximum(d6, d8), np.maximum(d8, d10)), norm)
+            eta = max(np.ceil(np.log2(eta5 / 4.25)), 0.0)
+            ell = -math.inf
+            if norm > 0.0:
+                unit27 = np.linalg.matrix_power(np.abs(a) / norm, 27)
+                log_alpha = 26 * np.log2(norm) + np.log2(np.linalg.norm(unit27, 1))
+                ell = np.ceil((log_alpha - LOG2_ERROR_RECIPROCAL + 53.0) / 26)
+            counts.append(int(max(eta, ell)))
+            eta_terms.append(int(eta))
+    return counts, eta_terms
 
 
 class TestMatExp:
@@ -124,6 +171,88 @@ class TestMatExp:
             mat_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             mat_exp(np.full((2, 2), np.inf))
+
+
+#: exp(M) = I + M to 1e-16 relative, but |M|^p grows like (2a)^p: the
+#: power norms ask for no squarings and ell asks for several.
+NONNORMAL = np.array([[12345.678, 12345.678**2], [-1.0, -12345.678]])
+
+
+class TestSquarings:
+    """The count skips ell only where it cannot bind, so it is always the full count."""
+
+    def check(self, stack):
+        """The counts of a stack and of each matrix alone equal the full counts."""
+        counts, eta_terms = full_squarings(stack)
+        assert squarings_of(stack).tolist() == counts
+        for matrix, count in zip(stack, counts):
+            assert squarings_of(matrix[np.newaxis]).tolist() == [count]
+        return counts, eta_terms
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3, 5, 8):
+            stack = rng.normal(size=(120, n, n))
+            stack *= (np.logspace(-6, 4, 120) / np.linalg.norm(stack, 1, axis=(1, 2)))[
+                :, None, None
+            ]
+            self.check(stack)
+
+    def test_strongly_nonnormal_matrices(self):
+        rng = np.random.default_rng(43)
+        stack = []
+        for n in (2, 3, 4):
+            for scale in np.logspace(-12, 2, 15):
+                upper = np.triu(np.full((n, n), 1e8), 1)
+                stack.append((np.diag(rng.uniform(-1.0, 1.0, n)) + upper) * scale)
+            counts, eta_terms = self.check(np.array(stack))
+            # ||A|| far above the power norms: the norm bound cannot rule ell out.
+            bounds = [
+                math.ceil(math.log2(np.linalg.norm(a, 1)) + (53.0 - LOG2_ERROR_RECIPROCAL) / 26)
+                for a in stack
+            ]
+            assert any(b > e for b, e in zip(bounds, eta_terms))
+            stack.clear()
+        counts, eta_terms = self.check(NONNORMAL[np.newaxis])
+        assert counts[0] > eta_terms[0]
+
+    def test_augmented_generator_of_a_nearly_driftless_system(self):
+        a, noise = 1e-8 * np.eye(2), np.eye(2)
+        generator = np.block([[-a, noise], [np.zeros((2, 2)), a.T]])
+        self.check(generator * np.logspace(-3, 8, 45)[:, None, None])
+
+    def test_zero_matrix(self):
+        assert squarings_of(np.zeros((3, 4, 4))).tolist() == [0, 0, 0]
+        self.check(np.zeros((2, 1, 1)))
+
+    def test_norms_near_the_float_limit(self):
+        rng = np.random.default_rng(47)
+        stack = rng.normal(size=(6, 3, 3))
+        stack *= (np.logspace(298, 300, 6) / np.linalg.norm(stack, 1, axis=(1, 2)))[:, None, None]
+        self.check(stack)
+        self.check(np.array([[[1e300]], [[-1e300]], [[1.7e308]]]))
+
+    def test_matrix_where_the_norm_bound_equals_the_power_norm_term(self):
+        # For [[c]] with log2 c = k + 2, ceil(log2 c + (53 - log2(1/|c_27|)) / 26)
+        # and ceil(log2(c / theta_13)) are both k.
+        for k in range(-3, 8):
+            c = 2.0 ** (k + 2)
+            bound = math.ceil(math.log2(c) + (53.0 - LOG2_ERROR_RECIPROCAL) / 26)
+            counts, eta_terms = self.check(np.array([[[c]], [[-c]]]))
+            assert eta_terms == [max(bound, 0)] * 2
+        # Every placement of log2 c within a few units, at 1/64 steps.
+        self.check(2.0 ** np.arange(-4.0, 12.0, 1.0 / 64)[:, None, None])
+
+    def test_mixed_stack_with_one_matrix_that_needs_ell(self):
+        # Diagonal matrices have ||(|A|)^27|| = ||A||^27, so ell never binds for them.
+        rng = np.random.default_rng(53)
+        stack = rng.normal(size=(40, 2))[:, :, None] * np.eye(2)
+        stack *= (np.logspace(-3, 3, 40) / np.linalg.norm(stack, 1, axis=(1, 2)))[:, None, None]
+        for place in (0, 17, 40):
+            mixed = np.insert(stack, place, NONNORMAL, axis=0)
+            counts, eta_terms = self.check(mixed)
+            binding = [i for i, (c, e) in enumerate(zip(counts, eta_terms)) if c > e]
+            assert binding == [place]
 
 
 class TestSymEig:

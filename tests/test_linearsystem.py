@@ -9,6 +9,7 @@ import pytest
 from lincoder import (
     LinearSystemModel,
     TrajectoryDataset,
+    demo_model,
     increment_distribution,
     increment_rate,
     sample_paths,
@@ -189,6 +190,61 @@ class TestTimeVaryingPass:
         assert segment_count(model, 0.0, 3.0) <= 1100 and segment_count(model, 0.0, 30.0) >= 1e4
         assert peaks[2] <= 1.5 * peaks[1]
 
+    def test_overflow_is_an_infinite_rate_without_warnings(self):
+        # As for the constant drift, an overflowing W reads as an infinite
+        # rate; a numpy warning would fail the test under the suite's filter.
+        constant = LinearSystemModel.constant(0.5 * np.eye(2), np.eye(2))
+        rising = LinearSystemModel.time_varying(lambda t: 0.5 * np.eye(2), 2, np.eye(2))
+        assert increment_rate(constant, 1500.0, 0.01).rate_bits == math.inf
+        assert increment_rate(rising, 1500.0, 0.01).rate_bits == math.inf
+
+    def test_each_slice_of_drift_matrices_is_checked_once(self, monkeypatch):
+        model = LinearSystemModel.time_varying(lambda t: math.cos(t) * ROTATION, 2, np.eye(2))
+        segments = segment_count(model, 0.0, 10.0)
+        slices = -(-segments // max(1, linearsystem._EXP_CHUNK_BYTES // (8 * 4**2)))
+        checks = []
+        stack, square = linearsystem.TimeVaryingDrift._stack, linearsystem.as_square
+        monkeypatch.setattr(
+            linearsystem.TimeVaryingDrift,
+            "_stack",
+            lambda drift, times: checks.append(len(times)) or stack(drift, times),
+        )
+        monkeypatch.setattr(
+            linearsystem, "as_square", lambda *args: checks.append(1) or square(*args)
+        )
+        _transition_and_gramian(model, 0.0, 10.0)
+        assert segments >= 3000 and len(checks) <= slices + 1
+        assert sum(checks) == 2 * segments + 1
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([[np.nan, 0.0], [0.0, -1.0]]), r"^drift matrix contains non-finite entries$"),
+            (np.zeros((2, 3)), r"^drift matrix must be square, got shape \(2, 3\)$"),
+            (np.zeros(2), r"^drift matrix must be 2-dimensional, got shape \(2,\)$"),
+            (np.zeros((0, 0)), r"^drift matrix must be non-empty$"),
+            (-np.eye(3), r"^time-varying drift returned a matrix of wrong size$"),
+        ],
+        ids=["nan", "non-square", "one-dimensional", "empty", "wrong-size"],
+    )
+    @pytest.mark.parametrize("start", [0.0, 0.4], ids=["at-start", "in-a-slice"])
+    def test_bad_drift_matrix_keeps_its_error(self, bad, message, start):
+        model = LinearSystemModel.time_varying(
+            lambda t: -np.eye(2) if t < start else bad, 2, np.eye(2)
+        )
+        with pytest.raises(ValueError, match=message):
+            _transition_and_gramian(model, 0.0, 1.0)
+
+    def test_first_bad_drift_matrix_decides_the_error(self):
+        non_square, nan = np.zeros((2, 3)), np.full((2, 2), np.nan)
+        for first, then, message in ((non_square, nan, "square"), (nan, non_square, "non-finite")):
+            def matrix_at(t, first=first, then=then):
+                return -np.eye(2) if t < 0.3 else first if t < 0.5 else then
+
+            model = LinearSystemModel.time_varying(matrix_at, 2, np.eye(2))
+            with pytest.raises(ValueError, match=message):
+                _transition_and_gramian(model, 0.0, 1.0)
+
 
 class TestIncrementDistribution:
     def test_pure_brownian_covariance(self):
@@ -259,6 +315,27 @@ class TestIncrementDistribution:
             assert np.array_equal(phi, _transition_and_gramian(model, t, dt)[0])
             law = increment_distribution(model, np.zeros(3), t, dt)
             assert np.array_equal(cov, law.covariance)
+
+    @pytest.mark.parametrize("name", ["unstable", "marginal", "stable"])
+    def test_mixed_doubling_stack_matches_single_intervals_bit_for_bit(self, name):
+        # One shuffled stack with 0 to about 40 doublings, sorted by doubling
+        # count for the composition and put back; on the unstable drift,
+        # dt = 1e4 overflows to inf.  Each entry must come out as if alone.
+        model = demo_model(name)
+        norm = np.linalg.norm(model.drift.matrix, 1)
+        rng = np.random.default_rng(59)
+        grid = rng.permutation(np.append(np.logspace(-3, 12.5, 40) / norm, 1e4))
+        split = np.maximum(norm * grid, GRAMIAN_SPLIT_NORM) / GRAMIAN_SPLIT_NORM
+        assert np.ceil(np.log2(split)).min() == 0 and np.ceil(np.log2(split)).max() >= 38
+        calm = rng.permutation(np.logspace(-4, math.log10(0.9 * GRAMIAN_SPLIT_NORM / norm), 12))
+        for stack in (grid, calm):
+            phis, covariances = _transition_and_gramian(model, 0.0, stack)
+            for dt, phi, cov in zip(stack, phis, covariances):
+                single_phi, single_cov = _transition_and_gramian(model, 0.0, dt)
+                assert np.array_equal(phi, single_phi, equal_nan=True)
+                assert np.array_equal(cov, single_cov, equal_nan=True)
+        overflowed = _transition_and_gramian(model, 0.0, grid)[1][grid == 1e4]
+        assert (not np.isfinite(overflowed).any()) == (name == "unstable")
 
     def test_nonpositive_interval_rejected(self):
         model = LinearSystemModel.constant([[-1.0]], [[1.0]])
