@@ -114,14 +114,11 @@ def _cmd_rdf_curve(args) -> int:
     model = _model_from_config(_require(config, "system"))
     distortion = _read(config, "distortion", _distortion_type)
     dts, axis = _grid_from_config(_require(config, "grid"))
-    out = args.out or config.get("out")
-    if not out:
-        raise ConfigError("no output path: pass --out or set 'out' in the config")
     curve = rate_curve(model, distortion, dts)
-    write_rate_curve(model, distortion, dts, curve, axis, out)
+    write_rate_curve(model, distortion, dts, curve, axis, args.out)
     if curve.asymptote_bits is not None:
         print(f"asymptote_bits={format_float(curve.asymptote_bits)}")
-    print(f"out={out}")
+    print(f"out={args.out}")
     return 0
 
 
@@ -152,12 +149,9 @@ def _cmd_sample(args) -> int:
     x0 = _read(config, "x0", as_vector)
     steps = _read(config, "steps", int)
     trials = _read(config, "trials", int)
-    out = args.out or config.get("out")
-    if not out:
-        raise ConfigError("no output path: pass --out or set 'out' in the config")
     dataset = sample_paths(model, x0, dt, steps, trials, args.seed)
-    write_trajectories(dataset, out)
-    print(f"trials={dataset.trials} steps={dataset.steps} out={out}")
+    write_trajectories(dataset, args.out)
+    print(f"trials={dataset.trials} steps={dataset.steps} out={args.out}")
     return 0
 
 
@@ -214,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     curve = sub.add_parser("rdf-curve", help="code rate along a sampling grid")
     curve.add_argument("--config", required=True)
-    curve.add_argument("--out")
+    curve.add_argument("--out", required=True)
     curve.set_defaults(handler=_cmd_rdf_curve)
 
     rate = sub.add_parser("min-rate", help="minimum sampling rate under a capacity")
@@ -223,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sample = sub.add_parser("sample", help="generate a training dataset")
     sample.add_argument("--config", required=True)
-    sample.add_argument("--out")
+    sample.add_argument("--out", required=True)
     sample.add_argument("--seed", type=_seed_type, required=True)
     sample.set_defaults(handler=_cmd_sample)
 

@@ -43,9 +43,6 @@ GRAMIAN_SPLIT_NORM = 4.0
 #: Magnus segment floor and norm factor for time-varying drift.
 MIN_SUBSTEPS = 64
 SUBSTEP_NORM_FACTOR = 16.0
-#: Cholesky pivot cutoff (relative to the trace) below which the noise
-#: square root falls back to the eigenvalue square root.
-SQRT_PIVOT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,9 +67,6 @@ class TimeVaryingDrift:
 
     matrix_at: Callable[[float], np.ndarray]
     dimension: int
-
-    def evaluate(self, t: float) -> np.ndarray:
-        return self._stack([t])[0]
 
     def _stack(self, times: list) -> np.ndarray:
         """A(s) at each time of a list as one stack (len(times), n, n), checked at once.
@@ -161,6 +155,26 @@ def _compose(phi_j, w_j, phi, w):
     return phi_j @ phi, _symmetrize(phi_j @ w @ phi_j.swapaxes(-1, -2) + w_j)
 
 
+def _magnus(model: LinearSystemModel, t: float, dt: float, m: int):
+    """(Phi, W) over [t, t + dt] from m Magnus segments, and the largest norm1(A) at their nodes."""
+    n, noise = model.dimension, model.noise_intensity
+    nodes = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
+    size = max(1, _EXP_CHUNK_BYTES // (8 * (2 * n) ** 2))
+    h = dt / m
+    pair, peak = (np.eye(n), np.zeros((n, n))), 0.0
+    for first in range(0, m, size):
+        times = t + (np.arange(first, min(first + size, m))[:, None] + nodes) * h
+        a = model.drift._stack(times.ravel().tolist())
+        peak = max(peak, float(np.linalg.norm(a, 1, axis=(1, 2)).max()))
+        m1, m2 = _generators(a.reshape(times.shape + (n, n)), noise).swapaxes(0, 1)
+        commutator = m1 @ m2 - m2 @ m1
+        omegas = 0.5 * h * (m1 + m2) + (math.sqrt(3.0) / 12.0 * h * h) * commutator
+        with np.errstate(over="ignore", invalid="ignore"):
+            for phi_j, w_j in zip(*_van_loan(omegas)):
+                pair = _compose(phi_j, w_j, *pair)
+    return pair, peak
+
+
 def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     """Transition matrix Phi and increment covariance W over [t, t + dt].
 
@@ -179,10 +193,12 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     in order at the end.
     For unstable drift at extreme horizons entries may overflow to inf, which
     callers treat as an unbounded-rate signal.
-    Time-varying drift: per interval, max(MIN_SUBSTEPS, ceil(SUBSTEP_NORM_FACTOR
-    * norm1(A(t)) * dt)) segments of length h, counted from the drift at the
-    start of the window only.  Each segment takes the fourth-order Magnus
-    generator h/2 (M1 + M2) + sqrt(3) h^2/12 (M1 M2 - M2 M1), M1 and M2 at
+    Time-varying drift: per interval, one pass of MIN_SUBSTEPS segments of
+    length h, then a second pass of ceil(SUBSTEP_NORM_FACTOR * peak * dt)
+    segments when that is more, peak being the largest norm1(A) at the first
+    pass's nodes, so the count follows the drift across the window.  Each
+    segment takes the fourth-order Magnus generator
+    h/2 (M1 + M2) + sqrt(3) h^2/12 (M1 M2 - M2 M1), M1 and M2 at
     the two Gauss nodes (Blanes, Casas, Oteo & Ros 2009, Phys. Rep. 470), so
     the error falls as h^4.  Segments are exponentiated in slices of
     _EXP_CHUNK_BYTES, so memory does not grow with their number, and the
@@ -215,23 +231,12 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
             restore = np.argsort(order)
             phi, w = phi[restore], w[restore]
     else:
-        norm = float(np.linalg.norm(model.drift.evaluate(t), 1))
-        nodes = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
-        size = max(1, _EXP_CHUNK_BYTES // (8 * (2 * n) ** 2))
         phi, w = np.empty((2,) + intervals.shape + (n, n))
         for i, dt_i in enumerate(intervals.tolist()):
-            m = max(MIN_SUBSTEPS, int(math.ceil(dt_i * norm * SUBSTEP_NORM_FACTOR)))
-            h = dt_i / m
-            pair = np.eye(n), np.zeros((n, n))
-            for first in range(0, m, size):
-                times = t + (np.arange(first, min(first + size, m))[:, None] + nodes) * h
-                a = model.drift._stack(times.ravel().tolist()).reshape(times.shape + (n, n))
-                m1, m2 = _generators(a, noise).swapaxes(0, 1)
-                commutator = m1 @ m2 - m2 @ m1
-                omegas = 0.5 * h * (m1 + m2) + (math.sqrt(3.0) / 12.0 * h * h) * commutator
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for phi_j, w_j in zip(*_van_loan(omegas)):
-                        pair = _compose(phi_j, w_j, *pair)
+            pair, peak = _magnus(model, t, dt_i, MIN_SUBSTEPS)
+            m = int(math.ceil(SUBSTEP_NORM_FACTOR * peak * dt_i))
+            if m > MIN_SUBSTEPS:
+                pair = _magnus(model, t, dt_i, m)[0]
             phi[i], w[i] = pair
     return phi.reshape(dts.shape + (n, n)), w.reshape(dts.shape + (n, n))
 
@@ -248,18 +253,8 @@ def increment_distribution(
 
 
 def _covariance_sqrt(cov: np.ndarray) -> np.ndarray:
-    """Cholesky factor, or the eigenvalue square root when near-singular."""
-    with np.errstate(over="ignore"):
-        # A finite W near the float limit can have an infinite trace; the
-        # eigenvalue square root then takes over.
-        trace = float(np.trace(cov))
-    try:
-        chol = np.linalg.cholesky(cov)
-        if float(np.min(np.diag(chol))) ** 2 >= SQRT_PIVOT_RTOL * max(trace, 0.0):
-            return chol
-    except np.linalg.LinAlgError:
-        pass
-    values, vectors = np.linalg.eigh(_symmetrize(cov))
+    """Eigenvalue square root R = V sqrt(max(Lambda, 0)) of W: R R^T = W, singular W included."""
+    values, vectors = np.linalg.eigh(cov)
     return vectors * np.sqrt(np.clip(values, 0.0, None))
 
 

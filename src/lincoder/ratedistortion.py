@@ -71,11 +71,10 @@ def _water_fill(covariances: np.ndarray, distortion: float):
     active = variances > allocations
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rate_nats = 0.5 * np.log(np.where(active, variances / allocations, 1.0)).sum(axis=1)
-    # A budget covering the total variance costs nothing: every mode is fully
-    # allocated.  Otherwise a zero budget on positive variance costs infinity.
+    # A zero budget gives theta = 0 and log(variance / 0) = inf on every
+    # positive mode.  A budget covering the total variance costs nothing:
+    # every mode is fully allocated.
     free = distortion >= suffix[:, 0]
-    if distortion == 0.0:
-        rate_nats[:], theta[:], allocations[:] = math.inf, 0.0, 0.0
     rate_nats[free], theta[free], allocations[free] = 0.0, variances[free, 0], variances[free]
     return rate_nats, theta, allocations
 

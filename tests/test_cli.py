@@ -128,7 +128,8 @@ class TestRdfCurve:
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
-        rc = main(["rdf-curve", "--config", str(tmp_path / "absent.json")])
+        absent, out = str(tmp_path / "absent.json"), str(tmp_path / "curve.csv")
+        rc = main(["rdf-curve", "--config", absent, "--out", out])
         assert rc == 2
 
 
@@ -593,6 +594,119 @@ class TestConfigValueTypes:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("command", ["rdf-curve", "sample"])
+    def test_missing_out_is_a_usage_error(self, tmp_path, capsys, command):
+        # A config key "out" names no file: --out is the one output path.
+        out = tmp_path / "out.csv"
+        config = write_config(tmp_path, "config.json", {**BASE_CONFIGS[command], "out": str(out)})
+        argv = [command, "--config", config] + (["--seed", "1"] if command == "sample" else [])
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConfigFileErrors:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"system": "unstable",', "is not valid JSON"),
+            ('["unstable"]', "must hold a JSON object"),
+        ],
+        ids=["invalid-json", "not-an-object"],
+    )
+    def test_unusable_config_is_a_config_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "mr.json"
+        path.write_text(text)
+        assert main(["min-rate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: config {path} {message}")
+
+    @pytest.mark.parametrize(
+        "system, message",
+        [
+            (
+                {"A": [[-1.0, 0.0], [0.0, -1.0]], "N": [[1.0, 0.0], [0.0, -1.0]]},
+                "noise intensity is not positive semidefinite",
+            ),
+            (
+                {"A": [[-1.0]], "N": [[1.0, 0.0], [0.0, 1.0]]},
+                "drift and noise intensity sizes do not agree",
+            ),
+        ],
+        ids=["noise-not-psd", "size-mismatch"],
+    )
+    def test_invalid_system_matrices_are_a_config_error(self, tmp_path, capsys, system, message):
+        config = write_config(tmp_path, "mr.json", {**BASE_CONFIGS["min-rate"], "system": system})
+        assert main(["min-rate", "--config", config]) == 2
+        assert capsys.readouterr().err == f"error: invalid system matrices: {message}\n"
+
+    def test_grid_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys):
+        payload = {**BASE_CONFIGS["rdf-curve"], "grid": [0.1, 1.0]}
+        config = write_config(tmp_path, "curve.json", payload)
+        out = tmp_path / "curve.csv"
+        assert main(["rdf-curve", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: grid must be an object with min, max and points\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_a_usage_error(self, tmp_path, capsys, seed):
+        config = write_config(tmp_path, "sample.json", BASE_CONFIGS["sample"])
+        out = tmp_path / "train.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sample", "--config", config, "--out", str(out), "--seed", seed])
+        assert exit_info.value.code == 2
+        assert "seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDatasetFileErrors:
+    """A malformed training dataset makes emulate exit 1, naming the file, and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("trial,k,x1\n0,0,1\n", "has an unexpected header"),
+            ("trial,k,t,x1,x2\n", "contains no data rows"),
+            ("trial,k,t,x1,x2\n0,0,0,1\n0,1,0.1,2\n", "has a malformed row: '0,0,0,1'"),
+            ("trial,k,t,x1\n0,0,0,1\n1,0,0,2\n", "holds a single time point per trial"),
+            ("trial,k,t,x1\n0,0,0,1\n0,1,0,2\n", "has no usable time column"),
+        ],
+        ids=["header", "no-rows", "column-count", "single-time-point", "zero-dt"],
+    )
+    def test_malformed_dataset_fails(self, tmp_path, capsys, text, message):
+        data_path, family_path = tmp_path / "train.csv", tmp_path / "family.json"
+        data_path.write_text(text)
+        dump_family(planar_grid_family(), family_path)
+        out = tmp_path / "emulated.csv"
+        args = [str(data_path), str(family_path), "--resolution", "1", "--seed", "1"]
+        assert main(["emulate", *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: dataset file {data_path} {message}\n"
+        assert not out.exists()
+
+
+class TestSampleGoldenBytes:
+    """sample outputs recorded by sha256; any change to them is a determinism notice."""
+
+    @pytest.mark.parametrize(
+        "system, digest",
+        [
+            # the README walkthrough: W(dt) = w I, whose eigenvectors are the unit vectors
+            ("stable", "1d2e8d98804ad2b81653d68b56244233b5b4de35a3050444d16d69853239a273"),
+            ("marginal", "078d64018593442a3e00ac25c31423233afd303850103d03d93a340484792e5c"),
+        ],
+    )
+    def test_readme_config(self, tmp_path, capsys, system, digest):
+        payload = {"system": system, "x0": [1.0, 1.0], "dt": 0.01, "steps": 300, "trials": 50}
+        config = write_config(tmp_path, "sample.json", payload)
+        out = tmp_path / "train.csv"
+        assert main(["sample", "--config", config, "--out", str(out), "--seed", "7"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert capsys.readouterr().out == f"trials=50 steps=300 out={out}\n"
 
 
 class TestCurveByteDeterminism:

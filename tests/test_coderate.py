@@ -238,6 +238,26 @@ class TestRateCurve:
         with pytest.raises(ValueError):
             rate_curve(model, 0.01, [-1.0, 0.5])
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda model: rate_ceiling(model, 0.01), "^rate ceiling requires constant drift$"),
+            (
+                lambda model: min_sampling_rate(model, 0.01, 8.0),
+                "^minimum sampling rate requires constant drift$",
+            ),
+        ],
+        ids=["rate-ceiling", "min-sampling-rate"],
+    )
+    def test_time_varying_model_refused(self, call, message):
+        model = LinearSystemModel.time_varying(lambda t: -np.eye(2), 2, np.eye(2))
+        with pytest.raises(ValueError, match=message):
+            call(model)
+
+    def test_two_dimensional_grid_refused(self):
+        with pytest.raises(ValueError, match="^dt grid must be a non-empty vector$"):
+            rate_curve(demo_model("stable"), 0.01, [[0.1, 1.0]])
+
     def test_time_varying_model_rejected_before_any_work(self, monkeypatch):
         from lincoder import linearsystem
 

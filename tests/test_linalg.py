@@ -320,6 +320,10 @@ class TestLyapunov:
         with pytest.raises(NoEquilibriumError):
             lyapunov_solve(np.diag([-1.0, 1.0]), np.eye(2))
 
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^drift and noise matrices must have the same size$"):
+            lyapunov_solve(-np.eye(2), np.eye(3))
+
     def test_solvable_anti_stable_drift_has_no_equilibrium(self):
         # A = I has the unique solution W = -I/2, which is not a covariance.
         with pytest.raises(NoEquilibriumError):

@@ -103,8 +103,17 @@ def sinusoidal_drift(rng, n):
 
 
 def segment_count(model, t, dt):
-    norm = float(np.linalg.norm(model.drift.evaluate(t), 1))
-    return max(MIN_SUBSTEPS, int(math.ceil(dt * norm * SUBSTEP_NORM_FACTOR)))
+    """Magnus segments of [t, t + dt]: the floor, or the count that the
+    largest norm1(A) at the Gauss nodes of the floor pass asks for."""
+    nodes = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
+    times = t + (np.arange(MIN_SUBSTEPS)[:, None] + nodes) * (dt / MIN_SUBSTEPS)
+    peak = max(np.linalg.norm(model.drift.matrix_at(s), 1) for s in times.ravel())
+    return max(MIN_SUBSTEPS, int(math.ceil(dt * peak * SUBSTEP_NORM_FACTOR)))
+
+
+def drift_evaluations(segments):
+    """Drift evaluations of one interval: the floor pass, then a finer pass if it needs one."""
+    return 2 * MIN_SUBSTEPS + (2 * segments if segments > MIN_SUBSTEPS else 0)
 
 
 #: a(t) = -0.4 + 0.9 sin t with q = 1.3: Phi and W over [0, dt] have a
@@ -146,33 +155,36 @@ class TestTimeVaryingPass:
         (phi_coarse, w_coarse), (phi_fine, w_fine) = errors
         assert phi_coarse >= 12.0 * phi_fine and w_coarse >= 12.0 * w_fine
 
-    def test_two_drift_evaluations_per_segment(self):
+    @pytest.mark.parametrize("dt", [0.1, 1.5], ids=["floor-pass", "finer-pass"])
+    def test_two_drift_evaluations_per_segment(self, dt):
         rng = np.random.default_rng(89)
         a0, a1 = rng.normal(size=(2, 3, 3))
         calls = []
         model = LinearSystemModel.time_varying(
             lambda t: calls.append(t) or a0 + math.sin(t) * a1, 3, np.eye(3)
         )
-        segments = segment_count(model, 0.4, 1.5)
+        segments = segment_count(model, 0.4, dt)
         calls.clear()
-        increment_distribution(model, np.zeros(3), 0.4, 1.5)
-        assert len(calls) <= 2 * segments + 1
+        increment_distribution(model, np.zeros(3), 0.4, dt)
+        assert (segments > MIN_SUBSTEPS) == (dt > 1.0)
+        assert len(calls) == drift_evaluations(segments)
 
-    def test_rotating_drift_closed_form(self):
-        # A(t) = sin(t) J commutes with itself: Phi(3, s) = expm((cos s - cos 3) J),
-        # and J + J^T = -2 I makes W = I * int_0^3 exp(-2 (cos s - cos 3)) ds.
-        # A(0) = 0 sets the segment count to its floor, far below what the
-        # rotation later asks for.
+    @pytest.mark.parametrize("horizon", [3.0, 30.0])
+    def test_rotating_drift_closed_form(self, horizon):
+        # A(t) = sin(t) J commutes with itself: Phi(T, s) = expm((cos s - cos T) J),
+        # and J + J^T = -2 I makes W = I * int_0^T exp(-2 (cos s - cos T)) ds.
+        # A(0) = 0, so a count read at the start of the window would be the
+        # floor, far below what the rotation later asks for.
         import scipy.linalg
         from scipy.integrate import quad
 
         model = LinearSystemModel.time_varying(lambda t: math.sin(t) * ROTATION, 2, np.eye(2))
-        phi, w = _transition_and_gramian(model, 0.0, 3.0)
-        phi_exact = scipy.linalg.expm((1.0 - math.cos(3.0)) * ROTATION)
-        gain = lambda s: math.exp(-2.0 * (math.cos(s) - math.cos(3.0)))  # noqa: E731
-        w_exact = quad(gain, 0.0, 3.0, epsabs=0.0, epsrel=1e-13)[0] * np.eye(2)
-        assert np.linalg.norm(phi - phi_exact) <= 1e-6 * np.linalg.norm(phi_exact)
-        assert np.linalg.norm(w - w_exact) <= 1e-6 * np.linalg.norm(w_exact)
+        phi, w = _transition_and_gramian(model, 0.0, horizon)
+        phi_exact = scipy.linalg.expm((1.0 - math.cos(horizon)) * ROTATION)
+        gain = lambda s: math.exp(-2.0 * (math.cos(s) - math.cos(horizon)))  # noqa: E731
+        w_exact = quad(gain, 0.0, horizon, epsabs=0.0, epsrel=1e-13, limit=500)[0] * np.eye(2)
+        assert np.linalg.norm(phi - phi_exact) <= 1e-10 * np.linalg.norm(phi_exact)
+        assert np.linalg.norm(w - w_exact) <= 1e-10 * np.linalg.norm(w_exact)
 
     def test_peak_memory_does_not_grow_with_the_segment_count(self):
         import tracemalloc
@@ -213,8 +225,8 @@ class TestTimeVaryingPass:
             linearsystem, "as_square", lambda *args: checks.append(1) or square(*args)
         )
         _transition_and_gramian(model, 0.0, 10.0)
-        assert segments >= 3000 and len(checks) <= slices + 1
-        assert sum(checks) == 2 * segments + 1
+        assert segments >= 3000 and len(checks) == 1 + slices
+        assert sum(checks) == drift_evaluations(segments)
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -484,14 +496,14 @@ class TestSamplePaths:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("dt", [0.05, 40.0], ids=["one-exponential", "doublings"])
-    @pytest.mark.parametrize("singular", [False, True], ids=["cholesky", "eigen-root"])
+    @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
     def test_bit_identical_to_per_cell_loop(self, n, dt, singular):
         rng = np.random.default_rng(100 * n + int(singular))
         a = random_hurwitz(rng, n)
         b = rng.normal(size=(n, n))
         if singular:
             # The last coordinate decouples and gets no noise: W(dt) is
-            # singular and the noise square root takes the eigen path.
+            # singular and its square root has a zero eigenvalue.
             a[-1, :-1] = a[:-1, -1] = 0.0
             b[-1] = 0.0
         model = LinearSystemModel.constant(a, b @ b.T)
@@ -563,6 +575,13 @@ class TestSamplePaths:
         model = LinearSystemModel.time_varying(lambda t: -np.eye(2), 2, np.eye(2))
         with pytest.raises(ValueError):
             sample_paths(model, [0.0, 0.0], 0.1, 2, 2, 0)
+
+    def test_state_of_the_wrong_dimension_rejected(self):
+        model = demo_model("stable")
+        with pytest.raises(ValueError, match="^state dimension does not match the model$"):
+            increment_distribution(model, np.zeros(3), 0.0, 0.1)
+        with pytest.raises(ValueError, match="^initial state dimension does not match the model$"):
+            sample_paths(model, np.zeros(3), 0.1, steps=2, trials=1, seed=0)
 
     @pytest.mark.parametrize("name", ["steps", "trials"])
     @pytest.mark.parametrize(

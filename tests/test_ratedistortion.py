@@ -7,6 +7,7 @@ import pytest
 
 from lincoder import FastPathDomainError, rdf, rdf_small_distortion
 from lincoder.linalg import SYMMETRY_TOL
+from lincoder.ratedistortion import _water_fill
 
 
 def grid_search_rate(variances, distortion, points=1_000_000):
@@ -77,6 +78,21 @@ class TestRdfExamples:
         result = rdf(np.eye(2), 0.0)
         assert math.isinf(result.rate_nats)
         assert math.isinf(result.rate_bits)
+
+    def test_zero_budget_rows(self):
+        # The closed form gives theta = +0, allocations +0 and log(variance / 0)
+        # = inf on every positive mode; the all-zero covariance costs nothing.
+        covariances = [np.zeros((2, 2)), np.diag([1.0, 0.0]), np.eye(2)]
+        rates = [0.0, math.inf, math.inf]
+        for covariance, rate in zip(covariances, rates):
+            result = rdf(covariance, 0.0)
+            assert (result.rate_nats, result.rate_bits, result.water_level) == (rate, rate, 0.0)
+            assert result.allocations.tolist() == [0.0, 0.0]
+            assert not np.signbit(result.water_level) and not np.signbit(result.allocations).any()
+        rate, level, allocations = _water_fill(np.stack(covariances), 0.0)
+        assert rate.tolist() == rates
+        assert level.tolist() == [0.0] * 3 and allocations.tolist() == [[0.0, 0.0]] * 3
+        assert not np.signbit(level).any() and not np.signbit(allocations).any()
 
     def test_singular_covariance_zero_mode_carries_no_rate(self):
         result = rdf(np.diag([1.0, 0.0]), 0.5)

@@ -77,3 +77,12 @@ def test_cli_walkthrough_runs_and_prints_the_documented_keys(tmp_path, monkeypat
     assert (tmp_path / "family.json").exists()
     for name in ("curve.csv", "train.csv", "emulated.csv"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+def test_package_layout_names_every_module():
+    block = re.search(
+        r"^## Package layout\n.*?```\n(.*?)```", README.read_text(), re.S | re.M
+    ).group(1)
+    listed = re.findall(r"^  (\S+\.py) ", block, re.M)
+    modules = {path.name for path in (README.parent / "src" / "lincoder").glob("*.py")}
+    assert sorted(listed) == sorted(modules)
