@@ -97,14 +97,9 @@ def _grid_from_config(spec) -> tuple[np.ndarray, str]:
     log = spec.get("log", True)
     if not isinstance(log, bool):
         raise ConfigError("grid log must be true or false")
-    if points < 1 or not low > 0.0 or (points > 1 and not low < high < np.inf):
-        raise ConfigError("grid needs points >= 1 and 0 < min < max < inf")
-    if points == 1:
-        axis_values = np.array([low])
-    elif log:
-        axis_values = np.logspace(np.log10(low), np.log10(high), points)
-    else:
-        axis_values = np.linspace(low, high, points)
+    if points < 1 or not 0.0 < low <= high < np.inf or (points > 1 and low == high):
+        raise ConfigError("grid needs points >= 1 and 0 < min < max < inf (min = max with 1 point)")
+    axis_values = (np.geomspace if log else np.linspace)(low, high, points)
     dts = axis_values if axis == "dt" else np.sort(1.0 / axis_values)
     return dts, axis
 

@@ -185,10 +185,9 @@ def _simplex_codes(family: SourceFamily, targets: np.ndarray) -> tuple[np.ndarra
     """
     per_field = solve_nonnegative_lp(family.field_matrix(), targets)
     z = per_field.sum(axis=-1)
-    p = np.full(per_field.shape, 1.0 / family.size)
-    moving = z > 0.0
-    p[moving] = per_field[moving] / z[moving, None]
-    p[np.isnan(z)] = np.nan
+    with np.errstate(invalid="ignore"):
+        p = per_field / z[..., None]
+    p[z == 0.0] = 1.0 / family.size
     return p, z
 
 

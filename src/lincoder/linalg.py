@@ -183,23 +183,19 @@ def _pade(a: np.ndarray, a2, a4, a6):
 
 
 def _exp_stack(a: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a stack (m, n, n), which it overwrites."""
+    """exp of each matrix of a stack (m, n, n)."""
     with np.errstate(over="ignore", invalid="ignore"):
         a2 = a @ a
         a4 = a2 @ a2
         a6 = a4 @ a2
         squarings = _squarings(a, a4, a6, a4 @ a4)
         if squarings.any():
-            scale = (0.5**squarings)[:, np.newaxis, np.newaxis]
-            for k, power in enumerate((a, a2, a4, a6)):
-                power *= scale ** max(1, 2 * k)
-            # A power that overflowed before scaling is inf, and inf * 2^-2ks
-            # is NaN: form those matrices' powers again from the scaled A.
-            lost = np.flatnonzero(~np.isfinite(a6).all(axis=(1, 2)))
-            if lost.size:
-                a2[lost] = a[lost] @ a[lost]
-                a4[lost] = a2[lost] @ a2[lost]
-                a6[lost] = a4[lost] @ a2[lost]
+            # Scaling by 2^-s is exact, so the powers of the scaled A are the
+            # scaled powers, and finite where the unscaled ones overflowed.
+            a = a * (0.5**squarings)[:, np.newaxis, np.newaxis]
+            a2 = a @ a
+            a4 = a2 @ a2
+            a6 = a4 @ a2
         numerator, denominator = _pade(a, a2, a4, a6)
     out = np.linalg.solve(denominator, numerator)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -222,7 +218,7 @@ def mat_exp(matrix) -> np.ndarray:
     """
     arr = _as_square_stack(matrix)
     n = arr.shape[-1]
-    a = arr.reshape(-1, n, n).copy()
+    a = arr.reshape(-1, n, n)
     size = max(1, _EXP_CHUNK_BYTES // (a.itemsize * n * n))
     chunks = [_exp_stack(a[i : i + size]) for i in range(0, max(len(a), 1), size)]
     return np.concatenate(chunks).reshape(arr.shape)

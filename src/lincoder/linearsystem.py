@@ -68,6 +68,9 @@ class TimeVaryingDrift:
     matrix_at: Callable[[float], np.ndarray]
     dimension: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "dimension", _positive_int(self.dimension, "dimension"))
+
     def _stack(self, times: list) -> np.ndarray:
         """A(s) at each time of a list as one stack (len(times), n, n), checked at once.
 
@@ -115,7 +118,7 @@ class LinearSystemModel:
 
     @classmethod
     def time_varying(cls, matrix_at, dimension, noise) -> "LinearSystemModel":
-        return cls(TimeVaryingDrift(matrix_at, _positive_int(dimension, "dimension")), noise)
+        return cls(TimeVaryingDrift(matrix_at, dimension), noise)
 
     @property
     def dimension(self) -> int:
@@ -188,9 +191,9 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     interval doublings (_compose with Phi_j = Phi); k is 0 while
     norm1(A) * dt <= GRAMIAN_SPLIT_NORM.  The exponentials of all intervals
     are one stacked call, and each interval is doubled only its own k times:
-    when any interval doubles, the stack is sorted once by k, so that the
-    intervals still doubling in each round are a suffix of it, and put back
-    in order at the end.
+    the stack is sorted once by k (stably), so that the intervals still
+    doubling in each round are a suffix of it, and put back in order at the
+    end.
     For unstable drift at extreme horizons entries may overflow to inf, which
     callers treat as an unbounded-rate signal.
     Time-varying drift: per interval, one pass of MIN_SUBSTEPS segments of
@@ -216,9 +219,8 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
         a = model.drift.matrix
         scale = np.maximum(np.linalg.norm(a, 1) * intervals, GRAMIAN_SPLIT_NORM)
         doublings = np.minimum(96, np.ceil(np.log2(scale / GRAMIAN_SPLIT_NORM))).astype(int)
-        order = np.argsort(doublings, kind="stable") if doublings.any() else None
-        if order is not None:
-            intervals, doublings = intervals[order], doublings[order]
+        order = np.argsort(doublings, kind="stable")
+        intervals, doublings = intervals[order], doublings[order]
         phi, w = _van_loan(_generators(a, noise) * (intervals / 2.0**doublings)[:, None, None])
         # In ascending order of doublings, those doubled more than k times
         # are the suffix from the first with more than k.
@@ -227,9 +229,8 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
             for start in starts.tolist():
                 p, q = phi[start:], w[start:]
                 phi[start:], w[start:] = _compose(p, q, p, q)
-        if order is not None:
-            restore = np.argsort(order)
-            phi, w = phi[restore], w[restore]
+        restore = np.argsort(order)
+        phi, w = phi[restore], w[restore]
     else:
         phi, w = np.empty((2,) + intervals.shape + (n, n))
         for i, dt_i in enumerate(intervals.tolist()):

@@ -14,10 +14,13 @@ EMULATION_LANE = 1
 
 
 def substream(seed: int, lane: int, major: int, minor: int) -> np.random.Generator:
-    """Fresh generator at the start of cell (major, minor) of (seed, lane)."""
-    if not 0 <= seed < 2**64:
+    """Fresh generator at the start of cell (major, minor) of (seed, lane).
+
+    seed, major and minor are Python or numpy integers, not bools, in [0, 2^64).
+    """
+    if not (np.issubdtype(type(seed), np.integer) and 0 <= seed < 2**64):
         raise ValueError("seed must be an unsigned 64-bit integer")
-    if not (0 <= major < 2**64 and 0 <= minor < 2**64):
+    if not all(np.issubdtype(type(i), np.integer) and 0 <= i < 2**64 for i in (major, minor)):
         raise ValueError("stream indices must be unsigned 64-bit integers")
     counter = np.array([0, minor, major, 0], dtype=np.uint64)
     key = np.array([seed, lane], dtype=np.uint64)

@@ -72,6 +72,35 @@ class TestRdfCurve:
         assert main(["rdf-curve", "--config", config, "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("high", [float("inf"), float("nan"), 0.0, -5.0])
+    def test_single_point_grid_checks_its_max(self, tmp_path, capsys, high):
+        config = write_config(
+            tmp_path,
+            "curve.json",
+            {
+                "system": "stable",
+                "distortion": 0.01,
+                "grid": {"min": 1.0, "max": high, "points": 1},
+            },
+        )
+        out = tmp_path / "one.csv"
+        assert main(["rdf-curve", "--config", config, "--out", str(out)]) == 2
+        assert "0 < min < max < inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_log_grid_rows_end_on_the_configured_min_and_max(self, tmp_path):
+        # 10^log10(0.3) and 10^log10(30) are not 0.3 and 30; the grid pins both ends.
+        config = write_config(
+            tmp_path,
+            "curve.json",
+            {"system": "stable", "distortion": 0.01, "grid": {"min": 0.3, "max": 30, "points": 7}},
+        )
+        out = tmp_path / "curve.csv"
+        assert main(["rdf-curve", "--config", config, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) == 7
+        assert rows[0].startswith("0.29999999999999999,") and rows[-1].startswith("30,")
+
     def test_explicit_matrices(self, tmp_path):
         config = write_config(
             tmp_path,

@@ -33,7 +33,7 @@ from lincoder import emulation
 from lincoder.csvio import dump_family, load_family
 from lincoder.emulation import COV_SCALE_RTOL, replay_statistics
 from lincoder.rng import EMULATION_LANE, substream
-from lincoder.simplexlp import BASIS_TOL, MAX_BASES, TIE_RTOL
+from lincoder.simplexlp import BASIS_TOL, MAX_BASES, TIE_RTOL, solve_nonnegative_lp
 
 
 def family_from(*vectors):
@@ -430,6 +430,85 @@ class TestSimplexCodec:
 
 
 
+class TestMalformedArguments:
+    """Each refusal through its public entry, with its error type and message."""
+
+    @pytest.mark.parametrize(
+        "probabilities, flow_time, message",
+        [
+            ([], 1.0, "^probability vector must be non-empty$"),
+            ([0.7, 0.7], 1.0, "^probabilities must lie on the simplex$"),
+            ([1.5, -0.5], 1.0, "^probabilities must lie on the simplex$"),
+            ([0.5, 0.5], math.inf, "^flow time must be finite and nonnegative$"),
+            ([0.5, 0.5], math.nan, "^flow time must be finite and nonnegative$"),
+            ([0.5, 0.5], -1.0, "^flow time must be finite and nonnegative$"),
+        ],
+        ids=["empty", "off-simplex", "negative-fraction", "inf-time", "nan-time", "negative-time"],
+    )
+    def test_simplex_code(self, probabilities, flow_time, message):
+        with pytest.raises(ValueError, match=message):
+            SimplexCode(probabilities, flow_time)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([], "^counts must be a non-empty vector$"),
+            ([[1, 2]], "^counts must be a non-empty vector$"),
+            ([1, 1], "^counts must be nonnegative and sum to the resolution$"),
+            ([-1, 4], "^counts must be nonnegative and sum to the resolution$"),
+        ],
+        ids=["empty", "matrix", "short-sum", "negative"],
+    )
+    def test_integer_code(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            IntegerCode(np.array(counts, dtype=int), 3)
+
+    def test_state_or_target_of_the_wrong_dimension(self):
+        fam = family_from([1.0, 0.0], [0.0, 1.0])
+        wrong = [1.0, 1.0, 1.0]
+        with pytest.raises(ValueError, match="^state dimension does not match the family$"):
+            endpoint_map(fam, wrong, [1.0, 1.0])
+        with pytest.raises(ValueError, match="^target dimension does not match the family$"):
+            onehot_compress(fam, wrong, 4, 1.0)
+        with pytest.raises(ValueError, match="^target dimension does not match the family$"):
+            simplex_compress(fam, wrong)
+        with pytest.raises(
+            ValueError, match="^initial state dimension does not match the family$"
+        ):
+            emulate_steps(uniform_codes(3, 2), fam, wrong, 1, 0)
+
+    def test_decompress_code_of_the_wrong_length(self):
+        fam = family_from([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])
+        with pytest.raises(ValueError, match="^code length does not match the family size$"):
+            simplex_decompress(fam, SimplexCode([0.5, 0.5], 1.0))
+
+    @pytest.mark.parametrize("given", ["trial_probabilities", "trial_feasible"])
+    def test_step_codes_with_one_per_trial_field(self, given):
+        fields = {
+            "trial_probabilities": np.full((3, 2, 2), 0.5),
+            "trial_feasible": np.ones((3, 2), dtype=bool),
+        }
+        with pytest.raises(
+            ValueError, match="^per-trial fractions and feasibility must be given together$"
+        ):
+            dataclasses.replace(uniform_codes(3, 2), **{given: fields[given]})
+
+    @pytest.mark.parametrize(
+        "constraints, rhs, message",
+        [
+            ([1.0, 0.0], [1.0], "^expected a constraint matrix and one or more rhs vectors$"),
+            ([[1.0, 0.0]], 1.0, "^expected a constraint matrix and one or more rhs vectors$"),
+            ([[1.0, 0.0]], [1.0, 1.0], "^constraint and rhs sizes do not agree$"),
+            ([[1.0, np.nan]], [1.0], "^linear program data must be finite$"),
+            ([[1.0, 0.0]], [np.inf], "^linear program data must be finite$"),
+        ],
+        ids=["vector-constraints", "scalar-rhs", "rhs-size", "nan-constraints", "inf-rhs"],
+    )
+    def test_linear_program(self, constraints, rhs, message):
+        with pytest.raises(ValueError, match=message):
+            solve_nonnegative_lp(constraints, rhs)
+
+
 class TestIntegerQuantize:
     def test_one_hot(self):
         code = SimplexCode(np.array([0.0, 1.0, 0.0]), 1.0)
@@ -696,6 +775,20 @@ class TestEmulate:
         codes = StepCodes(probabilities, np.full(5, 0.01), np.full(5, 1), np.zeros(5, dtype=int))
         with pytest.raises(ValueError):
             emulate_steps(codes, fam, [0.0, 0.0], 3, 0)
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_replay_seed_must_be_an_integer(self, seed):
+        # A float or bool seed would otherwise be truncated to seed 1's replay.
+        fam = family_from([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])
+        with pytest.raises(ValueError, match="^seed must be an unsigned 64-bit integer$"):
+            emulate_steps(half_plane_codes(True), fam, [1.0, 1.0], 7, seed)
+
+    def test_replay_takes_the_largest_numpy_seed(self):
+        fam = family_from([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])
+        codes = half_plane_codes(True)
+        plain = emulate_steps(codes, fam, [1.0, 1.0], 7, 2**64 - 1)
+        numpy = emulate_steps(codes, fam, [1.0, 1.0], 7, np.uint64(2**64 - 1))
+        assert plain.tobytes() == numpy.tobytes()
 
     def test_each_step_replays_one_trial_not_their_average(self):
         # Three trials move along e1, e2 and -e1 at the same flow time.  The

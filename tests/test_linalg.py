@@ -1,5 +1,6 @@
 """Kernel tests: matrix exponential, symmetric eigen, Lyapunov, logdet."""
 
+import hashlib
 import math
 import warnings
 
@@ -15,6 +16,7 @@ from lincoder import (
     mat_exp,
     sym_eig,
 )
+from lincoder import linalg
 from lincoder.linalg import _squarings, _symmetrize
 
 
@@ -139,8 +141,8 @@ class TestMatExp:
 
     @pytest.mark.parametrize("entry", [-1e200, -1e160])
     def test_huge_negative_scalar_decays_to_zero(self, entry):
-        # A^2 overflows before scaling; the powers are formed again from
-        # the scaled A instead of giving inf * 2^-2s = NaN.
+        # A^2 overflows before scaling; the powers of the scaled A do not,
+        # where scaling the overflowed power would give inf * 2^-2s = NaN.
         assert np.array_equal(mat_exp([[entry]]), [[0.0]])
 
     def test_overflowing_matrix_leaves_its_stack_neighbours_unchanged(self):
@@ -154,13 +156,39 @@ class TestMatExp:
             assert np.array_equal(mat_exp([[1e200]]), [[np.inf]])
 
     def test_caller_array_is_left_unchanged(self):
-        # The exponential scales its working stack in place before squaring.
+        # Both matrices need squarings, so the exponential forms a scaled
+        # copy of the stack and its powers; the caller's array stays as given.
         m = np.random.default_rng(3).normal(size=(2, 4, 4))
         m *= 100.0 / np.linalg.norm(m, 1, axis=(1, 2))[:, None, None]
         before = m.copy()
         mat_exp(m)
         mat_exp(m[0])
         assert np.array_equal(m, before)
+
+    def test_golden_bits(self):
+        # Recorded bits of seeded stacks, sign bits included: dense matrices
+        # (norms 1e-3 to 1e2), negative definite ones (1e-3 to 1e100) and
+        # strictly upper triangular ones minus I/2 (1e-3 to 1e40).  They
+        # take no squarings, a few and hundreds, and A^6 of the four largest
+        # negative definite ones (1e61 to 1e100) overflows before scaling.
+        rng = np.random.default_rng(20240607)
+        results, counts, overflowed = [], [], []
+        for n in (1, 2, 3, 4, 8):
+            dense = rng.normal(size=(6, n, n))
+            dense *= (np.logspace(-3, 2, 6) / np.linalg.norm(dense, 1, axis=(1, 2)))[:, None, None]
+            b = rng.normal(size=(9, n, n))
+            spd = b @ b.swapaxes(1, 2) + np.eye(n)
+            spd *= (np.logspace(-3, 100, 9) / np.linalg.norm(spd, 1, axis=(1, 2)))[:, None, None]
+            upper = np.triu(rng.normal(size=(9, n, n)), 1) * np.logspace(-3, 40, 9)[:, None, None]
+            stack = np.concatenate((dense, -spd, upper - 0.5 * np.eye(n)))
+            results.append(mat_exp(stack))
+            counts.append(squarings_of(stack))
+            overflowed.append(~np.isfinite(stack_powers(stack)[2]).all(axis=(1, 2)))
+        counts, overflowed = np.concatenate(counts), np.concatenate(overflowed)
+        assert (counts == 0).any() and counts.max() > 300 and overflowed.sum() == 20
+        assert hashlib.sha256(b"".join(r.tobytes() for r in results)).hexdigest() == (
+            "fa02318d676d2a5bc74d2c9b3c850ae8b775ab502db0088b355f557df7a9d27d"
+        )
 
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):
@@ -305,6 +333,11 @@ class TestLyapunov:
         # A = -I, N = I: 2 w = 1 per mode
         w = lyapunov_solve(-np.eye(2), np.eye(2))
         assert np.allclose(w, 0.5 * np.eye(2), atol=1e-12)
+
+    def test_unconverged_iteration_is_refused(self, monkeypatch):
+        monkeypatch.setattr(linalg, "LYAPUNOV_MAX_STEPS", 0)
+        with pytest.raises(NoEquilibriumError, match="^sign iteration reached no finite"):
+            lyapunov_solve(-np.eye(2), np.eye(2))
 
     def test_pure_brownian_has_no_equilibrium(self):
         with pytest.raises(NoEquilibriumError):

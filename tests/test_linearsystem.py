@@ -20,6 +20,7 @@ from lincoder.linearsystem import (
     GRAMIAN_SPLIT_NORM,
     MIN_SUBSTEPS,
     SUBSTEP_NORM_FACTOR,
+    TimeVaryingDrift,
     _covariance_sqrt,
     _transition_and_gramian,
 )
@@ -73,14 +74,19 @@ class TestStateTransition:
             expected = math.exp(math.cos(t) - math.cos(t + dt)) * np.eye(2)
             assert max_abs(phi - expected) <= 1e-8
 
-    @pytest.mark.parametrize("dimension", [2.7, True, 0])
+    @pytest.mark.parametrize("dimension", [2.7, 2.0, True, 0, -1])
     def test_time_varying_dimension_must_be_a_positive_integer(self, dimension):
-        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        # The drift checks its own dimension, built directly or by the model.
+        with pytest.raises(ValueError, match="^dimension must be a positive integer$"):
             LinearSystemModel.time_varying(lambda t: -np.eye(2), dimension, np.eye(2))
+        with pytest.raises(ValueError, match="^dimension must be a positive integer$"):
+            TimeVaryingDrift(lambda t: -np.eye(2), dimension)
 
     def test_time_varying_dimension_accepts_numpy_integers(self):
         model = LinearSystemModel.time_varying(lambda t: -np.eye(2), np.int64(2), np.eye(2))
         assert model.dimension == 2 and type(model.dimension) is int
+        drift = TimeVaryingDrift(lambda t: -np.eye(2), np.int64(2))
+        assert drift.dimension == 2 and type(drift.dimension) is int
 
     def test_constant_drift_matches_scipy_expm(self):
         import scipy.linalg
@@ -595,11 +601,55 @@ class TestSamplePaths:
         with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
             sample_paths(model, [0.0], 0.1, seed=0, **counts)
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_seed_must_be_an_integer(self, seed):
+        # A float or bool seed would otherwise be truncated to seed 1's dataset.
+        model = LinearSystemModel.constant([[-0.5]], [[0.1]])
+        with pytest.raises(ValueError, match="^seed must be an unsigned 64-bit integer$"):
+            sample_paths(model, [0.0], 0.1, steps=3, trials=2, seed=seed)
+
+    def test_largest_numpy_seed_is_accepted(self):
+        model = LinearSystemModel.constant([[-0.5]], [[0.1]])
+        plain = sample_paths(model, [0.0], 0.1, steps=3, trials=2, seed=2**64 - 1)
+        numpy = sample_paths(model, [0.0], 0.1, steps=3, trials=2, seed=np.uint64(2**64 - 1))
+        assert plain.states.tobytes() == numpy.states.tobytes()
+
     def test_numpy_integer_counts_give_the_same_bytes(self):
         model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
         plain = sample_paths(model, [1.0, 1.0], 0.1, steps=3, trials=3, seed=7)
         numpy = sample_paths(model, [1.0, 1.0], 0.1, steps=np.int64(3), trials=np.int64(3), seed=7)
         assert plain.states.tobytes() == numpy.states.tobytes()
+
+
+class TestTrajectoryDataset:
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan])
+    def test_bad_interval_rejected(self, dt):
+        with pytest.raises(ValueError, match="^sampling interval must be positive and finite$"):
+            TrajectoryDataset(dt, np.zeros((1, 2, 1)))
+
+    @pytest.mark.parametrize(
+        "states, message",
+        [
+            (np.zeros((2, 1)), "^states must be 3-dimensional, got shape \\(2, 1\\)$"),
+            (np.zeros((0, 2, 1)), "^states array must be non-empty$"),
+            (np.zeros((1, 2, 0)), "^states array must be non-empty$"),
+            (np.full((1, 2, 1), np.nan), "^states contain non-finite entries$"),
+        ],
+        ids=["two-dimensional", "no-trials", "no-dimension", "non-finite"],
+    )
+    def test_bad_states_rejected(self, states, message):
+        with pytest.raises(ValueError, match=message):
+            TrajectoryDataset(0.1, states)
+
+    def test_single_time_point_has_no_increments(self):
+        data = TrajectoryDataset(0.1, np.zeros((2, 1, 1)))
+        with pytest.raises(ValueError, match="^dataset holds a single time point; no increments$"):
+            data.increments()
+
+
+def test_unknown_demo_system_rejected():
+    with pytest.raises(ValueError, match="^unknown demo system 'damped'; choose from "):
+        demo_model("damped")
 
 
 class TestGramianInvariants:

@@ -153,6 +153,9 @@ class TestFastPath:
         with pytest.raises(FastPathDomainError):
             rdf_small_distortion(np.diag([1.0, 0.0]), 0.1)
 
+    def test_zero_distortion_needs_infinite_rate(self):
+        assert rdf_small_distortion(np.diag([4.0, 1.0]), 0.0) == math.inf
+
 
 class TestRdfProperties:
     def test_monotone_in_distortion(self):

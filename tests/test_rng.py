@@ -49,12 +49,14 @@ def test_repositioning_restarts_a_partly_drawn_cell():
 
 
 def test_validation():
-    for seed in (-1, 2**64):
-        with pytest.raises(ValueError):
+    # A float, bool or string would otherwise be truncated or fail untyped.
+    for seed in (-1, 2**64, 1.5, True, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match="^seed must be an unsigned 64-bit integer$"):
             substream(seed, PATH_LANE, 0, 0)
-    for major, minor in ((-1, 0), (0, -1), (2**64, 0), (0, 2**64)):
-        with pytest.raises(ValueError):
-            substream(0, PATH_LANE, major, minor)
+    for index in (-1, 2**64, 1.5, True, np.float64(1.0), "1"):
+        for major, minor in ((index, 0), (0, index)):
+            with pytest.raises(ValueError, match="^stream indices must be unsigned 64-bit"):
+                substream(0, PATH_LANE, major, minor)
 
 
 def test_stream_layout_matches_recorded_draws():
