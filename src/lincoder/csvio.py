@@ -2,11 +2,13 @@
 
 Floats are printed with 17 significant digits so every file round-trips
 losslessly, and files are written with LF newlines so repeated runs are
-byte-identical.
+byte-identical.  Trajectory writes on one (steps, dt) grid share one
+formatted time column; the bytes are the same as formatting it afresh.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -26,14 +28,21 @@ def format_float(value: float) -> str:
     return f"{float(value):.17g}"
 
 
+@functools.lru_cache(maxsize=1)
+def _time_cells(steps: int, dt: float) -> tuple:
+    """The "k,t" cells of the grid k * dt, k = 0..steps."""
+    return tuple(f"{k},{format_float(k * dt)}" for k in range(steps + 1))
+
+
 def write_trajectories(dataset: TrajectoryDataset, path) -> None:
     """Dataset as CSV: header trial,k,t,x1..xn; rows sorted by (trial, k)."""
     n = dataset.dimension
     header = "trial,k,t," + ",".join(f"x{i + 1}" for i in range(n))
     # Each trial is one "%" over a flat list of cells, row by row: the "k,t"
-    # cells are shared by every trial, and "%.17g" formats as format_float.
+    # cells are shared by every trial and by every write on the same grid,
+    # and "%.17g" formats as format_float.
     cells = [None] * ((dataset.steps + 1) * (n + 1))
-    cells[:: n + 1] = [f"{k},{format_float(k * dataset.dt)}" for k in range(dataset.steps + 1)]
+    cells[:: n + 1] = _time_cells(dataset.steps, dataset.dt)
     with open(path, "w", newline="\n") as out:
         out.write(header + "\n")
         for trial in range(dataset.trials):
@@ -48,7 +57,7 @@ def read_trajectories(path) -> TrajectoryDataset:
 
     Every (trial, k) pair with trial, k >= 0 must appear exactly once, and
     the time column must read t = k * dt with dt taken from the k = 1 rows,
-    to within TIME_GRID_RTOL of the horizon.
+    to within TIME_GRID_RTOL of the horizon.  Every state cell must be finite.
     """
     text = Path(path).read_text()
     lines = [line for line in text.splitlines() if line.strip()]
@@ -85,6 +94,8 @@ def read_trajectories(path) -> TrajectoryDataset:
         raise ValueError(f"dataset file {path} has no usable time column")
     if not np.all(np.abs(times - k * dt) <= TIME_GRID_RTOL * steps * dt):
         raise ValueError(f"dataset file {path} has a non-uniform time column")
+    if not np.all(np.isfinite(table[:, 3:])):
+        raise ValueError(f"dataset file {path} has non-finite states")
     states = np.empty((trials, steps + 1, len(header) - 3))
     states[trial, k] = table[:, 3:]
     return TrajectoryDataset(dt, states)

@@ -704,8 +704,14 @@ class TestDatasetFileErrors:
             ("trial,k,t,x1,x2\n0,0,0,1\n0,1,0.1,2\n", "has a malformed row: '0,0,0,1'"),
             ("trial,k,t,x1\n0,0,0,1\n1,0,0,2\n", "holds a single time point per trial"),
             ("trial,k,t,x1\n0,0,0,1\n0,1,0,2\n", "has no usable time column"),
+            ("trial,k,t,x1\n0,0,0,1\n0,1,0.1,nan\n", "has non-finite states"),
+            ("trial,k,t,x1\n0,0,0,inf\n0,1,0.1,2\n", "has non-finite states"),
+            ("trial,k,t,x1,x2\n0,0,0,1,2\n0,1,0.1,3,1e999\n", "has non-finite states"),
         ],
-        ids=["header", "no-rows", "column-count", "single-time-point", "zero-dt"],
+        ids=[
+            "header", "no-rows", "column-count", "single-time-point", "zero-dt",
+            "nan-state", "inf-state", "overflowing-state",
+        ],
     )
     def test_malformed_dataset_fails(self, tmp_path, capsys, text, message):
         data_path, family_path = tmp_path / "train.csv", tmp_path / "family.json"

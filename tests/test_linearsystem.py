@@ -14,7 +14,7 @@ from lincoder import (
     increment_rate,
     sample_paths,
 )
-from lincoder import linearsystem
+from lincoder import csvio, linearsystem
 from lincoder.csvio import read_trajectories, write_trajectories
 from lincoder.linearsystem import (
     GRAMIAN_SPLIT_NORM,
@@ -719,6 +719,33 @@ class TestDatasetCsv:
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
         assert b"-0," in path.read_bytes()
         assert np.array_equal(read_trajectories(path).states, states)
+
+    def test_time_column_memo_is_keyed_by_steps_and_dt(self, tmp_path):
+        rng = np.random.default_rng(17)
+        grids = [(300, 0.01), (300, np.nextafter(0.01, 1.0)), (10, 0.01), (300, 0.01)]
+        for index, (steps, dt) in enumerate(grids):
+            for trials in (1, 3):
+                shape = (trials, steps + 1, 2)
+                states = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+                path = tmp_path / f"data_{index}_{trials}.csv"
+                write_trajectories(TrajectoryDataset(dt, states), path)
+                lines = ["trial,k,t,x1,x2"]
+                for trial in range(trials):
+                    for k in range(steps + 1):
+                        values = [f"{k * dt:.17g}", *(f"{v:.17g}" for v in states[trial, k])]
+                        lines.append(",".join([str(trial), str(k), *values]))
+                assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert csvio._time_cells.cache_info().currsize == 1
+
+    def test_ensemble_formats_time_column_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = csvio.format_float
+        monkeypatch.setattr(csvio, "format_float", lambda value: calls.append(value) or original(value))
+        csvio._time_cells.cache_clear()
+        states = np.random.default_rng(3).normal(size=(1, 301, 2))
+        for seed in range(24):
+            write_trajectories(TrajectoryDataset(0.01, states + seed), tmp_path / f"replay_{seed}.csv")
+        assert len(calls) == 301
 
     def test_header_and_ordering(self, tmp_path):
         model = LinearSystemModel.constant([[0.0]], [[1.0]])
