@@ -99,18 +99,16 @@ def _grid_from_config(spec) -> tuple[np.ndarray, str]:
         raise ConfigError("grid log must be true or false")
     if points < 1 or not 0.0 < low <= high < np.inf or (points > 1 and low == high):
         raise ConfigError("grid needs points >= 1 and 0 < min < max < inf (min = max with 1 point)")
-    axis_values = (np.geomspace if log else np.linspace)(low, high, points)
-    dts = axis_values if axis == "dt" else np.sort(1.0 / axis_values)
-    return dts, axis
+    return (np.geomspace if log else np.linspace)(low, high, points), axis
 
 
 def _cmd_rdf_curve(args) -> int:
     config = _load_config(args.config)
     model = _model_from_config(_require(config, "system"))
     distortion = _read(config, "distortion", _distortion_type)
-    dts, axis = _grid_from_config(_require(config, "grid"))
-    curve = rate_curve(model, distortion, dts)
-    write_rate_curve(model, distortion, dts, curve, axis, args.out)
+    grid, axis = _grid_from_config(_require(config, "grid"))
+    curve = rate_curve(model, distortion, grid if axis == "dt" else 1.0 / grid[::-1])
+    write_rate_curve(model, distortion, grid, curve, axis, args.out)
     if curve.asymptote_bits is not None:
         print(f"asymptote_bits={format_float(curve.asymptote_bits)}")
     print(f"out={args.out}")

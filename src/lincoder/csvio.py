@@ -111,25 +111,26 @@ def _model_fingerprint(model: LinearSystemModel) -> str:
 
 
 def write_rate_curve(
-    model: LinearSystemModel, distortion: float, dt_grid, curve: RateCurve, axis: str, path
+    model: LinearSystemModel, distortion: float, grid, curve: RateCurve, axis: str, path
 ) -> None:
-    """Rate curve of ``model`` over ``dt_grid`` as CSV, after a comment line of run metadata.
+    """Rate curve of ``model`` as CSV, after a comment line of run metadata.
 
-    Rows dt,fs,rate_bits run along the grid for axis "dt" and against it
-    (fs ascending) for axis "fs".
+    ``grid`` holds the ascending values of the axis, dt or fs, printed as
+    given; the other column is 1 / value.  Rows dt,fs,rate_bits follow the
+    grid, and the curve, which runs along dt, runs against an fs grid.
     """
     if axis not in ("dt", "fs"):
         raise ValueError("axis must be 'dt' or 'fs'")
-    dts = np.asarray(dt_grid, dtype=float).tolist()
-    rows = list(zip(dts, curve.rate_bits.tolist(), strict=True))
+    values, rates = np.asarray(grid, dtype=float).tolist(), curve.rate_bits.tolist()
     asymptote = "none" if curve.asymptote_bits is None else format_float(curve.asymptote_bits)
     lines = [
         f"# distortion={format_float(distortion)}"
         f" asymptote_bits={asymptote} model={_model_fingerprint(model)}",
         "dt,fs,rate_bits",
     ]
-    for dt, rate in rows if axis == "dt" else reversed(rows):
-        lines.append(f"{format_float(dt)},{format_float(1.0 / dt)},{format_float(rate)}")
+    for value, rate in zip(values, rates[:: -1 if axis == "fs" else 1], strict=True):
+        dt, fs = (value, 1.0 / value) if axis == "dt" else (1.0 / value, value)
+        lines.append(f"{format_float(dt)},{format_float(fs)},{format_float(rate)}")
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 

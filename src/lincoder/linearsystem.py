@@ -15,7 +15,6 @@ per fourth-order Magnus segment, composed by the interval-doubling rule.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -43,6 +42,8 @@ GRAMIAN_SPLIT_NORM = 4.0
 #: Magnus segment floor and norm factor for time-varying drift.
 MIN_SUBSTEPS = 64
 SUBSTEP_NORM_FACTOR = 16.0
+#: The two Gauss nodes of a Magnus segment, as fractions of its length.
+_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
 
 
 @dataclass(frozen=True)
@@ -63,31 +64,24 @@ class ConstantDrift:
 
 @dataclass(frozen=True)
 class TimeVaryingDrift:
-    """Drift given as a function t -> A(t), evaluable on any finite window."""
+    """Drift as a function from a 1-D array of times to the (len(times), n, n) stack of A."""
 
-    matrix_at: Callable[[float], np.ndarray]
+    matrix_at: Callable[[np.ndarray], np.ndarray]
     dimension: int
 
     def __post_init__(self):
         object.__setattr__(self, "dimension", _positive_int(self.dimension, "dimension"))
 
-    def _stack(self, times: list) -> np.ndarray:
-        """A(s) at each time of a list as one stack (len(times), n, n), checked at once.
-
-        A stack that fails the check is checked again matrix by matrix, so
-        the error and its message are the first bad matrix's own.
-        """
-        values = [self.matrix_at(float(s)) for s in times]
-        with suppress(TypeError, ValueError):
-            stack = np.array(values, dtype=float)
-            if stack.shape[1:] == (self.dimension,) * 2 and np.isfinite(stack).all():
-                return stack
-        checked = []
-        for value in values:
-            checked.append(as_square(value, "drift matrix"))
-            if checked[-1].shape[0] != self.dimension:
-                raise ValueError("time-varying drift returned a matrix of wrong size")
-        return np.array(checked)
+    def _stack(self, times: np.ndarray) -> np.ndarray:
+        """A at each time of an ascending 1-D array, one stack checked for shape and finiteness."""
+        stack = np.asarray(self.matrix_at(times), dtype=float)
+        shape = (len(times), self.dimension, self.dimension)
+        if stack.shape != shape:
+            raise ValueError(f"time-varying drift returned shape {stack.shape}, expected {shape}")
+        bad = ~np.isfinite(stack).all(axis=(1, 2))
+        if bad.any():
+            raise ValueError(f"drift matrix is not finite at t = {float(times[bad.argmax()])!r}")
+        return stack
 
 
 Drift = Union[ConstantDrift, TimeVaryingDrift]
@@ -158,24 +152,26 @@ def _compose(phi_j, w_j, phi, w):
     return phi_j @ phi, _symmetrize(phi_j @ w @ phi_j.swapaxes(-1, -2) + w_j)
 
 
+def _gauss_times(t: float, h: float, first: int, last: int) -> np.ndarray:
+    """Ascending times of the Gauss nodes of segments first..last-1 of length h after t."""
+    return (t + (np.arange(first, last)[:, None] + _GAUSS_NODES) * h).ravel()
+
+
 def _magnus(model: LinearSystemModel, t: float, dt: float, m: int):
-    """(Phi, W) over [t, t + dt] from m Magnus segments, and the largest norm1(A) at their nodes."""
+    """(Phi, W) over [t, t + dt] from m fourth-order Magnus segments."""
     n, noise = model.dimension, model.noise_intensity
-    nodes = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
     size = max(1, _EXP_CHUNK_BYTES // (8 * (2 * n) ** 2))
     h = dt / m
-    pair, peak = (np.eye(n), np.zeros((n, n))), 0.0
+    pair = np.eye(n), np.zeros((n, n))
     for first in range(0, m, size):
-        times = t + (np.arange(first, min(first + size, m))[:, None] + nodes) * h
-        a = model.drift._stack(times.ravel().tolist())
-        peak = max(peak, float(np.linalg.norm(a, 1, axis=(1, 2)).max()))
-        m1, m2 = _generators(a.reshape(times.shape + (n, n)), noise).swapaxes(0, 1)
+        a = model.drift._stack(_gauss_times(t, h, first, min(first + size, m)))
+        m1, m2 = _generators(a.reshape(-1, 2, n, n), noise).swapaxes(0, 1)
         commutator = m1 @ m2 - m2 @ m1
         omegas = 0.5 * h * (m1 + m2) + (math.sqrt(3.0) / 12.0 * h * h) * commutator
         with np.errstate(over="ignore", invalid="ignore"):
             for phi_j, w_j in zip(*_van_loan(omegas)):
                 pair = _compose(phi_j, w_j, *pair)
-    return pair, peak
+    return pair
 
 
 def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
@@ -196,16 +192,18 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     end.
     For unstable drift at extreme horizons entries may overflow to inf, which
     callers treat as an unbounded-rate signal.
-    Time-varying drift: per interval, one pass of MIN_SUBSTEPS segments of
-    length h, then a second pass of ceil(SUBSTEP_NORM_FACTOR * peak * dt)
-    segments when that is more, peak being the largest norm1(A) at the first
-    pass's nodes, so the count follows the drift across the window.  Each
-    segment takes the fourth-order Magnus generator
+    Time-varying drift: per interval, one drift call at the Gauss nodes of
+    MIN_SUBSTEPS segments reads peak, the largest norm1(A) there, and one
+    Magnus pass of max(MIN_SUBSTEPS, ceil(SUBSTEP_NORM_FACTOR * peak * dt))
+    segments of length h follows, so the count follows the drift across the
+    window.  A drift feature narrower than dt / MIN_SUBSTEPS can fall between
+    those nodes and be missed without a warning.  Each segment takes the
+    fourth-order Magnus generator
     h/2 (M1 + M2) + sqrt(3) h^2/12 (M1 M2 - M2 M1), M1 and M2 at
     the two Gauss nodes (Blanes, Casas, Oteo & Ros 2009, Phys. Rep. 470), so
     the error falls as h^4.  Segments are exponentiated in slices of
     _EXP_CHUNK_BYTES, so memory does not grow with their number, and the
-    drift matrices of a slice are checked as one stack.
+    drift matrices of a slice come from one call, checked as one stack.
     """
     if not 0.0 <= float(t) < math.inf:
         raise ValueError("time must be nonnegative and finite")
@@ -234,11 +232,10 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     else:
         phi, w = np.empty((2,) + intervals.shape + (n, n))
         for i, dt_i in enumerate(intervals.tolist()):
-            pair, peak = _magnus(model, t, dt_i, MIN_SUBSTEPS)
-            m = int(math.ceil(SUBSTEP_NORM_FACTOR * peak * dt_i))
-            if m > MIN_SUBSTEPS:
-                pair = _magnus(model, t, dt_i, m)[0]
-            phi[i], w[i] = pair
+            nodes = _gauss_times(t, dt_i / MIN_SUBSTEPS, 0, MIN_SUBSTEPS)
+            peak = np.linalg.norm(model.drift._stack(nodes), 1, axis=(1, 2)).max()
+            m = max(MIN_SUBSTEPS, math.ceil(SUBSTEP_NORM_FACTOR * peak * dt_i))
+            phi[i], w[i] = _magnus(model, t, dt_i, m)
     return phi.reshape(dts.shape + (n, n)), w.reshape(dts.shape + (n, n))
 
 

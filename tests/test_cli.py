@@ -805,3 +805,20 @@ class TestCurveGoldenBytes:
             b"0.050000000000000003,20,0.42475611522311546\n"
         )
         assert printed == f"asymptote_bits=6.1453425853561825\nout={tmp_path / 'curve.csv'}\n"
+
+    def test_linear_fs_axis_prints_the_configured_values(self, tmp_path, capsys):
+        # The fs column holds the grid values as given, not 1 / (1 / fs):
+        # the last row once read 49.000000000000007.  The dt column is 1 / fs.
+        grid = {"min": 1.0, "max": 49.0, "points": 7, "log": False, "axis": "fs"}
+        data, _ = self.run(tmp_path, capsys, {"system": "stable", "distortion": 0.001, "grid": grid})
+        assert data == (
+            b"# distortion=0.001 asymptote_bits=4.3219280948873626 model=e120e2bc878c\n"
+            b"dt,fs,rate_bits\n"
+            b"1,1,3.6601997372583948\n"
+            b"0.1111111111111111,9,1.0725954196943006\n"
+            b"0.058823529411764705,17,0.19224104156978294\n"
+            b"0.040000000000000001,25,0\n"
+            b"0.030303030303030304,33,0\n"
+            b"0.024390243902439025,41,0\n"
+            b"0.020408163265306121,49,0\n"
+        )

@@ -126,7 +126,7 @@ class TestIncrementRate:
         # The Magnus pass runs once for the one interval, and the rate is the
         # water-filling of exactly the covariance increment_distribution gives.
         model = LinearSystemModel.time_varying(
-            lambda t: math.sin(t) * np.eye(2) - np.eye(2), 2, np.eye(2)
+            lambda t: np.sin(t)[:, None, None] * np.eye(2) - np.eye(2), 2, np.eye(2)
         )
         result = increment_rate(model, dt=0.5, distortion=0.01, t=0.3)
         cov = increment_distribution(model, np.zeros(2), 0.3, 0.5).covariance
@@ -250,7 +250,9 @@ class TestRateCurve:
         ids=["rate-ceiling", "min-sampling-rate"],
     )
     def test_time_varying_model_refused(self, call, message):
-        model = LinearSystemModel.time_varying(lambda t: -np.eye(2), 2, np.eye(2))
+        model = LinearSystemModel.time_varying(
+            lambda t: np.broadcast_to(-np.eye(2), (len(t), 2, 2)), 2, np.eye(2)
+        )
         with pytest.raises(ValueError, match=message):
             call(model)
 

@@ -1,6 +1,8 @@
 """Forward-increment law and sample-path tests with closed-form oracles."""
 
+import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -47,6 +49,16 @@ def quadrature_gramian(a, noise, dt, points=20001):
     return total * h
 
 
+def stable_stack(t):
+    """A(t) = -I at each time of t, as the (len(t), 2, 2) stack of the drift contract."""
+    return np.broadcast_to(-np.eye(2), (len(t), 2, 2))
+
+
+def sines(t):
+    """sin of each time by math.sin, so a stack equals its matrices built one time at a time."""
+    return np.array([math.sin(s) for s in t.tolist()])[:, None, None]
+
+
 def random_hurwitz(rng, n):
     raw = rng.normal(size=(n, n))
     return raw - (np.max(np.linalg.eigvals(raw).real) + 0.5) * np.eye(n)
@@ -67,7 +79,7 @@ class TestStateTransition:
         # A(t) = sin(t) I commutes with itself: Phi = exp(int sin) I, and the
         # integral has the closed form cos(t) - cos(t + dt).
         model = LinearSystemModel.time_varying(
-            lambda t: math.sin(t) * np.eye(2), 2, np.eye(2)
+            lambda t: np.sin(t)[:, None, None] * np.eye(2), 2, np.eye(2)
         )
         for t, dt in ((0.3, 1.0), (1.1, 0.5), (0.0, 1.2)):
             phi = _transition_and_gramian(model, t, dt)[0]
@@ -78,14 +90,14 @@ class TestStateTransition:
     def test_time_varying_dimension_must_be_a_positive_integer(self, dimension):
         # The drift checks its own dimension, built directly or by the model.
         with pytest.raises(ValueError, match="^dimension must be a positive integer$"):
-            LinearSystemModel.time_varying(lambda t: -np.eye(2), dimension, np.eye(2))
+            LinearSystemModel.time_varying(stable_stack, dimension, np.eye(2))
         with pytest.raises(ValueError, match="^dimension must be a positive integer$"):
-            TimeVaryingDrift(lambda t: -np.eye(2), dimension)
+            TimeVaryingDrift(stable_stack, dimension)
 
     def test_time_varying_dimension_accepts_numpy_integers(self):
-        model = LinearSystemModel.time_varying(lambda t: -np.eye(2), np.int64(2), np.eye(2))
+        model = LinearSystemModel.time_varying(stable_stack, np.int64(2), np.eye(2))
         assert model.dimension == 2 and type(model.dimension) is int
-        drift = TimeVaryingDrift(lambda t: -np.eye(2), np.int64(2))
+        drift = TimeVaryingDrift(stable_stack, np.int64(2))
         assert drift.dimension == 2 and type(drift.dimension) is int
 
     def test_constant_drift_matches_scipy_expm(self):
@@ -105,26 +117,38 @@ class TestStateTransition:
 def sinusoidal_drift(rng, n):
     """A(t) = A0 + sin(t) A1 with Gaussian A0, A1, and a PSD noise intensity."""
     a0, a1, b = rng.normal(size=(3, n, n))
-    return LinearSystemModel.time_varying(lambda t: a0 + math.sin(t) * a1, n, b @ b.T)
+    return LinearSystemModel.time_varying(lambda t: a0 + sines(t) * a1, n, b @ b.T)
+
+
+def gauss_times(t, dt, segments):
+    """The two Gauss nodes of each of the segments of [t, t + dt], ascending."""
+    nodes = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
+    return (t + (np.arange(segments)[:, None] + nodes) * (dt / segments)).ravel()
 
 
 def segment_count(model, t, dt):
     """Magnus segments of [t, t + dt]: the floor, or the count that the
-    largest norm1(A) at the Gauss nodes of the floor pass asks for."""
-    nodes = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
-    times = t + (np.arange(MIN_SUBSTEPS)[:, None] + nodes) * (dt / MIN_SUBSTEPS)
-    peak = max(np.linalg.norm(model.drift.matrix_at(s), 1) for s in times.ravel())
+    largest norm1(A) at the Gauss nodes of MIN_SUBSTEPS segments asks for."""
+    a = model.drift.matrix_at(gauss_times(t, dt, MIN_SUBSTEPS))
+    peak = np.linalg.norm(a, 1, axis=(1, 2)).max()
     return max(MIN_SUBSTEPS, int(math.ceil(dt * peak * SUBSTEP_NORM_FACTOR)))
 
 
 def drift_evaluations(segments):
-    """Drift evaluations of one interval: the floor pass, then a finer pass if it needs one."""
-    return 2 * MIN_SUBSTEPS + (2 * segments if segments > MIN_SUBSTEPS else 0)
+    """Drift evaluations of one interval: the count call, then the one Magnus pass."""
+    return 2 * MIN_SUBSTEPS + 2 * segments
+
+
+def slice_count(segments, n):
+    """Drift calls of a Magnus pass: one per slice of _EXP_CHUNK_BYTES of generators."""
+    return -(-segments // max(1, linearsystem._EXP_CHUNK_BYTES // (8 * (2 * n) ** 2)))
 
 
 #: a(t) = -0.4 + 0.9 sin t with q = 1.3: Phi and W over [0, dt] have a
 #: closed-form exponent and a one-dimensional quadrature.
-SCALAR_DRIFT = LinearSystemModel.time_varying(lambda t: [[-0.4 + 0.9 * math.sin(t)]], 1, [[1.3]])
+SCALAR_DRIFT = LinearSystemModel.time_varying(
+    lambda t: (-0.4 + 0.9 * np.sin(t))[:, None, None], 1, [[1.3]]
+)
 
 
 def scalar_drift_oracle(dt):
@@ -147,6 +171,11 @@ def scalar_drift_errors(dt):
 ROTATION = np.array([[-1.0, 20.0], [-20.0, -1.0]])
 
 
+def rotating_cos(t):
+    """A(t) = cos(t) J at each time of t."""
+    return np.cos(t)[:, None, None] * ROTATION
+
+
 class TestTimeVaryingPass:
     def test_scalar_quadrature_oracle(self):
         phi_error, w_error = scalar_drift_errors(5.0)
@@ -167,13 +196,14 @@ class TestTimeVaryingPass:
         a0, a1 = rng.normal(size=(2, 3, 3))
         calls = []
         model = LinearSystemModel.time_varying(
-            lambda t: calls.append(t) or a0 + math.sin(t) * a1, 3, np.eye(3)
+            lambda t: calls.append(len(t)) or a0 + np.sin(t)[:, None, None] * a1, 3, np.eye(3)
         )
         segments = segment_count(model, 0.4, dt)
         calls.clear()
         increment_distribution(model, np.zeros(3), 0.4, dt)
         assert (segments > MIN_SUBSTEPS) == (dt > 1.0)
-        assert len(calls) == drift_evaluations(segments)
+        assert sum(calls) == drift_evaluations(segments)
+        assert len(calls) == 1 + slice_count(segments, 3)
 
     @pytest.mark.parametrize("horizon", [3.0, 30.0])
     def test_rotating_drift_closed_form(self, horizon):
@@ -184,7 +214,9 @@ class TestTimeVaryingPass:
         import scipy.linalg
         from scipy.integrate import quad
 
-        model = LinearSystemModel.time_varying(lambda t: math.sin(t) * ROTATION, 2, np.eye(2))
+        model = LinearSystemModel.time_varying(
+            lambda t: np.sin(t)[:, None, None] * ROTATION, 2, np.eye(2)
+        )
         phi, w = _transition_and_gramian(model, 0.0, horizon)
         phi_exact = scipy.linalg.expm((1.0 - math.cos(horizon)) * ROTATION)
         gain = lambda s: math.exp(-2.0 * (math.cos(s) - math.cos(horizon)))  # noqa: E731
@@ -195,7 +227,7 @@ class TestTimeVaryingPass:
     def test_peak_memory_does_not_grow_with_the_segment_count(self):
         import tracemalloc
 
-        model = LinearSystemModel.time_varying(lambda t: math.cos(t) * ROTATION, 2, np.eye(2))
+        model = LinearSystemModel.time_varying(rotating_cos, 2, np.eye(2))
         peaks = []
         tracemalloc.start()
         try:
@@ -212,14 +244,16 @@ class TestTimeVaryingPass:
         # As for the constant drift, an overflowing W reads as an infinite
         # rate; a numpy warning would fail the test under the suite's filter.
         constant = LinearSystemModel.constant(0.5 * np.eye(2), np.eye(2))
-        rising = LinearSystemModel.time_varying(lambda t: 0.5 * np.eye(2), 2, np.eye(2))
+        rising = LinearSystemModel.time_varying(
+            lambda t: np.broadcast_to(0.5 * np.eye(2), (len(t), 2, 2)), 2, np.eye(2)
+        )
         assert increment_rate(constant, 1500.0, 0.01).rate_bits == math.inf
         assert increment_rate(rising, 1500.0, 0.01).rate_bits == math.inf
 
     def test_each_slice_of_drift_matrices_is_checked_once(self, monkeypatch):
-        model = LinearSystemModel.time_varying(lambda t: math.cos(t) * ROTATION, 2, np.eye(2))
+        model = LinearSystemModel.time_varying(rotating_cos, 2, np.eye(2))
         segments = segment_count(model, 0.0, 10.0)
-        slices = -(-segments // max(1, linearsystem._EXP_CHUNK_BYTES // (8 * 4**2)))
+        slices = slice_count(segments, 2)
         checks = []
         stack, square = linearsystem.TimeVaryingDrift._stack, linearsystem.as_square
         monkeypatch.setattr(
@@ -234,34 +268,108 @@ class TestTimeVaryingPass:
         assert segments >= 3000 and len(checks) == 1 + slices
         assert sum(checks) == drift_evaluations(segments)
 
-    @pytest.mark.parametrize(
-        "bad, message",
-        [
-            (np.array([[np.nan, 0.0], [0.0, -1.0]]), r"^drift matrix contains non-finite entries$"),
-            (np.zeros((2, 3)), r"^drift matrix must be square, got shape \(2, 3\)$"),
-            (np.zeros(2), r"^drift matrix must be 2-dimensional, got shape \(2,\)$"),
-            (np.zeros((0, 0)), r"^drift matrix must be non-empty$"),
-            (-np.eye(3), r"^time-varying drift returned a matrix of wrong size$"),
-        ],
-        ids=["nan", "non-square", "one-dimensional", "empty", "wrong-size"],
-    )
-    @pytest.mark.parametrize("start", [0.0, 0.4], ids=["at-start", "in-a-slice"])
-    def test_bad_drift_matrix_keeps_its_error(self, bad, message, start):
-        model = LinearSystemModel.time_varying(
-            lambda t: -np.eye(2) if t < start else bad, 2, np.eye(2)
+    def test_one_magnus_pass_per_interval(self, monkeypatch):
+        # The segment count comes from one drift call, not from a pass of
+        # MIN_SUBSTEPS segments that is thrown away when the count is larger.
+        exponentials, van_loan = [], linearsystem._van_loan
+        monkeypatch.setattr(
+            linearsystem,
+            "_van_loan",
+            lambda omegas: exponentials.append(len(omegas)) or van_loan(omegas),
         )
-        with pytest.raises(ValueError, match=message):
+        model = LinearSystemModel.time_varying(rotating_cos, 2, np.eye(2))
+        for dt in (0.1, 10.0):
+            segments = segment_count(model, 0.0, dt)
+            exponentials.clear()
+            _transition_and_gramian(model, 0.0, dt)
+            assert sum(exponentials) == segments
+            assert (segments > MIN_SUBSTEPS) == (dt > 1.0)
+
+    @pytest.mark.parametrize(
+        "drift, t, grid, digest",
+        [
+            (
+                "sinusoidal",
+                0.7,
+                (0.1, 1.5, 4.0),
+                "cb85968b60fd7f0b17fdf0d9e22ca6eadbf75a5553a8f067cf4ffad510af8065",
+            ),
+            (
+                "rotating",
+                0.4,
+                (0.1, 1.5, 3.0),
+                "d3cb045841c60296b6b8a3efb3750b5230f95ad15c4db80dfdbd4aba16e358d3",
+            ),
+        ],
+        ids=["sinusoidal", "rotating"],
+    )
+    def test_time_varying_bits_are_golden(self, drift, t, grid, digest):
+        # Recorded with drifts evaluated one time at a time by math.sin; sines
+        # builds the same matrices, so Phi and W keep every bit.
+        if drift == "sinusoidal":
+            model = sinusoidal_drift(np.random.default_rng(5), 3)
+        else:
+            model = LinearSystemModel.time_varying(lambda s: sines(s) * ROTATION, 2, np.eye(2))
+        phi, w = _transition_and_gramian(model, t, np.array(grid))
+        assert hashlib.sha256(phi.tobytes() + w.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda t: -np.eye(2),
+            lambda t: np.zeros((len(t), 2, 3)),
+            lambda t: np.zeros((len(t), 3, 3)),
+            lambda t: np.zeros((len(t) - 1, 2, 2)),
+            lambda t: np.zeros(len(t)),
+        ],
+        ids=["one-matrix", "non-square", "wrong-size", "one-short", "one-dimensional"],
+    )
+    def test_wrong_stack_shape_is_refused(self, wrong):
+        shape = re.escape(str(np.shape(wrong(np.zeros(2 * MIN_SUBSTEPS)))))
+        model = LinearSystemModel.time_varying(wrong, 2, np.eye(2))
+        with pytest.raises(
+            ValueError,
+            match=rf"^time-varying drift returned shape {shape}, expected \(128, 2, 2\)$",
+        ):
             _transition_and_gramian(model, 0.0, 1.0)
 
-    def test_first_bad_drift_matrix_decides_the_error(self):
-        non_square, nan = np.zeros((2, 3)), np.full((2, 2), np.nan)
-        for first, then, message in ((non_square, nan, "square"), (nan, non_square, "non-finite")):
-            def matrix_at(t, first=first, then=then):
-                return -np.eye(2) if t < 0.3 else first if t < 0.5 else then
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "window",
+        [(0.0, math.inf), (4.0, math.inf), (5.0, 5.01)],
+        ids=["at-start", "in-the-count-call", "in-a-later-slice"],
+    )
+    def test_non_finite_matrix_names_the_earliest_bad_time(self, bad, window):
+        # Over [0, 10] the count call's nodes are 10/64 apart, so the narrow
+        # window falls between them; the pass of about 3400 segments first
+        # meets it past its first slice of 512 segments.
+        low, high = window
 
-            model = LinearSystemModel.time_varying(matrix_at, 2, np.eye(2))
-            with pytest.raises(ValueError, match=message):
-                _transition_and_gramian(model, 0.0, 1.0)
+        def matrix_at(t):
+            return np.where(((t >= low) & (t <= high))[:, None, None], bad, rotating_cos(t))
+
+        model = LinearSystemModel.time_varying(matrix_at, 2, np.eye(2))
+        segments = segment_count(LinearSystemModel.time_varying(rotating_cos, 2, np.eye(2)), 0, 10)
+        for times in (gauss_times(0.0, 10.0, MIN_SUBSTEPS), gauss_times(0.0, 10.0, segments)):
+            inside = np.flatnonzero((times >= low) & (times <= high))
+            if inside.size:
+                break
+        if window == (5.0, 5.01):
+            assert len(times) == 2 * segments and inside[0] // 2 >= 512
+        expected = re.escape(repr(float(times[inside[0]])))
+        with pytest.raises(ValueError, match=f"^drift matrix is not finite at t = {expected}$"):
+            _transition_and_gramian(model, 0.0, 10.0)
+
+    def test_drift_errors_propagate_unchanged(self):
+        class DriftFailure(Exception):
+            pass
+
+        def failing(t):
+            raise DriftFailure("no drift here")
+
+        model = LinearSystemModel.time_varying(failing, 2, np.eye(2))
+        with pytest.raises(DriftFailure, match="^no drift here$"):
+            _transition_and_gramian(model, 0.0, 1.0)
 
 
 class TestIncrementDistribution:
@@ -310,7 +418,9 @@ class TestIncrementDistribution:
         a = np.array([[-1.0, 0.4], [0.0, -2.0]])
         noise = np.array([[1.0, 0.2], [0.2, 0.5]])
         lti = LinearSystemModel.constant(a, noise)
-        frozen = LinearSystemModel.time_varying(lambda t: a, 2, noise)
+        frozen = LinearSystemModel.time_varying(
+            lambda t: np.broadcast_to(a, (len(t), 2, 2)), 2, noise
+        )
         dt = 0.6
         w_lti = increment_distribution(lti, np.zeros(2), 0.0, dt).covariance
         w_tv = increment_distribution(frozen, np.zeros(2), 0.0, dt).covariance
@@ -401,7 +511,9 @@ def test_bad_time_rejected(entry, kind, t):
     if kind == "constant":
         model = LinearSystemModel.constant(-np.eye(2), np.eye(2))
     else:
-        model = LinearSystemModel.time_varying(lambda s: math.sin(s) * np.eye(2), 2, np.eye(2))
+        model = LinearSystemModel.time_varying(
+            lambda s: np.sin(s)[:, None, None] * np.eye(2), 2, np.eye(2)
+        )
     calls = {
         "increment_distribution": lambda: increment_distribution(model, [1.0, 1.0], t, 0.5),
         "increment_rate": lambda: increment_rate(model, 0.5, 0.01, t=t),
@@ -578,7 +690,7 @@ class TestSamplePaths:
         assert len(positioned) <= 40
 
     def test_requires_constant_drift(self):
-        model = LinearSystemModel.time_varying(lambda t: -np.eye(2), 2, np.eye(2))
+        model = LinearSystemModel.time_varying(stable_stack, 2, np.eye(2))
         with pytest.raises(ValueError):
             sample_paths(model, [0.0, 0.0], 0.1, 2, 2, 0)
 
