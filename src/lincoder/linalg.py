@@ -182,8 +182,8 @@ def _pade(a: np.ndarray, a2, a4, a6):
     return v + u, v - u
 
 
-def _exp_stack(a: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a stack (m, n, n)."""
+def _scaled_exp_stack(a: np.ndarray):
+    """exp(A 2^-s) of each matrix A of a stack (m, n, n), and the counts s."""
     with np.errstate(over="ignore", invalid="ignore"):
         a2 = a @ a
         a4 = a2 @ a2
@@ -197,31 +197,34 @@ def _exp_stack(a: np.ndarray) -> np.ndarray:
             a4 = a2 @ a2
             a6 = a4 @ a2
         numerator, denominator = _pade(a, a2, a4, a6)
-    out = np.linalg.solve(denominator, numerator)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(int(squarings.max(initial=0))):
-            picked = np.flatnonzero(squarings > step)
-            out[picked] = out[picked] @ out[picked]
-    return out
+    return np.linalg.solve(denominator, numerator), squarings
 
 
-def mat_exp(matrix) -> np.ndarray:
-    """Matrix exponential of one matrix or of a stack (..., n, n).
+def scaled_exp(matrix):
+    """exp(A 2^-s) and the count s of one matrix or of each of a stack (..., n, n).
 
-    Scaling and squaring with the degree-13 Pade approximant (Higham 2005,
-    SIAM J. Matrix Anal. Appl. 26(4); scaling chosen as in Al-Mohy & Higham
-    2009, ibid. 31(3)).  The squaring count is chosen per matrix, and each
-    matrix is squared only its own number of times, so a matrix's result
-    does not depend on the rest of its stack.  Stacks go through in slices
-    of _EXP_CHUNK_BYTES, which keeps the temporaries small and changes no
-    result.  The caller's array is never written to.
+    The degree-13 Pade approximant (Higham 2005, SIAM J. Matrix Anal. Appl.
+    26(4)), s chosen per matrix by _squarings (Al-Mohy & Higham 2009, ibid.
+    31(3)), so exp(A) is the result squared s times.  Slices of
+    _EXP_CHUNK_BYTES keep the temporaries small and change no result.
     """
     arr = _as_square_stack(matrix)
     n = arr.shape[-1]
     a = arr.reshape(-1, n, n)
     size = max(1, _EXP_CHUNK_BYTES // (a.itemsize * n * n))
-    chunks = [_exp_stack(a[i : i + size]) for i in range(0, max(len(a), 1), size)]
-    return np.concatenate(chunks).reshape(arr.shape)
+    chunks = [_scaled_exp_stack(a[i : i + size]) for i in range(0, max(len(a), 1), size)]
+    exps, counts = zip(*chunks)
+    return np.concatenate(exps).reshape(arr.shape), np.concatenate(counts).reshape(arr.shape[:-2])
+
+
+def mat_exp(matrix) -> np.ndarray:
+    """exp of one matrix or of a stack (..., n, n): scaled_exp, each result squared its s times."""
+    out, squarings = scaled_exp(matrix)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(int(squarings.max(initial=0))):
+            picked = squarings > step
+            out[picked] = out[picked] @ out[picked]
+    return out
 
 
 class SymmetricEigen(NamedTuple):

@@ -27,18 +27,14 @@ from .linalg import (
     as_square,
     as_vector,
     check_symmetric,
-    mat_exp,
     max_abs,
+    scaled_exp,
 )
 from .rng import PATH_LANE, substream
 from .trajectories import TrajectoryDataset
 
 #: Most negative eigenvalue accepted in the noise intensity matrix.
 NOISE_PSD_TOL = 1e-9
-#: Largest norm1(A) * dt of the one augmented exponential; longer horizons
-#: are halved below it and rebuilt by interval doubling (avoids overflow
-#: of the anti-stable block at large horizons).
-GRAMIAN_SPLIT_NORM = 4.0
 #: Magnus segment floor and norm factor for time-varying drift.
 MIN_SUBSTEPS = 64
 SUBSTEP_NORM_FACTOR = 16.0
@@ -139,17 +135,33 @@ def _generators(a: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return block
 
 
-def _van_loan(omegas: np.ndarray):
-    """(Phi, W) of each generator of a stack: F = exp(Omega), Phi = F22^T, W = sym(Phi F12)."""
-    n = omegas.shape[-1] // 2
-    exp = mat_exp(omegas)
-    phi = np.ascontiguousarray(exp[:, n:, n:].swapaxes(1, 2))
-    return phi, _symmetrize(phi @ exp[:, :n, n:])
-
-
 def _compose(phi_j, w_j, phi, w):
     """(Phi, W) over [s, u] from (phi, w) over [s, r] and (phi_j, w_j) over [r, u]."""
     return phi_j @ phi, _symmetrize(phi_j @ w @ phi_j.swapaxes(-1, -2) + w_j)
+
+
+def _van_loan(omegas: np.ndarray):
+    """(Phi, W) of each generator Omega of a stack (m, 2n, 2n) over its interval.
+
+    F = exp(Omega 2^-s) from scaled_exp gives Phi = F22^T and W = sym(Phi F12)
+    over 1/2^s of the interval (Van Loan 1978, IEEE TAC 23(3)), and s
+    doublings (_compose with itself) rebuild the interval.  Each generator is
+    doubled only its own s times: the stack is sorted by s (stably), so that
+    those still doubling are a suffix, and put back in order at the end.
+    """
+    n = omegas.shape[-1] // 2
+    exp, doublings = scaled_exp(omegas)
+    order = np.argsort(doublings, kind="stable")
+    exp, doublings = exp[order], doublings[order]
+    phi = np.ascontiguousarray(exp[:, n:, n:].swapaxes(1, 2))
+    w = _symmetrize(phi @ exp[:, :n, n:])
+    starts = np.searchsorted(doublings, np.arange(doublings.max(initial=0)), side="right")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in starts.tolist():
+            p, q = phi[start:], w[start:]
+            phi[start:], w[start:] = _compose(p, q, p, q)
+    restore = np.argsort(order)
+    return phi[restore], w[restore]
 
 
 def _gauss_times(t: float, h: float, first: int, last: int) -> np.ndarray:
@@ -180,16 +192,12 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     t must be finite and nonnegative; dt is a scalar or an array of
     intervals.  Phi and W come back with dt's shape followed by (n, n), each
     interval computed on its own, so its result does not depend on the rest
-    of the array.  Both drift kinds share one exponential, _van_loan, of
+    of the array.  Both drift kinds share one exponential path, _van_loan, of
     generators of H' = H M(s), solved by H = [[Phi^-1, Phi^-1 W], [0, Phi^T]],
-    and one composition step _compose.
-    Constant drift: per interval, one exponential of M dt / 2^k, then k
-    interval doublings (_compose with Phi_j = Phi); k is 0 while
-    norm1(A) * dt <= GRAMIAN_SPLIT_NORM.  The exponentials of all intervals
-    are one stacked call, and each interval is doubled only its own k times:
-    the stack is sorted once by k (stably), so that the intervals still
-    doubling in each round are a suffix of it, and put back in order at the
-    end.
+    and one composition step _compose.  Each exponential's own scaling 2^-s
+    is carried out as s interval doublings, never as squarings of the
+    augmented block.  Constant drift: the generators M dt of all intervals
+    are one stack.
     For unstable drift at extreme horizons entries may overflow to inf, which
     callers treat as an unbounded-rate signal.
     Time-varying drift: per interval, one drift call at the Gauss nodes of
@@ -214,21 +222,7 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     noise = model.noise_intensity
     n = model.dimension
     if model.is_constant:
-        a = model.drift.matrix
-        scale = np.maximum(np.linalg.norm(a, 1) * intervals, GRAMIAN_SPLIT_NORM)
-        doublings = np.minimum(96, np.ceil(np.log2(scale / GRAMIAN_SPLIT_NORM))).astype(int)
-        order = np.argsort(doublings, kind="stable")
-        intervals, doublings = intervals[order], doublings[order]
-        phi, w = _van_loan(_generators(a, noise) * (intervals / 2.0**doublings)[:, None, None])
-        # In ascending order of doublings, those doubled more than k times
-        # are the suffix from the first with more than k.
-        starts = np.searchsorted(doublings, np.arange(doublings.max(initial=0)), side="right")
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in starts.tolist():
-                p, q = phi[start:], w[start:]
-                phi[start:], w[start:] = _compose(p, q, p, q)
-        restore = np.argsort(order)
-        phi, w = phi[restore], w[restore]
+        phi, w = _van_loan(_generators(model.drift.matrix, noise) * intervals[:, None, None])
     else:
         phi, w = np.empty((2,) + intervals.shape + (n, n))
         for i, dt_i in enumerate(intervals.tolist()):

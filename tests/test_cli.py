@@ -784,7 +784,7 @@ class TestCurveGoldenBytes:
         ]
         assert lines[-1] == "100,0.01,0.99999999999999989"
         assert hashlib.sha256(data).hexdigest() == (
-            "7b7e2d105a51bb185942ccd67d3a2851526ef9808a5ee233707c6c72f0a28420"
+            "c04e03a5aca17c0835e9d651eb3469f32ba1fec68388a03f21fcbde7a8150ad0"
         )
         assert printed == f"asymptote_bits=0.99999999999999967\nout={tmp_path / 'curve.csv'}\n"
 

@@ -1,6 +1,7 @@
 """Code-rate, ceiling, curve and minimum-sampling-rate tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lincoder import (
     increment_distribution,
     increment_rate,
     is_hurwitz,
+    lyapunov_solve,
     min_sampling_rate,
     rate_ceiling,
     rate_curve,
@@ -189,6 +191,26 @@ class TestRateCeiling:
             )
             assert rate_ceiling(model, 0.01).rate_bits == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dt", [1e33, 1e100, 1e300])
+    def test_stable_rate_reaches_the_ceiling_at_any_horizon(self, dt):
+        # Past every mode's decay W is the Lyapunov equilibrium, so the rate
+        # is the ceiling, however many doublings the interval takes.
+        model = demo_model("stable")
+        equilibrium = lyapunov_solve(model.drift.matrix, model.noise_intensity)
+        cov = increment_distribution(model, np.zeros(2), 0.0, dt).covariance
+        assert np.max(np.abs(cov - equilibrium)) <= 1e-12 * np.max(np.abs(equilibrium))
+        ceiling = rate_ceiling(model, 0.01).rate_bits
+        assert increment_rate(model, dt, 0.01).rate_bits == pytest.approx(ceiling, rel=1e-12)
+
+
+@pytest.mark.parametrize("dt", [1e300, 1.7e308])
+@pytest.mark.parametrize("name", ["stable", "marginal", "unstable", "brownian"])
+def test_no_warning_escapes_at_the_float_limit(name, dt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rate = increment_rate(demo_model(name), dt, 0.01).rate_bits
+    assert not math.isnan(rate)
+
 
 class TestRateCurve:
     def test_single_point_matches_pointwise_rate(self):
@@ -284,8 +306,10 @@ class TestRateCurve:
          ("unstable", 12)],
     )
     def test_curve_matches_pointwise_rates_bit_for_bit(self, name, top):
-        # norm1(A) * dt crosses GRAMIAN_SPLIT_NORM on these grids, so the
-        # points differ in doubling count and Pade scaling.
+        # On the stable and unstable grids the scaling count of the Van Loan
+        # exponential, which is also the doubling count, runs from 0 to 9
+        # (to 39 up to dt = 1e12), so the points differ in Pade scaling and
+        # doublings.
         model = rotation_model(8) if name == "rotation8" else demo_model(name)
         grid = np.logspace(-3, top, 10 * (top + 3) + 1)
         curve = rate_curve(model, 0.01, grid)

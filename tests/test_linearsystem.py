@@ -18,12 +18,13 @@ from lincoder import (
 )
 from lincoder import csvio, linearsystem
 from lincoder.csvio import read_trajectories, write_trajectories
+from lincoder.linalg import scaled_exp
 from lincoder.linearsystem import (
-    GRAMIAN_SPLIT_NORM,
     MIN_SUBSTEPS,
     SUBSTEP_NORM_FACTOR,
     TimeVaryingDrift,
     _covariance_sqrt,
+    _generators,
     _transition_and_gramian,
 )
 from lincoder.rng import PATH_LANE, substream
@@ -57,6 +58,12 @@ def stable_stack(t):
 def sines(t):
     """sin of each time by math.sin, so a stack equals its matrices built one time at a time."""
     return np.array([math.sin(s) for s in t.tolist()])[:, None, None]
+
+
+def doublings(a, noise, grid):
+    """Interval doublings of each dt of grid: the scaling count of its Van Loan exponential."""
+    generator = _generators(np.asarray(a), np.asarray(noise))
+    return scaled_exp(generator * np.asarray(grid)[:, None, None])[1]
 
 
 def random_hurwitz(rng, n):
@@ -446,16 +453,22 @@ class TestIncrementDistribution:
 
     @pytest.mark.parametrize("name", ["unstable", "marginal", "stable"])
     def test_mixed_doubling_stack_matches_single_intervals_bit_for_bit(self, name):
-        # One shuffled stack with 0 to about 40 doublings, sorted by doubling
-        # count for the composition and put back; on the unstable drift,
-        # dt = 1e4 overflows to inf.  Each entry must come out as if alone.
+        # One shuffled stack with 0 to about 40 doublings on the stable and
+        # unstable drifts, sorted by doubling count for the composition and
+        # put back; on the unstable drift, dt = 1e4 overflows to inf.  The
+        # marginal generator is nilpotent, so its exponential is never
+        # scaled and no interval is doubled.  Each entry must come out as if
+        # alone.
         model = demo_model(name)
         norm = np.linalg.norm(model.drift.matrix, 1)
         rng = np.random.default_rng(59)
         grid = rng.permutation(np.append(np.logspace(-3, 12.5, 40) / norm, 1e4))
-        split = np.maximum(norm * grid, GRAMIAN_SPLIT_NORM) / GRAMIAN_SPLIT_NORM
-        assert np.ceil(np.log2(split)).min() == 0 and np.ceil(np.log2(split)).max() >= 38
-        calm = rng.permutation(np.logspace(-4, math.log10(0.9 * GRAMIAN_SPLIT_NORM / norm), 12))
+        counts = doublings(model.drift.matrix, model.noise_intensity, grid)
+        if name == "marginal":
+            assert counts.max() == 0
+        else:
+            assert counts.min() == 0 and counts.max() >= 38
+        calm = rng.permutation(np.logspace(-4, math.log10(3.6 / norm), 12))
         for stack in (grid, calm):
             phis, covariances = _transition_and_gramian(model, 0.0, stack)
             for dt, phi, cov in zip(stack, phis, covariances):
@@ -627,7 +640,7 @@ class TestSamplePaths:
         model = LinearSystemModel.constant(a, b @ b.T)
         cov = increment_distribution(model, np.zeros(n), 0.0, dt).covariance
         assert (np.linalg.matrix_rank(cov) < n) == singular
-        assert (np.linalg.norm(a, 1) * dt > GRAMIAN_SPLIT_NORM) == (dt > 1.0)
+        assert (doublings(a, b @ b.T, [dt])[0] > 0) == (dt > 1.0)
         x0 = rng.normal(size=n)
         seed = 2**64 - 1 if n == 3 else 31
         data = sample_paths(model, x0, dt, steps=25, trials=6, seed=seed)
@@ -803,6 +816,20 @@ class TestGramianInvariants:
         w = increment_distribution(model, np.zeros(3), 0.0, horizon).covariance
         w_inf = lyapunov_solve(a, noise)
         assert max_abs(w - w_inf) <= 1e-6 * max_abs(w_inf)
+
+    def test_double_integrator_matches_the_closed_form(self):
+        # Phi = [[1, t], [0, 1]] to 1e-12 t, and each entry of W = q [[t +
+        # t^3/3, t^2/2], [t^2/2, t]] to 1e-12 relative, at every dt up to
+        # 1e100: the augmented generator is nilpotent, so its exponential is
+        # never scaled and no interval is doubled.
+        model = demo_model("marginal")
+        q, grid = model.noise_intensity[0, 0], np.logspace(0, 100, 201)
+        phis, covariances = _transition_and_gramian(model, 0.0, grid)
+        for t, phi, cov in zip(grid, phis, covariances):
+            exact_phi = np.array([[1.0, t], [0.0, 1.0]])
+            exact_cov = q * np.array([[t + t**3 / 3, t**2 / 2], [t**2 / 2, t]])
+            assert max_abs(phi - exact_phi) <= 1e-12 * t
+            assert np.all(np.abs(cov - exact_cov) <= 1e-12 * np.abs(exact_cov))
 
 
 class TestDatasetCsv:
