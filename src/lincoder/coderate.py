@@ -33,6 +33,8 @@ BISECTION_RTOL = 1e-9
 #: Geometric parts per refinement round of the crossing decade: one round
 #: narrows it as much as four bisection steps, in one stacked evaluation.
 _REFINE_PARTS = 16
+#: Exponents of the inner edges of a geometric partition into _REFINE_PARTS parts.
+_PART_EXPONENTS = np.arange(1.0, _REFINE_PARTS) / _REFINE_PARTS
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,9 @@ def _increment_rates(model: LinearSystemModel, t: float, dts: np.ndarray, distor
     reports an infinite rate.
     """
     _, covariances = _transition_and_gramian(model, t, dts)
-    finite = np.all(np.isfinite(covariances), axis=(1, 2))
+    finite = np.isfinite(covariances).all(axis=(1, 2))
+    if finite.all():
+        return _water_fill(covariances, distortion)
     rates = np.full(dts.shape, math.inf)
     levels = np.full(dts.shape, math.inf)
     allocations = np.full(dts.shape + (model.dimension,), math.inf)
@@ -117,7 +121,7 @@ def rate_curve(model: LinearSystemModel, distortion: float, dt_grid) -> RateCurv
 
 def _parts(lo: float, hi: float) -> np.ndarray:
     """The _REFINE_PARTS - 1 inner edges of the geometric partition of [lo, hi]."""
-    return lo * (hi / lo) ** (np.arange(1.0, _REFINE_PARTS) / _REFINE_PARTS)
+    return lo * (hi / lo) ** _PART_EXPONENTS
 
 
 def _lattice_path(lo: float, hi: float, point: float) -> list:

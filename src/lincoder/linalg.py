@@ -41,6 +41,8 @@ _PADE_COEFFICIENTS = tuple(
 _PADE_LOG2_ERROR_RECIPROCAL = math.log2(
     math.factorial(26) * math.factorial(27) / math.factorial(13) ** 2
 )
+#: 1/k of the power norms ||A^k|| that _squarings takes, k = 1, 6, 8, 10.
+_POWER_NORM_EXPONENTS = 1.0 / np.array([[1.0], [6.0], [8.0], [10.0]])
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -108,7 +110,7 @@ def _as_square_stack(value, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] == 0:
         raise ValueError(f"{name} must be square and non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -143,17 +145,30 @@ def _squarings(a: np.ndarray, a4, a6, a8) -> np.ndarray:
     gives.
     """
     count = len(a)
-    power_norms = np.linalg.norm(np.concatenate((a, a6, a8, a4 @ a6)), 1, axis=(1, 2))
-    exponents = 1.0 / np.array([[1.0], [6.0], [8.0], [10.0]])
-    norms, d6, d8, d10 = power_norms.reshape(4, count) ** exponents
+    power_norms = np.abs(np.concatenate((a, a6, a8, a4 @ a6))).sum(axis=1).max(axis=1)
+    norms, d6, d8, d10 = power_norms.reshape(4, count) ** _POWER_NORM_EXPONENTS
+    overflowed = np.isinf(norms)
+    if overflowed.any():
+        # ||A|| can overflow while every entry of A is finite.  The count of
+        # such an A is e plus that of A 2^-e, with 2^e > n so that its norm
+        # cannot overflow: scaling by a power of two is exact, and lowers
+        # each log2 of the count by e.
+        shift, kept = a.shape[-1].bit_length(), ~overflowed
+        counts = np.empty(count, dtype=int)
+        counts[kept] = _squarings(a[kept], a4[kept], a6[kept], a8[kept])
+        powers = zip((a, a4, a6, a8), (1, 4, 6, 8))
+        counts[overflowed] = shift + _squarings(
+            *(power[overflowed] * 0.5 ** (k * shift) for power, k in powers)
+        )
+        return counts
     # d_k <= ||A||, which also stands in for a power norm that overflowed.
     eta5 = np.fmin(np.minimum(np.maximum(d6, d8), np.maximum(d8, d10)), norms)
     with np.errstate(divide="ignore"):
         log_norms = np.log2(norms)
-        squarings = np.ceil(np.log2(eta5 / _PADE_THETA13))
+        squarings = np.maximum(np.ceil(np.log2(eta5 / _PADE_THETA13)), 0.0)
         bound = np.ceil((26 * log_norms + 1.0 - _PADE_LOG2_ERROR_RECIPROCAL + 53.0) / 26)
-    if np.all(bound <= np.maximum(squarings, 0.0)):
-        return np.maximum(squarings, 0.0).astype(int)
+    if (bound <= squarings).all():
+        return squarings.astype(int)
     unit = np.abs(a) / np.where(norms > 0.0, norms, 1.0)[:, np.newaxis, np.newaxis]
     unit2 = unit @ unit
     unit4 = unit2 @ unit2
@@ -163,9 +178,8 @@ def _squarings(a: np.ndarray, a4, a6, a8) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_alpha = 26 * log_norms + np.log2(row.max(axis=(1, 2)))
         ell = np.ceil((log_alpha - _PADE_LOG2_ERROR_RECIPROCAL + 53.0) / 26)
-        # Scaling by 2^-s lowers log2(alpha) by 26 s, so ell(2^-s A, 13) = ell - s.
-        squarings = np.maximum(squarings, ell)
-    return np.maximum(squarings, 0.0).astype(int)
+    # Scaling by 2^-s lowers log2(alpha) by 26 s, so ell(2^-s A, 13) = ell - s.
+    return np.maximum(squarings, ell).astype(int)
 
 
 def _pade(a: np.ndarray, a2, a4, a6):
@@ -212,9 +226,10 @@ def scaled_exp(matrix):
     n = arr.shape[-1]
     a = arr.reshape(-1, n, n)
     size = max(1, _EXP_CHUNK_BYTES // (a.itemsize * n * n))
-    chunks = [_scaled_exp_stack(a[i : i + size]) for i in range(0, max(len(a), 1), size)]
-    exps, counts = zip(*chunks)
-    return np.concatenate(exps).reshape(arr.shape), np.concatenate(counts).reshape(arr.shape[:-2])
+    exps, counts = np.empty(a.shape), np.empty(len(a), dtype=int)
+    for i in range(0, len(a), size):
+        exps[i : i + size], counts[i : i + size] = _scaled_exp_stack(a[i : i + size])
+    return exps.reshape(arr.shape), counts.reshape(arr.shape[:-2])
 
 
 def mat_exp(matrix) -> np.ndarray:

@@ -146,20 +146,55 @@ def _van_loan(omegas: np.ndarray):
     F = exp(Omega 2^-s) from scaled_exp gives Phi = F22^T and W = sym(Phi F12)
     over 1/2^s of the interval (Van Loan 1978, IEEE TAC 23(3)), and s
     doublings (_compose with itself) rebuild the interval.  Each generator is
-    doubled only its own s times: the stack is sorted by s (stably), so that
-    those still doubling are a suffix, and put back in order at the end.
+    doubled only its own s times: the stack is ordered by s (stably sorted,
+    and put back at the end, unless s already ascends as on an ascending
+    grid), so that those still doubling are a suffix.
+
+    At levels 8, 16, 32, ... an interval stops doubling once it has settled,
+    which depends on its own values alone:
+    - the last doubling left its (Phi, W) unchanged bit for bit: _compose is
+      a pure function, so every later doubling would too;
+    - every entry of its Phi and of its W is non-finite: inf and NaN never
+      turn finite under + and *, and sym() keeps each non-finite entry.
+    So every finite entry of (Phi, W) is the one all s doublings give, and
+    every non-finite entry is non-finite after them too.
     """
     n = omegas.shape[-1] // 2
     exp, doublings = scaled_exp(omegas)
-    order = np.argsort(doublings, kind="stable")
-    exp, doublings = exp[order], doublings[order]
     phi = np.ascontiguousarray(exp[:, n:, n:].swapaxes(1, 2))
     w = _symmetrize(phi @ exp[:, :n, n:])
-    starts = np.searchsorted(doublings, np.arange(doublings.max(initial=0)), side="right")
+    order = None
+    if (doublings[1:] < doublings[:-1]).any():
+        order = np.argsort(doublings, kind="stable")
+        phi, w, doublings = phi[order], w[order], doublings[order]
+    starts = np.searchsorted(doublings, np.arange(doublings.max(initial=0)), side="right").tolist()
+    level = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in starts.tolist():
+        while level < len(starts):
+            start = starts[level]
             p, q = phi[start:], w[start:]
-            phi[start:], w[start:] = _compose(p, q, p, q)
+            new_phi, new_w = _compose(p, q, p, q)
+            level += 1
+            if level >= 8 and level & (level - 1) == 0:
+                overflowed = ~(
+                    np.isfinite(new_phi).any(axis=(1, 2)) | np.isfinite(new_w).any(axis=(1, 2))
+                )
+                settled = overflowed | (
+                    (new_phi.view(np.uint64) == p.view(np.uint64)).all(axis=(1, 2))
+                    & (new_w.view(np.uint64) == q.view(np.uint64)).all(axis=(1, 2))
+                )
+                if settled.any():
+                    order = np.arange(len(doublings)) if order is None else order
+                    doublings[start:][settled] = level
+                    rank = np.argsort(doublings[start:], kind="stable")
+                    order[start:], doublings[start:] = order[start:][rank], doublings[start:][rank]
+                    new_phi, new_w = new_phi[rank], new_w[rank]
+                    starts = np.searchsorted(
+                        doublings, np.arange(doublings[-1]), side="right"
+                    ).tolist()
+            phi[start:], w[start:] = new_phi, new_w
+    if order is None:
+        return phi, w
     restore = np.argsort(order)
     return phi[restore], w[restore]
 
@@ -169,14 +204,22 @@ def _gauss_times(t: float, h: float, first: int, last: int) -> np.ndarray:
     return (t + (np.arange(first, last)[:, None] + _GAUSS_NODES) * h).ravel()
 
 
-def _magnus(model: LinearSystemModel, t: float, dt: float, m: int):
-    """(Phi, W) over [t, t + dt] from m fourth-order Magnus segments."""
+def _magnus(model: LinearSystemModel, t: float, dt: float, m: int, drifts=None):
+    """(Phi, W) over [t, t + dt] from m fourth-order Magnus segments.
+
+    ``drifts``, when given, is the drift stack at all 2 m Gauss nodes, which
+    then is not evaluated again.
+    """
     n, noise = model.dimension, model.noise_intensity
     size = max(1, _EXP_CHUNK_BYTES // (8 * (2 * n) ** 2))
     h = dt / m
     pair = np.eye(n), np.zeros((n, n))
     for first in range(0, m, size):
-        a = model.drift._stack(_gauss_times(t, h, first, min(first + size, m)))
+        last = min(first + size, m)
+        if drifts is None:
+            a = model.drift._stack(_gauss_times(t, h, first, last))
+        else:
+            a = drifts[2 * first : 2 * last]
         m1, m2 = _generators(a.reshape(-1, 2, n, n), noise).swapaxes(0, 1)
         commutator = m1 @ m2 - m2 @ m1
         omegas = 0.5 * h * (m1 + m2) + (math.sqrt(3.0) / 12.0 * h * h) * commutator
@@ -204,9 +247,10 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     MIN_SUBSTEPS segments reads peak, the largest norm1(A) there, and one
     Magnus pass of max(MIN_SUBSTEPS, ceil(SUBSTEP_NORM_FACTOR * peak * dt))
     segments of length h follows, so the count follows the drift across the
-    window.  A drift feature narrower than dt / MIN_SUBSTEPS can fall between
-    those nodes and be missed without a warning.  Each segment takes the
-    fourth-order Magnus generator
+    window; at a count of MIN_SUBSTEPS the pass takes its matrices from that
+    call, whose nodes are its own.  A drift feature narrower than
+    dt / MIN_SUBSTEPS can fall between those nodes and be missed without a
+    warning.  Each segment takes the fourth-order Magnus generator
     h/2 (M1 + M2) + sqrt(3) h^2/12 (M1 M2 - M2 M1), M1 and M2 at
     the two Gauss nodes (Blanes, Casas, Oteo & Ros 2009, Phys. Rep. 470), so
     the error falls as h^4.  Segments are exponentiated in slices of
@@ -216,7 +260,7 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     if not 0.0 <= float(t) < math.inf:
         raise ValueError("time must be nonnegative and finite")
     dts = np.asarray(dt, dtype=float)
-    if not np.all((dts > 0.0) & (dts < math.inf)):
+    if not ((dts > 0.0) & (dts < math.inf)).all():
         raise ValueError("sampling interval must be positive and finite")
     intervals = dts.ravel()
     noise = model.noise_intensity
@@ -226,10 +270,10 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     else:
         phi, w = np.empty((2,) + intervals.shape + (n, n))
         for i, dt_i in enumerate(intervals.tolist()):
-            nodes = _gauss_times(t, dt_i / MIN_SUBSTEPS, 0, MIN_SUBSTEPS)
-            peak = np.linalg.norm(model.drift._stack(nodes), 1, axis=(1, 2)).max()
+            floor = model.drift._stack(_gauss_times(t, dt_i / MIN_SUBSTEPS, 0, MIN_SUBSTEPS))
+            peak = np.linalg.norm(floor, 1, axis=(1, 2)).max()
             m = max(MIN_SUBSTEPS, math.ceil(SUBSTEP_NORM_FACTOR * peak * dt_i))
-            phi[i], w[i] = _magnus(model, t, dt_i, m)
+            phi[i], w[i] = _magnus(model, t, dt_i, m, floor if m == MIN_SUBSTEPS else None)
     return phi.reshape(dts.shape + (n, n)), w.reshape(dts.shape + (n, n))
 
 

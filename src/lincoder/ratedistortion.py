@@ -36,14 +36,16 @@ class RdfResult:
 def _mode_variances(covariances: np.ndarray) -> np.ndarray:
     """Eigenvalues of each covariance of a stack, descending, unresolved/negative clamped to 0.
 
-    An eigenvalue at or below eigh's error floor n * eps * lambda_max is a
-    zero mode: it carries no rate, and rounding must not produce -inf.
-    Every caller passes exactly symmetric, finite matrices (a symmetrized W
-    or a covariance checked on entry), so eigh needs no check before it.
+    The rate reads the eigenvalues alone, so eigvalsh computes no
+    eigenvectors.  An eigenvalue at or below its error floor
+    n * eps * lambda_max is a zero mode: it carries no rate, and rounding
+    must not produce -inf.  Every caller passes exactly symmetric, finite
+    matrices (a symmetrized W or a covariance checked on entry), so
+    eigvalsh needs no check before it.
     """
-    values = np.linalg.eigh(covariances)[0][..., ::-1]
+    values = np.linalg.eigvalsh(covariances)[..., ::-1]
     top = values[..., :1]
-    if np.any(values[..., -1:] < -NEGATIVE_EIGENVALUE_TOL * np.maximum(1.0, np.abs(top))):
+    if (values[..., -1:] < -NEGATIVE_EIGENVALUE_TOL * np.maximum(1.0, np.abs(top))).any():
         raise ValueError("covariance is not positive semidefinite within tolerance")
     floor = values.shape[-1] * np.finfo(float).eps * np.maximum(top, 0.0)
     return np.where(values > floor, values, 0.0)

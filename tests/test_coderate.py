@@ -191,7 +191,7 @@ class TestRateCeiling:
             )
             assert rate_ceiling(model, 0.01).rate_bits == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("dt", [1e33, 1e100, 1e300])
+    @pytest.mark.parametrize("dt", [1e33, 1e100, 1e300, 1.7e308])
     def test_stable_rate_reaches_the_ceiling_at_any_horizon(self, dt):
         # Past every mode's decay W is the Lyapunov equilibrium, so the rate
         # is the ceiling, however many doublings the interval takes.

@@ -260,6 +260,18 @@ class TestSquarings:
         self.check(stack)
         self.check(np.array([[[1e300]], [[-1e300]], [[1.7e308]]]))
 
+    def test_norm_that_overflows_over_finite_entries(self):
+        # ||A|| overflows and so does every power: the count is that of
+        # A 2^-2 (2^2 > n), whose norm is finite, plus 2, never ceil(log2(inf)).
+        for n in (2, 3):
+            stack = np.array([np.full((n, n), 1e308), np.diag([1.7e308] * (n - 1) + [-1.0])])
+            stack[1, -1, 0] = 1.7e308
+            counts = squarings_of(stack)
+            with np.errstate(over="ignore"):
+                assert np.isinf(np.linalg.norm(stack, 1, axis=(1, 2))).all()
+            assert counts.tolist() == [c + 2 for c in full_squarings(stack / 4)[0]]
+            assert counts.min() > 1000
+
     def test_matrix_where_the_norm_bound_equals_the_power_norm_term(self):
         # For [[c]] with log2 c = k + 2, ceil(log2 c + (53 - log2(1/|c_27|)) / 26)
         # and ceil(log2(c / theta_13)) are both k.

@@ -14,6 +14,7 @@ from lincoder import (
     demo_model,
     increment_distribution,
     increment_rate,
+    rate_curve,
     sample_paths,
 )
 from lincoder import csvio, linearsystem
@@ -142,12 +143,16 @@ def segment_count(model, t, dt):
 
 
 def drift_evaluations(segments):
-    """Drift evaluations of one interval: the count call, then the one Magnus pass."""
-    return 2 * MIN_SUBSTEPS + 2 * segments
+    """Drift evaluations of one interval: the count call, then the one Magnus
+    pass, which at the floor reuses the count call's matrices."""
+    return 2 * MIN_SUBSTEPS + (2 * segments if segments > MIN_SUBSTEPS else 0)
 
 
 def slice_count(segments, n):
-    """Drift calls of a Magnus pass: one per slice of _EXP_CHUNK_BYTES of generators."""
+    """Drift calls of a Magnus pass: one per slice of _EXP_CHUNK_BYTES of
+    generators, and none at the floor."""
+    if segments == MIN_SUBSTEPS:
+        return 0
     return -(-segments // max(1, linearsystem._EXP_CHUNK_BYTES // (8 * (2 * n) ** 2)))
 
 
@@ -830,6 +835,107 @@ class TestGramianInvariants:
             exact_cov = q * np.array([[t + t**3 / 3, t**2 / 2], [t**2 / 2, t]])
             assert max_abs(phi - exact_phi) <= 1e-12 * t
             assert np.all(np.abs(cov - exact_cov) <= 1e-12 * np.abs(exact_cov))
+
+
+def seeded_constant_model(name):
+    """Seeded constant-drift models beside the presets: a Hurwitz 3-D drift,
+    a Gaussian 8-D drift (unstable, so its W overflows at long intervals)
+    and a marginal 4-D drift, Q J Q^T with a pure rotation block in J."""
+    if name == "hurwitz3":
+        rng = np.random.default_rng(71)
+        a, b = random_hurwitz(rng, 3), rng.normal(size=(3, 3))
+    elif name == "gaussian8":
+        a, b = np.random.default_rng(73).normal(size=(2, 8, 8))
+    else:
+        rng = np.random.default_rng(79)
+        q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        block = np.zeros((4, 4))
+        block[:2, :2] = [[0.0, 1.3], [-1.3, 0.0]]
+        block[2:, 2:] = [[-0.5, 0.9], [-0.9, -0.5]]
+        a, b = q @ block @ q.T, rng.normal(size=(4, 4))
+    return LinearSystemModel.constant(a, b @ b.T)
+
+
+def model_named(name):
+    if name in ("stable", "marginal", "unstable", "brownian"):
+        return demo_model(name)
+    return seeded_constant_model(name)
+
+
+#: Intervals from far below one doubling to far past overflow.
+GOLDEN_GRID = np.append(np.logspace(-6, 12.5, 80), [709.0, 1e4, 1e200])
+
+
+class TestSettledDoubling:
+    """Intervals whose (Phi, W) settled stop doubling; no finite (Phi, W) moves."""
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("stable", "0796fd46bdff548fb51d27b07e207de828e0dceb389f87908e3eebc72da0aa99"),
+            ("marginal", "6ceec5a158423a2548d1c4a75c105b955a2bf0b2d103ee1a15dd7161258a35f9"),
+            ("unstable", "5249c24e5467d936a0b07ee1823c06ad1ab2901c699cae698573b2d09bb87875"),
+            ("brownian", "d0311624eaf50ee5bd65113575c2cf13b53f0c54a73f1c819d9a87bda10617e7"),
+            ("hurwitz3", "821f3623958aa2cd9df9b2ad86a7ba68ca2c008b350397a5034b903eb5c4b553"),
+            ("gaussian8", "c4f3b17a742d0811b5dd0098289ef6bb02c5b16694337bb18e83fd48efa94b99"),
+            ("rotation4", "80e439fa5f734ef3cfac948e36f37e5ddcf587bc57925ec910b8fcb3135594f8"),
+        ],
+    )
+    def test_finite_entries_keep_the_bits_of_every_doubling(self, name, digest):
+        # Recorded with every interval doubled its full count: the masks of
+        # finite Phi and W entries, then every finite entry of Phi and of W.
+        # At 1e200 the W of marginal, unstable and gaussian8 intervals has
+        # overflowed beside a Phi that is still finite in some entries.
+        phi, w = _transition_and_gramian(model_named(name), 0.0, GOLDEN_GRID)
+        finite_phi, finite_w = np.isfinite(phi), np.isfinite(w)
+        data = finite_phi.tobytes() + finite_w.tobytes()
+        data += phi[finite_phi].tobytes() + w[finite_w].tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_phi_keeps_doubling_where_w_overflowed(self):
+        # W of the double integrator grows as dt^3 and overflows long before
+        # Phi = [[1, dt], [0, 1]] does: Phi takes every doubling.
+        phi, w = _transition_and_gramian(demo_model("marginal"), 0.0, 1e200)
+        assert not np.isfinite(w).any()
+        np.testing.assert_array_equal(phi, [[1.0, 1e200], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "name, grid, full, levels",
+        [
+            ("unstable", np.logspace(-6, 12, 19), 39, 16),
+            ("hurwitz3", np.logspace(-6, 12, 19), 39, 16),
+            ("rotation4", np.logspace(-6, 12, 19), 39, 39),
+            ("stable", [1e300, 1.7e308], 1023, 16),
+        ],
+        ids=["unstable", "hurwitz3", "rotation4", "stable-long"],
+    )
+    def test_settled_intervals_stop_doubling(self, monkeypatch, name, grid, full, levels):
+        # The decades up to 1e12 take 39 doublings.  The unstable (Phi, W) has
+        # overflowed in every entry and the Hurwitz one has stopped changing
+        # well before that, so both stop at the check at level 16; the
+        # rotation keeps Phi of order one and W growing, so it takes every
+        # level.  The stable pair reaches its equilibrium long before its 996
+        # and 1023 doublings.
+        model = model_named(name)
+        assert doublings(model.drift.matrix, model.noise_intensity, grid).max() == full
+        calls, compose = [], linearsystem._compose
+        monkeypatch.setattr(
+            linearsystem, "_compose", lambda *pairs: calls.append(1) or compose(*pairs)
+        )
+        _transition_and_gramian(model, 0.0, np.asarray(grid))
+        assert len(calls) == levels
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("hurwitz3", "d2a13f9653643d9243dd5788d0b5f28f50c51d9c7cafe8c982694c5764a84b92"),
+            ("gaussian8", "130c0f6c2caedd6c0ddd5d55ed3fb3ab76e23b4614ff923f1e460733514c06fe"),
+        ],
+    )
+    def test_rate_curve_bits_are_golden(self, name, digest):
+        # Pins the eigenvalues of W as eigvalsh computes them for n >= 3.
+        curve = rate_curve(seeded_constant_model(name), 0.01, GOLDEN_GRID[:80])
+        assert hashlib.sha256(curve.rate_bits.tobytes()).hexdigest() == digest
 
 
 class TestDatasetCsv:

@@ -1,0 +1,244 @@
+"""Write a BENCH_*.json file: the benchmark, the README commands and the
+per-call cost of one stacked rate evaluation, for checkouts side by side.
+
+    python3 tools/bench_file.py --checkout parent=../parent --checkout change=. \\
+        --out BENCH_28.json
+
+Each checkout is a directory holding ``src/lincoder`` and ``bench/``.  For
+each one the file records:
+
+- the JSON result line of its own ``bench/run.py --seed 5 --seconds 10``,
+  with ``--trace 0`` (end-to-end metrics) and ``--trace 1`` (per-layer
+  metrics from ``bench/tracer.py``), on every workload;
+- the wall time of the four README commands, each as a fresh process
+  (interpreter start and imports included), the minimum of 7 runs, with
+  the sha256 of each command's stdout and output file;
+- the cost per call of ``coderate._increment_rates`` on five stacks, the
+  minimum over 9 fresh processes of the best of 9 x 100 calls.
+
+Processes of different checkouts alternate, so a change in host speed
+hits them alike.  Every process inherits this one's environment (BLAS
+thread variables included), and the file records the machine: CPU model
+and count, CPU affinity, BLAS thread variables, Python, numpy and scipy
+versions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+WORKLOADS = ("rate-sweep", "emulate-compress", "sample-replay")
+BENCH_SEED = 5
+BENCH_SECONDS = 10
+COMMAND_RUNS = 7
+RATE_PROCESSES = 9
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: The README's CLI walk-through: config files, then the four commands with
+#: the file each one writes (None for min-rate, which prints only).
+README_CONFIGS = {
+    "curve.json": {
+        "system": "stable",
+        "distortion": 0.01,
+        "grid": {"min": 0.001, "max": 100.0, "points": 100, "log": True, "axis": "dt"},
+    },
+    "minrate.json": {"system": "unstable", "distortion": 0.01, "capacity_bits": 8.0},
+    "sample.json": {"system": "stable", "x0": [1.0, 1.0], "dt": 0.01, "steps": 300, "trials": 50},
+}
+README_COMMANDS = {
+    "rdf-curve": (["rdf-curve", "--config", "curve.json", "--out", "curve.csv"], "curve.csv"),
+    "min-rate": (["min-rate", "--config", "minrate.json"], None),
+    "sample": (
+        ["sample", "--config", "sample.json", "--out", "train.csv", "--seed", "7"],
+        "train.csv",
+    ),
+    "emulate": (
+        ["emulate", "train.csv", "family.json", "--resolution", "1", "--seed", "42",
+         "--out", "emulated.csv"],
+        "emulated.csv",
+    ),
+}
+CLI = "import sys; from lincoder.cli import main; sys.exit(main(sys.argv[1:]))"
+FAMILY = (
+    "import lincoder, lincoder.csvio as io; "
+    "io.dump_family(lincoder.planar_grid_family(), 'family.json')"
+)
+
+#: One process of the per-call measurement: the best of 9 x 100 calls of
+#: each stack, in microseconds per call, printed as JSON.
+RATE_PROBE = r"""
+import json, time
+import numpy as np
+import lincoder as lc
+from lincoder.coderate import _increment_rates
+
+stable, marginal, unstable = (lc.demo_model(n) for n in ("stable", "marginal", "unstable"))
+cases = {
+    "one interval, unstable": (unstable, np.array([1.0])),
+    "20-interval round, unstable": (unstable, np.geomspace(1.0, 10.0, 20)),
+    "20-interval round, marginal": (marginal, np.geomspace(1.0, 10.0, 20)),
+    "19-decade scan, unstable": (unstable, np.logspace(-6, 12, 19)),
+    "100-point curve, stable": (stable, np.logspace(-3, 2, 100)),
+}
+best = {}
+for name, (model, dts) in cases.items():
+    for _ in range(10):
+        _increment_rates(model, 0.0, dts, 0.01)
+    times = []
+    for _ in range(9):
+        start = time.perf_counter()
+        for _ in range(100):
+            _increment_rates(model, 0.0, dts, 0.01)
+        times.append((time.perf_counter() - start) / 100)
+    best[name] = 1e6 * min(times)
+print(json.dumps(best))
+"""
+
+
+def in_turn(checkouts: dict, turn: int) -> list:
+    """The (label, path) pairs, in reverse order on odd turns, so no checkout always runs first."""
+    pairs = list(checkouts.items())
+    return pairs[::-1] if turn % 2 else pairs
+
+
+def environment(checkout: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(checkout / "src")
+    return env
+
+
+def machine() -> dict:
+    import numpy
+    import scipy
+
+    model = None
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {
+        "cpu_model": model,
+        "cpu_count": os.cpu_count(),
+        "cpu_affinity": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_VARIABLES},
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+def bench_results(checkouts: dict) -> dict:
+    results = {label: {} for label in checkouts}
+    for turn, (workload, trace) in enumerate((w, t) for w in WORKLOADS for t in (0, 1)):
+        for label, path in in_turn(checkouts, turn):
+            done = subprocess.run(
+                [sys.executable, "bench/run.py", "--workload", workload, "--seed",
+                 str(BENCH_SEED), "--seconds", str(BENCH_SECONDS), "--trace", str(trace)],
+                cwd=path, stdout=subprocess.PIPE, text=True, check=True,
+            )
+            result = json.loads(done.stdout.strip().splitlines()[-1])
+            results[label].setdefault(workload, {})[f"trace{trace}"] = result
+            print(f"bench {label} {workload} trace={trace}: failed={result['failed']}",
+                  file=sys.stderr)
+    return results
+
+
+def readme_commands(checkouts: dict) -> tuple:
+    """(min seconds, sha256 of stdout and output file) of each README command per checkout."""
+    seconds = {label: {name: [] for name in README_COMMANDS} for label in checkouts}
+    digests = {label: {} for label in checkouts}
+    with tempfile.TemporaryDirectory() as scratch:
+        workdirs = {}
+        for label, path in checkouts.items():
+            workdir = Path(scratch) / label
+            workdir.mkdir()
+            for name, config in README_CONFIGS.items():
+                (workdir / name).write_text(json.dumps(config))
+            subprocess.run([sys.executable, "-c", FAMILY], cwd=workdir, env=environment(path),
+                           check=True)
+            workdirs[label] = workdir
+        for turn in range(COMMAND_RUNS):
+            for name, (argv, output) in README_COMMANDS.items():
+                for label, path in in_turn(checkouts, turn):
+                    start = time.perf_counter()
+                    done = subprocess.run([sys.executable, "-c", CLI, *argv], cwd=workdirs[label],
+                                          env=environment(path), stdout=subprocess.PIPE,
+                                          check=True)
+                    seconds[label][name].append(time.perf_counter() - start)
+                    data = done.stdout + (
+                        (workdirs[label] / output).read_bytes() if output else b""
+                    )
+                    digests[label][name] = hashlib.sha256(data).hexdigest()
+    return {label: {name: min(runs) for name, runs in by_name.items()}
+            for label, by_name in seconds.items()}, digests
+
+
+def rate_costs(checkouts: dict) -> dict:
+    best = {label: {} for label in checkouts}
+    for turn in range(RATE_PROCESSES):
+        for label, path in in_turn(checkouts, turn):
+            done = subprocess.run([sys.executable, "-c", RATE_PROBE], env=environment(path),
+                                  stdout=subprocess.PIPE, text=True, check=True)
+            for name, cost in json.loads(done.stdout).items():
+                best[label][name] = min(cost, best[label].get(name, float("inf")))
+    return best
+
+
+def ratios(values: dict) -> dict:
+    """Each checkout's values over the first checkout's, by name."""
+    first = next(iter(values.values()))
+    return {label: {name: value / first[name] for name, value in by_name.items()}
+            for label, by_name in values.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--checkout", action="append", required=True, metavar="LABEL=PATH",
+                        help="a labelled checkout; the first one is the base of the ratios")
+    parser.add_argument("--out", required=True, help="the JSON file to write")
+    args = parser.parse_args(argv)
+    checkouts = {}
+    for entry in args.checkout:
+        label, _, path = entry.partition("=")
+        checkout = Path(path).resolve()
+        if not label or not (checkout / "src" / "lincoder").is_dir():
+            parser.error(f"--checkout {entry!r} is not LABEL=PATH of a checkout with src/lincoder")
+        checkouts[label] = checkout
+
+    command_s, command_sha = readme_commands(checkouts)
+    rate_us = rate_costs(checkouts)
+    bench = bench_results(checkouts)
+    report = {
+        "machine": machine(),
+        "checkouts": list(checkouts),
+        "readme_commands_s": command_s,
+        "readme_commands_ratio": ratios(command_s),
+        "readme_outputs_sha256": command_sha,
+        "rate_eval_us": rate_us,
+        "rate_eval_ratio": ratios(rate_us),
+        "bench": bench,
+        "settings": {
+            "bench": f"bench/run.py --seed {BENCH_SEED} --seconds {BENCH_SECONDS}, "
+            "--trace 0 and 1",
+            "readme_commands": f"fresh process each, min of {COMMAND_RUNS}, checkouts alternating",
+            "rate_eval": f"min over {RATE_PROCESSES} fresh processes of the best of 9 x 100 calls",
+        },
+    }
+    Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=False) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
