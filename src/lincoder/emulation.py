@@ -407,9 +407,11 @@ def replay_statistics(
     for a uniform draw j over the feasible trials (0 with none), over the
     training covariance's norm floored at COV_SCALE_RTOL times the mean
     squared increment.  The draw is a bootstrap, so Cov_j is (m-1)/m of the
-    unbiased estimate.  Both gaps are reported as RMS over steps; the pooled
-    covariance is the mean training covariance.  With one trial the last two
-    are None.
+    unbiased estimate.  Codes without per-trial fractions score as the one
+    pseudo-trial emulate_steps replays: no cross-trial spread, and the
+    multinomial term of the averaged fractions.  Both gaps are reported as
+    RMS over steps; the pooled covariance is the mean training covariance.
+    With one trial the last two are None.
     """
     increments = dataset.increments()  # (trials, steps, n)
     mean_square = np.mean(np.sum(increments**2, axis=2), axis=0)
@@ -422,8 +424,11 @@ def replay_statistics(
     training = np.einsum("lkn,lkm->knm", centered, centered) / (dataset.trials - 1)
     codes = result.codes
     vectors = family.field_matrix()
-    p = np.where(codes.trial_feasible[..., None], codes.trial_probabilities, 0.0)
-    count = np.maximum(codes.feasible_trials, 1)[:, None, None]
+    if codes.trial_probabilities is None:
+        p, count = codes.probabilities[:, None], 1
+    else:
+        p = np.where(codes.trial_feasible[..., None], codes.trial_probabilities, 0.0)
+        count = np.maximum(codes.feasible_trials, 1)[:, None, None]
     fields = p @ vectors.T  # (steps, trials, n); zero rows for infeasible trials
     mean_field = fields.sum(axis=1, keepdims=True) / count
     second_moment = fields.swapaxes(1, 2) @ fields / count

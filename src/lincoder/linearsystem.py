@@ -150,48 +150,36 @@ def _van_loan(omegas: np.ndarray):
     and put back at the end, unless s already ascends as on an ascending
     grid), so that those still doubling are a suffix.
 
-    At levels 8, 16, 32, ... an interval stops doubling once it has settled,
-    which depends on its own values alone:
+    At levels 8, 16, 32, ... the doubling ends once every interval of the
+    suffix has settled, which depends on its own values alone:
     - the last doubling left its (Phi, W) unchanged bit for bit: _compose is
       a pure function, so every later doubling would too;
     - every entry of its Phi and of its W is non-finite: inf and NaN never
       turn finite under + and *, and sym() keeps each non-finite entry.
-    So every finite entry of (Phi, W) is the one all s doublings give, and
-    every non-finite entry is non-finite after them too.
+    The doubling checked is kept, so every finite entry of (Phi, W) is the
+    one all s doublings give, and every non-finite entry is non-finite after
+    them too.
     """
     n = omegas.shape[-1] // 2
-    exp, doublings = scaled_exp(omegas)
-    phi = np.ascontiguousarray(exp[:, n:, n:].swapaxes(1, 2))
-    w = _symmetrize(phi @ exp[:, :n, n:])
-    order = None
-    if (doublings[1:] < doublings[:-1]).any():
-        order = np.argsort(doublings, kind="stable")
-        phi, w, doublings = phi[order], w[order], doublings[order]
-    starts = np.searchsorted(doublings, np.arange(doublings.max(initial=0)), side="right").tolist()
-    level = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while level < len(starts):
-            start = starts[level]
+        exp, doublings = scaled_exp(omegas)
+        phi = np.ascontiguousarray(exp[:, n:, n:].swapaxes(1, 2))
+        w = _symmetrize(phi @ exp[:, :n, n:])
+        order = None
+        if (doublings[1:] < doublings[:-1]).any():
+            order = np.argsort(doublings, kind="stable")
+            phi, w, doublings = phi[order], w[order], doublings[order]
+        starts = np.searchsorted(doublings, np.arange(doublings.max(initial=0)), side="right")
+        for level, start in enumerate(starts.tolist(), start=1):
             p, q = phi[start:], w[start:]
             new_phi, new_w = _compose(p, q, p, q)
-            level += 1
             if level >= 8 and level & (level - 1) == 0:
-                overflowed = ~(
-                    np.isfinite(new_phi).any(axis=(1, 2)) | np.isfinite(new_w).any(axis=(1, 2))
-                )
-                settled = overflowed | (
-                    (new_phi.view(np.uint64) == p.view(np.uint64)).all(axis=(1, 2))
-                    & (new_w.view(np.uint64) == q.view(np.uint64)).all(axis=(1, 2))
-                )
-                if settled.any():
-                    order = np.arange(len(doublings)) if order is None else order
-                    doublings[start:][settled] = level
-                    rank = np.argsort(doublings[start:], kind="stable")
-                    order[start:], doublings[start:] = order[start:][rank], doublings[start:][rank]
-                    new_phi, new_w = new_phi[rank], new_w[rank]
-                    starts = np.searchsorted(
-                        doublings, np.arange(doublings[-1]), side="right"
-                    ).tolist()
+                same = (new_phi.view(np.uint64) == p.view(np.uint64)).all(axis=(1, 2))
+                same &= (new_w.view(np.uint64) == q.view(np.uint64)).all(axis=(1, 2))
+                lost = ~np.isfinite(new_phi).any(axis=(1, 2)) & ~np.isfinite(new_w).any(axis=(1, 2))
+                if (same | lost).all():
+                    phi[start:], w[start:] = new_phi, new_w
+                    break
             phi[start:], w[start:] = new_phi, new_w
     if order is None:
         return phi, w
@@ -280,12 +268,20 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
 def increment_distribution(
     model: LinearSystemModel, x_t, t: float, dt: float
 ) -> IncrementDistribution:
-    """Gaussian law of X(t + dt) - X(t) given X(t) = x_t."""
+    """Gaussian law of X(t + dt) - X(t) given X(t) = x_t; ValueError if it overflows."""
     x = as_vector(x_t, "state")
     if x.shape[0] != model.dimension:
         raise ValueError("state dimension does not match the model")
-    phi, cov = _transition_and_gramian(model, t, float(dt))
+    phi, cov = _finite_law(model, t, float(dt))
     return IncrementDistribution((phi - np.eye(model.dimension)) @ x, cov)
+
+
+def _finite_law(model: LinearSystemModel, t: float, dt: float):
+    """Phi and W over [t, t + dt] of one interval; ValueError unless both are finite."""
+    phi, cov = _transition_and_gramian(model, t, dt)
+    if not (np.isfinite(phi).all() and np.isfinite(cov).all()):
+        raise ValueError(f"the increment law overflows at dt = {dt:g}")
+    return phi, cov
 
 
 def _covariance_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -326,9 +322,7 @@ def sample_paths(
     n = model.dimension
     if x0.shape[0] != n:
         raise ValueError("initial state dimension does not match the model")
-    phi, cov = _transition_and_gramian(model, 0.0, dt)
-    if not (np.isfinite(phi).all() and np.isfinite(cov).all()):
-        raise ValueError(f"the increment law overflows at dt = {dt:g}")
+    phi, cov = _finite_law(model, 0.0, dt)
     root = _covariance_sqrt(cov)
     z = np.stack(
         [substream(seed, PATH_LANE, t, 0).standard_normal((steps, n)) for t in range(trials)],

@@ -203,7 +203,8 @@ class TestRateCeiling:
         assert increment_rate(model, dt, 0.01).rate_bits == pytest.approx(ceiling, rel=1e-12)
 
 
-@pytest.mark.parametrize("dt", [1e300, 1.7e308])
+# Near dt = 4.66e103 the first W of the marginal drift overflows in a matmul.
+@pytest.mark.parametrize("dt", [1e300, 1.7e308, 4.660210683981821e103])
 @pytest.mark.parametrize("name", ["stable", "marginal", "unstable", "brownian"])
 def test_no_warning_escapes_at_the_float_limit(name, dt):
     with warnings.catch_warnings():

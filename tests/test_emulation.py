@@ -927,6 +927,34 @@ class TestReplayStatistics:
         result = self.assert_matches_reference(TrajectoryDataset(0.1, states), fam, resolution)
         assert result.codes.feasible_trials.tolist() == [4, 4, 0, 4, 3, 4]
 
+    def test_averaged_only_codes_score_as_their_pseudo_trial(self):
+        # emulate_steps replays codes without per-trial fractions as one
+        # trial with the averaged fractions; they score as that trial would.
+        model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
+        data = sample_paths(model, [1.0, 1.0], 0.01, steps=40, trials=5, seed=7)
+        fam = planar_grid_family()
+        codes = compress_dataset(data, fam)
+        averaged = StepCodes(
+            codes.probabilities, codes.flow_times, codes.feasible_trials, codes.infeasible_trials
+        )
+        one_trial = StepCodes(
+            codes.probabilities,
+            codes.flow_times,
+            np.ones(codes.steps, dtype=int),
+            np.zeros(codes.steps, dtype=int),
+            codes.probabilities[:, None],
+            np.ones((codes.steps, 1), dtype=bool),
+        )
+        x0 = data.states[:, 0].mean(axis=0)
+        results = [
+            emulation.EmulationResult(emulate_steps(c, fam, x0, 4, 3), c)
+            for c in (averaged, one_trial)
+        ]
+        assert np.array_equal(results[0].states, results[1].states)
+        scores = [replay_statistics(data, result, fam, 4) for result in results]
+        assert scores[0][:2] == scores[1][:2] and np.array_equal(scores[0][2], scores[1][2])
+        assert 0.0 < scores[0][1] < math.inf
+
     def test_single_trial_has_no_covariance_statistics(self):
         data = single_field_dataset([1.0, 0.5], 0.1, steps=4, trials=1)
         fam = planar_grid_family()

@@ -482,6 +482,17 @@ class TestIncrementDistribution:
                 assert np.array_equal(cov, single_cov, equal_nan=True)
         overflowed = _transition_and_gramian(model, 0.0, grid)[1][grid == 1e4]
         assert (not np.isfinite(overflowed).any()) == (name == "unstable")
+        # Out to 1e300 the marginal W overflows beside a finite Phi, and at
+        # the level-16 check some of the intervals still doubling have
+        # settled while others have not.  A settled interval only keeps its
+        # finite entries and which entries are finite, so those are compared.
+        far = np.geomspace(1e-3, 1e300, 61)
+        phis, covariances = _transition_and_gramian(model, 0.0, far)
+        for dt, phi, cov in zip(far, phis, covariances):
+            for got, alone in zip((phi, cov), _transition_and_gramian(model, 0.0, dt)):
+                finite = np.isfinite(alone)
+                assert np.array_equal(np.isfinite(got), finite)
+                assert np.array_equal(got[finite], alone[finite])
 
     def test_nonpositive_interval_rejected(self):
         model = LinearSystemModel.constant([[-1.0]], [[1.0]])
@@ -494,6 +505,34 @@ class TestIncrementDistribution:
         model = LinearSystemModel.constant([[0.5]], [[1.0]])
         law = increment_distribution(model, [0.0], 0.0, dt)
         assert abs(law.covariance[0, 0] / math.expm1(dt) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "model, dt, message",
+        [
+            (demo_model("unstable"), 1e4, "the increment law overflows at dt = 10000"),
+            (
+                LinearSystemModel.time_varying(
+                    lambda t: np.broadcast_to(0.5 * np.eye(2), (len(t), 2, 2)), 2, np.eye(2)
+                ),
+                1500.0,
+                "the increment law overflows at dt = 1500",
+            ),
+            # Phi and W overflow on the eighth and last doubling, a check level.
+            (
+                LinearSystemModel.constant([[1.0]], [[1e-100]]),
+                800.0,
+                "the increment law overflows at dt = 800",
+            ),
+        ],
+        ids=["constant", "time-varying", "check-level"],
+    )
+    def test_overflowed_law_is_refused(self, model, dt, message):
+        # The same refusal as sample_paths, not a NaN mean and covariance.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                increment_distribution(model, np.ones(model.dimension), 0.0, dt)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("dt", [0.5, 10.0], ids=["one-exponential", "doublings"])
     def test_mean_uses_the_state_transition_bit_for_bit(self, dt):
@@ -898,6 +937,27 @@ class TestSettledDoubling:
         phi, w = _transition_and_gramian(demo_model("marginal"), 0.0, 1e200)
         assert not np.isfinite(w).any()
         np.testing.assert_array_equal(phi, [[1.0, 1e200], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "rate, noise", [(1.0, 1e-100), (1.0, 1.0), (1e-2, 1e-100), (1e-4, 1.0)]
+    )
+    def test_overflow_on_a_check_level_is_kept(self, rate, noise):
+        # One interval of the 1-D drift a: Phi = e^(a dt) and
+        # W = q (e^(2 a dt) - 1) / (2 a).  Its exponential starts from
+        # a dt 2^-s in (2.1, 4.25], so Phi overflows on the eighth doubling,
+        # which is a check level: that doubling is the one returned, not the
+        # finite (Phi, W) of dt / 2 before it.
+        model = LinearSystemModel.constant([[rate]], [[noise]])
+        top = math.log(np.finfo(float).max)
+        for x in np.linspace(1.0, 2000.0, 400):
+            phi, w = _transition_and_gramian(model, 0.0, x / rate)
+            exact = x, math.log(noise / (2 * rate)) + 2 * x + math.log1p(-math.exp(-2 * x))
+            for got, log_exact in zip((phi[0, 0], w[0, 0]), exact):
+                if log_exact > top + 1e-6:
+                    assert math.isinf(got), (x, log_exact, got)
+                elif log_exact < top - 1e-6:
+                    assert abs(math.log(got) - log_exact) <= 1e-9, (x, log_exact, got)
+        assert math.isinf(increment_rate(model, 2000.0 / rate, 0.01).rate_bits)
 
     @pytest.mark.parametrize(
         "name, grid, full, levels",

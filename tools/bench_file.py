@@ -2,14 +2,18 @@
 per-call cost of one stacked rate evaluation, for checkouts side by side.
 
     python3 tools/bench_file.py --checkout parent=../parent --checkout change=. \\
-        --out BENCH_28.json
+        --out BENCH_29.json
 
 Each checkout is a directory holding ``src/lincoder`` and ``bench/``.  For
 each one the file records:
 
-- the JSON result line of its own ``bench/run.py --seed 5 --seconds 10``,
-  with ``--trace 0`` (end-to-end metrics) and ``--trace 1`` (per-layer
-  metrics from ``bench/tracer.py``), on every workload;
+- on every workload, the median and quartiles of each end-to-end metric
+  over 5 runs of its own ``bench/run.py --seed 5 --seconds 10 --trace 0``,
+  alternating with the other checkouts' runs, with the failed items of
+  those runs; a checkout after the first also records in how many of the
+  5 pairs it beat the first;
+- the JSON result line of one ``--trace 1`` run (per-layer metrics from
+  ``bench/tracer.py``) on every workload;
 - the wall time of the four README commands, each as a fresh process
   (interpreter start and imports included), the minimum of 7 runs, with
   the sha256 of each command's stdout and output file;
@@ -30,6 +34,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -39,6 +44,7 @@ from pathlib import Path
 WORKLOADS = ("rate-sweep", "emulate-compress", "sample-replay")
 BENCH_SEED = 5
 BENCH_SECONDS = 10
+BENCH_PAIRS = 5
 COMMAND_RUNS = 7
 RATE_PROCESSES = 9
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -139,19 +145,55 @@ def machine() -> dict:
     }
 
 
+def bench_run(label: str, path: Path, workload: str, trace: int) -> dict:
+    """The JSON result line of one ``bench/run.py`` run in a checkout."""
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(BENCH_SEED),
+         "--seconds", str(BENCH_SECONDS), "--trace", str(trace)],
+        cwd=path, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    print(f"bench {label} {workload} trace={trace}: failed={result['failed']}",
+          file=sys.stderr)
+    return result
+
+
+def spread(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
 def bench_results(checkouts: dict) -> dict:
+    """Per checkout and workload: each end-to-end metric over BENCH_PAIRS
+    alternating untraced runs, the failed items of those runs, and one traced run.
+
+    Every checkout after the first also counts, per metric, the pairs it won:
+    those in which its value was lower than the first checkout's (every
+    end-to-end metric is better lower).
+    """
     results = {label: {} for label in checkouts}
-    for turn, (workload, trace) in enumerate((w, t) for w in WORKLOADS for t in (0, 1)):
-        for label, path in in_turn(checkouts, turn):
-            done = subprocess.run(
-                [sys.executable, "bench/run.py", "--workload", workload, "--seed",
-                 str(BENCH_SEED), "--seconds", str(BENCH_SECONDS), "--trace", str(trace)],
-                cwd=path, stdout=subprocess.PIPE, text=True, check=True,
-            )
-            result = json.loads(done.stdout.strip().splitlines()[-1])
-            results[label].setdefault(workload, {})[f"trace{trace}"] = result
-            print(f"bench {label} {workload} trace={trace}: failed={result['failed']}",
-                  file=sys.stderr)
+    first = next(iter(checkouts))
+    for index, workload in enumerate(WORKLOADS):
+        runs = {label: [] for label in checkouts}
+        for turn in range(BENCH_PAIRS):
+            for label, path in in_turn(checkouts, turn):
+                runs[label].append(bench_run(label, path, workload, 0))
+        values = {
+            label: {name: [run["metrics"][name]["value"] for run in by_run]
+                    for name in by_run[0]["metrics"]}
+            for label, by_run in runs.items()
+        }
+        for label, path in in_turn(checkouts, index):
+            end_to_end = {name: spread(series) for name, series in values[label].items()}
+            if label != first:
+                for name, series in values[label].items():
+                    wins = sum(v < b for v, b in zip(series, values[first][name]))
+                    end_to_end[name]["wins"] = wins
+            results[label][workload] = {
+                "failed": sum(run["failed"] for run in runs[label]),
+                "end_to_end": end_to_end,
+                "trace1": bench_run(label, path, workload, 1),
+            }
     return results
 
 
@@ -230,8 +272,8 @@ def main(argv=None) -> int:
         "rate_eval_ratio": ratios(rate_us),
         "bench": bench,
         "settings": {
-            "bench": f"bench/run.py --seed {BENCH_SEED} --seconds {BENCH_SECONDS}, "
-            "--trace 0 and 1",
+            "bench": f"bench/run.py --seed {BENCH_SEED} --seconds {BENCH_SECONDS}: "
+            f"{BENCH_PAIRS} alternating --trace 0 runs per checkout, one --trace 1 run",
             "readme_commands": f"fresh process each, min of {COMMAND_RUNS}, checkouts alternating",
             "rate_eval": f"min over {RATE_PROCESSES} fresh processes of the best of 9 x 100 calls",
         },
