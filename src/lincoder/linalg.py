@@ -43,6 +43,9 @@ _PADE_LOG2_ERROR_RECIPROCAL = math.log2(
 )
 #: 1/k of the power norms ||A^k|| that _squarings takes, k = 1, 6, 8, 10.
 _POWER_NORM_EXPONENTS = 1.0 / np.array([[1.0], [6.0], [8.0], [10.0]])
+#: Norm ||A|| below which no power A^k, k <= 10, overflows: every entry and
+#: partial sum of A^k is at most ||A||^k, below 2^1020 < 2^maxexp.
+_POWER_NORM_LIMIT = 2.0 ** (np.finfo(float).maxexp // 10)
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -115,21 +118,49 @@ def _as_square_stack(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _squarings(a: np.ndarray, a4, a6, a8) -> np.ndarray:
-    """Squaring count s of each matrix A of a stack (m, n, n) for the degree-13 approximant.
+def _power_norms(a: np.ndarray, a4, a6, a8) -> np.ndarray:
+    """||A|| and d_k = ||A^k||^(1/k), k = 6, 8, 10, of each matrix A of a stack (m, n, n).
 
-    a4, a6 and a8 are the powers A^4, A^6 and A^8 of the stack.
+    a4, a6 and a8 are the powers A^4, A^6 and A^8 of the stack; the result
+    is one (4, m) array of exact 1-norms.
+    """
+    power_norms = np.abs(np.concatenate((a, a6, a8, a4 @ a6))).sum(axis=1).max(axis=1)
+    return power_norms.reshape(4, len(a)) ** _POWER_NORM_EXPONENTS
+
+
+def _unit_row_log2(a: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """log2 of the largest entry of 1^T (|A| / ||A||)^27 of each matrix A of a stack.
+
+    Taken by vector products, so that no power of a huge ||A|| is formed;
+    -inf where the row is 0 (A = 0, or |A| nilpotent).
+    """
+    unit = np.abs(a) / np.where(norms > 0.0, norms, 1.0)[:, np.newaxis, np.newaxis]
+    unit2 = unit @ unit
+    unit4 = unit2 @ unit2
+    row = np.ones((len(a), 1, a.shape[-1])) @ unit @ unit2
+    for _ in range(6):
+        row = row @ unit4
+    with np.errstate(divide="ignore"):
+        return np.log2(row.max(axis=(1, 2)))
+
+
+def _squarings_from_norms(norms, d6, d8, d10, unit_row_log2) -> np.ndarray:
+    """Squaring count s of each matrix A for the degree-13 approximant, from its norms.
+
+    norms, d6, d8 and d10 are ||A|| and the power norms d_k = ||A^k||^(1/k)
+    of each A, all finite; unit_row_log2(picked) is _unit_row_log2 of the
+    picked matrices.  log2(0) = -inf is a valid value here, so callers run
+    it with divide errors ignored.
 
     Al-Mohy & Higham 2009, Algorithm 5.1, at degree 13 only, with exact
-    1-norms.  The scaling follows the norms of powers, d_k = ||A^k||^(1/k),
-    rather than ||A||.  That avoids overscaling, and the rounding the extra
-    squarings would amplify, when ||A|| far exceeds the spectral radius, as
-    in the augmented block of a nearly driftless system.  The correction
-    ell(A, 13) = ceil(log2(alpha / u) / 26), with alpha = |c_27|
-    ||(|A|)^27|| / ||A|| and u = 2^-53, adds squarings where rounding in the
-    Pade evaluation of a highly non-normal matrix would dominate.
-    ||(|A|)^27|| is the largest entry of 1^T (|A| / ||A||)^27 times
-    ||A||^27, taken by vector products so that huge norms cannot overflow.
+    1-norms.  The scaling follows the norms of powers rather than ||A||.
+    That avoids overscaling, and the rounding the extra squarings would
+    amplify, when ||A|| far exceeds the spectral radius, as in the augmented
+    block of a nearly driftless system.  The correction ell(A, 13) =
+    ceil(log2(alpha / u) / 26), with alpha = |c_27| ||(|A|)^27|| / ||A|| and
+    u = 2^-53, adds squarings where rounding in the Pade evaluation of a
+    highly non-normal matrix would dominate.  ||(|A|)^27|| is the largest
+    entry of 1^T (|A| / ||A||)^27 times ||A||^27.
 
     The 1-norm is submultiplicative, so ||(|A|)^27|| <= ||A||^27, the
     largest entry is at most 1, and ell <= ceil((26 log2 ||A|| + 1 -
@@ -139,14 +170,37 @@ def _squarings(a: np.ndarray, a4, a6, a8) -> np.ndarray:
     below 2, and its log2 below 1, for any n short of 10^13.  The bound is
     the formula for ell with that log2 replaced by 1, and every step of the
     formula is monotone in floating point, so the computed ell is at most
-    the computed bound.  When, for every matrix of the stack, the bound is
-    at most the count from the d_k alone, ell cannot raise the count and
-    the 27th power is not formed: the count is the one the full formula
-    gives.
+    the computed bound.  The 27th power is formed only for the matrices
+    whose bound exceeds their count from the d_k alone; for the rest ell
+    cannot raise the count, which is the one the full formula gives.
+    """
+    # d_k <= ||A||, which also stands in for a power norm that overflowed.
+    eta5 = np.fmin(np.minimum(np.maximum(d6, d8), np.maximum(d8, d10)), norms)
+    log_norms = np.log2(norms)
+    squarings = np.maximum(np.ceil(np.log2(eta5 / _PADE_THETA13)), 0.0)
+    bound = np.ceil((26 * log_norms + 1.0 - _PADE_LOG2_ERROR_RECIPROCAL + 53.0) / 26)
+    picked = bound > squarings
+    if picked.any():
+        log_alpha = 26 * log_norms[picked] + unit_row_log2(picked)
+        ell = np.ceil((log_alpha - _PADE_LOG2_ERROR_RECIPROCAL + 53.0) / 26)
+        # Scaling by 2^-s lowers log2(alpha) by 26 s, so ell(2^-s A, 13) = ell - s.
+        squarings[picked] = np.maximum(squarings[picked], ell)
+    return squarings.astype(int)
+
+
+def _squarings(a: np.ndarray, a4, a6, a8) -> np.ndarray:
+    """Squaring count s of each matrix A of a stack (m, n, n), from its own powers.
+
+    a4, a6 and a8 are the powers A^4, A^6 and A^8 of the stack.  Below
+    ||A|| = _POWER_NORM_LIMIT = 2^102 no power up to A^10 can overflow.
+    Past it they can, and a power norm that overflowed falls back to ||A||.
+    For A = M t, d_k(M t) = t d_k(M), so _scaled_exp_multiples reads the
+    counts below the limit from the powers of M alone, and takes this
+    stacked count past it, where the fallback gives counts that no power
+    of M can.
     """
     count = len(a)
-    power_norms = np.abs(np.concatenate((a, a6, a8, a4 @ a6))).sum(axis=1).max(axis=1)
-    norms, d6, d8, d10 = power_norms.reshape(4, count) ** _POWER_NORM_EXPONENTS
+    norms, d6, d8, d10 = _power_norms(a, a4, a6, a8)
     overflowed = np.isinf(norms)
     if overflowed.any():
         # ||A|| can overflow while every entry of A is finite.  The count of
@@ -161,29 +215,14 @@ def _squarings(a: np.ndarray, a4, a6, a8) -> np.ndarray:
             *(power[overflowed] * 0.5 ** (k * shift) for power, k in powers)
         )
         return counts
-    # d_k <= ||A||, which also stands in for a power norm that overflowed.
-    eta5 = np.fmin(np.minimum(np.maximum(d6, d8), np.maximum(d8, d10)), norms)
     with np.errstate(divide="ignore"):
-        log_norms = np.log2(norms)
-        squarings = np.maximum(np.ceil(np.log2(eta5 / _PADE_THETA13)), 0.0)
-        bound = np.ceil((26 * log_norms + 1.0 - _PADE_LOG2_ERROR_RECIPROCAL + 53.0) / 26)
-    if (bound <= squarings).all():
-        return squarings.astype(int)
-    unit = np.abs(a) / np.where(norms > 0.0, norms, 1.0)[:, np.newaxis, np.newaxis]
-    unit2 = unit @ unit
-    unit4 = unit2 @ unit2
-    row = np.ones((count, 1, a.shape[-1])) @ unit @ unit2
-    for _ in range(6):
-        row = row @ unit4
-    with np.errstate(divide="ignore"):
-        log_alpha = 26 * log_norms + np.log2(row.max(axis=(1, 2)))
-        ell = np.ceil((log_alpha - _PADE_LOG2_ERROR_RECIPROCAL + 53.0) / 26)
-    # Scaling by 2^-s lowers log2(alpha) by 26 s, so ell(2^-s A, 13) = ell - s.
-    return np.maximum(squarings, ell).astype(int)
+        return _squarings_from_norms(
+            norms, d6, d8, d10, lambda picked: _unit_row_log2(a[picked], norms[picked])
+        )
 
 
-def _pade(a: np.ndarray, a2, a4, a6):
-    """Numerator and denominator of the degree-13 Pade approximant of exp for a stack.
+def _pade(a: np.ndarray, a2, a4, a6) -> np.ndarray:
+    """Degree-13 Pade approximant of exp of each matrix of a stack, from its powers.
 
     Higham's grouping of the products, with the coefficients scaled to b_0 = 1.
     """
@@ -193,7 +232,7 @@ def _pade(a: np.ndarray, a2, a4, a6):
     u = a @ (odd + b[3] * a2 + b[1] * eye)
     even = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4
     v = even + b[2] * a2 + eye
-    return v + u, v - u
+    return np.linalg.solve(v - u, v + u)
 
 
 def _scaled_exp_stack(a: np.ndarray):
@@ -210,8 +249,63 @@ def _scaled_exp_stack(a: np.ndarray):
             a2 = a @ a
             a4 = a2 @ a2
             a6 = a4 @ a2
-        numerator, denominator = _pade(a, a2, a4, a6)
-    return np.linalg.solve(denominator, numerator), squarings
+        return _pade(a, a2, a4, a6), squarings
+
+
+def _scaled_exp_multiples(matrix: np.ndarray, factors: np.ndarray):
+    """scaled_exp of the stack M t, t each factor of a 1-D array, for one finite matrix M.
+
+    The count of A = M t comes from the powers of M alone, formed once:
+    d_k(M t) = t d_k(M) and ||M t|| = t ||M|| feed the count rule
+    _squarings_from_norms that _squarings applies to a stack.  The powers
+    are those of M 2^-top, whose largest entry lies in [1/2, 1), scaled back
+    by 2^top: none of them overflows, and one that underflows is below
+    2^-102 in those units, where it cannot raise the count of an interval
+    short of the limit below.  Each M (t 2^-s) is then formed directly, and
+    only its Pade approximant is evaluated, in slices of _EXP_CHUNK_BYTES.
+
+    Where t ||M|| < _POWER_NORM_LIMIT = 2^102, ||M t||^10 < 2^1020 bounds
+    every entry and partial sum of the powers of the stacked count, so that
+    count and this one agree to rounding.  The other intervals keep the
+    stacked count of scaled_exp: there its powers can overflow, and a power
+    norm that did falls back to ||M t||, which the powers of M cannot
+    reproduce.  Where M t has a non-finite entry, they take M (t 2^-e) with
+    every entry below 2^1023, and e is added to the count: scaling by a
+    power of two is exact, and lowers the count by e.
+    """
+    n = matrix.shape[-1]
+    top = math.frexp(np.abs(matrix).max())[1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        unit = np.ldexp(matrix, -top)[np.newaxis]
+        unit2 = unit @ unit
+        unit4 = unit2 @ unit2
+        norms = np.ldexp(_power_norms(unit, unit4, unit4 @ unit2, unit4 @ unit4), top)
+        routed = factors * norms[0] >= _POWER_NORM_LIMIT
+        # Routed intervals stand in as t = 0 until their stacked count below.
+        any_routed = routed.any()
+        kept = np.where(routed, 0.0, factors) if any_routed else factors
+        counts = _squarings_from_norms(
+            *(norms * kept), lambda picked: _unit_row_log2(matrix[np.newaxis], norms[0])
+        )
+        generators = matrix * np.ldexp(kept, -counts)[:, np.newaxis, np.newaxis]
+        exps = np.empty(generators.shape)
+        size = max(1, _EXP_CHUNK_BYTES // (generators.itemsize * n * n))
+        for i in range(0, len(generators), size):
+            a = generators[i : i + size]
+            a2 = a @ a
+            a4 = a2 @ a2
+            exps[i : i + size] = _pade(a, a2, a4, a4 @ a2)
+        if any_routed:
+            stack = matrix * factors[routed, np.newaxis, np.newaxis]
+            shifts = np.where(
+                np.isfinite(stack).all(axis=(1, 2)),
+                0,
+                np.frexp(factors[routed])[1] + top - 1023,
+            )
+            stack = matrix * np.ldexp(factors[routed], -shifts)[:, np.newaxis, np.newaxis]
+            exps[routed], counts[routed] = scaled_exp(stack)
+            counts[routed] += shifts
+    return exps, counts
 
 
 def scaled_exp(matrix):

@@ -23,6 +23,7 @@ import numpy as np
 from .linalg import (
     _EXP_CHUNK_BYTES,
     _positive_int,
+    _scaled_exp_multiples,
     _symmetrize,
     as_square,
     as_vector,
@@ -140,15 +141,20 @@ def _compose(phi_j, w_j, phi, w):
     return phi_j @ phi, _symmetrize(phi_j @ w @ phi_j.swapaxes(-1, -2) + w_j)
 
 
-def _van_loan(omegas: np.ndarray):
-    """(Phi, W) of each generator Omega of a stack (m, 2n, 2n) over its interval.
+def _van_loan(exp: np.ndarray, doublings: np.ndarray):
+    """(Phi, W) of each generator Omega of a stack over its interval.
 
-    F = exp(Omega 2^-s) from scaled_exp gives Phi = F22^T and W = sym(Phi F12)
-    over 1/2^s of the interval (Van Loan 1978, IEEE TAC 23(3)), and s
-    doublings (_compose with itself) rebuild the interval.  Each generator is
-    doubled only its own s times: the stack is ordered by s (stably sorted,
-    and put back at the end, unless s already ascends as on an ascending
-    grid), so that those still doubling are a suffix.
+    exp and doublings are scaled_exp of the stack (m, 2n, 2n), or, for the
+    multiples M dt of one constant-drift generator, _scaled_exp_multiples,
+    which reads the count s of M dt from the powers of M alone: the power
+    norms d_k(M dt) = dt d_k(M), up to dt ||M|| = 2^102 (past it the stacked
+    powers of M dt can overflow, and their count stays).  F = exp(Omega 2^-s)
+    gives Phi = F22^T and W = sym(Phi F12) over 1/2^s of the interval (Van
+    Loan 1978, IEEE TAC 23(3)), and s doublings (_compose with itself)
+    rebuild the interval.  Each generator is doubled only its own s times:
+    the stack is ordered by s (stably sorted, and put back at the end,
+    unless s already ascends as on an ascending grid), so that those still
+    doubling are a suffix.
 
     At levels 8, 16, 32, ... the doubling ends once every interval of the
     suffix has settled, which depends on its own values alone:
@@ -160,9 +166,8 @@ def _van_loan(omegas: np.ndarray):
     one all s doublings give, and every non-finite entry is non-finite after
     them too.
     """
-    n = omegas.shape[-1] // 2
+    n = exp.shape[-1] // 2
     with np.errstate(over="ignore", invalid="ignore"):
-        exp, doublings = scaled_exp(omegas)
         phi = np.ascontiguousarray(exp[:, n:, n:].swapaxes(1, 2))
         w = _symmetrize(phi @ exp[:, :n, n:])
         order = None
@@ -212,7 +217,7 @@ def _magnus(model: LinearSystemModel, t: float, dt: float, m: int, drifts=None):
         commutator = m1 @ m2 - m2 @ m1
         omegas = 0.5 * h * (m1 + m2) + (math.sqrt(3.0) / 12.0 * h * h) * commutator
         with np.errstate(over="ignore", invalid="ignore"):
-            for phi_j, w_j in zip(*_van_loan(omegas)):
+            for phi_j, w_j in zip(*_van_loan(*scaled_exp(omegas))):
                 pair = _compose(phi_j, w_j, *pair)
     return pair
 
@@ -228,7 +233,13 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     and one composition step _compose.  Each exponential's own scaling 2^-s
     is carried out as s interval doublings, never as squarings of the
     augmented block.  Constant drift: the generators M dt of all intervals
-    are one stack.
+    are one stack, and their counts come from the powers of the one
+    generator M, formed once per call: d_k(M dt) = dt d_k(M) for the power
+    norms d_k = ||A^k||^(1/k) of the count.  Intervals with dt ||M|| at or
+    past 2^102, where the stacked powers of M dt can overflow and the count
+    falls back to ||M dt||, keep the stacked count of M dt (see
+    linalg._scaled_exp_multiples), so each count agrees with the one the
+    stack M dt gives, to rounding.
     For unstable drift at extreme horizons entries may overflow to inf, which
     callers treat as an unbounded-rate signal.
     Time-varying drift: per interval, one drift call at the Gauss nodes of
@@ -254,7 +265,8 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     noise = model.noise_intensity
     n = model.dimension
     if model.is_constant:
-        phi, w = _van_loan(_generators(model.drift.matrix, noise) * intervals[:, None, None])
+        generator = _generators(model.drift.matrix, noise)
+        phi, w = _van_loan(*_scaled_exp_multiples(generator, intervals))
     else:
         phi, w = np.empty((2,) + intervals.shape + (n, n))
         for i, dt_i in enumerate(intervals.tolist()):

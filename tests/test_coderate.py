@@ -213,6 +213,23 @@ def test_no_warning_escapes_at_the_float_limit(name, dt):
     assert not math.isnan(rate)
 
 
+@pytest.mark.parametrize("drift", [[[-2.0]], [[-3.0, 2.0], [-2.0, -3.0]]])
+def test_generator_that_overflows_at_the_float_limit_reaches_the_ceiling(drift):
+    # At dt = 1e308 an entry of the generator M dt itself overflows.  The
+    # exponential starts from M (dt 2^-e), e added to its doublings, so the
+    # rate is the ceiling that dt = 1e307 returns, without a warning.
+    model = LinearSystemModel.constant(drift, np.eye(len(drift)))
+    grid = [1.0, 1e307, 1e308, np.finfo(float).max]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = rate_curve(model, 0.01, grid)
+        cov = increment_distribution(model, np.zeros(len(drift)), 0.0, 1e308).covariance
+    ceiling = rate_ceiling(model, 0.01).rate_bits
+    assert curve.rate_bits[1:] == pytest.approx([ceiling] * 3, rel=1e-12)
+    equilibrium = lyapunov_solve(model.drift.matrix, model.noise_intensity)
+    assert np.max(np.abs(cov - equilibrium)) <= 1e-12 * np.max(np.abs(equilibrium))
+
+
 class TestRateCurve:
     def test_single_point_matches_pointwise_rate(self):
         model = demo_model("stable")

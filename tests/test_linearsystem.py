@@ -17,7 +17,7 @@ from lincoder import (
     rate_curve,
     sample_paths,
 )
-from lincoder import csvio, linearsystem
+from lincoder import csvio, linalg, linearsystem
 from lincoder.csvio import read_trajectories, write_trajectories
 from lincoder.linalg import scaled_exp
 from lincoder.linearsystem import (
@@ -287,7 +287,7 @@ class TestTimeVaryingPass:
         monkeypatch.setattr(
             linearsystem,
             "_van_loan",
-            lambda omegas: exponentials.append(len(omegas)) or van_loan(omegas),
+            lambda exp, counts: exponentials.append(len(exp)) or van_loan(exp, counts),
         )
         model = LinearSystemModel.time_varying(rotating_cos, 2, np.eye(2))
         for dt in (0.1, 10.0):
@@ -996,6 +996,64 @@ class TestSettledDoubling:
         # Pins the eigenvalues of W as eigvalsh computes them for n >= 3.
         curve = rate_curve(seeded_constant_model(name), 0.01, GOLDEN_GRID[:80])
         assert hashlib.sha256(curve.rate_bits.tobytes()).hexdigest() == digest
+
+
+def seeded_drifts(count):
+    """Seeded (A, N) pairs of sizes 1 to 6 over six decades of scale; every
+    third drift is strictly upper triangular, so its generator is nilpotent
+    in the drift blocks."""
+    rng = np.random.default_rng(67)
+    pairs = []
+    for i in range(count):
+        n = i % 6 + 1
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        b = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        pairs.append((np.triu(a, 1) if i % 3 == 2 else a, b @ b.T))
+    return pairs
+
+
+class TestCountsFromTheGenerator:
+    """Constant drift: the counts of M dt come from the powers of the one generator M."""
+
+    def test_counts_equal_the_stacked_counts(self):
+        # Below dt ||M|| = 2^102 the count reads dt d_k(M); from there on the
+        # stacked count of M dt is kept.  Both sides of that bound are on the
+        # grid for every model.  The unstable preset is also taken with A and
+        # N scaled by 1e45 and 1e-45, over the grid divided by the same
+        # factor: the powers of M itself would overflow or underflow there.
+        grid = np.concatenate((GOLDEN_GRID, np.geomspace(1e-8, 1e40, 2000)))
+        names = ("stable", "marginal", "unstable", "brownian", "hurwitz3", "gaussian8", "rotation4")
+        models = [model_named(name) for name in names]
+        pairs = [(m.drift.matrix, m.noise_intensity) for m in models] + seeded_drifts(120)
+        cases = [(a, noise, grid) for a, noise in pairs]
+        a, noise = pairs[2]
+        cases += [(a * scale, noise * scale, grid / scale) for scale in (1e45, 1e-45)]
+        for a, noise, grid in cases:
+            generator = _generators(a, noise)
+            routed = grid * np.linalg.norm(generator, 1) >= 2.0**102
+            assert routed.any() and not routed.all()
+            counts = linalg._scaled_exp_multiples(generator, grid)[1]
+            np.testing.assert_array_equal(counts, doublings(a, noise, grid))
+
+    def test_constant_drift_forms_no_stacked_power_norm(self, monkeypatch):
+        sizes, power_norms = [], linalg._power_norms
+        monkeypatch.setattr(
+            linalg,
+            "_power_norms",
+            lambda a, *powers: sizes.append(len(a)) or power_norms(a, *powers),
+        )
+        # The one power norm of size 1 is that of the generator M; a stacked
+        # one holds a matrix per interval, or per Magnus segment.
+        _transition_and_gramian(demo_model("unstable"), 0.0, np.logspace(-6, 12, 19))
+        assert sizes == [1]
+        # On GOLDEN_GRID only 1e200 is routed to the stacked count.
+        sizes.clear()
+        _transition_and_gramian(demo_model("marginal"), 0.0, GOLDEN_GRID)
+        assert sizes == [1, 1]
+        sizes.clear()
+        model = LinearSystemModel.time_varying(rotating_cos, 2, np.eye(2))
+        _transition_and_gramian(model, 0.0, 1.0)
+        assert sizes and min(sizes) > 1
 
 
 class TestDatasetCsv:

@@ -2,7 +2,7 @@
 per-call cost of one stacked rate evaluation, for checkouts side by side.
 
     python3 tools/bench_file.py --checkout parent=../parent --checkout change=. \\
-        --out BENCH_29.json
+        --out BENCH_30.json
 
 Each checkout is a directory holding ``src/lincoder`` and ``bench/``.  For
 each one the file records:
@@ -17,7 +17,7 @@ each one the file records:
 - the wall time of the four README commands, each as a fresh process
   (interpreter start and imports included), the minimum of 7 runs, with
   the sha256 of each command's stdout and output file;
-- the cost per call of ``coderate._increment_rates`` on five stacks, the
+- the cost per call of ``coderate._increment_rates`` on six stacks, the
   minimum over 9 fresh processes of the best of 9 x 100 calls.
 
 Processes of different checkouts alternate, so a change in host speed
@@ -88,12 +88,24 @@ import lincoder as lc
 from lincoder.coderate import _increment_rates
 
 stable, marginal, unstable = (lc.demo_model(n) for n in ("stable", "marginal", "unstable"))
+# A seeded 8-D Hurwitz drift Q J Q^T, J of 2x2 rotation blocks, as the
+# hurwitz8 system of bench/workloads.py: the 16x16 generators behind the
+# rate-sweep tail items.
+rng = np.random.default_rng(8)
+blocks = np.zeros((8, 8))
+for i in range(0, 8, 2):
+    sigma, omega = -rng.uniform(0.3, 0.8), rng.uniform(0.5, 1.5)
+    blocks[i : i + 2, i : i + 2] = [[sigma, omega], [-omega, sigma]]
+q = np.linalg.qr(rng.normal(size=(8, 8)))[0]
+root = q * rng.uniform(0.5, 1.5, 8) ** 0.5
+hurwitz8 = lc.LinearSystemModel.constant(q @ blocks @ q.T, 0.05 * root @ root.T)
 cases = {
     "one interval, unstable": (unstable, np.array([1.0])),
     "20-interval round, unstable": (unstable, np.geomspace(1.0, 10.0, 20)),
     "20-interval round, marginal": (marginal, np.geomspace(1.0, 10.0, 20)),
     "19-decade scan, unstable": (unstable, np.logspace(-6, 12, 19)),
     "100-point curve, stable": (stable, np.logspace(-3, 2, 100)),
+    "100-point curve, hurwitz8": (hurwitz8, np.logspace(-3, 2, 100)),
 }
 best = {}
 for name, (model, dts) in cases.items():
