@@ -303,8 +303,12 @@ def compress_dataset(dataset: TrajectoryDataset, family: SourceFamily) -> StepCo
     trial_feasible = ~np.isnan(trial_flow_times)
     feasible = trial_feasible.sum(axis=1)
     good = np.maximum(feasible, 1)
-    probabilities = np.nansum(trial_probabilities, axis=1) / good[:, None]
+    total = np.add.reduce(trial_probabilities, axis=1, where=trial_feasible[..., None], initial=0.0)
+    probabilities = total / good[:, None]
     probabilities[feasible == 0] = 1.0 / family.size
+    # Not a masked reduce: with infeasible trials it would add the flow times
+    # along the contiguous trials axis in another order than nansum's
+    # pairwise sum, and move their bits.
     flow_times = np.nansum(trial_flow_times, axis=1) / good
     return StepCodes(
         probabilities,

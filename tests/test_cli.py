@@ -559,6 +559,21 @@ class TestEmulate:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_family_with_no_dual_feasible_basis_fails(self, tmp_path, capsys):
+        model = LinearSystemModel.constant(-np.eye(3), 0.01 * np.eye(3))
+        data_path = tmp_path / "train3.csv"
+        write_trajectories(sample_paths(model, [1.0, 1.0, 1.0], 0.01, 5, 2, seed=11), data_path)
+        family_path = tmp_path / "family.json"
+        fields = [[0.0, 2.0, -1.0], [1e-9, 2.0, -1.0], [-2.0, -3.0, 0.0]]
+        family_path.write_text(json.dumps(fields))
+        out = tmp_path / "emu.csv"
+        argv = [str(data_path), str(family_path), "--resolution", "1", "--seed", "1"]
+        assert main(["emulate", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rounding leaves no basis of the family dual-feasible")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_affine_family_fails_without_output(self, tmp_path, capsys):
         data_path, _ = self._write_inputs(tmp_path)
         family_path = tmp_path / "affine_family.json"

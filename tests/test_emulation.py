@@ -1,6 +1,7 @@
 """Codec and emulator tests, with exhaustive/vertex-enumeration oracles."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import re
@@ -33,7 +34,13 @@ from lincoder import emulation
 from lincoder.csvio import dump_family, load_family
 from lincoder.emulation import COV_SCALE_RTOL, replay_statistics
 from lincoder.rng import EMULATION_LANE, substream
-from lincoder.simplexlp import BASIS_TOL, MAX_BASES, TIE_RTOL, solve_nonnegative_lp
+from lincoder.simplexlp import (
+    BASIS_TOL,
+    MAX_BASES,
+    TIE_RTOL,
+    _optimal_bases,
+    solve_nonnegative_lp,
+)
 
 
 def family_from(*vectors):
@@ -421,12 +428,109 @@ class TestSimplexCodec:
         with pytest.raises(ValueError, match="candidate bases"):
             simplex_compress(fam, [1.0, 0.0])
 
+    def test_family_with_no_dual_feasible_basis_rejected(self):
+        # Its own columns give 1^T B^-1 B > 1 + TIE_RTOL, so rounding drops its one basis.
+        fam = SourceFamily([[0.0, 1e-9, -2.0], [2.0, 2.0, -3.0], [-1.0, -1.0, 0.0]])
+        with pytest.raises(ValueError, match="^rounding leaves no basis of the family"):
+            simplex_compress(fam, [1.0, 0.0, 0.0])
+
     def test_decompress_trivial_cases(self):
         fam = family_from([1.0, 0.0], [0.0, 2.0])
         zero = SimplexCode(np.array([0.5, 0.5]), 0.0)
         assert np.array_equal(simplex_decompress(fam, zero), [0.0, 0.0])
         onehot = SimplexCode(np.array([0.0, 1.0]), 0.3)
         assert np.allclose(simplex_decompress(fam, onehot), [0.0, 0.6])
+
+
+def lp_families():
+    """The bench family types plus rank-deficient, duplicate and all-zero families."""
+    rng = np.random.default_rng(31)
+    axes = np.eye(3) * rng.uniform(0.5, 2.0, 3)
+    angles = rng.uniform(0.0, 2.0 * np.pi) + np.deg2rad(np.linspace(-75.0, 75.0, 9))
+    base = rng.normal(size=(2, 5))
+    return {
+        "grid": planar_grid_family().field_matrix(),
+        "3-D, 12 fields": np.hstack([axes, -axes, rng.normal(size=(3, 6))]),
+        "150-degree cone": np.vstack([np.cos(angles), np.sin(angles)]) * rng.uniform(0.8, 1.6, 9),
+        "rank 1 in R^2": np.outer(rng.normal(size=2), rng.normal(size=6)),
+        "rank 2 in R^3": rng.normal(size=(3, 2)) @ rng.normal(size=(2, 6)),
+        "duplicate fields": np.hstack([base, base[:, :3]]),
+        "all zero": np.zeros((2, 3)),
+    }
+
+
+def lp_targets(vectors, seed):
+    """Seeded targets over six decades, inside the cone, outside it, along one field, zero."""
+    rng = np.random.default_rng(seed)
+    n, k = vectors.shape
+    inside = (vectors @ rng.uniform(0.0, 1.0, (k, 300))).T
+    return np.vstack(
+        [
+            rng.normal(size=(300, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (300, 1)),
+            inside,
+            -inside[:100],
+            0.7 * vectors.T,
+            vectors.T,
+            np.zeros((1, n)),
+        ]
+    )
+
+
+class TestLinearProgramBits:
+    """Every output bit of solve_nonnegative_lp, recorded by sha256."""
+
+    DIGESTS = {
+        "grid": "f71c5073bfb0054074c964cd9aa718e9595d1deb7319b783fb8976d357aafbdc",
+        "3-D, 12 fields": "7a8216eb0590d53563b856eedb38e9134144a936eb9820a717d68e8c56108179",
+        "150-degree cone": "598644289b036d895fad258e250ce42362706e0f5f82682a8b2b9970dd2d7ecc",
+        "rank 1 in R^2": "60aa08997d6775e58d16852952eb2dbea58a1b121506d3540d50c84da9270250",
+        "rank 2 in R^3": "fee794c08d0d627353c5dfce447e36074a6825e23179132e576738a837e0ced9",
+        "duplicate fields": "f81b25dd720c079587b9a88d036c64f899701463befa7af7605187662b19ad23",
+        "all zero": "5c572d6bb0c802ae59aa248173afaae0d0d1c26b712a23f46e41a5ed6f31dbf0",
+    }
+
+    @pytest.mark.parametrize("index, name", enumerate(DIGESTS))
+    def test_solutions_are_golden(self, index, name):
+        vectors = lp_families()[name]
+        x = solve_nonnegative_lp(vectors, lp_targets(vectors, index))
+        assert hashlib.sha256(x.tobytes()).hexdigest() == self.DIGESTS[name]
+
+    def test_only_rank_deficient_families_have_exposed_bases(self):
+        rng = np.random.default_rng(32)
+        spanning = [planar_grid_family().field_matrix()]
+        for _ in range(20):  # the seeded 3-D and 150-degree families of the bench
+            axes = np.eye(3) * rng.uniform(0.5, 2.0, 3)
+            spanning.append(np.hstack([axes, -axes, rng.normal(size=(3, 6))]))
+            angles = rng.uniform(0.0, 2.0 * np.pi) + np.deg2rad(np.linspace(-75.0, 75.0, 9))
+            lengths = rng.uniform(0.8, 1.6, 9)
+            spanning.append(np.vstack([np.cos(angles), np.sin(angles)]) * lengths)
+        for vectors in spanning:
+            assert _optimal_bases(vectors.tobytes(), vectors.shape)[3].size == 0
+        families = lp_families()
+        for name in ("rank 1 in R^2", "rank 2 in R^3", "all zero"):
+            vectors = families[name]
+            subsets, _, _, exposed, _ = _optimal_bases(vectors.tobytes(), vectors.shape)
+            assert np.array_equal(exposed, np.arange(len(subsets)))
+
+    @pytest.mark.parametrize("name", ["grid", "3-D, 12 fields", "150-degree cone"])
+    def test_unexposed_residuals_stay_within_the_tolerance(self, name):
+        vectors = lp_families()[name]
+        subsets, inverses, _, _, _ = _optimal_bases(vectors.tobytes(), vectors.shape)
+        rng = np.random.default_rng(33)
+        d = rng.uniform(-1.0, 1.0, (vectors.shape[0], 2000))
+        d[rng.integers(0, d.shape[0], d.shape[1]), np.arange(d.shape[1])] = 1.0
+        residual = np.moveaxis(vectors[:, subsets], 1, 0) @ (inverses @ d) - d
+        assert np.max(np.abs(residual)) <= BASIS_TOL
+
+    def test_spread_rows_give_the_replay_spread(self):
+        for vectors in lp_families().values():
+            subsets, inverses, spread_rows, _, _ = _optimal_bases(
+                vectors.tobytes(), vectors.shape
+            )
+            d = np.random.default_rng(34).normal(size=(vectors.shape[0], 50))
+            weights = np.sum(vectors * vectors, axis=0)[subsets][:, :, None]
+            direct = np.sum((inverses @ d) * weights, axis=1)
+            assert np.allclose(spread_rows @ d, direct, rtol=1e-12, atol=1e-12)
 
 
 
@@ -683,6 +787,22 @@ class TestEmulate:
         assert codes.feasible_trials[0] == 1
         # averaged code reflects the feasible trial only
         assert codes.flow_times[0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_averages_keep_the_bits_of_nan_skipping_sums(self):
+        # 50 trials, a share of them outside the 150-degree cone: the averages
+        # must round as sums that skip the infeasible trials' NaN codes.
+        angles = np.deg2rad(np.linspace(-75.0, 75.0, 9))
+        fam = SourceFamily(np.vstack([np.cos(angles), np.sin(angles)]))
+        model = LinearSystemModel.constant(-np.eye(2), np.eye(2))
+        data = sample_paths(model, [1.0, 1.0], 0.01, 40, 50, 7)
+        codes = compress_dataset(data, fam)
+        assert 0 < codes.infeasible_count < codes.trial_feasible.size
+        good = np.maximum(codes.feasible_trials, 1)
+        probabilities = np.nansum(codes.trial_probabilities, axis=1) / good[:, None]
+        probabilities[codes.feasible_trials == 0] = 1.0 / fam.size
+        assert np.array_equal(codes.probabilities, probabilities)
+        _, trial_flow_times = emulation._simplex_codes(fam, data.increments().swapaxes(0, 1))
+        assert np.array_equal(codes.flow_times, np.nansum(trial_flow_times, axis=1) / good)
 
     def test_all_infeasible_step_holds_still(self):
         fam = family_from([1.0, 0.0], [0.0, 1.0])

@@ -1,24 +1,28 @@
 """Write a BENCH_*.json file: the benchmark, the README commands and the
-per-call cost of one stacked rate evaluation, for checkouts side by side.
+per-call cost of one stacked rate evaluation and of one LP compression, for
+checkouts side by side.
 
     python3 tools/bench_file.py --checkout parent=../parent --checkout change=. \\
-        --out BENCH_30.json
+        --out BENCH_31.json
 
 Each checkout is a directory holding ``src/lincoder`` and ``bench/``.  For
 each one the file records:
 
 - on every workload, the median and quartiles of each end-to-end metric
-  over 5 runs of its own ``bench/run.py --seed 5 --seconds 10 --trace 0``,
+  over 10 runs of its own ``bench/run.py --seed 5 --seconds 10 --trace 0``,
   alternating with the other checkouts' runs, with the failed items of
   those runs; a checkout after the first also records in how many of the
-  5 pairs it beat the first;
+  10 pairs it beat the first;
 - the JSON result line of one ``--trace 1`` run (per-layer metrics from
   ``bench/tracer.py``) on every workload;
 - the wall time of the four README commands, each as a fresh process
   (interpreter start and imports included), the minimum of 7 runs, with
   the sha256 of each command's stdout and output file;
 - the cost per call of ``coderate._increment_rates`` on six stacks, the
-  minimum over 9 fresh processes of the best of 9 x 100 calls.
+  minimum over 9 fresh processes of the best of 9 x 100 calls;
+- the cost per call of ``simplexlp.solve_nonnegative_lp`` on 600 seeded
+  targets for each bench family type, and of ``compress_dataset`` on one
+  300 x 2 dataset, measured the same way.
 
 Processes of different checkouts alternate, so a change in host speed
 hits them alike.  Every process inherits this one's environment (BLAS
@@ -44,9 +48,9 @@ from pathlib import Path
 WORKLOADS = ("rate-sweep", "emulate-compress", "sample-replay")
 BENCH_SEED = 5
 BENCH_SECONDS = 10
-BENCH_PAIRS = 5
+BENCH_PAIRS = 10
 COMMAND_RUNS = 7
-RATE_PROCESSES = 9
+PROBE_PROCESSES = 9
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: The README's CLI walk-through: config files, then the four commands with
@@ -79,8 +83,25 @@ FAMILY = (
     "io.dump_family(lincoder.planar_grid_family(), 'family.json')"
 )
 
-#: One process of the per-call measurement: the best of 9 x 100 calls of
-#: each stack, in microseconds per call, printed as JSON.
+#: The tail of every per-call probe: the best of 9 x 100 calls of each of
+#: its ``cases`` (name -> callable and arguments), in microseconds per call,
+#: printed as JSON.
+BEST_OF = r"""
+best = {}
+for name, (call, *args) in cases.items():
+    for _ in range(10):
+        call(*args)
+    times = []
+    for _ in range(9):
+        start = time.perf_counter()
+        for _ in range(100):
+            call(*args)
+        times.append((time.perf_counter() - start) / 100)
+    best[name] = 1e6 * min(times)
+print(json.dumps(best))
+"""
+
+#: One process of the per-call measurement of ``_increment_rates``, on six stacks.
 RATE_PROBE = r"""
 import json, time
 import numpy as np
@@ -99,7 +120,7 @@ for i in range(0, 8, 2):
 q = np.linalg.qr(rng.normal(size=(8, 8)))[0]
 root = q * rng.uniform(0.5, 1.5, 8) ** 0.5
 hurwitz8 = lc.LinearSystemModel.constant(q @ blocks @ q.T, 0.05 * root @ root.T)
-cases = {
+stacks = {
     "one interval, unstable": (unstable, np.array([1.0])),
     "20-interval round, unstable": (unstable, np.geomspace(1.0, 10.0, 20)),
     "20-interval round, marginal": (marginal, np.geomspace(1.0, 10.0, 20)),
@@ -107,19 +128,33 @@ cases = {
     "100-point curve, stable": (stable, np.logspace(-3, 2, 100)),
     "100-point curve, hurwitz8": (hurwitz8, np.logspace(-3, 2, 100)),
 }
-best = {}
-for name, (model, dts) in cases.items():
-    for _ in range(10):
-        _increment_rates(model, 0.0, dts, 0.01)
-    times = []
-    for _ in range(9):
-        start = time.perf_counter()
-        for _ in range(100):
-            _increment_rates(model, 0.0, dts, 0.01)
-        times.append((time.perf_counter() - start) / 100)
-    best[name] = 1e6 * min(times)
-print(json.dumps(best))
-"""
+cases = {name: (_increment_rates, model, 0.0, dts, 0.01)
+         for name, (model, dts) in stacks.items()}
+""" + BEST_OF
+
+#: The same for one LP compression: 600 seeded targets on each family type
+#: of the emulate-compress workload, and one 300-step x 2-trial dataset.
+LP_PROBE = r"""
+import json, time
+import numpy as np
+import lincoder as lc
+from lincoder.simplexlp import solve_nonnegative_lp
+
+rng = np.random.default_rng(31)
+axes = np.eye(3) * rng.uniform(0.5, 2.0, 3)
+angles = rng.uniform(0.0, 2.0 * np.pi) + np.deg2rad(np.linspace(-75.0, 75.0, 9))
+families = {
+    "grid": lc.planar_grid_family().field_matrix(),
+    "3-D, 12 fields": np.hstack([axes, -axes, rng.normal(size=(3, 6))]),
+    "150-degree cone": np.vstack([np.cos(angles), np.sin(angles)]) * rng.uniform(0.8, 1.6, 9),
+}
+cases = {}
+for name, vectors in families.items():
+    targets = rng.normal(size=(600, vectors.shape[0]))
+    cases[f"600 targets, {name}"] = (solve_nonnegative_lp, vectors, targets)
+data = lc.sample_paths(lc.demo_model("stable"), [1.0, 1.0], 0.01, 300, 2, 7)
+cases["compress_dataset 300x2, grid"] = (lc.compress_dataset, data, lc.planar_grid_family())
+""" + BEST_OF
 
 
 def in_turn(checkouts: dict, turn: int) -> list:
@@ -239,11 +274,12 @@ def readme_commands(checkouts: dict) -> tuple:
             for label, by_name in seconds.items()}, digests
 
 
-def rate_costs(checkouts: dict) -> dict:
+def probe_costs(checkouts: dict, probe: str) -> dict:
+    """Per checkout, each case's minimum cost over PROBE_PROCESSES fresh processes."""
     best = {label: {} for label in checkouts}
-    for turn in range(RATE_PROCESSES):
+    for turn in range(PROBE_PROCESSES):
         for label, path in in_turn(checkouts, turn):
-            done = subprocess.run([sys.executable, "-c", RATE_PROBE], env=environment(path),
+            done = subprocess.run([sys.executable, "-c", probe], env=environment(path),
                                   stdout=subprocess.PIPE, text=True, check=True)
             for name, cost in json.loads(done.stdout).items():
                 best[label][name] = min(cost, best[label].get(name, float("inf")))
@@ -272,7 +308,8 @@ def main(argv=None) -> int:
         checkouts[label] = checkout
 
     command_s, command_sha = readme_commands(checkouts)
-    rate_us = rate_costs(checkouts)
+    rate_us = probe_costs(checkouts, RATE_PROBE)
+    lp_us = probe_costs(checkouts, LP_PROBE)
     bench = bench_results(checkouts)
     report = {
         "machine": machine(),
@@ -282,12 +319,15 @@ def main(argv=None) -> int:
         "readme_outputs_sha256": command_sha,
         "rate_eval_us": rate_us,
         "rate_eval_ratio": ratios(rate_us),
+        "lp_solve_us": lp_us,
+        "lp_solve_ratio": ratios(lp_us),
         "bench": bench,
         "settings": {
             "bench": f"bench/run.py --seed {BENCH_SEED} --seconds {BENCH_SECONDS}: "
             f"{BENCH_PAIRS} alternating --trace 0 runs per checkout, one --trace 1 run",
             "readme_commands": f"fresh process each, min of {COMMAND_RUNS}, checkouts alternating",
-            "rate_eval": f"min over {RATE_PROCESSES} fresh processes of the best of 9 x 100 calls",
+            "rate_eval": f"min over {PROBE_PROCESSES} fresh processes of the best of 9 x 100 calls",
+            "lp_solve": f"min over {PROBE_PROCESSES} fresh processes of the best of 9 x 100 calls",
         },
     }
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=False) + "\n")
