@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import CapacityInfeasibleError, NoEquilibriumError
-from .linalg import lyapunov_solve
+from .linalg import _NOT_HURWITZ
 from .linearsystem import LinearSystemModel, _transition_and_gramian
 from .ratedistortion import LN2, RdfResult, _water_fill, rdf
 
@@ -93,12 +93,17 @@ def rate_ceiling(model: LinearSystemModel, distortion: float) -> RdfResult:
 
     The increment covariance converges to the Lyapunov equilibrium, so the
     rate at any sampling interval is bounded by the rate of that Gaussian.
-    Raises NoEquilibriumError (from lyapunov_solve) when the drift is not
-    Hurwitz (the increment covariance then has no limit).
+    The model solves for its equilibrium once, on the first call, and keeps
+    it, so every later ceiling, rate curve and sampling-rate search on the
+    same model reads the same array.  Raises NoEquilibriumError, with the
+    message of lyapunov_solve, when the drift is not Hurwitz (the increment
+    covariance then has no limit).
     """
     if not model.is_constant:
         raise ValueError("rate ceiling requires constant drift")
-    equilibrium = lyapunov_solve(model.drift.matrix, model.noise_intensity)
+    equilibrium = model._equilibrium
+    if equilibrium is None:
+        raise NoEquilibriumError(_NOT_HURWITZ)
     return rdf(equilibrium, distortion)
 
 

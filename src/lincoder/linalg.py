@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +22,8 @@ SYMMETRY_TOL = 1e-9
 HURWITZ_RTOL = 1e-10
 #: Most sign-iteration steps of the Lyapunov solve (random Hurwitz drifts take 2-8).
 LYAPUNOV_MAX_STEPS = 100
+#: The message of the NoEquilibriumError of a drift that is not Hurwitz.
+_NOT_HURWITZ = "drift is not Hurwitz: no stable equilibrium exists"
 #: Bytes of each slice of a matrix stack that the exponential works on.
 _EXP_CHUNK_BYTES = 1 << 16
 #: Bound theta_13 on the power norms d_k = ||A^k||^(1/k) up to which the
@@ -252,17 +255,47 @@ def _scaled_exp_stack(a: np.ndarray):
         return _pade(a, a2, a4, a6), squarings
 
 
-def _scaled_exp_multiples(matrix: np.ndarray, factors: np.ndarray):
-    """scaled_exp of the stack M t, t each factor of a 1-D array, for one finite matrix M.
+class _Multiples:
+    """One finite matrix M and what the counts of its multiples M t read of M alone.
 
-    The count of A = M t comes from the powers of M alone, formed once:
+    ``top`` is the exponent of M's largest entry, and ``norms`` is the
+    (4, 1) array of ||M|| and d_k(M), k = 6, 8, 10, from the powers of
+    M 2^-top, whose largest entry lies in [1/2, 1), scaled back by 2^top:
+    none of them overflows, and one that underflows is below 2^-102 in
+    those units, where it cannot raise the count of an interval short of
+    _POWER_NORM_LIMIT.  ||M|| itself can overflow, so both are formed by
+    the first _scaled_exp_multiples of M, under its error state (scale);
+    ``norms`` is None until then.  ``unit_row_log2``, the log2 of M's
+    27th-power row (_unit_row_log2), is formed on first use only: most
+    stacks never read it.  A model of constant drift keeps one _Multiples
+    of its generator, so each of these is formed once per model, not once
+    per call.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.norms = None
+
+    def scale(self):
+        self.top = math.frexp(np.abs(self.matrix).max())[1]
+        unit = np.ldexp(self.matrix, -self.top)[np.newaxis]
+        unit2 = unit @ unit
+        unit4 = unit2 @ unit2
+        self.norms = np.ldexp(_power_norms(unit, unit4, unit4 @ unit2, unit4 @ unit4), self.top)
+
+    @cached_property
+    def unit_row_log2(self) -> np.ndarray:
+        return _unit_row_log2(self.matrix[np.newaxis], self.norms[0])
+
+
+def _scaled_exp_multiples(multiples: _Multiples, factors: np.ndarray):
+    """scaled_exp of the stack M t, t each factor of a 1-D array, for M = multiples.matrix.
+
+    The count of A = M t comes from the powers of M alone (_Multiples):
     d_k(M t) = t d_k(M) and ||M t|| = t ||M|| feed the count rule
-    _squarings_from_norms that _squarings applies to a stack.  The powers
-    are those of M 2^-top, whose largest entry lies in [1/2, 1), scaled back
-    by 2^top: none of them overflows, and one that underflows is below
-    2^-102 in those units, where it cannot raise the count of an interval
-    short of the limit below.  Each M (t 2^-s) is then formed directly, and
-    only its Pade approximant is evaluated, in slices of _EXP_CHUNK_BYTES.
+    _squarings_from_norms that _squarings applies to a stack.  Each
+    M (t 2^-s) is then formed directly, and only its Pade approximant is
+    evaluated, in slices of _EXP_CHUNK_BYTES.
 
     Where t ||M|| < _POWER_NORM_LIMIT = 2^102, ||M t||^10 < 2^1020 bounds
     every entry and partial sum of the powers of the stacked count, so that
@@ -273,20 +306,17 @@ def _scaled_exp_multiples(matrix: np.ndarray, factors: np.ndarray):
     every entry below 2^1023, and e is added to the count: scaling by a
     power of two is exact, and lowers the count by e.
     """
+    matrix = multiples.matrix
     n = matrix.shape[-1]
-    top = math.frexp(np.abs(matrix).max())[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        unit = np.ldexp(matrix, -top)[np.newaxis]
-        unit2 = unit @ unit
-        unit4 = unit2 @ unit2
-        norms = np.ldexp(_power_norms(unit, unit4, unit4 @ unit2, unit4 @ unit4), top)
+        if multiples.norms is None:
+            multiples.scale()
+        norms = multiples.norms
         routed = factors * norms[0] >= _POWER_NORM_LIMIT
         # Routed intervals stand in as t = 0 until their stacked count below.
         any_routed = routed.any()
         kept = np.where(routed, 0.0, factors) if any_routed else factors
-        counts = _squarings_from_norms(
-            *(norms * kept), lambda picked: _unit_row_log2(matrix[np.newaxis], norms[0])
-        )
+        counts = _squarings_from_norms(*(norms * kept), lambda picked: multiples.unit_row_log2)
         generators = matrix * np.ldexp(kept, -counts)[:, np.newaxis, np.newaxis]
         exps = np.empty(generators.shape)
         size = max(1, _EXP_CHUNK_BYTES // (generators.itemsize * n * n))
@@ -300,7 +330,7 @@ def _scaled_exp_multiples(matrix: np.ndarray, factors: np.ndarray):
             shifts = np.where(
                 np.isfinite(stack).all(axis=(1, 2)),
                 0,
-                np.frexp(factors[routed])[1] + top - 1023,
+                np.frexp(factors[routed])[1] + multiples.top - 1023,
             )
             stack = matrix * np.ldexp(factors[routed], -shifts)[:, np.newaxis, np.newaxis]
             exps[routed], counts[routed] = scaled_exp(stack)
@@ -361,7 +391,11 @@ def is_hurwitz(matrix) -> bool:
 
     Raises ValueError unless A is a finite, non-empty square matrix.
     """
-    arr = as_square(matrix)
+    return _is_hurwitz(as_square(matrix))
+
+
+def _is_hurwitz(arr: np.ndarray) -> bool:
+    """is_hurwitz of a finite, non-empty square float array."""
     return bool(np.max(np.linalg.eigvals(arr).real) < -HURWITZ_RTOL * np.linalg.norm(arr, 1))
 
 
@@ -378,11 +412,19 @@ def lyapunov_solve(a, noise) -> np.ndarray:
     """
     arr = as_square(a, "drift matrix")
     sym = check_symmetric(as_square(noise, "noise matrix"), "noise matrix")
-    n = arr.shape[0]
-    if sym.shape[0] != n:
+    if sym.shape[0] != arr.shape[0]:
         raise ValueError("drift and noise matrices must have the same size")
     if not is_hurwitz(arr):
-        raise NoEquilibriumError("drift is not Hurwitz: no stable equilibrium exists")
+        raise NoEquilibriumError(_NOT_HURWITZ)
+    return _sign_iteration(arr, sym)
+
+
+def _sign_iteration(arr: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    """lyapunov_solve of a checked Hurwitz drift and symmetric noise.
+
+    Raises NoEquilibriumError rather than return an unconverged or non-finite W.
+    """
+    n = arr.shape[0]
     with np.errstate(all="ignore"), suppress(np.linalg.LinAlgError):
         for _ in range(LYAPUNOV_MAX_STEPS):
             inverse = np.linalg.inv(arr)

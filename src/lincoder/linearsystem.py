@@ -16,14 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from functools import cached_property
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .linalg import (
     _EXP_CHUNK_BYTES,
+    _is_hurwitz,
+    _Multiples,
     _positive_int,
     _scaled_exp_multiples,
+    _sign_iteration,
     _symmetrize,
     as_square,
     as_vector,
@@ -86,7 +90,16 @@ Drift = Union[ConstantDrift, TimeVaryingDrift]
 
 @dataclass(frozen=True)
 class LinearSystemModel:
-    """Drift plus symmetric PSD noise intensity (units: state^2 / time)."""
+    """Drift plus symmetric PSD noise intensity (units: state^2 / time).
+
+    Both arrays are read-only, so a constant-drift model derives two things
+    of its own once, on first use, and keeps them: its augmented generator
+    M with the power norms its squaring counts read (_multiples, the
+    27th-power row only if a count needs it), and its Lyapunov equilibrium,
+    None where the drift is not Hurwitz (_equilibrium).  Every rate evaluation,
+    ceiling and sampling-rate search on the model shares them; no result of
+    a sampling interval is kept.
+    """
 
     drift: Drift
     noise_intensity: np.ndarray
@@ -118,6 +131,38 @@ class LinearSystemModel:
     @property
     def is_constant(self) -> bool:
         return isinstance(self.drift, ConstantDrift)
+
+    @property
+    def _multiples(self) -> _Multiples:
+        """The augmented generator M of the constant drift, with its scaling data.
+
+        Formed on first use and kept in the instance dict, as a
+        cached_property would be, but without the lock that cached_property
+        takes on Python 3.11, which costs each fresh model about 1% of its
+        first rate call.  Two threads that both form it form the same bits.
+        """
+        multiples = self.__dict__.get("multiples")
+        if multiples is None:
+            multiples = self.__dict__["multiples"] = _Multiples(
+                _generators(self.drift.matrix, self.noise_intensity)
+            )
+        return multiples
+
+    @cached_property
+    def _equilibrium(self) -> Optional[np.ndarray]:
+        """The constant drift's Lyapunov equilibrium, read-only; None if the drift is not Hurwitz.
+
+        The array is the one lyapunov_solve returns for the model's drift and
+        noise.  Where the sign iteration reaches no finite equilibrium, this
+        raises its NoEquilibriumError, and nothing is kept.
+        """
+        drift = self.drift.matrix
+        if not _is_hurwitz(drift):
+            return None
+        # lyapunov_solve symmetrizes its noise argument once more.
+        equilibrium = _sign_iteration(drift, _symmetrize(self.noise_intensity))
+        equilibrium.setflags(write=False)
+        return equilibrium
 
 
 @dataclass(frozen=True)
@@ -234,12 +279,12 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     is carried out as s interval doublings, never as squarings of the
     augmented block.  Constant drift: the generators M dt of all intervals
     are one stack, and their counts come from the powers of the one
-    generator M, formed once per call: d_k(M dt) = dt d_k(M) for the power
-    norms d_k = ||A^k||^(1/k) of the count.  Intervals with dt ||M|| at or
-    past 2^102, where the stacked powers of M dt can overflow and the count
-    falls back to ||M dt||, keep the stacked count of M dt (see
-    linalg._scaled_exp_multiples), so each count agrees with the one the
-    stack M dt gives, to rounding.
+    generator M, which the model forms once and keeps (its _multiples):
+    d_k(M dt) = dt d_k(M) for the power norms d_k = ||A^k||^(1/k) of the
+    count.  Intervals with dt ||M|| at or past 2^102, where the stacked
+    powers of M dt can overflow and the count falls back to ||M dt||, keep
+    the stacked count of M dt (see linalg._scaled_exp_multiples), so each
+    count agrees with the one the stack M dt gives, to rounding.
     For unstable drift at extreme horizons entries may overflow to inf, which
     callers treat as an unbounded-rate signal.
     Time-varying drift: per interval, one drift call at the Gauss nodes of
@@ -262,11 +307,9 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     if not ((dts > 0.0) & (dts < math.inf)).all():
         raise ValueError("sampling interval must be positive and finite")
     intervals = dts.ravel()
-    noise = model.noise_intensity
     n = model.dimension
     if model.is_constant:
-        generator = _generators(model.drift.matrix, noise)
-        phi, w = _van_loan(*_scaled_exp_multiples(generator, intervals))
+        phi, w = _van_loan(*_scaled_exp_multiples(model._multiples, intervals))
     else:
         phi, w = np.empty((2,) + intervals.shape + (n, n))
         for i, dt_i in enumerate(intervals.tolist()):

@@ -1,13 +1,17 @@
 """Code-rate, ceiling, curve and minimum-sampling-rate tests."""
 
+import importlib.util
 import math
+import pathlib
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from lincoder import (
     CapacityInfeasibleError,
+    LincoderError,
     LinearSystemModel,
     NoEquilibriumError,
     NotNeeded,
@@ -21,7 +25,7 @@ from lincoder import (
     rate_curve,
     rdf,
 )
-from lincoder import coderate
+from lincoder import coderate, linalg, linearsystem
 from lincoder.csvio import write_rate_curve
 from lincoder.ratedistortion import LN2
 
@@ -632,3 +636,146 @@ class TestLatticePath:
             assert len(cells) == len(expected) >= 7
             for cell, reference in zip(cells, expected):
                 assert cell == tuple(map(float, reference))
+
+
+#: Builders of the models whose derived values are checked: the four presets
+#: and a seeded 8-D Hurwitz drift.  Each call builds a fresh model from the
+#: same matrices.
+DERIVED_MODELS = {
+    **{name: partial(demo_model, name) for name in ("stable", "marginal", "unstable", "brownian")},
+    "rotation8": partial(rotation_model, 8),
+}
+DERIVED_DISTORTIONS = (1e-3, 1e-2, 1e-1)
+DERIVED_GRID = np.logspace(-3.0, 2.0, 100)
+DERIVED_CAPACITY_BITS = 8.0
+#: The model calls of one distortion: a curve across the doubling switch,
+#: the minimum sampling rate and the ceiling.
+DERIVED_CALLS = {
+    "curve": lambda model, d: coderate.rate_curve(model, d, DERIVED_GRID),
+    "fs_min": lambda model, d: coderate.min_sampling_rate(model, d, DERIVED_CAPACITY_BITS),
+    "ceiling": lambda model, d: coderate.rate_ceiling(model, d),
+}
+DERIVED_ORDERS = [("curve", "fs_min", "ceiling"), ("fs_min", "curve", "ceiling")]
+
+
+def pinned(call):
+    """The bytes of call()'s result, arrays included, or the type and message of its error."""
+    try:
+        value = call()
+    except (LincoderError, ValueError) as error:
+        return type(error), str(error)
+    if isinstance(value, coderate.RateCurve):
+        return value.rate_bits.tobytes(), repr(value.asymptote_bits)
+    if isinstance(value, coderate.RdfResult):
+        return repr((value.rate_nats, value.rate_bits, value.water_level)), value.allocations.tobytes()
+    return repr(value)
+
+
+def load_bench_tracer():
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestModelDerivesOnce:
+    """A constant-drift model forms its generator's power norms and its equilibrium once."""
+
+    @pytest.mark.parametrize("order", DERIVED_ORDERS, ids=lambda order: order[0] + "-first")
+    @pytest.mark.parametrize("name", DERIVED_MODELS)
+    def test_reused_model_gives_the_bits_of_fresh_models(self, name, order):
+        make = DERIVED_MODELS[name]
+        model = make()
+        for distortion in DERIVED_DISTORTIONS:
+            for step in order:
+                call = DERIVED_CALLS[step]
+                reused = pinned(lambda: call(model, distortion))
+                assert reused == pinned(lambda: call(make(), distortion)), (step, distortion)
+
+    @pytest.mark.parametrize("name", DERIVED_MODELS)
+    def test_one_sign_iteration_and_one_power_norm_per_model(self, name, monkeypatch):
+        tests, solves, norms = [], [], []
+        is_hurwitz, sign_iteration = linearsystem._is_hurwitz, linearsystem._sign_iteration
+        power_norms = linalg._power_norms
+        monkeypatch.setattr(
+            linearsystem, "_is_hurwitz", lambda arr: tests.append(1) or is_hurwitz(arr)
+        )
+        monkeypatch.setattr(
+            linearsystem, "_sign_iteration", lambda *args: solves.append(1) or sign_iteration(*args)
+        )
+        monkeypatch.setattr(
+            linalg, "_power_norms", lambda a, *powers: norms.append(len(a)) or power_norms(a, *powers)
+        )
+        model = DERIVED_MODELS[name]()
+        for order in DERIVED_ORDERS:
+            for distortion in DERIVED_DISTORTIONS:
+                for step in order:
+                    pinned(lambda: DERIVED_CALLS[step](model, distortion))
+        # No interval of these calls reaches the stacked count, so the one
+        # power norm is that of the generator M.
+        assert tests == [1] and norms == [1]
+        assert solves == ([1] if name in ("stable", "rotation8") else [])
+
+    @pytest.mark.parametrize("name", ["marginal", "unstable", "brownian"])
+    def test_no_equilibrium_raises_the_same_message_on_every_call(self, name):
+        model = demo_model(name)
+        with pytest.raises(NoEquilibriumError) as solved:
+            lyapunov_solve(model.drift.matrix, model.noise_intensity)
+        for _ in range(3):
+            with pytest.raises(NoEquilibriumError) as raised:
+                rate_ceiling(model, 0.01)
+            assert str(raised.value) == str(solved.value)
+            assert rate_curve(model, 0.01, [1.0]).asymptote_bits is None
+
+    def test_time_varying_model_raises_before_any_work(self):
+        times = []
+
+        def matrix_at(t):
+            times.append(t)
+            return np.broadcast_to(-np.eye(2), (len(t), 2, 2))
+
+        model = LinearSystemModel.time_varying(matrix_at, 2, np.eye(2))
+        for call in DERIVED_CALLS.values():
+            with pytest.raises(ValueError, match="requires constant drift"):
+                call(model, 0.01)
+        assert times == [] and sorted(vars(model)) == ["drift", "noise_intensity"]
+
+    def test_cached_equilibrium_is_read_only_and_is_lyapunov_solve(self):
+        model = rotation_model(8)
+        ceiling = pinned(lambda: rate_ceiling(model, 0.01))
+        equilibrium = model._equilibrium
+        assert not equilibrium.flags.writeable
+        with pytest.raises(ValueError):
+            equilibrium[0, 0] = 0.0
+        solved = lyapunov_solve(model.drift.matrix, model.noise_intensity)
+        assert equilibrium.tobytes() == solved.tobytes()
+        assert ceiling == pinned(lambda: rdf(solved, 0.01))
+
+    def test_traced_passes_repeat_the_first_traced_counts(self):
+        # The benchmark wraps every public layer function and fails a traced
+        # pass whose counts differ from the first one's.  Its models are built
+        # once, so the first pass also derives each model's values: that may
+        # call private functions only.
+        import lincoder.cli  # noqa: F401  (the tracer wraps every layer)
+
+        tracer = load_bench_tracer().Tracer()
+        models = [make() for make in DERIVED_MODELS.values()]
+        passes = []
+        for _ in range(2):
+            tracer.reset()
+            tracer.install()
+            try:
+                for model in models:
+                    for distortion in DERIVED_DISTORTIONS:
+                        coderate.rate_curve(model, distortion, DERIVED_GRID)
+                        coderate.min_sampling_rate(model, distortion, DERIVED_CAPACITY_BITS)
+            finally:
+                tracer.uninstall()
+            snapshot = tracer.snapshot()
+            calls = {key: (f["calls"], f["errors"]) for key, f in snapshot["functions"].items()}
+            passes.append((calls, snapshot["edges"]))
+        assert passes[0] == passes[1]
+        calls = passes[0][0]
+        assert calls["coderate.rate_ceiling"][0] > 0
+        assert calls["linalg.lyapunov_solve"] == calls["linalg.is_hurwitz"] == (0, 0)

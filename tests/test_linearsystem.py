@@ -1032,7 +1032,7 @@ class TestCountsFromTheGenerator:
             generator = _generators(a, noise)
             routed = grid * np.linalg.norm(generator, 1) >= 2.0**102
             assert routed.any() and not routed.all()
-            counts = linalg._scaled_exp_multiples(generator, grid)[1]
+            counts = linalg._scaled_exp_multiples(linalg._Multiples(generator), grid)[1]
             np.testing.assert_array_equal(counts, doublings(a, noise, grid))
 
     def test_constant_drift_forms_no_stacked_power_norm(self, monkeypatch):
