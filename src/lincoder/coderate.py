@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CapacityInfeasibleError, NoEquilibriumError
 from .linalg import _NOT_HURWITZ
 from .linearsystem import LinearSystemModel, _transition_and_gramian
-from .ratedistortion import LN2, RdfResult, _water_fill, rdf
+from .ratedistortion import LN2, RdfResult, _water_fill
 
 #: Safety margin (bits) used when comparing rates against a capacity.
 CAPACITY_MARGIN_BITS = 1e-9
@@ -93,18 +93,21 @@ def rate_ceiling(model: LinearSystemModel, distortion: float) -> RdfResult:
 
     The increment covariance converges to the Lyapunov equilibrium, so the
     rate at any sampling interval is bounded by the rate of that Gaussian.
-    The model solves for its equilibrium once, on the first call, and keeps
-    it, so every later ceiling, rate curve and sampling-rate search on the
-    same model reads the same array.  Raises NoEquilibriumError, with the
-    message of lyapunov_solve, when the drift is not Hurwitz (the increment
-    covariance then has no limit).
+    The first ceiling on a model (every rate curve and sampling-rate search
+    takes one) solves for the equilibrium, which the model keeps read-only
+    and exactly symmetric, so each ceiling water-fills it as it is.  The
+    generator M, built with the model, and its power norms, formed by its
+    first increment law or rate, play no part here.  Raises
+    NoEquilibriumError, with the message of lyapunov_solve, when the drift
+    is not Hurwitz (the increment covariance then has no limit).
     """
     if not model.is_constant:
         raise ValueError("rate ceiling requires constant drift")
     equilibrium = model._equilibrium
     if equilibrium is None:
         raise NoEquilibriumError(_NOT_HURWITZ)
-    return rdf(equilibrium, distortion)
+    rate, level, allocations = _water_fill(equilibrium[np.newaxis], distortion)
+    return RdfResult(float(rate[0]), float(rate[0]) / LN2, float(level[0]), allocations[0])
 
 
 def rate_curve(model: LinearSystemModel, distortion: float, dt_grid) -> RateCurve:

@@ -265,11 +265,12 @@ class _Multiples:
     those units, where it cannot raise the count of an interval short of
     _POWER_NORM_LIMIT.  ||M|| itself can overflow, so both are formed by
     the first _scaled_exp_multiples of M, under its error state (scale);
-    ``norms`` is None until then.  ``unit_row_log2``, the log2 of M's
-    27th-power row (_unit_row_log2), is formed on first use only: most
-    stacks never read it.  A model of constant drift keeps one _Multiples
-    of its generator, so each of these is formed once per model, not once
-    per call.
+    ``norms`` is None until then, and constructing a _Multiples forms
+    nothing.  ``unit_row_log2``, the log2 of M's 27th-power row
+    (_unit_row_log2), is formed on first use only: most stacks never read
+    it.  A model of constant drift builds one _Multiples of its generator
+    when it is built, so each of these is formed at most once per model,
+    not once per call.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -291,7 +292,8 @@ class _Multiples:
 def _scaled_exp_multiples(multiples: _Multiples, factors: np.ndarray):
     """scaled_exp of the stack M t, t each factor of a 1-D array, for M = multiples.matrix.
 
-    The count of A = M t comes from the powers of M alone (_Multiples):
+    The count of A = M t comes from the powers of M alone (_Multiples,
+    whose norms the first call on it forms under this call's error state):
     d_k(M t) = t d_k(M) and ||M t|| = t ||M|| feed the count rule
     _squarings_from_norms that _squarings applies to a stack.  Each
     M (t 2^-s) is then formed directly, and only its Pade approximant is

@@ -92,13 +92,14 @@ Drift = Union[ConstantDrift, TimeVaryingDrift]
 class LinearSystemModel:
     """Drift plus symmetric PSD noise intensity (units: state^2 / time).
 
-    Both arrays are read-only, so a constant-drift model derives two things
-    of its own once, on first use, and keeps them: its augmented generator
-    M with the power norms its squaring counts read (_multiples, the
-    27th-power row only if a count needs it), and its Lyapunov equilibrium,
-    None where the drift is not Hurwitz (_equilibrium).  Every rate evaluation,
-    ceiling and sampling-rate search on the model shares them; no result of
-    a sampling interval is kept.
+    Both arrays are read-only, so a constant-drift model keeps what its
+    rates read of them: its augmented generator M (_multiples), built with
+    the model; the power norms of M, formed by its first increment law or
+    rate (the 27th-power row only if a count needs it); and its Lyapunov
+    equilibrium, solved by its first ceiling (every rate curve and
+    sampling-rate search takes one), None where the drift is not Hurwitz
+    (_equilibrium).  No result of a sampling interval is kept, and a
+    time-varying model keeps nothing beyond its two fields.
     """
 
     drift: Drift
@@ -115,6 +116,9 @@ class LinearSystemModel:
             raise ValueError("noise intensity is not positive semidefinite")
         noise.setflags(write=False)
         object.__setattr__(self, "noise_intensity", noise)
+        if self.is_constant:
+            generator = _generators(self.drift.matrix, noise)
+            object.__setattr__(self, "_multiples", _Multiples(generator))
 
     @classmethod
     def constant(cls, a, noise) -> "LinearSystemModel":
@@ -131,22 +135,6 @@ class LinearSystemModel:
     @property
     def is_constant(self) -> bool:
         return isinstance(self.drift, ConstantDrift)
-
-    @property
-    def _multiples(self) -> _Multiples:
-        """The augmented generator M of the constant drift, with its scaling data.
-
-        Formed on first use and kept in the instance dict, as a
-        cached_property would be, but without the lock that cached_property
-        takes on Python 3.11, which costs each fresh model about 1% of its
-        first rate call.  Two threads that both form it form the same bits.
-        """
-        multiples = self.__dict__.get("multiples")
-        if multiples is None:
-            multiples = self.__dict__["multiples"] = _Multiples(
-                _generators(self.drift.matrix, self.noise_intensity)
-            )
-        return multiples
 
     @cached_property
     def _equilibrium(self) -> Optional[np.ndarray]:
@@ -279,12 +267,14 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     is carried out as s interval doublings, never as squarings of the
     augmented block.  Constant drift: the generators M dt of all intervals
     are one stack, and their counts come from the powers of the one
-    generator M, which the model forms once and keeps (its _multiples):
-    d_k(M dt) = dt d_k(M) for the power norms d_k = ||A^k||^(1/k) of the
-    count.  Intervals with dt ||M|| at or past 2^102, where the stacked
-    powers of M dt can overflow and the count falls back to ||M dt||, keep
-    the stacked count of M dt (see linalg._scaled_exp_multiples), so each
-    count agrees with the one the stack M dt gives, to rounding.
+    generator M, built with the model (its _multiples), whose power norms
+    the model's first call here forms and keeps (its equilibrium is solved
+    by coderate.rate_ceiling alone): d_k(M dt) = dt d_k(M) for the power
+    norms d_k = ||A^k||^(1/k) of the count.  Intervals with dt ||M|| at or
+    past 2^102, where the stacked powers of M dt can overflow and the count
+    falls back to ||M dt||, keep the stacked count of M dt (see
+    linalg._scaled_exp_multiples), so each count agrees with the one the
+    stack M dt gives, to rounding.
     For unstable drift at extreme horizons entries may overflow to inf, which
     callers treat as an unbounded-rate signal.
     Time-varying drift: per interval, one drift call at the Gauss nodes of

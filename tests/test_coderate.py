@@ -25,7 +25,7 @@ from lincoder import (
     rate_curve,
     rdf,
 )
-from lincoder import coderate, linalg, linearsystem
+from lincoder import coderate, linalg, linearsystem, ratedistortion
 from lincoder.csvio import write_rate_curve
 from lincoder.ratedistortion import LN2
 
@@ -658,6 +658,24 @@ DERIVED_CALLS = {
 DERIVED_ORDERS = [("curve", "fs_min", "ceiling"), ("fs_min", "curve", "ceiling")]
 
 
+def shifted_hurwitz_model(n, seed):
+    """Seeded drift G - (max Re eig G + 0.5) I, G standard Gaussian, with noise B B^T / n."""
+    raw, b = np.random.default_rng(seed).normal(size=(2, n, n))
+    shift = np.linalg.eigvals(raw).real.max() + 0.5
+    return LinearSystemModel.constant(raw - shift * np.eye(n), b @ b.T / n)
+
+
+#: Builders of stable models whose ceiling is checked against rdf of
+#: lyapunov_solve: the stable preset, a scalar Ornstein-Uhlenbeck model and
+#: seeded 3-D and 8-D Hurwitz drifts.
+CEILING_MODELS = {
+    "stable": partial(demo_model, "stable"),
+    "scalar-ou": partial(LinearSystemModel.constant, [[-0.7]], [[0.3]]),
+    "hurwitz3": partial(shifted_hurwitz_model, 3, 71),
+    "hurwitz8": partial(shifted_hurwitz_model, 8, 83),
+}
+
+
 def pinned(call):
     """The bytes of call()'s result, arrays included, or the type and message of its error."""
     try:
@@ -751,6 +769,50 @@ class TestModelDerivesOnce:
         solved = lyapunov_solve(model.drift.matrix, model.noise_intensity)
         assert equilibrium.tobytes() == solved.tobytes()
         assert ceiling == pinned(lambda: rdf(solved, 0.01))
+
+    @pytest.mark.parametrize("name", CEILING_MODELS)
+    def test_generator_is_built_with_the_model_and_its_norms_on_first_use(self, name, monkeypatch):
+        sizes, power_norms = [], linalg._power_norms
+        monkeypatch.setattr(
+            linalg,
+            "_power_norms",
+            lambda a, *powers: sizes.append(len(a)) or power_norms(a, *powers),
+        )
+        model = CEILING_MODELS[name]()
+        multiples = vars(model)["_multiples"]
+        generator = linearsystem._generators(model.drift.matrix, model.noise_intensity)
+        assert multiples.matrix.shape == generator.shape
+        assert multiples.matrix.tobytes() == generator.tobytes()
+        assert multiples.norms is None and sizes == []
+        increment_rate(model, 1.0, 0.01)
+        rate_curve(model, 0.01, DERIVED_GRID)
+        assert sizes == [1]
+
+    @pytest.mark.parametrize("name", CEILING_MODELS)
+    def test_ceiling_is_rdf_of_lyapunov_solve_before_and_after_a_curve(self, name):
+        model = CEILING_MODELS[name]()
+        solved = lyapunov_solve(model.drift.matrix, model.noise_intensity)
+        for distortion in DERIVED_DISTORTIONS:
+            expected = pinned(lambda: rdf(solved, distortion))
+            assert pinned(lambda: rate_ceiling(model, distortion)) == expected
+            rate_curve(model, distortion, DERIVED_GRID)
+            assert pinned(lambda: rate_ceiling(model, distortion)) == expected
+
+    @pytest.mark.parametrize("name", CEILING_MODELS)
+    def test_ceiling_makes_no_symmetry_check(self, name, monkeypatch):
+        checks = []
+        for module in (linalg, linearsystem, ratedistortion):
+            check = module.check_symmetric
+            monkeypatch.setattr(
+                module,
+                "check_symmetric",
+                lambda *args, check=check: checks.append(1) or check(*args),
+            )
+        model = CEILING_MODELS[name]()
+        checks.clear()
+        for distortion in DERIVED_DISTORTIONS:
+            rate_ceiling(model, distortion)
+        assert checks == []
 
     def test_traced_passes_repeat_the_first_traced_counts(self):
         # The benchmark wraps every public layer function and fails a traced

@@ -19,7 +19,7 @@ each one the file records:
   (interpreter start and imports included), the minimum of 7 runs, with
   the sha256 of each command's stdout and output file;
 - the cost per call of ``coderate._increment_rates`` on six stacks, the
-  minimum over 9 fresh processes of the best of 9 x 100 calls;
+  minimum over PROBE_PROCESSES fresh processes of PROBE_TIMING;
 - the cost per call of ``simplexlp.solve_nonnegative_lp`` on 600 seeded
   targets for each bench family type, and of ``compress_dataset`` on one
   300 x 2 dataset, measured the same way.
@@ -51,6 +51,11 @@ BENCH_SECONDS = 10
 BENCH_PAIRS = 10
 COMMAND_RUNS = 7
 PROBE_PROCESSES = 9
+#: Untimed warm-up calls, timed rounds and calls per round of each probe case.
+PROBE_WARMUP, PROBE_ROUNDS, PROBE_CALLS = 10, 9, 100
+PROBE_TIMING = (
+    f"the best of {PROBE_ROUNDS} x {PROBE_CALLS} calls after {PROBE_WARMUP} warm-up calls"
+)
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: The README's CLI walk-through: config files, then the four commands with
@@ -83,20 +88,20 @@ FAMILY = (
     "io.dump_family(lincoder.planar_grid_family(), 'family.json')"
 )
 
-#: The tail of every per-call probe: the best of 9 x 100 calls of each of
-#: its ``cases`` (name -> callable and arguments), in microseconds per call,
-#: printed as JSON.
-BEST_OF = r"""
-best = {}
+#: The tail of every per-call probe: PROBE_TIMING of each of its ``cases``
+#: (name -> callable and arguments), in microseconds per call, printed as
+#: JSON.
+BEST_OF = f"""
+best = {{}}
 for name, (call, *args) in cases.items():
-    for _ in range(10):
+    for _ in range({PROBE_WARMUP}):
         call(*args)
     times = []
-    for _ in range(9):
+    for _ in range({PROBE_ROUNDS}):
         start = time.perf_counter()
-        for _ in range(100):
+        for _ in range({PROBE_CALLS}):
             call(*args)
-        times.append((time.perf_counter() - start) / 100)
+        times.append((time.perf_counter() - start) / {PROBE_CALLS})
     best[name] = 1e6 * min(times)
 print(json.dumps(best))
 """
@@ -326,8 +331,8 @@ def main(argv=None) -> int:
             "bench": f"bench/run.py --seed {BENCH_SEED} --seconds {BENCH_SECONDS}: "
             f"{BENCH_PAIRS} alternating --trace 0 runs per checkout, one --trace 1 run",
             "readme_commands": f"fresh process each, min of {COMMAND_RUNS}, checkouts alternating",
-            "rate_eval": f"min over {PROBE_PROCESSES} fresh processes of the best of 9 x 100 calls",
-            "lp_solve": f"min over {PROBE_PROCESSES} fresh processes of the best of 9 x 100 calls",
+            "rate_eval": f"min over {PROBE_PROCESSES} fresh processes of {PROBE_TIMING}",
+            "lp_solve": f"min over {PROBE_PROCESSES} fresh processes of {PROBE_TIMING}",
         },
     }
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=False) + "\n")
