@@ -4,12 +4,13 @@ Subcommands: rdf-curve (code rate along a sampling grid), min-rate
 (minimum sampling rate under a channel capacity), sample (training
 datasets), emulate (data-based trajectory emulation).  All outputs are CSV
 or key=value lines; every command is a pure function of its config, input
-files and seed.
+files and seed.  main builds its parser once per process and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -192,7 +193,8 @@ def _distortion_type(value) -> float:
     return distortion
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lincoder",
         description="Code rates of linear stochastic systems and data-based emulation",
@@ -229,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ConfigError, argparse.ArgumentTypeError) as exc:

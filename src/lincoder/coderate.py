@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CapacityInfeasibleError, NoEquilibriumError
 from .linalg import _NOT_HURWITZ
 from .linearsystem import LinearSystemModel, _transition_and_gramian
-from .ratedistortion import LN2, RdfResult, _water_fill
+from .ratedistortion import LN2, RdfResult, _first_result, _water_fill
 
 #: Safety margin (bits) used when comparing rates against a capacity.
 CAPACITY_MARGIN_BITS = 1e-9
@@ -84,8 +84,7 @@ def increment_rate(
     model: LinearSystemModel, dt: float, distortion: float, t: float = 0.0
 ) -> RdfResult:
     """Minimum admissible code rate of the increment over [t, t + dt] at distortion D."""
-    rate, level, allocations = _increment_rates(model, t, np.array([float(dt)]), distortion)
-    return RdfResult(float(rate[0]), float(rate[0]) / LN2, float(level[0]), allocations[0])
+    return _first_result(*_increment_rates(model, t, np.array([float(dt)]), distortion))
 
 
 def rate_ceiling(model: LinearSystemModel, distortion: float) -> RdfResult:
@@ -106,8 +105,7 @@ def rate_ceiling(model: LinearSystemModel, distortion: float) -> RdfResult:
     equilibrium = model._equilibrium
     if equilibrium is None:
         raise NoEquilibriumError(_NOT_HURWITZ)
-    rate, level, allocations = _water_fill(equilibrium[np.newaxis], distortion)
-    return RdfResult(float(rate[0]), float(rate[0]) / LN2, float(level[0]), allocations[0])
+    return _first_result(*_water_fill(equilibrium[np.newaxis], distortion))
 
 
 def rate_curve(model: LinearSystemModel, distortion: float, dt_grid) -> RateCurve:

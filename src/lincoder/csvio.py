@@ -2,8 +2,8 @@
 
 Floats are printed with 17 significant digits so every file round-trips
 losslessly, and files are written with LF newlines so repeated runs are
-byte-identical.  Trajectory writes on one (steps, dt) grid share one
-formatted time column; the bytes are the same as formatting it afresh.
+byte-identical.  Trajectory writes on one (steps, dt, dimension) grid share
+one trial's row layout; the bytes are the same as formatting rows afresh.
 """
 
 from __future__ import annotations
@@ -29,27 +29,25 @@ def format_float(value: float) -> str:
 
 
 @functools.lru_cache(maxsize=1)
-def _time_cells(steps: int, dt: float) -> tuple:
-    """The "k,t" cells of the grid k * dt, k = 0..steps."""
-    return tuple(f"{k},{format_float(k * dt)}" for k in range(steps + 1))
+def _time_cells(steps: int, dt: float, dimension: int) -> str:
+    """One trial's rows on the grid k * dt, k = 0..steps, as one format string.
+
+    Each row is "#" for the trial index, the "k,t" cells, then "%.17g" (which
+    formats as format_float) for each state.
+    """
+    states = ",%.17g" * dimension
+    return "".join(f"#,{k},{format_float(k * dt)}{states}\n" for k in range(steps + 1))
 
 
 def write_trajectories(dataset: TrajectoryDataset, path) -> None:
     """Dataset as CSV: header trial,k,t,x1..xn; rows sorted by (trial, k)."""
     n = dataset.dimension
     header = "trial,k,t," + ",".join(f"x{i + 1}" for i in range(n))
-    # Each trial is one "%" over a flat list of cells, row by row: the "k,t"
-    # cells are shared by every trial and by every write on the same grid,
-    # and "%.17g" formats as format_float.
-    cells = [None] * ((dataset.steps + 1) * (n + 1))
-    cells[:: n + 1] = _time_cells(dataset.steps, dataset.dt)
+    layout = _time_cells(dataset.steps, dataset.dt, n)
     with open(path, "w", newline="\n") as out:
         out.write(header + "\n")
-        for trial in range(dataset.trials):
-            trial_format = (f"{trial},%s" + ",%.17g" * n + "\n") * (dataset.steps + 1)
-            for i, column in enumerate(dataset.states[trial].T.tolist(), start=1):
-                cells[i :: n + 1] = column
-            out.write(trial_format % tuple(cells))
+        for trial, states in enumerate(dataset.states):
+            out.write(layout.replace("#", str(trial)) % tuple(states.ravel().tolist()))
 
 
 def read_trajectories(path) -> TrajectoryDataset:

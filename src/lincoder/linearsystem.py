@@ -382,10 +382,9 @@ def sample_paths(
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(root, z[..., np.newaxis], out=states[1:])
         for before, after in zip(rows, rows[1:]):
-            np.matmul(phi, before, out=drift)
-            np.add(after, drift, out=after)
-    finite = np.isfinite(states).all(axis=(2, 3))
-    if not finite.all():
-        step, trial = np.argwhere(~finite)[0]
+            np.matmul(phi, before, drift)
+            np.add(after, drift, after)
+    if not np.isfinite(states).all():
+        step, trial = np.argwhere(~np.isfinite(states).all(axis=(2, 3)))[0]
         raise ValueError(f"sample path of trial {trial} overflows at step {step} (dt = {dt:g})")
     return TrajectoryDataset(dt, states[..., 0].swapaxes(0, 1))

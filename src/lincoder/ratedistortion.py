@@ -81,6 +81,11 @@ def _water_fill(covariances: np.ndarray, distortion: float):
     return rate_nats, theta, allocations
 
 
+def _first_result(rate, level, allocations) -> RdfResult:
+    """The first entry of the (rate_nats, water_level, allocations) stacks of _water_fill."""
+    return RdfResult(float(rate[0]), float(rate[0]) / LN2, float(level[0]), allocations[0])
+
+
 def rdf(covariance, distortion: float) -> RdfResult:
     """Rate distortion function of a Gaussian at the given mean-square distortion budget.
 
@@ -91,8 +96,7 @@ def rdf(covariance, distortion: float) -> RdfResult:
     a source with any positive variance yields an infinite rate.
     """
     covariance = check_symmetric(as_square(covariance, "covariance"), "covariance")
-    rate, level, allocations = _water_fill(covariance[np.newaxis], distortion)
-    return RdfResult(float(rate[0]), float(rate[0]) / LN2, float(level[0]), allocations[0])
+    return _first_result(*_water_fill(covariance[np.newaxis], distortion))
 
 
 def rdf_small_distortion(covariance, distortion: float) -> float:

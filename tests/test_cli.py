@@ -1,14 +1,20 @@
 """End-to-end CLI tests: outputs, reports, exit codes, determinism."""
 
+import argparse
 import hashlib
 import itertools
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import lincoder
 from lincoder import LinearSystemModel, planar_grid_family, sample_paths
 from lincoder.cli import main
 from lincoder.csvio import dump_family, read_trajectories, write_trajectories
@@ -837,3 +843,56 @@ class TestCurveGoldenBytes:
             b"0.024390243902439025,41,0\n"
             b"0.020408163265306121,49,0\n"
         )
+
+
+class TestInProcessCalls:
+    """Commands run one after another in one process: each gives the bytes of
+    a lone call, and only the first builds the argument parser."""
+
+    CALLS = [
+        ["sample", "--config", "a.json", "--out", "a.csv", "--seed", "7"],
+        ["emulate", "a.csv", "family.json", "--resolution", "20", "--seed", "5", "--out", "e.csv"],
+        ["sample", "--config", "b.json", "--out", "b.csv", "--seed", "3"],
+    ]
+
+    def _inputs(self, workdir):
+        workdir.mkdir()
+        a = {"system": "stable", "x0": [1.0, 1.0], "dt": 0.05, "steps": 20, "trials": 3}
+        b = {"system": {"A": [[-1.0]], "N": [[1.0]]}, "x0": [0.5], "fs": 8.0, "steps": 7,
+             "trials": 2}
+        write_config(workdir, "a.json", a)
+        write_config(workdir, "b.json", b)
+        dump_family(planar_grid_family(), workdir / "family.json")
+        return workdir
+
+    def test_repeated_calls_match_lone_calls_and_reuse_the_parser(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        alone = self._inputs(tmp_path / "alone")
+        path = [str(pathlib.Path(lincoder.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        code = "import sys; from lincoder.cli import main; sys.exit(main(sys.argv[1:]))"
+        expected = []
+        for argv in self.CALLS:
+            done = subprocess.run(
+                [sys.executable, "-c", code, *argv], cwd=alone, env=env, capture_output=True
+            )
+            assert done.returncode == 0, done.stderr
+            expected.append(done.stdout + (alone / argv[argv.index("--out") + 1]).read_bytes())
+
+        together = self._inputs(tmp_path / "together")
+        monkeypatch.chdir(together)
+        built = []
+        for index, argv in enumerate(self.CALLS):
+            if index == 1:
+                init = argparse.ArgumentParser.__init__
+                monkeypatch.setattr(
+                    argparse.ArgumentParser,
+                    "__init__",
+                    lambda parser, *args, **kwargs: built.append(parser)
+                    or init(parser, *args, **kwargs),
+                )
+            assert main(argv) == 0
+            out = together / argv[argv.index("--out") + 1]
+            assert capsys.readouterr().out.encode() + out.read_bytes() == expected[index]
+        assert built == []

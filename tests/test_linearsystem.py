@@ -1100,6 +1100,20 @@ class TestDatasetCsv:
                 assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
         assert csvio._time_cells.cache_info().currsize == 1
 
+    def test_interleaved_dimensions_on_one_grid(self, tmp_path):
+        rng = np.random.default_rng(29)
+        steps, dt = 12, 0.3
+        for index, (trials, n) in enumerate([(2, 1), (3, 2), (1, 3), (2, 1), (1, 2), (3, 3)]):
+            states = rng.normal(size=(trials, steps + 1, n)) * 10.0 ** rng.integers(-9, 9)
+            path = tmp_path / f"data_{index}.csv"
+            write_trajectories(TrajectoryDataset(dt, states), path)
+            lines = ["trial,k,t," + ",".join(f"x{i + 1}" for i in range(n))]
+            for trial in range(trials):
+                for k in range(steps + 1):
+                    values = [f"{k * dt:.17g}", *(f"{v:.17g}" for v in states[trial, k])]
+                    lines.append(",".join([str(trial), str(k), *values]))
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_ensemble_formats_time_column_once(self, tmp_path, monkeypatch):
         calls = []
         original = csvio.format_float

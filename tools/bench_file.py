@@ -1,9 +1,9 @@
 """Write a BENCH_*.json file: the benchmark, the README commands and the
-per-call cost of one stacked rate evaluation and of one LP compression, for
-checkouts side by side.
+per-call cost of one stacked rate evaluation, of one LP compression and of
+the layers of the ``sample`` command, for checkouts side by side.
 
     python3 tools/bench_file.py --checkout parent=../parent --checkout change=. \\
-        --out BENCH_31.json
+        --out BENCH_34.json
 
 Each checkout is a directory holding ``src/lincoder`` and ``bench/``.  For
 each one the file records:
@@ -12,17 +12,29 @@ each one the file records:
   over 10 runs of its own ``bench/run.py --seed 5 --seconds 10 --trace 0``,
   alternating with the other checkouts' runs, with the failed items of
   those runs; a checkout after the first also records in how many of the
-  10 pairs it beat the first;
+  10 pairs it beat the first, and whether its runs meet the claim rule
+  against the first's (see ``claim``), with the bounds of the first
+  checkout's ``BENCHMARK.json``;
 - the JSON result line of one ``--trace 1`` run (per-layer metrics from
   ``bench/tracer.py``) on every workload;
 - the wall time of the four README commands, each as a fresh process
   (interpreter start and imports included), the minimum of 7 runs, with
   the sha256 of each command's stdout and output file;
 - the cost per call of ``coderate._increment_rates`` on six stacks, the
-  minimum over PROBE_PROCESSES fresh processes of PROBE_TIMING;
+  minimum over PROBE_PROCESSES fresh processes of the best of PROBE_ROUNDS
+  rounds of PROBE_CALLS calls;
 - the cost per call of ``simplexlp.solve_nonnegative_lp`` on 600 seeded
   targets for each bench family type, and of ``compress_dataset`` on one
-  300 x 2 dataset, measured the same way.
+  300 x 2 dataset, measured the same way;
+- the cost per call of each layer of the ``sample`` command and of the
+  replay step (Philox setup, ``sample_paths``, CSV formatting and parsing,
+  ``emulate_steps``, one in-process ``main``), and of the bare ``%.17g``
+  formatting of the states that the CSV writer cannot go below, measured
+  the same way with SAMPLE_CALLS calls per round.
+
+Each probe ratio is a checkout's minimum over the first checkout's; next to
+it the file records the median and quartiles of the ratios of the processes
+that ran side by side.
 
 Processes of different checkouts alternate, so a change in host speed
 hits them alike.  Every process inherits this one's environment (BLAS
@@ -53,9 +65,8 @@ COMMAND_RUNS = 7
 PROBE_PROCESSES = 9
 #: Untimed warm-up calls, timed rounds and calls per round of each probe case.
 PROBE_WARMUP, PROBE_ROUNDS, PROBE_CALLS = 10, 9, 100
-PROBE_TIMING = (
-    f"the best of {PROBE_ROUNDS} x {PROBE_CALLS} calls after {PROBE_WARMUP} warm-up calls"
-)
+#: Calls per round of the sample probe, whose cases take up to ~20 ms each.
+SAMPLE_CALLS = 10
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: The README's CLI walk-through: config files, then the four commands with
@@ -88,10 +99,17 @@ FAMILY = (
     "io.dump_family(lincoder.planar_grid_family(), 'family.json')"
 )
 
-#: The tail of every per-call probe: PROBE_TIMING of each of its ``cases``
-#: (name -> callable and arguments), in microseconds per call, printed as
-#: JSON.
-BEST_OF = f"""
+
+
+def probe_timing(calls: int) -> str:
+    return f"the best of {PROBE_ROUNDS} x {calls} calls after {PROBE_WARMUP} warm-up calls"
+
+
+def best_of(calls: int) -> str:
+    """The tail of every per-call probe: probe_timing(calls) of each of its
+    ``cases`` (name -> callable and arguments), in microseconds per call,
+    printed as JSON on the last line."""
+    return f"""
 best = {{}}
 for name, (call, *args) in cases.items():
     for _ in range({PROBE_WARMUP}):
@@ -99,9 +117,9 @@ for name, (call, *args) in cases.items():
     times = []
     for _ in range({PROBE_ROUNDS}):
         start = time.perf_counter()
-        for _ in range({PROBE_CALLS}):
+        for _ in range({calls}):
             call(*args)
-        times.append((time.perf_counter() - start) / {PROBE_CALLS})
+        times.append((time.perf_counter() - start) / {calls})
     best[name] = 1e6 * min(times)
 print(json.dumps(best))
 """
@@ -135,7 +153,7 @@ stacks = {
 }
 cases = {name: (_increment_rates, model, 0.0, dts, 0.01)
          for name, (model, dts) in stacks.items()}
-""" + BEST_OF
+""" + best_of(PROBE_CALLS)
 
 #: The same for one LP compression: 600 seeded targets on each family type
 #: of the emulate-compress workload, and one 300-step x 2-trial dataset.
@@ -159,7 +177,48 @@ for name, vectors in families.items():
     cases[f"600 targets, {name}"] = (solve_nonnegative_lp, vectors, targets)
 data = lc.sample_paths(lc.demo_model("stable"), [1.0, 1.0], 0.01, 300, 2, 7)
 cases["compress_dataset 300x2, grid"] = (lc.compress_dataset, data, lc.planar_grid_family())
-""" + BEST_OF
+""" + best_of(PROBE_CALLS)
+
+#: The same for the layers of ``sample`` on the 300-step datasets of the
+#: sample-replay workload, and for its replay step.  Each write rewrites its
+#: own file in a temporary directory, as the benchmark's items do, and
+#: ``main`` prints one line per call before the JSON line.
+SAMPLE_PROBE = r"""
+import json, tempfile, time
+from pathlib import Path
+import lincoder as lc
+from lincoder.cli import main
+from lincoder.csvio import read_trajectories, write_trajectories
+from lincoder.rng import PATH_LANE, substream
+
+def draw():
+    return substream(7, PATH_LANE, 0, 0).standard_normal((300, 2))
+
+stable, family = lc.demo_model("stable"), lc.planar_grid_family()
+workdir = tempfile.TemporaryDirectory()
+path = Path(workdir.name)
+three = lc.sample_paths(stable, [1.0, 1.0], 0.01, 300, 3, 7)
+forty = lc.sample_paths(stable, [1.0, 1.0], 0.01, 300, 40, 7)
+write_trajectories(three, path / "three.csv")
+codes = lc.compress_dataset(three, family)
+(path / "sample.json").write_text(json.dumps(
+    {"system": "stable", "x0": [1.0, 1.0], "dt": 0.01, "steps": 300, "trials": 40}))
+floats = tuple(forty.states.ravel().tolist())
+cases = {
+    "substream + standard_normal((300, 2))": (draw,),
+    "sample_paths 300x2": (lc.sample_paths, stable, [1.0, 1.0], 0.01, 300, 2, 7),
+    "sample_paths 300x40": (lc.sample_paths, stable, [1.0, 1.0], 0.01, 300, 40, 7),
+    "write_trajectories 300x1": (
+        write_trajectories, lc.TrajectoryDataset(0.01, three.states[:1]), path / "one.csv"),
+    "write_trajectories 300x40": (write_trajectories, forty, path / "forty.csv"),
+    "read_trajectories 300x3": (read_trajectories, path / "three.csv"),
+    "emulate_steps 300, resolution 1": (lc.emulate_steps, codes, family, [1.0, 1.0], 1, 5),
+    "emulate_steps 300, resolution 100": (lc.emulate_steps, codes, family, [1.0, 1.0], 100, 5),
+    "main sample 300x40": (main, ["sample", "--config", str(path / "sample.json"),
+                                 "--out", str(path / "main.csv"), "--seed", "7"]),
+    f"%.17g floor, {len(floats)} floats": ((",%.17g" * len(floats)).__mod__, floats),
+}
+""" + best_of(SAMPLE_CALLS)
 
 
 def in_turn(checkouts: dict, turn: int) -> list:
@@ -215,16 +274,41 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def claim(series: list, base: list, bound: float) -> dict:
+    """Whether the runs of a checkout beat the base runs they alternated with.
+
+    The claim rule: lower in at least 9 of 10 pairs, and a median lower by
+    more than the base's interquartile range.  When that range exceeds the
+    metric's regression bound (relative to the base median), the runs
+    cannot show a change of the bound's size either way: "unresolved".
+    """
+    first = spread(base)
+    wins = sum(v < b for v, b in zip(series, base))
+    gap = first["median"] - statistics.median(series)
+    iqr = first["q3"] - first["q1"]
+    if iqr > bound * abs(first["median"]):
+        verdict = "unresolved"
+    elif 10 * wins >= 9 * len(base) and gap > iqr:
+        verdict = "met"
+    else:
+        verdict = "not met"
+    return {"wins": wins, "pairs": len(base), "median_gap": gap, "base_iqr": iqr,
+            "bound": bound, "verdict": verdict}
+
+
 def bench_results(checkouts: dict) -> dict:
     """Per checkout and workload: each end-to-end metric over BENCH_PAIRS
     alternating untraced runs, the failed items of those runs, and one traced run.
 
     Every checkout after the first also counts, per metric, the pairs it won:
     those in which its value was lower than the first checkout's (every
-    end-to-end metric is better lower).
+    end-to-end metric is better lower), and records ``claim`` against the
+    first checkout for each metric with a bound in its BENCHMARK.json.
     """
     results = {label: {} for label in checkouts}
     first = next(iter(checkouts))
+    declared = json.loads((checkouts[first] / "BENCHMARK.json").read_text())
+    bounds = {metric["name"]: metric["bound"] for metric in declared["end_to_end"]}
     for index, workload in enumerate(WORKLOADS):
         runs = {label: [] for label in checkouts}
         for turn in range(BENCH_PAIRS):
@@ -241,6 +325,10 @@ def bench_results(checkouts: dict) -> dict:
                 for name, series in values[label].items():
                     wins = sum(v < b for v, b in zip(series, values[first][name]))
                     end_to_end[name]["wins"] = wins
+                    if name in bounds:
+                        end_to_end[name]["claim"] = claim(
+                            series, values[first][name], bounds[name]
+                        )
             results[label][workload] = {
                 "failed": sum(run["failed"] for run in runs[label]),
                 "end_to_end": end_to_end,
@@ -279,16 +367,25 @@ def readme_commands(checkouts: dict) -> tuple:
             for label, by_name in seconds.items()}, digests
 
 
-def probe_costs(checkouts: dict, probe: str) -> dict:
-    """Per checkout, each case's minimum cost over PROBE_PROCESSES fresh processes."""
-    best = {label: {} for label in checkouts}
+def probe_costs(checkouts: dict, probe: str) -> tuple:
+    """Per checkout, each case's minimum cost over PROBE_PROCESSES fresh
+    processes, and the median and quartiles of the ratios of each process
+    to the first checkout's process of the same turn."""
+    runs = {label: [] for label in checkouts}
     for turn in range(PROBE_PROCESSES):
         for label, path in in_turn(checkouts, turn):
             done = subprocess.run([sys.executable, "-c", probe], env=environment(path),
                                   stdout=subprocess.PIPE, text=True, check=True)
-            for name, cost in json.loads(done.stdout).items():
-                best[label][name] = min(cost, best[label].get(name, float("inf")))
-    return best
+            runs[label].append(json.loads(done.stdout.strip().splitlines()[-1]))
+    best = {label: {name: min(run[name] for run in by_run) for name in by_run[0]}
+            for label, by_run in runs.items()}
+    base = next(iter(runs.values()))
+    ratio_spread = {
+        label: {name: spread([run[name] / first[name] for run, first in zip(by_run, base)])
+                for name in by_run[0]}
+        for label, by_run in runs.items()
+    }
+    return best, ratio_spread
 
 
 def ratios(values: dict) -> dict:
@@ -313,8 +410,9 @@ def main(argv=None) -> int:
         checkouts[label] = checkout
 
     command_s, command_sha = readme_commands(checkouts)
-    rate_us = probe_costs(checkouts, RATE_PROBE)
-    lp_us = probe_costs(checkouts, LP_PROBE)
+    rate_us, rate_spread = probe_costs(checkouts, RATE_PROBE)
+    lp_us, lp_spread = probe_costs(checkouts, LP_PROBE)
+    sample_us, sample_spread = probe_costs(checkouts, SAMPLE_PROBE)
     bench = bench_results(checkouts)
     report = {
         "machine": machine(),
@@ -324,15 +422,28 @@ def main(argv=None) -> int:
         "readme_outputs_sha256": command_sha,
         "rate_eval_us": rate_us,
         "rate_eval_ratio": ratios(rate_us),
+        "rate_eval_ratio_spread": rate_spread,
         "lp_solve_us": lp_us,
         "lp_solve_ratio": ratios(lp_us),
+        "lp_solve_ratio_spread": lp_spread,
+        "sample_us": sample_us,
+        "sample_ratio": ratios(sample_us),
+        "sample_ratio_spread": sample_spread,
         "bench": bench,
         "settings": {
             "bench": f"bench/run.py --seed {BENCH_SEED} --seconds {BENCH_SECONDS}: "
             f"{BENCH_PAIRS} alternating --trace 0 runs per checkout, one --trace 1 run",
             "readme_commands": f"fresh process each, min of {COMMAND_RUNS}, checkouts alternating",
-            "rate_eval": f"min over {PROBE_PROCESSES} fresh processes of {PROBE_TIMING}",
-            "lp_solve": f"min over {PROBE_PROCESSES} fresh processes of {PROBE_TIMING}",
+            "rate_eval": f"min over {PROBE_PROCESSES} fresh processes of "
+            f"{probe_timing(PROBE_CALLS)}",
+            "lp_solve": f"min over {PROBE_PROCESSES} fresh processes of "
+            f"{probe_timing(PROBE_CALLS)}",
+            "sample": f"min over {PROBE_PROCESSES} fresh processes of "
+            f"{probe_timing(SAMPLE_CALLS)}",
+            "ratio_spread": "median and quartiles over the process pairs of each "
+            "process's cost over the first checkout's process of the same turn",
+            "claim": "lower in at least 9 of 10 pairs and a median gap above the first "
+            "checkout's IQR; unresolved when that IQR exceeds the metric's bound",
         },
     }
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=False) + "\n")
