@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Union
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import CapacityInfeasibleError, NoEquilibriumError
 from .linalg import _NOT_HURWITZ
 from .linearsystem import LinearSystemModel, _transition_and_gramian
-from .ratedistortion import LN2, RdfResult, _first_result, _water_fill
+from .ratedistortion import LN2, RdfResult, _budget, _fill_modes, _first_result, _water_fill
 
 #: Safety margin (bits) used when comparing rates against a capacity.
 CAPACITY_MARGIN_BITS = 1e-9
@@ -93,19 +94,18 @@ def rate_ceiling(model: LinearSystemModel, distortion: float) -> RdfResult:
     The increment covariance converges to the Lyapunov equilibrium, so the
     rate at any sampling interval is bounded by the rate of that Gaussian.
     The first ceiling on a model (every rate curve and sampling-rate search
-    takes one) solves for the equilibrium, which the model keeps read-only
-    and exactly symmetric, so each ceiling water-fills it as it is.  The
-    generator M, built with the model, and its power norms, formed by its
-    first increment law or rate, play no part here.  Raises
+    takes one) solves for the equilibrium and takes its mode variances, which
+    the model keeps read-only, so each ceiling only water-fills those.  The
+    generator M and its power norms play no part here.  Raises
     NoEquilibriumError, with the message of lyapunov_solve, when the drift
     is not Hurwitz (the increment covariance then has no limit).
     """
     if not model.is_constant:
         raise ValueError("rate ceiling requires constant drift")
-    equilibrium = model._equilibrium
-    if equilibrium is None:
+    if model._equilibrium is None:
         raise NoEquilibriumError(_NOT_HURWITZ)
-    return _first_result(*_water_fill(equilibrium[np.newaxis], distortion))
+    distortion = _budget(distortion)
+    return _first_result(*_fill_modes(model._equilibrium_modes, distortion))
 
 
 def rate_curve(model: LinearSystemModel, distortion: float, dt_grid) -> RateCurve:
@@ -130,25 +130,26 @@ def _parts(lo: float, hi: float) -> np.ndarray:
     return lo * (hi / lo) ** _PART_EXPONENTS
 
 
-def _lattice_path(lo: float, hi: float, point: float) -> list:
+def _lattice_path(lo: float, hi: float, point: float) -> tuple:
     """Cells (lower, upper) of the refinement lattice under [lo, hi] that hold ``point``.
 
     Each cell is the part of the one before it whose upper edge is the first
     at or above the point (the last part past hi, the first below lo), so a
     lattice cell's edges are computed exactly as the plain refinement
-    computes them.  The path ends at the first cell no wider than
-    BISECTION_RTOL.
+    computes them, down to the first cell no wider than BISECTION_RTOL.
+    Returns the cells and the edges of each cell cut: [lo, hi], then all but the last.
     """
     # NaN sorts above every edge, as in np.searchsorted.
     point = math.inf if math.isnan(point) else point
     lo, hi = float(lo), float(hi)
-    cells = []
+    cells, cut = [], []
     while hi / lo > 1.0 + BISECTION_RTOL:
         edges = [lo, *_parts(lo, hi).tolist(), hi]
         part = min(max(bisect_left(edges, point) - 1, 0), _REFINE_PARTS - 1)
         lo, hi = edges[part], edges[part + 1]
         cells.append((lo, hi))
-    return cells
+        cut.append(edges)
+    return cells, cut
 
 
 def _predict_crossing(
@@ -174,12 +175,13 @@ def min_sampling_rate(
     covariance grows in the Loewner order) and, for Hurwitz drift, never
     exceeds the Lyapunov ceiling.  So a stable model whose ceiling is below
     capacity returns NotNeeded at once.  Otherwise one stacked evaluation at
-    every decade from DT_FLOOR to DT_CEILING finds the first decade at or
-    above capacity.  The decade below it is the first cell of a lattice in
-    which every cell is cut into _REFINE_PARTS geometric parts, down to
-    cells no wider than BISECTION_RTOL; 1 / dt is returned for the lower
-    end of the finest cell holding the crossing, the longest interval found
-    below capacity.
+    every decade from DT_FLOOR up to their geometric middle 1e3, and only if
+    all stay below capacity one at every decade above it up to DT_CEILING,
+    finds the first decade at or above capacity.  The decade below it is
+    the first cell of a lattice in which every cell is cut into
+    _REFINE_PARTS geometric parts, down to cells no wider than
+    BISECTION_RTOL; 1 / dt is returned for the lower end of the finest cell
+    holding the crossing, the longest interval found below capacity.
 
     Each round makes one stacked evaluation: the inner edges of the current
     cell, plus the two edges of every finer cell on the lattice path to a
@@ -214,44 +216,43 @@ def min_sampling_rate(
     except NoEquilibriumError:
         pass
 
-    def rate_bits(dts: np.ndarray) -> np.ndarray:
-        return _increment_rates(model, 0.0, dts, distortion)[0] / LN2
+    def rate_bits(dts: list) -> list:
+        return (_increment_rates(model, 0.0, np.array(dts), distortion)[0] / LN2).tolist()
 
-    def first_not_below(bits: np.ndarray) -> int:
-        below = bits < threshold
-        return below.size if np.all(below) else int(np.argmin(below))
+    def first_not_below(bits: list) -> int:
+        return next((i for i, b in enumerate(bits) if not b < threshold), len(bits))
 
     first, last = (round(math.log10(dt)) for dt in (DT_FLOOR, DT_CEILING))
-    decades = np.array([10.0**decade for decade in range(first, last + 1)])
-    bits = rate_bits(decades)
+    decades = [10.0**decade for decade in range(first, last + 1)]
+    bits = rate_bits(decades[: len(decades) // 2 + 1])
+    if first_not_below(bits) == len(bits):
+        bits += rate_bits(decades[len(bits) :])
     crossing = first_not_below(bits)
-    if crossing == decades.size:
-        return NotNeeded(ceiling_bits=ceiling, zero_rate=bool(bits[-1] <= 0.0))
+    if crossing == len(decades):
+        return NotNeeded(ceiling_bits=ceiling, zero_rate=bits[-1] <= 0.0)
     if crossing == 0:
         raise CapacityInfeasibleError(
             f"code rate stays at or above {capacity_bits} bits down to dt={DT_FLOOR}"
         )
-    known = dict(zip(decades.tolist(), bits.tolist()))
     lo, hi = decades[crossing - 1], decades[crossing]
+    known = {lo: bits[crossing - 1], hi: bits[crossing]}
     while hi / lo > 1.0 + BISECTION_RTOL:
         # The tightest evaluated pair: the smallest interval in the cell not
         # below the threshold and the largest one below it.
-        above = min(dt for dt in known if lo < dt <= hi and not known[dt] < threshold)
-        below = max(dt for dt in known if lo <= dt < above and known[dt] < threshold)
+        above = min(dt for dt, b in known.items() if not b < threshold)
+        below = max(dt for dt, b in known.items() if dt < above and b < threshold)
         guess = _predict_crossing(below, known[below], above, known[above], threshold)
-        path = _lattice_path(lo, hi, guess)
-        inner = _parts(lo, hi)
-        fresh = dict.fromkeys(dt for dt in np.append(inner, path[1:]).tolist() if dt not in known)
-        stack = np.array(list(fresh))
-        known.update(zip(fresh, rate_bits(stack).tolist()))
-        part = first_not_below(np.array([known[dt] for dt in inner.tolist()]))
-        edges = np.concatenate(([lo], inner, [hi]))
+        path, (edges, *_) = _lattice_path(lo, hi, guess)
+        fresh = [dt for dt in dict.fromkeys(chain(edges[1:-1], *path[1:])) if dt not in known]
+        known.update(zip(fresh, rate_bits(fresh)))
+        part = first_not_below([known[dt] for dt in edges[1:-1]])
         lo, hi = edges[part], edges[part + 1]
         if (lo, hi) == path[0]:
             for lower, upper in path[1:]:
                 if not (lower == lo or known[lower] < threshold) or known[upper] < threshold:
                     break
                 lo, hi = lower, upper
+        known = {dt: b for dt, b in known.items() if lo <= dt <= hi}
     if not math.isfinite(known[hi]):
-        raise ValueError(f"code rate overflows at dt={float(hi)!r}, short of {capacity_bits} bits")
-    return 1.0 / float(lo)
+        raise ValueError(f"code rate overflows at dt={hi!r}, short of {capacity_bits} bits")
+    return 1.0 / lo

@@ -35,6 +35,7 @@ from .linalg import (
     max_abs,
     scaled_exp,
 )
+from .ratedistortion import _mode_variances
 from .rng import PATH_LANE, substream
 from .trajectories import TrajectoryDataset
 
@@ -96,10 +97,10 @@ class LinearSystemModel:
     rates read of them: its augmented generator M (_multiples), built with
     the model; the power norms of M, formed by its first increment law or
     rate (the 27th-power row only if a count needs it); and its Lyapunov
-    equilibrium, solved by its first ceiling (every rate curve and
-    sampling-rate search takes one), None where the drift is not Hurwitz
-    (_equilibrium).  No result of a sampling interval is kept, and a
-    time-varying model keeps nothing beyond its two fields.
+    equilibrium and its mode variances, formed by its first ceiling (every
+    curve and sampling-rate search takes one), None where the drift is not
+    Hurwitz (_equilibrium, _equilibrium_modes).  No result of a sampling
+    interval is kept; a time-varying model keeps only its two fields.
     """
 
     drift: Drift
@@ -151,6 +152,15 @@ class LinearSystemModel:
         equilibrium = _sign_iteration(drift, _symmetrize(self.noise_intensity))
         equilibrium.setflags(write=False)
         return equilibrium
+
+    @cached_property
+    def _equilibrium_modes(self) -> Optional[np.ndarray]:
+        """_mode_variances of the stack of the one _equilibrium, read-only; None if it is None."""
+        if self._equilibrium is None:
+            return None
+        modes = _mode_variances(self._equilibrium[np.newaxis])
+        modes.setflags(write=False)
+        return modes
 
 
 @dataclass(frozen=True)

@@ -51,27 +51,38 @@ def _mode_variances(covariances: np.ndarray) -> np.ndarray:
     return np.where(values > floor, values, 0.0)
 
 
+def _budget(distortion) -> float:
+    """The distortion budget as a float; ValueError unless it is nonnegative."""
+    distortion = float(distortion)
+    if not distortion >= 0.0:
+        raise ValueError("distortion budget must be nonnegative")
+    return distortion
+
+
 def _water_fill(covariances: np.ndarray, distortion: float):
     """Reverse water-filling on a stack of covariances (m, n, n) at one budget.
 
     Returns the stacks (rate_nats, water_level, allocations).  Every
     covariance is filled on its own, so its result does not depend on the
-    rest of the stack.
+    rest of the stack.  The budget is checked before any eigenvalue.
     """
-    distortion = float(distortion)
-    if not distortion >= 0.0:
-        raise ValueError("distortion budget must be nonnegative")
-    variances = _mode_variances(covariances)
-    suffix = np.cumsum(variances[:, ::-1], axis=1)[:, ::-1]  # suffix[:, i] = sum(variances[:, i:])
-    # With the k largest modes above water, the level solves k * theta +
-    # tails[k - 1] = D (Cover & Thomas, Thm 10.3.3).  As k * theta +
-    # tails[k - 1] >= sum(min(theta, variances)) for every theta, each of
-    # these n candidate levels is at most the true one, which is among them.
-    tails = np.concatenate((suffix[:, 1:], np.zeros((len(suffix), 1))), axis=1)
-    theta = ((distortion - tails) / np.arange(1, variances.shape[1] + 1)).max(axis=1)
-    allocations = np.minimum(theta[:, None], variances)
-    active = variances > allocations
+    distortion = _budget(distortion)
+    return _fill_modes(_mode_variances(covariances), distortion)
+
+
+def _fill_modes(variances: np.ndarray, distortion: float):
+    """_water_fill of the stack whose _mode_variances (m, n) are given, which it only reads."""
+    # Finite variances may sum past the float range: their suffix sums are then inf.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        suffix = np.cumsum(variances[:, ::-1], axis=1)[:, ::-1]  # sum(variances[:, i:])
+        # With the k largest modes above water, the level solves k * theta +
+        # tails[k - 1] = D (Cover & Thomas, Thm 10.3.3).  As k * theta +
+        # tails[k - 1] >= sum(min(theta, variances)) for every theta, each of
+        # these n candidate levels is at most the true one, which is among them.
+        tails = np.concatenate((suffix[:, 1:], np.zeros((len(suffix), 1))), axis=1)
+        theta = ((distortion - tails) / np.arange(1, variances.shape[1] + 1)).max(axis=1)
+        allocations = np.minimum(theta[:, None], variances)
+        active = variances > allocations
         rate_nats = 0.5 * np.log(np.where(active, variances / allocations, 1.0)).sum(axis=1)
     # A zero budget gives theta = 0 and log(variance / 0) = inf on every
     # positive mode.  A budget covering the total variance costs nothing:
@@ -107,9 +118,7 @@ def rdf_small_distortion(covariance, distortion: float) -> float:
     the caller must use the full water-filling path.
     """
     covariance = check_symmetric(as_square(covariance, "covariance"), "covariance")
-    distortion = float(distortion)
-    if not distortion >= 0.0:
-        raise ValueError("distortion budget must be nonnegative")
+    distortion = _budget(distortion)
     n = covariance.shape[0]
     smallest = float(_mode_variances(covariance)[-1])
     if smallest <= 0.0 or distortion / n >= smallest:

@@ -8,9 +8,20 @@ which cells are consumed.  Paths draw trial t from cell (t, 0); a replay from (0
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 PATH_LANE = 0
 EMULATION_LANE = 1
+
+
+class _Key(ISeedSequence):
+    """Philox key as seed state: no SeedSequence of OS entropy for the key to override."""
+
+    def __init__(self, *words: int):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def substream(seed: int, lane: int, major: int, minor: int) -> np.random.Generator:
@@ -23,5 +34,4 @@ def substream(seed: int, lane: int, major: int, minor: int) -> np.random.Generat
     if not all(np.issubdtype(type(i), np.integer) and 0 <= i < 2**64 for i in (major, minor)):
         raise ValueError("stream indices must be unsigned 64-bit integers")
     counter = np.array([0, minor, major, 0], dtype=np.uint64)
-    key = np.array([seed, lane], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return np.random.Generator(np.random.Philox(_Key(seed, lane), counter=counter))

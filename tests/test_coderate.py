@@ -217,6 +217,15 @@ def test_no_warning_escapes_at_the_float_limit(name, dt):
     assert not math.isnan(rate)
 
 
+def test_no_warning_where_finite_mode_variances_sum_past_the_float_range():
+    # At this interval both modes of the unstable W are near 1e308; their sum overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert increment_rate(demo_model("unstable"), 713.6998820779036, 0.1).rate_bits == math.inf
+        with pytest.raises(ValueError, match="overflows at dt=711.39"):
+            min_sampling_rate(demo_model("unstable"), 0.1, 1030.0)
+
+
 @pytest.mark.parametrize("drift", [[[-2.0]], [[-3.0, 2.0], [-2.0, -3.0]]])
 def test_generator_that_overflows_at_the_float_limit_reaches_the_ceiling(drift):
     # At dt = 1e308 an entry of the generator M dt itself overflows.  The
@@ -424,8 +433,36 @@ class TestMinSamplingRate:
         fs = min_sampling_rate(demo_model("unstable"), 0.01, 8.0)
         assert isinstance(fs, float)
         assert 1 <= len(rate_calls) <= 12
-        # One call holds every decade from DT_FLOOR to DT_CEILING.
-        assert np.array_equal(rate_calls[0], [10.0**d for d in range(-6, 13)])
+        # One call holds every decade from DT_FLOOR up to 1e3, below which it crosses.
+        assert np.array_equal(rate_calls[0], [10.0**d for d in range(-6, 4)])
+
+    @pytest.mark.parametrize(
+        "model, capacity, stacks",
+        [
+            (partial(demo_model, "unstable"), 8.0, 1),
+            # dt* ~ 2.44e5, 4.3e7 and none: each scan reads the decades above 1e3.
+            (partial(demo_model, "marginal"), 35.0, 2),
+            (partial(demo_model, "brownian"), 16.0, 2),
+            (partial(LinearSystemModel.constant, [[0.0]], [[0.0]]), 1.0, 2),
+        ],
+        ids=["unstable", "marginal", "brownian", "zero-rate"],
+    )
+    def test_upper_decades_are_scanned_only_past_the_lower(
+        self, model, capacity, stacks, rate_calls
+    ):
+        reference, _ = plain_refinement(model(), 0.01, capacity)
+        rate_calls.clear()
+        assert outcome(lambda: min_sampling_rate(model(), 0.01, capacity)) == reference
+        lower, upper = [10.0**d for d in range(-6, 4)], [10.0**d for d in range(4, 13)]
+        assert rate_calls[0].tolist() == lower
+        if stacks == 2:
+            assert rate_calls[1].tolist() == upper
+        # Every later stack refines the crossing decade.
+        if isinstance(reference, float):
+            lo = 10.0 ** math.floor(math.log10(1.0 / reference))
+            assert all(lo < dt < 10.0 * lo for call in rate_calls[stacks:] for dt in call)
+        else:
+            assert len(rate_calls) == stacks
 
     def test_brownian_crossings_far_from_unit_interval(self):
         # Crossings at dt = D 4^C ~ 6.6e-4 and ~ 6.6e3, both brackets from dt = 1.
@@ -632,10 +669,16 @@ class TestLatticePath:
                 points += [cell_lo, *coderate._parts(cell_lo, cell_hi).tolist(), cell_hi]
         for point in points:
             expected = searchsorted_lattice_path(lo, hi, point)
-            cells = coderate._lattice_path(lo, hi, point)
+            cells, cut = coderate._lattice_path(lo, hi, point)
             assert len(cells) == len(expected) >= 7
             for cell, reference in zip(cells, expected):
                 assert cell == tuple(map(float, reference))
+            # The edges of each cell the path cuts: [lo, hi], then all cells but the last.
+            assert len(cut) == len(cells)
+            for (cell_lo, cell_hi), edges in zip([(lo, hi)] + cells[:-1], cut):
+                parts = coderate._parts(cell_lo, cell_hi).tolist()
+                assert edges == [float(cell_lo), *parts, float(cell_hi)]
+                assert all(type(edge) is float for edge in edges)
 
 
 #: Builders of the models whose derived values are checked: the four presets
@@ -797,6 +840,26 @@ class TestModelDerivesOnce:
             assert pinned(lambda: rate_ceiling(model, distortion)) == expected
             rate_curve(model, distortion, DERIVED_GRID)
             assert pinned(lambda: rate_ceiling(model, distortion)) == expected
+
+    @pytest.mark.parametrize("name", CEILING_MODELS)
+    def test_one_eigvalsh_per_model_across_ceilings(self, name, monkeypatch):
+        model = CEILING_MODELS[name]()
+        solved = lyapunov_solve(model.drift.matrix, model.noise_intensity)
+        expected = [pinned(lambda: rdf(solved, d)) for d in DERIVED_DISTORTIONS]
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        for _ in range(3):
+            assert [pinned(lambda: rate_ceiling(model, d)) for d in DERIVED_DISTORTIONS] == expected
+        n = model.dimension
+        assert shapes == [(1, n, n)]
+        assert not model._equilibrium_modes.flags.writeable
+
+    @pytest.mark.parametrize("name", ["marginal", "unstable", "brownian"])
+    def test_no_mode_variances_without_an_equilibrium(self, name):
+        model = demo_model(name)
+        with pytest.raises(NoEquilibriumError):
+            rate_ceiling(model, 0.01)
+        assert model._equilibrium_modes is None
 
     @pytest.mark.parametrize("name", CEILING_MODELS)
     def test_ceiling_makes_no_symmetry_check(self, name, monkeypatch):

@@ -69,3 +69,16 @@ def test_stream_layout_matches_recorded_draws():
         normals = substream(7, PATH_LANE, trial, 0).standard_normal(3)
         assert [v.hex() for v in normals.tolist()] == recorded
     assert substream(7, EMULATION_LANE, 0, 1).multinomial(10, [0.2, 0.3, 0.5]).tolist() == [2, 5, 3]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("lane", [PATH_LANE, EMULATION_LANE])
+@pytest.mark.parametrize("major", [0, 2**64 - 1])
+@pytest.mark.parametrize("minor", [0, 2**64 - 1])
+def test_cell_starts_in_the_state_of_a_keyed_philox(seed, lane, major, minor):
+    got, want = substream(seed, lane, major, minor), fresh_cell(seed, lane, major, minor)
+    # The key reaches Philox as its seed state, not past a SeedSequence drawn from OS entropy.
+    key = got.bit_generator.seed_seq.generate_state(2, np.uint64)
+    assert key.dtype == np.uint64 and key.tolist() == [seed, lane]
+    assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+    assert np.array_equal(got.bit_generator.random_raw(64), want.bit_generator.random_raw(64))

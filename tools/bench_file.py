@@ -3,7 +3,7 @@ per-call cost of one stacked rate evaluation, of one LP compression and of
 the layers of the ``sample`` command, for checkouts side by side.
 
     python3 tools/bench_file.py --checkout parent=../parent --checkout change=. \\
-        --out BENCH_34.json
+        --out BENCH_35.json
 
 Each checkout is a directory holding ``src/lincoder`` and ``bench/``.  For
 each one the file records:
@@ -20,9 +20,10 @@ each one the file records:
 - the wall time of the four README commands, each as a fresh process
   (interpreter start and imports included), the minimum of 7 runs, with
   the sha256 of each command's stdout and output file;
-- the cost per call of ``coderate._increment_rates`` on six stacks, the
-  minimum over PROBE_PROCESSES fresh processes of the best of PROBE_ROUNDS
-  rounds of PROBE_CALLS calls;
+- the cost per call of ``coderate._increment_rates`` on six stacks, and of
+  a whole ``min_sampling_rate`` (two models) and ``rate_ceiling`` on models
+  that earlier calls have warmed, the minimum over PROBE_PROCESSES fresh
+  processes of the best of PROBE_ROUNDS rounds of PROBE_CALLS calls;
 - the cost per call of ``simplexlp.solve_nonnegative_lp`` on 600 seeded
   targets for each bench family type, and of ``compress_dataset`` on one
   300 x 2 dataset, measured the same way;
@@ -124,12 +125,14 @@ for name, (call, *args) in cases.items():
 print(json.dumps(best))
 """
 
-#: One process of the per-call measurement of ``_increment_rates``, on six stacks.
+#: One process of the per-call measurement of ``_increment_rates``, on six
+#: stacks, and of whole searches and ceilings on warm models: their first
+#: calls, among the warm-up calls, form what the model keeps.
 RATE_PROBE = r"""
 import json, time
 import numpy as np
 import lincoder as lc
-from lincoder.coderate import _increment_rates
+from lincoder.coderate import _increment_rates, min_sampling_rate, rate_ceiling
 
 stable, marginal, unstable = (lc.demo_model(n) for n in ("stable", "marginal", "unstable"))
 # A seeded 8-D Hurwitz drift Q J Q^T, J of 2x2 rotation blocks, as the
@@ -153,6 +156,9 @@ stacks = {
 }
 cases = {name: (_increment_rates, model, 0.0, dts, 0.01)
          for name, (model, dts) in stacks.items()}
+cases["min_sampling_rate C=8, unstable"] = (min_sampling_rate, unstable, 0.01, 8.0)
+cases["min_sampling_rate C=8, hurwitz8"] = (min_sampling_rate, hurwitz8, 0.01, 8.0)
+cases["rate_ceiling, hurwitz8"] = (rate_ceiling, hurwitz8, 0.01)
 """ + best_of(PROBE_CALLS)
 
 #: The same for one LP compression: 600 seeded targets on each family type
