@@ -46,7 +46,6 @@ from .linearsystem import (
     ConstantDrift,
     IncrementDistribution,
     LinearSystemModel,
-    TimeVaryingDrift,
     increment_distribution,
     sample_paths,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "SourceFamily",
     "StepCodes",
     "SymmetricEigen",
-    "TimeVaryingDrift",
     "TrajectoryDataset",
     "compress_dataset",
     "demo_model",

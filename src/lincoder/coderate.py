@@ -100,8 +100,6 @@ def rate_ceiling(model: LinearSystemModel, distortion: float) -> RdfResult:
     NoEquilibriumError, with the message of lyapunov_solve, when the drift
     is not Hurwitz (the increment covariance then has no limit).
     """
-    if not model.is_constant:
-        raise ValueError("rate ceiling requires constant drift")
     if model._equilibrium is None:
         raise NoEquilibriumError(_NOT_HURWITZ)
     distortion = _budget(distortion)
@@ -110,8 +108,6 @@ def rate_ceiling(model: LinearSystemModel, distortion: float) -> RdfResult:
 
 def rate_curve(model: LinearSystemModel, distortion: float, dt_grid) -> RateCurve:
     """Code rate at each grid point, with the saturation rate when it exists."""
-    if not model.is_constant:
-        raise ValueError("rate curve requires constant drift")
     grid = np.asarray(dt_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("dt grid must be a non-empty vector")
@@ -199,8 +195,6 @@ def min_sampling_rate(
     DT_FLOOR, and ValueError when it overflows short of capacity;
     returns NotNeeded when it stays below capacity up to DT_CEILING.
     """
-    if not model.is_constant:
-        raise ValueError("minimum sampling rate requires constant drift")
     capacity_bits = float(capacity_bits)
     if not capacity_bits > 0.0:
         raise ValueError("capacity must be positive")

@@ -268,7 +268,7 @@ class _Multiples:
     ``norms`` is None until then, and constructing a _Multiples forms
     nothing.  ``unit_row_log2``, the log2 of M's 27th-power row
     (_unit_row_log2), is formed on first use only: most stacks never read
-    it.  A model of constant drift builds one _Multiples of its generator
+    it.  A model builds one _Multiples of its generator
     when it is built, so each of these is formed at most once per model,
     not once per call.
     """
@@ -304,9 +304,12 @@ def _scaled_exp_multiples(multiples: _Multiples, factors: np.ndarray):
     count and this one agree to rounding.  The other intervals keep the
     stacked count of scaled_exp: there its powers can overflow, and a power
     norm that did falls back to ||M t||, which the powers of M cannot
-    reproduce.  Where M t has a non-finite entry, they take M (t 2^-e) with
-    every entry below 2^1023, and e is added to the count: scaling by a
-    power of two is exact, and lowers the count by e.
+    reproduce.  Where t max |M| overflows, so that M t has a non-finite
+    entry, they take M (t 2^-e), e = e_t + e_M - 1023 for t < 2^e_t and
+    max |M| < 2^e_M, with every entry below 2^1023, and e is added to the
+    count: scaling by a power of two is exact, and lowers the count by e.
+    Where M t is finite it is taken as it is: the count of a nilpotent M t
+    is 0, and that of M (t 2^-e) is 0 too, not -e.
     """
     matrix = multiples.matrix
     n = matrix.shape[-1]
@@ -328,12 +331,9 @@ def _scaled_exp_multiples(multiples: _Multiples, factors: np.ndarray):
             a4 = a2 @ a2
             exps[i : i + size] = _pade(a, a2, a4, a4 @ a2)
         if any_routed:
-            stack = matrix * factors[routed, np.newaxis, np.newaxis]
-            shifts = np.where(
-                np.isfinite(stack).all(axis=(1, 2)),
-                0,
-                np.frexp(factors[routed])[1] + multiples.top - 1023,
-            )
+            # Rounding is monotone, so M t is finite where t max |M| is.
+            finite = np.isfinite(factors[routed] * np.abs(matrix).max())
+            shifts = np.where(finite, 0, np.frexp(factors[routed])[1] + multiples.top - 1023)
             stack = matrix * np.ldexp(factors[routed], -shifts)[:, np.newaxis, np.newaxis]
             exps[routed], counts[routed] = scaled_exp(stack)
             counts[routed] += shifts

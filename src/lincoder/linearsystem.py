@@ -1,15 +1,15 @@
 """Linear stochastic systems driven by additive white noise.
 
-Models dx = A(t) x dt + dw with noise intensity N, computes the Gaussian
-law of the forward increment X(t + dt) - X(t) | X(t), and draws sample
-paths by exact discretization (the sampled chain has exactly the analyzed
-increment law; there is no integrator bias).
+Models dx = A x dt + dw with a constant drift A and noise intensity N,
+computes the Gaussian law of the forward increment X(t + dt) - X(t) | X(t),
+and draws sample paths by exact discretization (the sampled chain has
+exactly the analyzed increment law; there is no integrator bias).
 
-The transition matrix Phi and the increment covariance W of both drift
-kinds come from one function, which increment_distribution and
-sample_paths share, and which the rate path in coderate calls with a whole
-stack of sampling intervals: one augmented exponential per interval or
-per fourth-order Magnus segment, composed by the interval-doubling rule.
+The transition matrix Phi and the increment covariance W come from one
+function, which increment_distribution and sample_paths share, and which
+the rate path in coderate calls with a whole stack of sampling intervals:
+one augmented exponential per interval, rebuilt by the interval-doubling
+rule.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .linalg import (
-    _EXP_CHUNK_BYTES,
     _is_hurwitz,
     _Multiples,
     _positive_int,
@@ -33,7 +32,6 @@ from .linalg import (
     as_vector,
     check_symmetric,
     max_abs,
-    scaled_exp,
 )
 from .ratedistortion import _mode_variances
 from .rng import PATH_LANE, substream
@@ -41,11 +39,6 @@ from .trajectories import TrajectoryDataset
 
 #: Most negative eigenvalue accepted in the noise intensity matrix.
 NOISE_PSD_TOL = 1e-9
-#: Magnus segment floor and norm factor for time-varying drift.
-MIN_SUBSTEPS = 64
-SUBSTEP_NORM_FACTOR = 16.0
-#: The two Gauss nodes of a Magnus segment, as fractions of its length.
-_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
 
 
 @dataclass(frozen=True)
@@ -65,45 +58,20 @@ class ConstantDrift:
 
 
 @dataclass(frozen=True)
-class TimeVaryingDrift:
-    """Drift as a function from a 1-D array of times to the (len(times), n, n) stack of A."""
-
-    matrix_at: Callable[[np.ndarray], np.ndarray]
-    dimension: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "dimension", _positive_int(self.dimension, "dimension"))
-
-    def _stack(self, times: np.ndarray) -> np.ndarray:
-        """A at each time of an ascending 1-D array, one stack checked for shape and finiteness."""
-        stack = np.asarray(self.matrix_at(times), dtype=float)
-        shape = (len(times), self.dimension, self.dimension)
-        if stack.shape != shape:
-            raise ValueError(f"time-varying drift returned shape {stack.shape}, expected {shape}")
-        bad = ~np.isfinite(stack).all(axis=(1, 2))
-        if bad.any():
-            raise ValueError(f"drift matrix is not finite at t = {float(times[bad.argmax()])!r}")
-        return stack
-
-
-Drift = Union[ConstantDrift, TimeVaryingDrift]
-
-
-@dataclass(frozen=True)
 class LinearSystemModel:
     """Drift plus symmetric PSD noise intensity (units: state^2 / time).
 
-    Both arrays are read-only, so a constant-drift model keeps what its
-    rates read of them: its augmented generator M (_multiples), built with
-    the model; the power norms of M, formed by its first increment law or
-    rate (the 27th-power row only if a count needs it); and its Lyapunov
+    Both arrays are read-only, so a model keeps what its rates read of
+    them: its augmented generator M (_multiples), built with the model; the
+    power norms of M, formed by its first increment law or rate (the
+    27th-power row only if a count needs it); and its Lyapunov
     equilibrium and its mode variances, formed by its first ceiling (every
     curve and sampling-rate search takes one), None where the drift is not
     Hurwitz (_equilibrium, _equilibrium_modes).  No result of a sampling
-    interval is kept; a time-varying model keeps only its two fields.
+    interval is kept.
     """
 
-    drift: Drift
+    drift: ConstantDrift
     noise_intensity: np.ndarray
 
     def __post_init__(self):
@@ -117,25 +85,15 @@ class LinearSystemModel:
             raise ValueError("noise intensity is not positive semidefinite")
         noise.setflags(write=False)
         object.__setattr__(self, "noise_intensity", noise)
-        if self.is_constant:
-            generator = _generators(self.drift.matrix, noise)
-            object.__setattr__(self, "_multiples", _Multiples(generator))
+        object.__setattr__(self, "_multiples", _Multiples(_generators(self.drift.matrix, noise)))
 
     @classmethod
     def constant(cls, a, noise) -> "LinearSystemModel":
         return cls(ConstantDrift(a), noise)
 
-    @classmethod
-    def time_varying(cls, matrix_at, dimension, noise) -> "LinearSystemModel":
-        return cls(TimeVaryingDrift(matrix_at, dimension), noise)
-
     @property
     def dimension(self) -> int:
         return self.drift.dimension
-
-    @property
-    def is_constant(self) -> bool:
-        return isinstance(self.drift, ConstantDrift)
 
     @cached_property
     def _equilibrium(self) -> Optional[np.ndarray]:
@@ -185,13 +143,13 @@ def _compose(phi_j, w_j, phi, w):
 
 
 def _van_loan(exp: np.ndarray, doublings: np.ndarray):
-    """(Phi, W) of each generator Omega of a stack over its interval.
+    """(Phi, W) of each generator Omega = M dt of a stack over its interval.
 
-    exp and doublings are scaled_exp of the stack (m, 2n, 2n), or, for the
-    multiples M dt of one constant-drift generator, _scaled_exp_multiples,
-    which reads the count s of M dt from the powers of M alone: the power
-    norms d_k(M dt) = dt d_k(M), up to dt ||M|| = 2^102 (past it the stacked
-    powers of M dt can overflow, and their count stays).  F = exp(Omega 2^-s)
+    exp and doublings are _scaled_exp_multiples of the multiples M dt of
+    the model's generator M, which reads the count s of M dt from the powers
+    of M alone: the power norms d_k(M dt) = dt d_k(M), up to dt ||M|| = 2^102
+    (past it the stacked powers of M dt can overflow, and their count
+    stays).  F = exp(Omega 2^-s)
     gives Phi = F22^T and W = sym(Phi F12) over 1/2^s of the interval (Van
     Loan 1978, IEEE TAC 23(3)), and s doublings (_compose with itself)
     rebuild the interval.  Each generator is doubled only its own s times:
@@ -235,88 +193,35 @@ def _van_loan(exp: np.ndarray, doublings: np.ndarray):
     return phi[restore], w[restore]
 
 
-def _gauss_times(t: float, h: float, first: int, last: int) -> np.ndarray:
-    """Ascending times of the Gauss nodes of segments first..last-1 of length h after t."""
-    return (t + (np.arange(first, last)[:, None] + _GAUSS_NODES) * h).ravel()
-
-
-def _magnus(model: LinearSystemModel, t: float, dt: float, m: int, drifts=None):
-    """(Phi, W) over [t, t + dt] from m fourth-order Magnus segments.
-
-    ``drifts``, when given, is the drift stack at all 2 m Gauss nodes, which
-    then is not evaluated again.
-    """
-    n, noise = model.dimension, model.noise_intensity
-    size = max(1, _EXP_CHUNK_BYTES // (8 * (2 * n) ** 2))
-    h = dt / m
-    pair = np.eye(n), np.zeros((n, n))
-    for first in range(0, m, size):
-        last = min(first + size, m)
-        if drifts is None:
-            a = model.drift._stack(_gauss_times(t, h, first, last))
-        else:
-            a = drifts[2 * first : 2 * last]
-        m1, m2 = _generators(a.reshape(-1, 2, n, n), noise).swapaxes(0, 1)
-        commutator = m1 @ m2 - m2 @ m1
-        omegas = 0.5 * h * (m1 + m2) + (math.sqrt(3.0) / 12.0 * h * h) * commutator
-        with np.errstate(over="ignore", invalid="ignore"):
-            for phi_j, w_j in zip(*_van_loan(*scaled_exp(omegas))):
-                pair = _compose(phi_j, w_j, *pair)
-    return pair
-
-
 def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     """Transition matrix Phi and increment covariance W over [t, t + dt].
 
     t must be finite and nonnegative; dt is a scalar or an array of
     intervals.  Phi and W come back with dt's shape followed by (n, n), each
     interval computed on its own, so its result does not depend on the rest
-    of the array.  Both drift kinds share one exponential path, _van_loan, of
-    generators of H' = H M(s), solved by H = [[Phi^-1, Phi^-1 W], [0, Phi^T]],
-    and one composition step _compose.  Each exponential's own scaling 2^-s
-    is carried out as s interval doublings, never as squarings of the
-    augmented block.  Constant drift: the generators M dt of all intervals
-    are one stack, and their counts come from the powers of the one
-    generator M, built with the model (its _multiples), whose power norms
-    the model's first call here forms and keeps (its equilibrium is solved
-    by coderate.rate_ceiling alone): d_k(M dt) = dt d_k(M) for the power
-    norms d_k = ||A^k||^(1/k) of the count.  Intervals with dt ||M|| at or
-    past 2^102, where the stacked powers of M dt can overflow and the count
-    falls back to ||M dt||, keep the stacked count of M dt (see
+    of the array; t does not change it, as the drift is constant.  The
+    generators M dt of all intervals are one stack for _van_loan, which
+    solves H' = H M by H = [[Phi^-1, Phi^-1 W], [0, Phi^T]] and carries each
+    exponential's own scaling 2^-s out as s interval doublings, never as
+    squarings of the augmented block.  Their counts come from the powers of
+    the one generator M, built with the model (its _multiples), whose power
+    norms the model's first call here forms and keeps (its equilibrium is
+    solved by coderate.rate_ceiling alone): d_k(M dt) = dt d_k(M) for the
+    power norms d_k = ||A^k||^(1/k) of the count.  Intervals with dt ||M|| at
+    or past 2^102, where the stacked powers of M dt can overflow and the
+    count falls back to ||M dt||, keep the stacked count of M dt (see
     linalg._scaled_exp_multiples), so each count agrees with the one the
     stack M dt gives, to rounding.
     For unstable drift at extreme horizons entries may overflow to inf, which
     callers treat as an unbounded-rate signal.
-    Time-varying drift: per interval, one drift call at the Gauss nodes of
-    MIN_SUBSTEPS segments reads peak, the largest norm1(A) there, and one
-    Magnus pass of max(MIN_SUBSTEPS, ceil(SUBSTEP_NORM_FACTOR * peak * dt))
-    segments of length h follows, so the count follows the drift across the
-    window; at a count of MIN_SUBSTEPS the pass takes its matrices from that
-    call, whose nodes are its own.  A drift feature narrower than
-    dt / MIN_SUBSTEPS can fall between those nodes and be missed without a
-    warning.  Each segment takes the fourth-order Magnus generator
-    h/2 (M1 + M2) + sqrt(3) h^2/12 (M1 M2 - M2 M1), M1 and M2 at
-    the two Gauss nodes (Blanes, Casas, Oteo & Ros 2009, Phys. Rep. 470), so
-    the error falls as h^4.  Segments are exponentiated in slices of
-    _EXP_CHUNK_BYTES, so memory does not grow with their number, and the
-    drift matrices of a slice come from one call, checked as one stack.
     """
     if not 0.0 <= float(t) < math.inf:
         raise ValueError("time must be nonnegative and finite")
     dts = np.asarray(dt, dtype=float)
     if not ((dts > 0.0) & (dts < math.inf)).all():
         raise ValueError("sampling interval must be positive and finite")
-    intervals = dts.ravel()
     n = model.dimension
-    if model.is_constant:
-        phi, w = _van_loan(*_scaled_exp_multiples(model._multiples, intervals))
-    else:
-        phi, w = np.empty((2,) + intervals.shape + (n, n))
-        for i, dt_i in enumerate(intervals.tolist()):
-            floor = model.drift._stack(_gauss_times(t, dt_i / MIN_SUBSTEPS, 0, MIN_SUBSTEPS))
-            peak = np.linalg.norm(floor, 1, axis=(1, 2)).max()
-            m = max(MIN_SUBSTEPS, math.ceil(SUBSTEP_NORM_FACTOR * peak * dt_i))
-            phi[i], w[i] = _magnus(model, t, dt_i, m, floor if m == MIN_SUBSTEPS else None)
+    phi, w = _van_loan(*_scaled_exp_multiples(model._multiples, dts.ravel()))
     return phi.reshape(dts.shape + (n, n)), w.reshape(dts.shape + (n, n))
 
 
@@ -369,8 +274,6 @@ def sample_paths(
     integer, if Phi or W is not finite at this dt, or, naming the first trial
     and step, if a path leaves the float range.
     """
-    if not model.is_constant:
-        raise ValueError("sample paths require constant drift")
     dt = float(dt)
     steps, trials = _positive_int(steps, "steps"), _positive_int(trials, "trials")
     x0 = as_vector(x0, "initial state")

@@ -81,9 +81,11 @@ def solve_nonnegative_lp(constraints, rhs) -> np.ndarray:
     x_B >= -BASIS_TOL and |B x_B - d| <= BASIS_TOL, both for d scaled to
     unit max-norm, and is then optimal.  The residual is computed only on
     the exposed bases; on the others the a-priori bound (see the module
-    docstring) already keeps it within BASIS_TOL.  The least replay
-    spread sum_i x_i |v_i|^2, read as c_B . d, wins, spreads within
-    TIE_RTOL going to the lowest subset index.  Entries of x_B up to
+    docstring) already keeps it within BASIS_TOL.  Where it fails, one step
+    of iterative refinement x_B - B+ (B x_B - d) takes the place of x_B if
+    it passes both tests.  The least replay spread sum_i x_i |v_i|^2, read
+    as c_B . d, wins, spreads within TIE_RTOL going to the lowest subset
+    index.  Entries of x_B up to
     TIE_RTOL times the flow time become 0, so a target along one column
     gets a one-hot solution.  Raises ValueError when the columns have more
     than MAX_BASES candidate bases, or when rounding leaves none of them
@@ -113,8 +115,18 @@ def solve_nonnegative_lp(constraints, rhs) -> np.ndarray:
         xb = inverses @ d  # (S, r, t)
         feasible = np.min(xb, axis=1, initial=np.inf) >= -BASIS_TOL
         if exposed.size:
-            residual = exposed_columns @ xb[exposed] - d
-            feasible[exposed] &= np.all(np.abs(residual) <= BASIS_TOL, axis=1)
+            exposed_xb = xb[exposed]
+            residual = exposed_columns @ exposed_xb - d
+            fits = np.all(np.abs(residual) <= BASIS_TOL, axis=1)
+            feasible[exposed] &= fits
+            if not fits.all():
+                # B+ d is not backward stable on an ill-conditioned basis: one
+                # step of iterative refinement, kept where it passes both tests.
+                refined = exposed_xb - inverses[exposed] @ residual
+                fixed = ~fits & np.all(np.abs(exposed_columns @ refined - d) <= BASIS_TOL, axis=1)
+                fixed &= np.min(refined, axis=1, initial=np.inf) >= -BASIS_TOL
+                xb[exposed] = np.where(fixed[:, np.newaxis], refined, exposed_xb)
+                feasible[exposed] |= fixed
         spread = np.where(feasible, spread_rows @ d, np.inf)
         least = spread.min(axis=0)
         pick = np.argmax(spread <= least + TIE_RTOL * np.abs(least), axis=0)

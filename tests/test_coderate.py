@@ -128,14 +128,14 @@ class TestIncrementRate:
         result = increment_rate(model, dt=1e-6, distortion=0.01)
         assert result.rate_bits == 0.0
 
-    def test_time_varying_query_is_a_stack_of_one(self):
-        # The Magnus pass runs once for the one interval, and the rate is the
+    @pytest.mark.parametrize("dt", [0.05, 2.0])
+    @pytest.mark.parametrize("name", ["stable", "marginal", "unstable", "brownian"])
+    def test_one_interval_query_is_the_rdf_of_its_law(self, name, dt):
+        # A query is a stack of one interval, and its rate is the
         # water-filling of exactly the covariance increment_distribution gives.
-        model = LinearSystemModel.time_varying(
-            lambda t: np.sin(t)[:, None, None] * np.eye(2) - np.eye(2), 2, np.eye(2)
-        )
-        result = increment_rate(model, dt=0.5, distortion=0.01, t=0.3)
-        cov = increment_distribution(model, np.zeros(2), 0.3, 0.5).covariance
+        model = demo_model(name)
+        result = increment_rate(model, dt=dt, distortion=0.01, t=0.3)
+        cov = increment_distribution(model, np.zeros(model.dimension), 0.3, dt).covariance
         expected = rdf(cov, 0.01)
         assert (result.rate_nats, result.water_level) == (expected.rate_nats, expected.water_level)
         assert np.array_equal(result.allocations, expected.allocations)
@@ -291,45 +291,9 @@ class TestRateCurve:
         with pytest.raises(ValueError):
             rate_curve(model, 0.01, [-1.0, 0.5])
 
-    @pytest.mark.parametrize(
-        "call, message",
-        [
-            (lambda model: rate_ceiling(model, 0.01), "^rate ceiling requires constant drift$"),
-            (
-                lambda model: min_sampling_rate(model, 0.01, 8.0),
-                "^minimum sampling rate requires constant drift$",
-            ),
-        ],
-        ids=["rate-ceiling", "min-sampling-rate"],
-    )
-    def test_time_varying_model_refused(self, call, message):
-        model = LinearSystemModel.time_varying(
-            lambda t: np.broadcast_to(-np.eye(2), (len(t), 2, 2)), 2, np.eye(2)
-        )
-        with pytest.raises(ValueError, match=message):
-            call(model)
-
     def test_two_dimensional_grid_refused(self):
         with pytest.raises(ValueError, match="^dt grid must be a non-empty vector$"):
             rate_curve(demo_model("stable"), 0.01, [[0.1, 1.0]])
-
-    def test_time_varying_model_rejected_before_any_work(self, monkeypatch):
-        from lincoder import linearsystem
-
-        drift_calls, law_calls = [], []
-        original = linearsystem.increment_distribution
-
-        def counting(*args, **kwargs):
-            law_calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(linearsystem, "increment_distribution", counting)
-        model = LinearSystemModel.time_varying(
-            lambda t: drift_calls.append(t) or -np.eye(1), 1, np.eye(1)
-        )
-        with pytest.raises(ValueError, match="^rate curve requires constant drift$"):
-            rate_curve(model, 0.01, np.logspace(-2, 2, 100))
-        assert drift_calls == [] and law_calls == []
 
     @pytest.mark.parametrize(
         "name, top",
@@ -788,19 +752,6 @@ class TestModelDerivesOnce:
                 rate_ceiling(model, 0.01)
             assert str(raised.value) == str(solved.value)
             assert rate_curve(model, 0.01, [1.0]).asymptote_bits is None
-
-    def test_time_varying_model_raises_before_any_work(self):
-        times = []
-
-        def matrix_at(t):
-            times.append(t)
-            return np.broadcast_to(-np.eye(2), (len(t), 2, 2))
-
-        model = LinearSystemModel.time_varying(matrix_at, 2, np.eye(2))
-        for call in DERIVED_CALLS.values():
-            with pytest.raises(ValueError, match="requires constant drift"):
-                call(model, 0.01)
-        assert times == [] and sorted(vars(model)) == ["drift", "noise_intensity"]
 
     def test_cached_equilibrium_is_read_only_and_is_lyapunov_solve(self):
         model = rotation_model(8)

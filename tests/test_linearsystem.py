@@ -20,14 +20,7 @@ from lincoder import (
 from lincoder import csvio, linalg, linearsystem
 from lincoder.csvio import read_trajectories, write_trajectories
 from lincoder.linalg import scaled_exp
-from lincoder.linearsystem import (
-    MIN_SUBSTEPS,
-    SUBSTEP_NORM_FACTOR,
-    TimeVaryingDrift,
-    _covariance_sqrt,
-    _generators,
-    _transition_and_gramian,
-)
+from lincoder.linearsystem import _covariance_sqrt, _generators, _transition_and_gramian
 from lincoder.rng import PATH_LANE, substream
 
 
@@ -49,16 +42,6 @@ def quadrature_gramian(a, noise, dt, points=20001):
         total += weight * term
         current = current @ step
     return total * h
-
-
-def stable_stack(t):
-    """A(t) = -I at each time of t, as the (len(t), 2, 2) stack of the drift contract."""
-    return np.broadcast_to(-np.eye(2), (len(t), 2, 2))
-
-
-def sines(t):
-    """sin of each time by math.sin, so a stack equals its matrices built one time at a time."""
-    return np.array([math.sin(s) for s in t.tolist()])[:, None, None]
 
 
 def doublings(a, noise, grid):
@@ -83,31 +66,6 @@ class TestStateTransition:
         with pytest.raises(ValueError, match="sampling interval must be positive"):
             _transition_and_gramian(model, 0.0, -0.5)
 
-    def test_time_varying_scalar_commuting(self):
-        # A(t) = sin(t) I commutes with itself: Phi = exp(int sin) I, and the
-        # integral has the closed form cos(t) - cos(t + dt).
-        model = LinearSystemModel.time_varying(
-            lambda t: np.sin(t)[:, None, None] * np.eye(2), 2, np.eye(2)
-        )
-        for t, dt in ((0.3, 1.0), (1.1, 0.5), (0.0, 1.2)):
-            phi = _transition_and_gramian(model, t, dt)[0]
-            expected = math.exp(math.cos(t) - math.cos(t + dt)) * np.eye(2)
-            assert max_abs(phi - expected) <= 1e-8
-
-    @pytest.mark.parametrize("dimension", [2.7, 2.0, True, 0, -1])
-    def test_time_varying_dimension_must_be_a_positive_integer(self, dimension):
-        # The drift checks its own dimension, built directly or by the model.
-        with pytest.raises(ValueError, match="^dimension must be a positive integer$"):
-            LinearSystemModel.time_varying(stable_stack, dimension, np.eye(2))
-        with pytest.raises(ValueError, match="^dimension must be a positive integer$"):
-            TimeVaryingDrift(stable_stack, dimension)
-
-    def test_time_varying_dimension_accepts_numpy_integers(self):
-        model = LinearSystemModel.time_varying(stable_stack, np.int64(2), np.eye(2))
-        assert model.dimension == 2 and type(model.dimension) is int
-        drift = TimeVaryingDrift(stable_stack, np.int64(2))
-        assert drift.dimension == 2 and type(drift.dimension) is int
-
     def test_constant_drift_matches_scipy_expm(self):
         import scipy.linalg
 
@@ -121,267 +79,95 @@ class TestStateTransition:
                 phi = _transition_and_gramian(model, 0.0, dt)[0]
                 assert max_abs(phi - expected) <= 1e-11 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("dt", [1e-3, 0.5, 5.0, 40.0])
+    @pytest.mark.parametrize("a", [-3.0, -0.4, 0.0, 0.7])
+    def test_scalar_closed_form_across_regimes(self, a, dt):
+        # dx = a x dt + dw with intensity q: Phi = exp(a dt) and
+        # W = q (exp(2 a dt) - 1) / (2 a), which is q dt at a = 0; from a
+        # single exponential up to several interval doublings.
+        q = 1.3
+        phi, w = _transition_and_gramian(LinearSystemModel.constant([[a]], [[q]]), 0.0, dt)
+        exact_w = q * dt if a == 0.0 else q * math.expm1(2.0 * a * dt) / (2.0 * a)
+        assert abs(phi[0, 0] / math.exp(a * dt) - 1.0) <= 1e-11
+        assert abs(w[0, 0] / exact_w - 1.0) <= 1e-11
 
-def sinusoidal_drift(rng, n):
-    """A(t) = A0 + sin(t) A1 with Gaussian A0, A1, and a PSD noise intensity."""
-    a0, a1, b = rng.normal(size=(3, n, n))
-    return LinearSystemModel.time_varying(lambda t: a0 + sines(t) * a1, n, b @ b.T)
-
-
-def gauss_times(t, dt, segments):
-    """The two Gauss nodes of each of the segments of [t, t + dt], ascending."""
-    nodes = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
-    return (t + (np.arange(segments)[:, None] + nodes) * (dt / segments)).ravel()
-
-
-def segment_count(model, t, dt):
-    """Magnus segments of [t, t + dt]: the floor, or the count that the
-    largest norm1(A) at the Gauss nodes of MIN_SUBSTEPS segments asks for."""
-    a = model.drift.matrix_at(gauss_times(t, dt, MIN_SUBSTEPS))
-    peak = np.linalg.norm(a, 1, axis=(1, 2)).max()
-    return max(MIN_SUBSTEPS, int(math.ceil(dt * peak * SUBSTEP_NORM_FACTOR)))
-
-
-def drift_evaluations(segments):
-    """Drift evaluations of one interval: the count call, then the one Magnus
-    pass, which at the floor reuses the count call's matrices."""
-    return 2 * MIN_SUBSTEPS + (2 * segments if segments > MIN_SUBSTEPS else 0)
+    @pytest.mark.parametrize("dt", [0.01, 0.3, 3.0, 30.0])
+    def test_damped_rotation_closed_form(self, dt):
+        # J = [[-1, 20], [-20, -1]] with N = I: Phi = e^-dt R(20 dt), and
+        # J + J^T = -2 I makes W = I (1 - e^(-2 dt)) / 2.
+        model = LinearSystemModel.constant([[-1.0, 20.0], [-20.0, -1.0]], np.eye(2))
+        phi, w = _transition_and_gramian(model, 0.0, dt)
+        c, s = math.cos(20.0 * dt), math.sin(20.0 * dt)
+        exact_phi = math.exp(-dt) * np.array([[c, s], [-s, c]])
+        exact_w = -0.5 * math.expm1(-2.0 * dt) * np.eye(2)
+        assert np.linalg.norm(phi - exact_phi) <= 1e-10 * np.linalg.norm(exact_phi)
+        assert np.linalg.norm(w - exact_w) <= 1e-10 * np.linalg.norm(exact_w)
 
 
-def slice_count(segments, n):
-    """Drift calls of a Magnus pass: one per slice of _EXP_CHUNK_BYTES of
-    generators, and none at the floor."""
-    if segments == MIN_SUBSTEPS:
-        return 0
-    return -(-segments // max(1, linearsystem._EXP_CHUNK_BYTES // (8 * (2 * n) ** 2)))
-
-
-#: a(t) = -0.4 + 0.9 sin t with q = 1.3: Phi and W over [0, dt] have a
-#: closed-form exponent and a one-dimensional quadrature.
-SCALAR_DRIFT = LinearSystemModel.time_varying(
-    lambda t: (-0.4 + 0.9 * np.sin(t))[:, None, None], 1, [[1.3]]
-)
-
-
-def scalar_drift_oracle(dt):
-    from scipy.integrate import quad
-
-    def exponent(s):  # integral of a over [s, dt]
-        return -0.4 * (dt - s) + 0.9 * (math.cos(s) - math.cos(dt))
-
-    w = quad(lambda s: 1.3 * math.exp(2.0 * exponent(s)), 0.0, dt, epsabs=0.0, epsrel=1e-13)[0]
-    return math.exp(exponent(0.0)), w
-
-
-def scalar_drift_errors(dt):
-    phi, w = _transition_and_gramian(SCALAR_DRIFT, 0.0, dt)
-    phi_exact, w_exact = scalar_drift_oracle(dt)
-    return abs(phi[0, 0] / phi_exact - 1.0), abs(w[0, 0] / w_exact - 1.0)
-
-
-#: A fast decaying rotation J with J + J^T = -2 I.
-ROTATION = np.array([[-1.0, 20.0], [-20.0, -1.0]])
-
-
-def rotating_cos(t):
-    """A(t) = cos(t) J at each time of t."""
-    return np.cos(t)[:, None, None] * ROTATION
-
-
-class TestTimeVaryingPass:
-    def test_scalar_quadrature_oracle(self):
-        phi_error, w_error = scalar_drift_errors(5.0)
-        assert phi_error <= 1e-6 and w_error <= 1e-6
-
-    def test_halving_the_segment_divides_the_error_by_at_least_12(self, monkeypatch):
-        monkeypatch.setattr(linearsystem, "SUBSTEP_NORM_FACTOR", 0.0)
-        errors = []
-        for segments in (16, 32):
-            monkeypatch.setattr(linearsystem, "MIN_SUBSTEPS", segments)
-            errors.append(scalar_drift_errors(5.0))
-        (phi_coarse, w_coarse), (phi_fine, w_fine) = errors
-        assert phi_coarse >= 12.0 * phi_fine and w_coarse >= 12.0 * w_fine
-
-    @pytest.mark.parametrize("dt", [0.1, 1.5], ids=["floor-pass", "finer-pass"])
-    def test_two_drift_evaluations_per_segment(self, dt):
-        rng = np.random.default_rng(89)
-        a0, a1 = rng.normal(size=(2, 3, 3))
-        calls = []
-        model = LinearSystemModel.time_varying(
-            lambda t: calls.append(len(t)) or a0 + np.sin(t)[:, None, None] * a1, 3, np.eye(3)
-        )
-        segments = segment_count(model, 0.4, dt)
-        calls.clear()
-        increment_distribution(model, np.zeros(3), 0.4, dt)
-        assert (segments > MIN_SUBSTEPS) == (dt > 1.0)
-        assert sum(calls) == drift_evaluations(segments)
-        assert len(calls) == 1 + slice_count(segments, 3)
-
-    @pytest.mark.parametrize("horizon", [3.0, 30.0])
-    def test_rotating_drift_closed_form(self, horizon):
-        # A(t) = sin(t) J commutes with itself: Phi(T, s) = expm((cos s - cos T) J),
-        # and J + J^T = -2 I makes W = I * int_0^T exp(-2 (cos s - cos T)) ds.
-        # A(0) = 0, so a count read at the start of the window would be the
-        # floor, far below what the rotation later asks for.
-        import scipy.linalg
-        from scipy.integrate import quad
-
-        model = LinearSystemModel.time_varying(
-            lambda t: np.sin(t)[:, None, None] * ROTATION, 2, np.eye(2)
-        )
-        phi, w = _transition_and_gramian(model, 0.0, horizon)
-        phi_exact = scipy.linalg.expm((1.0 - math.cos(horizon)) * ROTATION)
-        gain = lambda s: math.exp(-2.0 * (math.cos(s) - math.cos(horizon)))  # noqa: E731
-        w_exact = quad(gain, 0.0, horizon, epsabs=0.0, epsrel=1e-13, limit=500)[0] * np.eye(2)
-        assert np.linalg.norm(phi - phi_exact) <= 1e-10 * np.linalg.norm(phi_exact)
-        assert np.linalg.norm(w - w_exact) <= 1e-10 * np.linalg.norm(w_exact)
-
-    def test_peak_memory_does_not_grow_with_the_segment_count(self):
-        import tracemalloc
-
-        model = LinearSystemModel.time_varying(rotating_cos, 2, np.eye(2))
-        peaks = []
-        tracemalloc.start()
-        try:
-            for dt in (3.0, 3.0, 30.0):  # the first call warms caches up
-                tracemalloc.reset_peak()
-                _transition_and_gramian(model, 0.0, dt)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert segment_count(model, 0.0, 3.0) <= 1100 and segment_count(model, 0.0, 30.0) >= 1e4
-        assert peaks[2] <= 1.5 * peaks[1]
-
-    def test_overflow_is_an_infinite_rate_without_warnings(self):
-        # As for the constant drift, an overflowing W reads as an infinite
-        # rate; a numpy warning would fail the test under the suite's filter.
-        constant = LinearSystemModel.constant(0.5 * np.eye(2), np.eye(2))
-        rising = LinearSystemModel.time_varying(
-            lambda t: np.broadcast_to(0.5 * np.eye(2), (len(t), 2, 2)), 2, np.eye(2)
-        )
-        assert increment_rate(constant, 1500.0, 0.01).rate_bits == math.inf
-        assert increment_rate(rising, 1500.0, 0.01).rate_bits == math.inf
-
-    def test_each_slice_of_drift_matrices_is_checked_once(self, monkeypatch):
-        model = LinearSystemModel.time_varying(rotating_cos, 2, np.eye(2))
-        segments = segment_count(model, 0.0, 10.0)
-        slices = slice_count(segments, 2)
-        checks = []
-        stack, square = linearsystem.TimeVaryingDrift._stack, linearsystem.as_square
-        monkeypatch.setattr(
-            linearsystem.TimeVaryingDrift,
-            "_stack",
-            lambda drift, times: checks.append(len(times)) or stack(drift, times),
-        )
-        monkeypatch.setattr(
-            linearsystem, "as_square", lambda *args: checks.append(1) or square(*args)
-        )
-        _transition_and_gramian(model, 0.0, 10.0)
-        assert segments >= 3000 and len(checks) == 1 + slices
-        assert sum(checks) == drift_evaluations(segments)
-
-    def test_one_magnus_pass_per_interval(self, monkeypatch):
-        # The segment count comes from one drift call, not from a pass of
-        # MIN_SUBSTEPS segments that is thrown away when the count is larger.
-        exponentials, van_loan = [], linearsystem._van_loan
-        monkeypatch.setattr(
-            linearsystem,
-            "_van_loan",
-            lambda exp, counts: exponentials.append(len(exp)) or van_loan(exp, counts),
-        )
-        model = LinearSystemModel.time_varying(rotating_cos, 2, np.eye(2))
-        for dt in (0.1, 10.0):
-            segments = segment_count(model, 0.0, dt)
-            exponentials.clear()
-            _transition_and_gramian(model, 0.0, dt)
-            assert sum(exponentials) == segments
-            assert (segments > MIN_SUBSTEPS) == (dt > 1.0)
-
+class TestModelConstruction:
     @pytest.mark.parametrize(
-        "drift, t, grid, digest",
+        "drift, noise, message",
         [
+            (np.zeros((2, 3)), np.eye(2), "drift matrix must be square, got shape (2, 3)"),
+            (np.zeros(2), np.eye(2), "drift matrix must be 2-dimensional, got shape (2,)"),
             (
-                "sinusoidal",
-                0.7,
-                (0.1, 1.5, 4.0),
-                "cb85968b60fd7f0b17fdf0d9e22ca6eadbf75a5553a8f067cf4ffad510af8065",
+                -np.eye(2)[np.newaxis],
+                np.eye(2),
+                "drift matrix must be 2-dimensional, got shape (1, 2, 2)",
+            ),
+            (np.zeros((0, 0)), np.eye(2), "drift matrix must be non-empty"),
+            (
+                [[-1.0, math.nan], [0.0, -1.0]],
+                np.eye(2),
+                "drift matrix contains non-finite entries",
+            ),
+            ([[-1.0, 0.0], [0.0, math.inf]], np.eye(2), "drift matrix contains non-finite entries"),
+            (-np.eye(2), np.zeros((2, 3)), "noise intensity must be square, got shape (2, 3)"),
+            (-np.eye(2), np.ones(2), "noise intensity must be 2-dimensional, got shape (2,)"),
+            (
+                -np.eye(2),
+                [[1.0, 0.0], [0.0, -math.inf]],
+                "noise intensity contains non-finite entries",
             ),
             (
-                "rotating",
-                0.4,
-                (0.1, 1.5, 3.0),
-                "d3cb045841c60296b6b8a3efb3750b5230f95ad15c4db80dfdbd4aba16e358d3",
+                -np.eye(2),
+                [[1.0, 1.0], [0.0, 1.0]],
+                "noise intensity is not symmetric (max asymmetry 1.000e+00)",
             ),
+            (-np.eye(2), [[1.0, 0.0], [0.0, -1.0]], "noise intensity is not positive semidefinite"),
+            (-np.eye(2), np.eye(3), "drift and noise intensity sizes do not agree"),
         ],
-        ids=["sinusoidal", "rotating"],
-    )
-    def test_time_varying_bits_are_golden(self, drift, t, grid, digest):
-        # Recorded with drifts evaluated one time at a time by math.sin; sines
-        # builds the same matrices, so Phi and W keep every bit.
-        if drift == "sinusoidal":
-            model = sinusoidal_drift(np.random.default_rng(5), 3)
-        else:
-            model = LinearSystemModel.time_varying(lambda s: sines(s) * ROTATION, 2, np.eye(2))
-        phi, w = _transition_and_gramian(model, t, np.array(grid))
-        assert hashlib.sha256(phi.tobytes() + w.tobytes()).hexdigest() == digest
-
-    @pytest.mark.parametrize(
-        "wrong",
-        [
-            lambda t: -np.eye(2),
-            lambda t: np.zeros((len(t), 2, 3)),
-            lambda t: np.zeros((len(t), 3, 3)),
-            lambda t: np.zeros((len(t) - 1, 2, 2)),
-            lambda t: np.zeros(len(t)),
+        ids=[
+            "drift-non-square",
+            "drift-one-dimensional",
+            "drift-stack",
+            "drift-empty",
+            "drift-nan",
+            "drift-inf",
+            "noise-non-square",
+            "noise-one-dimensional",
+            "noise-minus-inf",
+            "noise-asymmetric",
+            "noise-not-psd",
+            "size-mismatch",
         ],
-        ids=["one-matrix", "non-square", "wrong-size", "one-short", "one-dimensional"],
     )
-    def test_wrong_stack_shape_is_refused(self, wrong):
-        shape = re.escape(str(np.shape(wrong(np.zeros(2 * MIN_SUBSTEPS)))))
-        model = LinearSystemModel.time_varying(wrong, 2, np.eye(2))
-        with pytest.raises(
-            ValueError,
-            match=rf"^time-varying drift returned shape {shape}, expected \(128, 2, 2\)$",
-        ):
-            _transition_and_gramian(model, 0.0, 1.0)
+    def test_malformed_matrices_refused(self, drift, noise, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LinearSystemModel.constant(drift, noise)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize(
-        "window",
-        [(0.0, math.inf), (4.0, math.inf), (5.0, 5.01)],
-        ids=["at-start", "in-the-count-call", "in-a-later-slice"],
-    )
-    def test_non_finite_matrix_names_the_earliest_bad_time(self, bad, window):
-        # Over [0, 10] the count call's nodes are 10/64 apart, so the narrow
-        # window falls between them; the pass of about 3400 segments first
-        # meets it past its first slice of 512 segments.
-        low, high = window
-
-        def matrix_at(t):
-            return np.where(((t >= low) & (t <= high))[:, None, None], bad, rotating_cos(t))
-
-        model = LinearSystemModel.time_varying(matrix_at, 2, np.eye(2))
-        segments = segment_count(LinearSystemModel.time_varying(rotating_cos, 2, np.eye(2)), 0, 10)
-        for times in (gauss_times(0.0, 10.0, MIN_SUBSTEPS), gauss_times(0.0, 10.0, segments)):
-            inside = np.flatnonzero((times >= low) & (times <= high))
-            if inside.size:
-                break
-        if window == (5.0, 5.01):
-            assert len(times) == 2 * segments and inside[0] // 2 >= 512
-        expected = re.escape(repr(float(times[inside[0]])))
-        with pytest.raises(ValueError, match=f"^drift matrix is not finite at t = {expected}$"):
-            _transition_and_gramian(model, 0.0, 10.0)
-
-    def test_drift_errors_propagate_unchanged(self):
-        class DriftFailure(Exception):
-            pass
-
-        def failing(t):
-            raise DriftFailure("no drift here")
-
-        model = LinearSystemModel.time_varying(failing, 2, np.eye(2))
-        with pytest.raises(DriftFailure, match="^no drift here$"):
-            _transition_and_gramian(model, 0.0, 1.0)
+    def test_model_keeps_read_only_copies(self):
+        drift = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        noise = np.array([[1.0, 0.2], [0.2, 0.5]])
+        model = LinearSystemModel.constant(drift, noise)
+        before = _transition_and_gramian(model, 0.0, 0.7)
+        drift[0, 1], noise[0, 0] = 9.0, 9.0
+        assert model.drift.matrix[0, 1] == 0.5 and model.noise_intensity[0, 0] == 1.0
+        for array in (model.drift.matrix, model.noise_intensity):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+        after = _transition_and_gramian(model, 0.0, 0.7)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
 
 class TestIncrementDistribution:
@@ -426,29 +212,12 @@ class TestIncrementDistribution:
         assert max_abs(a.covariance - b.covariance) <= 1e-9
         assert max_abs(a.mean - b.mean) <= 1e-9
 
-    def test_time_varying_constant_function_matches_lti(self):
-        a = np.array([[-1.0, 0.4], [0.0, -2.0]])
-        noise = np.array([[1.0, 0.2], [0.2, 0.5]])
-        lti = LinearSystemModel.constant(a, noise)
-        frozen = LinearSystemModel.time_varying(
-            lambda t: np.broadcast_to(a, (len(t), 2, 2)), 2, noise
-        )
-        dt = 0.6
-        w_lti = increment_distribution(lti, np.zeros(2), 0.0, dt).covariance
-        w_tv = increment_distribution(frozen, np.zeros(2), 0.0, dt).covariance
-        assert max_abs(w_lti - w_tv) <= 1e-8
-
-    @pytest.mark.parametrize("kind", ["constant", "time-varying"])
-    def test_interval_stack_matches_single_intervals_bit_for_bit(self, kind):
+    def test_interval_stack_matches_single_intervals_bit_for_bit(self):
         # Shuffled intervals on both sides of the doubling switch: each one
-        # gets its own exponential and its own number of doublings, or its
-        # own number of Magnus segments.
+        # gets its own exponential and its own number of doublings.
         rng = np.random.default_rng(5)
-        if kind == "constant":
-            a, b = rng.normal(size=(2, 3, 3))
-            model, t = LinearSystemModel.constant(a, b @ b.T), 0.0
-        else:
-            model, t = sinusoidal_drift(rng, 3), 0.7
+        a, b = rng.normal(size=(2, 3, 3))
+        model, t = LinearSystemModel.constant(a, b @ b.T), 0.0
         grid = rng.permutation(np.logspace(-3, 2, 30))
         phis, covariances = _transition_and_gramian(model, t, grid)
         for dt, phi, cov in zip(grid, phis, covariances):
@@ -494,6 +263,12 @@ class TestIncrementDistribution:
                 assert np.array_equal(np.isfinite(got), finite)
                 assert np.array_equal(got[finite], alone[finite])
 
+    def test_overflow_is_an_infinite_rate_without_warnings(self):
+        # An overflowing W reads as an infinite rate; a numpy warning would
+        # fail the test under the suite's filter.
+        constant = LinearSystemModel.constant(0.5 * np.eye(2), np.eye(2))
+        assert increment_rate(constant, 1500.0, 0.01).rate_bits == math.inf
+
     def test_nonpositive_interval_rejected(self):
         model = LinearSystemModel.constant([[-1.0]], [[1.0]])
         with pytest.raises(ValueError):
@@ -510,13 +285,6 @@ class TestIncrementDistribution:
         "model, dt, message",
         [
             (demo_model("unstable"), 1e4, "the increment law overflows at dt = 10000"),
-            (
-                LinearSystemModel.time_varying(
-                    lambda t: np.broadcast_to(0.5 * np.eye(2), (len(t), 2, 2)), 2, np.eye(2)
-                ),
-                1500.0,
-                "the increment law overflows at dt = 1500",
-            ),
             # Phi and W overflow on the eighth and last doubling, a check level.
             (
                 LinearSystemModel.constant([[1.0]], [[1e-100]]),
@@ -524,7 +292,7 @@ class TestIncrementDistribution:
                 "the increment law overflows at dt = 800",
             ),
         ],
-        ids=["constant", "time-varying", "check-level"],
+        ids=["constant", "check-level"],
     )
     def test_overflowed_law_is_refused(self, model, dt, message):
         # The same refusal as sample_paths, not a NaN mean and covariance.
@@ -562,21 +330,33 @@ def test_non_finite_interval_rejected(entry, dt):
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -0.5], ids=["nan", "inf", "negative"])
-@pytest.mark.parametrize("kind", ["constant", "time-varying"])
 @pytest.mark.parametrize("entry", ["increment_distribution", "increment_rate"])
-def test_bad_time_rejected(entry, kind, t):
-    if kind == "constant":
-        model = LinearSystemModel.constant(-np.eye(2), np.eye(2))
-    else:
-        model = LinearSystemModel.time_varying(
-            lambda s: np.sin(s)[:, None, None] * np.eye(2), 2, np.eye(2)
-        )
+def test_bad_time_rejected(entry, t):
+    model = LinearSystemModel.constant(-np.eye(2), np.eye(2))
     calls = {
         "increment_distribution": lambda: increment_distribution(model, [1.0, 1.0], t, 0.5),
         "increment_rate": lambda: increment_rate(model, 0.5, 0.01, t=t),
     }
     with pytest.raises(ValueError, match="^time must be nonnegative"):
         calls[entry]()
+
+
+@pytest.mark.parametrize(
+    "name", ["stable", "marginal", "unstable", "brownian", "hurwitz3", "gaussian8", "rotation4"]
+)
+def test_start_time_leaves_every_bit(name):
+    # The drift is constant, so the law over [t, t + dt] is that over [0, dt].
+    model = model_named(name)
+    x = np.linspace(1.0, -1.0, model.dimension)
+    grid = np.logspace(-3, 1, 9)
+    reference = _transition_and_gramian(model, 0.0, grid)
+    for t in (13.2, 1e300):
+        shifted = _transition_and_gramian(model, t, grid)
+        assert all(np.array_equal(a, b) for a, b in zip(shifted, reference))
+        law = increment_distribution(model, x, t, 0.7)
+        start = increment_distribution(model, x, 0.0, 0.7)
+        assert np.array_equal(law.mean, start.mean)
+        assert np.array_equal(law.covariance, start.covariance)
 
 
 def gramian_derivative_residual(model, dt_grid, step):
@@ -745,11 +525,6 @@ class TestSamplePaths:
         model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
         sample_paths(model, [1.0, 1.0], 0.01, steps=steps, trials=40, seed=7)
         assert len(positioned) <= 40
-
-    def test_requires_constant_drift(self):
-        model = LinearSystemModel.time_varying(stable_stack, 2, np.eye(2))
-        with pytest.raises(ValueError):
-            sample_paths(model, [0.0, 0.0], 0.1, 2, 2, 0)
 
     def test_state_of_the_wrong_dimension_rejected(self):
         model = demo_model("stable")
@@ -1035,6 +810,26 @@ class TestCountsFromTheGenerator:
             counts = linalg._scaled_exp_multiples(linalg._Multiples(generator), grid)[1]
             np.testing.assert_array_equal(counts, doublings(a, noise, grid))
 
+    @pytest.mark.parametrize(
+        "name",
+        ["stable", "marginal", "unstable", "brownian", "hurwitz3", "gaussian8", "rotation4"],
+    )
+    def test_routed_exponentials_near_the_float_limit_equal_the_stacked_ones(self, name):
+        # Wherever M t is finite, a routed interval keeps the count and the
+        # exponential of the stack M t, bit for bit.  A shift of t by 2^-e
+        # would not: the nilpotent brownian generator's count stays 0.
+        model = model_named(name)
+        matrix = model._multiples.matrix
+        grid = np.geomspace(1e300, 1.7e308, 200)
+        with np.errstate(over="ignore"):
+            stacks = matrix * grid[:, np.newaxis, np.newaxis]
+        finite = np.isfinite(stacks).all(axis=(1, 2))
+        assert finite.sum() >= 20
+        exps, counts = linalg._scaled_exp_multiples(linalg._Multiples(matrix), grid[finite])
+        stacked_exps, stacked_counts = scaled_exp(stacks[finite])
+        np.testing.assert_array_equal(counts, stacked_counts)
+        assert np.array_equal(exps, stacked_exps, equal_nan=True)
+
     def test_constant_drift_forms_no_stacked_power_norm(self, monkeypatch):
         sizes, power_norms = [], linalg._power_norms
         monkeypatch.setattr(
@@ -1043,17 +838,13 @@ class TestCountsFromTheGenerator:
             lambda a, *powers: sizes.append(len(a)) or power_norms(a, *powers),
         )
         # The one power norm of size 1 is that of the generator M; a stacked
-        # one holds a matrix per interval, or per Magnus segment.
+        # one holds a matrix per interval.
         _transition_and_gramian(demo_model("unstable"), 0.0, np.logspace(-6, 12, 19))
         assert sizes == [1]
         # On GOLDEN_GRID only 1e200 is routed to the stacked count.
         sizes.clear()
         _transition_and_gramian(demo_model("marginal"), 0.0, GOLDEN_GRID)
         assert sizes == [1, 1]
-        sizes.clear()
-        model = LinearSystemModel.time_varying(rotating_cos, 2, np.eye(2))
-        _transition_and_gramian(model, 0.0, 1.0)
-        assert sizes and min(sizes) > 1
 
 
 class TestDatasetCsv:

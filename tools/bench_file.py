@@ -22,7 +22,9 @@ each one the file records:
   the sha256 of each command's stdout and output file;
 - the cost per call of ``coderate._increment_rates`` on six stacks, and of
   a whole ``min_sampling_rate`` (two models) and ``rate_ceiling`` on models
-  that earlier calls have warmed, the minimum over PROBE_PROCESSES fresh
+  that earlier calls have warmed, and of the first ``_increment_rates``
+  call on a fresh model (one interval, a 20-interval round), with the
+  models built before the timing, the minimum over PROBE_PROCESSES fresh
   processes of the best of PROBE_ROUNDS rounds of PROBE_CALLS calls;
 - the cost per call of ``simplexlp.solve_nonnegative_lp`` on 600 seeded
   targets for each bench family type, and of ``compress_dataset`` on one
@@ -127,8 +129,13 @@ print(json.dumps(best))
 
 #: One process of the per-call measurement of ``_increment_rates``, on six
 #: stacks, and of whole searches and ceilings on warm models: their first
-#: calls, among the warm-up calls, form what the model keeps.
-RATE_PROBE = r"""
+#: calls, among the warm-up calls, form what the model keeps.  Two cold cases
+#: give every call a fresh model, drawn from an iterator of models built
+#: before the timing starts, so they time a model's first call without its
+#: construction.
+RATE_PROBE = f"""
+calls = {PROBE_WARMUP + PROBE_ROUNDS * PROBE_CALLS}
+""" + r"""
 import json, time
 import numpy as np
 import lincoder as lc
@@ -159,6 +166,14 @@ cases = {name: (_increment_rates, model, 0.0, dts, 0.01)
 cases["min_sampling_rate C=8, unstable"] = (min_sampling_rate, unstable, 0.01, 8.0)
 cases["min_sampling_rate C=8, hurwitz8"] = (min_sampling_rate, hurwitz8, 0.01, 8.0)
 cases["rate_ceiling, hurwitz8"] = (rate_ceiling, hurwitz8, 0.01)
+
+def first_call(models, dts):
+    return _increment_rates(next(models), 0.0, dts, 0.01)
+
+for name, dts in (("one interval", np.array([1.0])),
+                  ("20-interval round", np.geomspace(1.0, 10.0, 20))):
+    fresh = iter([lc.demo_model("unstable") for _ in range(calls)])
+    cases[f"cold model, {name}, unstable"] = (first_call, fresh, dts)
 """ + best_of(PROBE_CALLS)
 
 #: The same for one LP compression: 600 seeded targets on each family type
