@@ -41,7 +41,7 @@ from .errors import (
     NoEquilibriumError,
     NotPositiveDefiniteError,
 )
-from .linalg import SymmetricEigen, is_hurwitz, logdet_psd, lyapunov_solve, mat_exp, sym_eig
+from .linalg import is_hurwitz, logdet_psd, lyapunov_solve
 from .linearsystem import (
     ConstantDrift,
     IncrementDistribution,
@@ -73,7 +73,6 @@ __all__ = [
     "SimplexCode",
     "SourceFamily",
     "StepCodes",
-    "SymmetricEigen",
     "TrajectoryDataset",
     "compress_dataset",
     "demo_model",
@@ -89,7 +88,6 @@ __all__ = [
     "is_hurwitz",
     "logdet_psd",
     "lyapunov_solve",
-    "mat_exp",
     "min_sampling_rate",
     "onehot_code_rate_bits",
     "onehot_compress",
@@ -101,5 +99,4 @@ __all__ = [
     "sample_paths",
     "simplex_compress",
     "simplex_decompress",
-    "sym_eig",
 ]

@@ -1,8 +1,8 @@
 """Minimum admissible code rates for linear-system forward increments.
 
-The rate to describe X(t + dt) - X(t) to mean-square fidelity D is the
-Gaussian rate distortion function of the increment covariance.  For stable
-time-invariant drift the rate saturates at the value set by the Lyapunov
+The rate to describe the increment over a sampling interval dt to mean-square
+fidelity D is the Gaussian rate distortion function of its covariance.  For
+stable time-invariant drift the rate saturates at the value set by the Lyapunov
 equilibrium covariance; otherwise it grows without bound as the sampling
 interval grows, and a channel of fixed capacity forces a minimum sampling
 rate.
@@ -59,7 +59,7 @@ class RateCurve:
     asymptote_bits: Optional[float]
 
 
-def _increment_rates(model: LinearSystemModel, t: float, dts: np.ndarray, distortion: float):
+def _increment_rates(model: LinearSystemModel, dts: np.ndarray, distortion: float):
     """Water-filling of the increment covariance at each interval of a stack.
 
     Returns the stacks (rate_nats, water_level, allocations); the one rate
@@ -68,7 +68,7 @@ def _increment_rates(model: LinearSystemModel, t: float, dts: np.ndarray, distor
     to non-finite values (wildly unstable drift at an extreme horizon)
     reports an infinite rate.
     """
-    _, covariances = _transition_and_gramian(model, t, dts)
+    _, covariances = _transition_and_gramian(model, dts)
     finite = np.isfinite(covariances).all(axis=(1, 2))
     if finite.all():
         return _water_fill(covariances, distortion)
@@ -81,11 +81,9 @@ def _increment_rates(model: LinearSystemModel, t: float, dts: np.ndarray, distor
     return rates, levels, allocations
 
 
-def increment_rate(
-    model: LinearSystemModel, dt: float, distortion: float, t: float = 0.0
-) -> RdfResult:
-    """Minimum admissible code rate of the increment over [t, t + dt] at distortion D."""
-    return _first_result(*_increment_rates(model, t, np.array([float(dt)]), distortion))
+def increment_rate(model: LinearSystemModel, dt: float, distortion: float) -> RdfResult:
+    """Minimum admissible code rate of the increment over an interval dt at distortion D."""
+    return _first_result(*_increment_rates(model, np.array([float(dt)]), distortion))
 
 
 def rate_ceiling(model: LinearSystemModel, distortion: float) -> RdfResult:
@@ -113,7 +111,7 @@ def rate_curve(model: LinearSystemModel, distortion: float, dt_grid) -> RateCurv
         raise ValueError("dt grid must be a non-empty vector")
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("dt grid must be positive and strictly increasing")
-    rates = _increment_rates(model, 0.0, grid, distortion)[0] / LN2
+    rates = _increment_rates(model, grid, distortion)[0] / LN2
     try:
         asymptote = rate_ceiling(model, distortion).rate_bits
     except NoEquilibriumError:
@@ -211,7 +209,7 @@ def min_sampling_rate(
         pass
 
     def rate_bits(dts: list) -> list:
-        return (_increment_rates(model, 0.0, np.array(dts), distortion)[0] / LN2).tolist()
+        return (_increment_rates(model, np.array(dts), distortion)[0] / LN2).tolist()
 
     def first_not_below(bits: list) -> int:
         return next((i for i, b in enumerate(bits) if not b < threshold), len(bits))

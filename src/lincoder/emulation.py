@@ -223,17 +223,22 @@ def simplex_decompress(family: SourceFamily, code: SimplexCode) -> np.ndarray:
 def integer_quantize(code: SimplexCode, resolution: int) -> IntegerCode:
     """Largest-remainder apportionment of the resolution among the fractions.
 
-    Floors resolution * p, then hands the remaining units to the largest
-    fractional parts (ties to the lowest index).  Guarantees
-    max|counts/resolution - p| <= 1/resolution.
+    Floors resolution * max(p, 0), then hands the remaining units to the
+    largest fractional parts (ties to the lowest index); where p is off the
+    simplex within SIMPLEX_TOL and the floors exceed the resolution, the
+    extra units come back from the nonzero counts with the smallest parts
+    (ties to the highest index).  Guarantees max|counts/resolution - p| <=
+    1/resolution + e, e = |sum(p) - 1| + sum(max(-p, 0)), 0 on the simplex.
     """
     resolution = _positive_int(resolution, "resolution")
     scaled = code.probabilities * resolution
-    counts = np.floor(scaled).astype(int)
-    remainder = resolution - int(counts.sum())
-    if remainder > 0:
+    counts = np.floor(np.maximum(scaled, 0.0)).astype(int)
+    while remainder := resolution - int(counts.sum()):
         order = np.lexsort((np.arange(scaled.size), -(scaled - counts)))
-        counts[order[:remainder]] += 1
+        if remainder > 0:
+            counts[order[:remainder]] += 1
+        else:
+            counts[order[counts[order] > 0][remainder:]] -= 1
     return IntegerCode(counts, resolution)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -368,24 +367,14 @@ def mat_exp(matrix) -> np.ndarray:
     return out
 
 
-class SymmetricEigen(NamedTuple):
-    """Eigendecomposition of a symmetric matrix or of a stack of them.
+def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(values, vectors) of a symmetric matrix or stack (..., n, n), values descending.
 
-    ``values`` are sorted descending along the last axis; column i of
-    ``vectors`` pairs with ``values[..., i]`` and the columns are orthonormal.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def sym_eig(matrix) -> SymmetricEigen:
-    """Eigenpairs of a symmetric matrix or stack (..., n, n), eigenvalues descending.
-
+    Column i of vectors pairs with values[..., i], and
     max|Q^T Q - I| <= 1e-10 and max|Q diag(w) Q^T - S| <= 1e-8 * max(1, max|S|).
     """
     values, vectors = np.linalg.eigh(check_symmetric(_as_square_stack(matrix)))
-    return SymmetricEigen(values[..., ::-1].copy(), vectors[..., ::-1].copy())
+    return values[..., ::-1].copy(), vectors[..., ::-1].copy()
 
 
 def is_hurwitz(matrix) -> bool:

@@ -1,7 +1,7 @@
 """Linear stochastic systems driven by additive white noise.
 
 Models dx = A x dt + dw with a constant drift A and noise intensity N,
-computes the Gaussian law of the forward increment X(t + dt) - X(t) | X(t),
+computes the Gaussian law of the increment over an interval dt from a state,
 and draws sample paths by exact discretization (the sampled chain has
 exactly the analyzed increment law; there is no integrator bias).
 
@@ -123,7 +123,7 @@ class LinearSystemModel:
 
 @dataclass(frozen=True)
 class IncrementDistribution:
-    """Gaussian law of the forward increment over [t, t + dt]."""
+    """Gaussian law of the forward increment over an interval dt."""
 
     mean: np.ndarray
     covariance: np.ndarray
@@ -193,13 +193,13 @@ def _van_loan(exp: np.ndarray, doublings: np.ndarray):
     return phi[restore], w[restore]
 
 
-def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
-    """Transition matrix Phi and increment covariance W over [t, t + dt].
+def _transition_and_gramian(model: LinearSystemModel, dt):
+    """Transition matrix Phi and increment covariance W over an interval dt.
 
-    t must be finite and nonnegative; dt is a scalar or an array of
-    intervals.  Phi and W come back with dt's shape followed by (n, n), each
-    interval computed on its own, so its result does not depend on the rest
-    of the array; t does not change it, as the drift is constant.  The
+    dt is a scalar or an array of intervals.  Phi and W come back with dt's
+    shape followed by (n, n), each interval computed on its own, so its
+    result does not depend on the rest of the array.  The drift is constant,
+    so the law does not depend on where the interval starts.  The
     generators M dt of all intervals are one stack for _van_loan, which
     solves H' = H M by H = [[Phi^-1, Phi^-1 W], [0, Phi^T]] and carries each
     exponential's own scaling 2^-s out as s interval doublings, never as
@@ -215,8 +215,6 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     For unstable drift at extreme horizons entries may overflow to inf, which
     callers treat as an unbounded-rate signal.
     """
-    if not 0.0 <= float(t) < math.inf:
-        raise ValueError("time must be nonnegative and finite")
     dts = np.asarray(dt, dtype=float)
     if not ((dts > 0.0) & (dts < math.inf)).all():
         raise ValueError("sampling interval must be positive and finite")
@@ -225,20 +223,18 @@ def _transition_and_gramian(model: LinearSystemModel, t: float, dt):
     return phi.reshape(dts.shape + (n, n)), w.reshape(dts.shape + (n, n))
 
 
-def increment_distribution(
-    model: LinearSystemModel, x_t, t: float, dt: float
-) -> IncrementDistribution:
-    """Gaussian law of X(t + dt) - X(t) given X(t) = x_t; ValueError if it overflows."""
+def increment_distribution(model: LinearSystemModel, x_t, dt: float) -> IncrementDistribution:
+    """Gaussian law of the increment over dt from the state x_t; ValueError if it overflows."""
     x = as_vector(x_t, "state")
     if x.shape[0] != model.dimension:
         raise ValueError("state dimension does not match the model")
-    phi, cov = _finite_law(model, t, float(dt))
+    phi, cov = _finite_law(model, float(dt))
     return IncrementDistribution((phi - np.eye(model.dimension)) @ x, cov)
 
 
-def _finite_law(model: LinearSystemModel, t: float, dt: float):
-    """Phi and W over [t, t + dt] of one interval; ValueError unless both are finite."""
-    phi, cov = _transition_and_gramian(model, t, dt)
+def _finite_law(model: LinearSystemModel, dt: float):
+    """Phi and W over one interval dt; ValueError unless both are finite."""
+    phi, cov = _transition_and_gramian(model, dt)
     if not (np.isfinite(phi).all() and np.isfinite(cov).all()):
         raise ValueError(f"the increment law overflows at dt = {dt:g}")
     return phi, cov
@@ -280,7 +276,7 @@ def sample_paths(
     n = model.dimension
     if x0.shape[0] != n:
         raise ValueError("initial state dimension does not match the model")
-    phi, cov = _finite_law(model, 0.0, dt)
+    phi, cov = _finite_law(model, dt)
     root = _covariance_sqrt(cov)
     z = np.stack(
         [substream(seed, PATH_LANE, t, 0).standard_normal((steps, n)) for t in range(trials)],

@@ -61,11 +61,11 @@ def random_psd(rng, n):
 def test_criterion_1_scalar_gramian_oracle():
     model = LinearSystemModel.constant([[-1.0]], [[1.0]])
     expected = (1.0 - math.exp(-2.0)) / 2.0  # closed-form scalar integral
-    increment_distribution(model, [0.0], 0.0, 1.0)  # warm-up
+    increment_distribution(model, [0.0], 1.0)  # warm-up
     best = math.inf
     for _ in range(5):
         start = time.perf_counter()
-        law = increment_distribution(model, [0.0], 0.0, 1.0)
+        law = increment_distribution(model, [0.0], 1.0)
         best = min(best, time.perf_counter() - start)
     error = abs(law.covariance[0, 0] - expected)
     ok = error <= 1e-10 and best < 1e-3
@@ -86,7 +86,7 @@ def test_criterion_2_van_loan_vs_quadrature():
         noise = random_psd(rng, n)
         dt = float(rng.uniform(0.3, 1.5))
         model = LinearSystemModel.constant(a, noise)
-        cov = increment_distribution(model, np.zeros(n), 0.0, dt).covariance
+        cov = increment_distribution(model, np.zeros(n), dt).covariance
         # independent trapezoid quadrature of expm(A s) N expm(A s)^T
         h = dt / points
         step = scipy.linalg.expm(a * h)
@@ -119,7 +119,7 @@ def test_criterion_3_lyapunov_consistency():
         worst_residual = max(worst_residual, residual)
         slowest = abs(float(np.max(np.linalg.eigvals(a).real)))
         model = LinearSystemModel.constant(a, noise)
-        w = increment_distribution(model, np.zeros(n), 0.0, 50.0 / slowest).covariance
+        w = increment_distribution(model, np.zeros(n), 50.0 / slowest).covariance
         worst_limit = max(worst_limit, max_abs(w - w_inf) / max_abs(w_inf))
     ok = worst_residual <= 1e-8 and worst_limit <= 1e-6
     report(

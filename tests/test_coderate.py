@@ -65,7 +65,7 @@ def plain_refinement(model, distortion, capacity_bits):
     threshold = capacity_bits - coderate.CAPACITY_MARGIN_BITS
 
     def rate_bits(dts):
-        bits = coderate._increment_rates(model, 0.0, dts, distortion)[0] / LN2
+        bits = coderate._increment_rates(model, dts, distortion)[0] / LN2
         lattice.update(zip(dts.tolist(), bits.tolist()))
         return bits
 
@@ -134,8 +134,8 @@ class TestIncrementRate:
         # A query is a stack of one interval, and its rate is the
         # water-filling of exactly the covariance increment_distribution gives.
         model = demo_model(name)
-        result = increment_rate(model, dt=dt, distortion=0.01, t=0.3)
-        cov = increment_distribution(model, np.zeros(model.dimension), 0.3, dt).covariance
+        result = increment_rate(model, dt=dt, distortion=0.01)
+        cov = increment_distribution(model, np.zeros(model.dimension), dt).covariance
         expected = rdf(cov, 0.01)
         assert (result.rate_nats, result.water_level) == (expected.rate_nats, expected.water_level)
         assert np.array_equal(result.allocations, expected.allocations)
@@ -158,8 +158,6 @@ class TestIncrementRate:
             increment_rate(model, dt=1.0, distortion=float("nan"))
         with pytest.raises(ValueError, match="sampling interval"):
             increment_rate(model, dt=float("nan"), distortion=0.01)
-        with pytest.raises(ValueError, match="time must be nonnegative"):
-            increment_rate(model, dt=1.0, distortion=0.01, t=float("nan"))
 
 
 class TestRateCeiling:
@@ -201,7 +199,7 @@ class TestRateCeiling:
         # is the ceiling, however many doublings the interval takes.
         model = demo_model("stable")
         equilibrium = lyapunov_solve(model.drift.matrix, model.noise_intensity)
-        cov = increment_distribution(model, np.zeros(2), 0.0, dt).covariance
+        cov = increment_distribution(model, np.zeros(2), dt).covariance
         assert np.max(np.abs(cov - equilibrium)) <= 1e-12 * np.max(np.abs(equilibrium))
         ceiling = rate_ceiling(model, 0.01).rate_bits
         assert increment_rate(model, dt, 0.01).rate_bits == pytest.approx(ceiling, rel=1e-12)
@@ -236,7 +234,7 @@ def test_generator_that_overflows_at_the_float_limit_reaches_the_ceiling(drift):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         curve = rate_curve(model, 0.01, grid)
-        cov = increment_distribution(model, np.zeros(len(drift)), 0.0, 1e308).covariance
+        cov = increment_distribution(model, np.zeros(len(drift)), 1e308).covariance
     ceiling = rate_ceiling(model, 0.01).rate_bits
     assert curve.rate_bits[1:] == pytest.approx([ceiling] * 3, rel=1e-12)
     equilibrium = lyapunov_solve(model.drift.matrix, model.noise_intensity)
@@ -381,9 +379,9 @@ class TestMinSamplingRate:
         calls = []
         original = coderate._increment_rates
 
-        def counting(model, t, dts, distortion):
+        def counting(model, dts, distortion):
             calls.append(np.array(dts))
-            return original(model, t, dts, distortion)
+            return original(model, dts, distortion)
 
         monkeypatch.setattr(coderate, "_increment_rates", counting)
         return calls
@@ -538,8 +536,8 @@ class TestPredictedDescent:
         record = {"calls": 0, "bits": {}}
         original = coderate._increment_rates
 
-        def recording(model, t, dts, distortion):
-            rates = original(model, t, dts, distortion)
+        def recording(model, dts, distortion):
+            rates = original(model, dts, distortion)
             record["calls"] += 1
             record["bits"].update(zip(dts.tolist(), (rates[0] / LN2).tolist()))
             return rates

@@ -668,6 +668,38 @@ class TestIntegerQuantize:
             assert int(quantized.counts.sum()) == resolution
             assert np.max(np.abs(quantized.counts / resolution - p)) <= 1.0 / resolution + 1e-12
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [0.5 + 2e-12, 0.5 + 2e-12],
+            [1 / 3 + 1e-12] * 3,
+            [0.5 + 5e-12, 0.5 + 5e-12, 0.0],
+            [0.5 - 4e-12, 0.5 - 4e-12],
+            [-1e-12, 1.0 + 1e-12],
+        ],
+        ids=["halves-over", "thirds-over", "zero-field", "halves-under", "negative-fraction"],
+    )
+    def test_fractions_off_the_simplex_within_tolerance(self, p):
+        # Within SIMPLEX_TOL the floors of resolution * p can miss the
+        # resolution by more than one unit per field, or fall below zero.
+        # The counts still sum to the resolution, and stay within 1/R of p
+        # up to p's own distance e from the simplex.
+        code = SimplexCode(p, 1.0)
+        p = code.probabilities
+        e = abs(float(p.sum()) - 1.0) + float(np.maximum(-p, 0.0).sum())
+        for resolution in (10**12, 10**15):
+            counts = integer_quantize(code, resolution).counts
+            assert int(counts.sum()) == resolution and counts.min() >= 0
+            assert np.max(np.abs(counts / resolution - p)) <= 1.0 / resolution + e
+
+    def test_extra_units_come_back_from_the_last_tied_fields(self):
+        # The mirror of the largest-remainder rule: the floors 333333333334
+        # sum two units past the resolution, and the ties give them back
+        # from the highest indices.
+        code = SimplexCode([1 / 3 + 1e-12] * 3, 1.0)
+        counts = integer_quantize(code, 10**12).counts
+        assert counts.tolist() == [333333333334, 333333333333, 333333333333]
+
     def test_quantization_error_bound(self):
         rng = np.random.default_rng(33)
         vectors = rng.normal(size=(2, 6))

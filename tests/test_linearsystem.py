@@ -1,10 +1,12 @@
 """Forward-increment law and sample-path tests with closed-form oracles."""
 
 import hashlib
+import itertools
 import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -44,6 +46,28 @@ def quadrature_gramian(a, noise, dt, points=20001):
     return total * h
 
 
+def reference_gramian(a, noise, dt):
+    """Independent oracle: W(dt) = int_0^dt e^(As) N e^(A^T s) ds to 80 digits, in mpmath.
+
+    A nilpotent A (A^2 = 0, a Jordan chain such as ``marginal``) has
+    e^(As) = I + A s, so W = N dt + (A N + N A^T) dt^2/2 + A N A^T dt^3/3.
+    Otherwise A = V diag(lambda) V^-1 and, with Nt = V^-1 N V^-H,
+    W = V [Nt_ij expm1((lambda_i + conj lambda_j) dt) / (lambda_i + conj lambda_j)] V^H,
+    where a zero exponent gives Nt_ij dt.  Returns an mpmath matrix.
+    """
+    with mpmath.workdps(80):
+        a, noise, dt = mpmath.matrix(a), mpmath.matrix(noise), mpmath.mpf(dt)
+        if mpmath.mnorm(a, 1) > 0 and mpmath.mnorm(a * a, 1) == 0:
+            return noise * dt + (a * noise + noise * a.T) * dt**2 / 2 + a * noise * a.T * dt**3 / 3
+        values, vectors = mpmath.eig(a)
+        inverse = vectors**-1
+        mixed = inverse * noise * inverse.H
+        for i, j in itertools.product(range(a.rows), repeat=2):
+            s = values[i] + mpmath.conj(values[j])
+            mixed[i, j] *= dt if s == 0 else mpmath.expm1(s * dt) / s
+        return (vectors * mixed * vectors.H).apply(mpmath.re)
+
+
 def doublings(a, noise, grid):
     """Interval doublings of each dt of grid: the scaling count of its Van Loan exponential."""
     generator = _generators(np.asarray(a), np.asarray(noise))
@@ -58,13 +82,13 @@ def random_hurwitz(rng, n):
 class TestStateTransition:
     def test_diagonal_scalar_oracle(self):
         model = LinearSystemModel.constant(np.diag([-1.0, -2.0]), np.eye(2))
-        phi = _transition_and_gramian(model, 0.0, 1.0)[0]
+        phi = _transition_and_gramian(model, 1.0)[0]
         assert max_abs(phi - np.diag([math.exp(-1.0), math.exp(-2.0)])) <= 1e-12
 
     def test_negative_interval_rejected(self):
         model = LinearSystemModel.constant(np.eye(1), np.eye(1))
         with pytest.raises(ValueError, match="sampling interval must be positive"):
-            _transition_and_gramian(model, 0.0, -0.5)
+            _transition_and_gramian(model, -0.5)
 
     def test_constant_drift_matches_scipy_expm(self):
         import scipy.linalg
@@ -76,7 +100,7 @@ class TestStateTransition:
                 dt = reach / np.linalg.norm(a, 1)
                 expected = scipy.linalg.expm(a * dt)
                 model = LinearSystemModel.constant(a, np.eye(n))
-                phi = _transition_and_gramian(model, 0.0, dt)[0]
+                phi = _transition_and_gramian(model, dt)[0]
                 assert max_abs(phi - expected) <= 1e-11 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("dt", [1e-3, 0.5, 5.0, 40.0])
@@ -86,7 +110,7 @@ class TestStateTransition:
         # W = q (exp(2 a dt) - 1) / (2 a), which is q dt at a = 0; from a
         # single exponential up to several interval doublings.
         q = 1.3
-        phi, w = _transition_and_gramian(LinearSystemModel.constant([[a]], [[q]]), 0.0, dt)
+        phi, w = _transition_and_gramian(LinearSystemModel.constant([[a]], [[q]]), dt)
         exact_w = q * dt if a == 0.0 else q * math.expm1(2.0 * a * dt) / (2.0 * a)
         assert abs(phi[0, 0] / math.exp(a * dt) - 1.0) <= 1e-11
         assert abs(w[0, 0] / exact_w - 1.0) <= 1e-11
@@ -96,7 +120,7 @@ class TestStateTransition:
         # J = [[-1, 20], [-20, -1]] with N = I: Phi = e^-dt R(20 dt), and
         # J + J^T = -2 I makes W = I (1 - e^(-2 dt)) / 2.
         model = LinearSystemModel.constant([[-1.0, 20.0], [-20.0, -1.0]], np.eye(2))
-        phi, w = _transition_and_gramian(model, 0.0, dt)
+        phi, w = _transition_and_gramian(model, dt)
         c, s = math.cos(20.0 * dt), math.sin(20.0 * dt)
         exact_phi = math.exp(-dt) * np.array([[c, s], [-s, c]])
         exact_w = -0.5 * math.expm1(-2.0 * dt) * np.eye(2)
@@ -160,13 +184,13 @@ class TestModelConstruction:
         drift = np.array([[-1.0, 0.5], [0.0, -2.0]])
         noise = np.array([[1.0, 0.2], [0.2, 0.5]])
         model = LinearSystemModel.constant(drift, noise)
-        before = _transition_and_gramian(model, 0.0, 0.7)
+        before = _transition_and_gramian(model, 0.7)
         drift[0, 1], noise[0, 0] = 9.0, 9.0
         assert model.drift.matrix[0, 1] == 0.5 and model.noise_intensity[0, 0] == 1.0
         for array in (model.drift.matrix, model.noise_intensity):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
-        after = _transition_and_gramian(model, 0.0, 0.7)
+        after = _transition_and_gramian(model, 0.7)
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
 
@@ -174,14 +198,14 @@ class TestIncrementDistribution:
     def test_pure_brownian_covariance(self):
         noise = np.array([[2.0, 0.5], [0.5, 1.0]])
         model = LinearSystemModel.constant(np.zeros((2, 2)), noise)
-        law = increment_distribution(model, [1.0, -1.0], 0.0, 0.75)
+        law = increment_distribution(model, [1.0, -1.0], 0.75)
         assert max_abs(law.covariance - noise * 0.75) <= 1e-12
         assert max_abs(law.mean) <= 1e-12  # Phi = I
 
     def test_scalar_closed_form(self):
         # a = -1, sigma^2 = 1, dt = 1: variance (1 - e^-2) / 2
         model = LinearSystemModel.constant([[-1.0]], [[1.0]])
-        law = increment_distribution(model, [0.0], 0.0, 1.0)
+        law = increment_distribution(model, [0.0], 1.0)
         expected = (1.0 - math.exp(-2.0)) / 2.0
         assert abs(law.covariance[0, 0] - expected) <= 1e-10
 
@@ -189,8 +213,8 @@ class TestIncrementDistribution:
         a = np.array([[-0.3, 0.8], [-0.8, -0.3]])
         model = LinearSystemModel.constant(a, 0.1 * np.eye(2))
         x = np.array([2.0, -1.0])
-        law = increment_distribution(model, x, 0.0, 0.4)
-        phi = _transition_and_gramian(model, 0.0, 0.4)[0]
+        law = increment_distribution(model, x, 0.4)
+        phi = _transition_and_gramian(model, 0.4)[0]
         assert max_abs(law.mean - (phi - np.eye(2)) @ x) <= 1e-12
 
     def test_van_loan_matches_quadrature(self):
@@ -200,29 +224,21 @@ class TestIncrementDistribution:
         noise = b @ b.T
         model = LinearSystemModel.constant(a, noise)
         dt = 0.8
-        law = increment_distribution(model, np.zeros(3), 0.0, dt)
+        law = increment_distribution(model, np.zeros(3), dt)
         oracle = quadrature_gramian(a, noise, dt)
         assert max_abs(law.covariance - oracle) <= 1e-7
-
-    def test_constant_drift_time_invariance(self):
-        model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
-        x = np.array([1.0, 1.0])
-        a = increment_distribution(model, x, 0.0, 0.7)
-        b = increment_distribution(model, x, 13.2, 0.7)
-        assert max_abs(a.covariance - b.covariance) <= 1e-9
-        assert max_abs(a.mean - b.mean) <= 1e-9
 
     def test_interval_stack_matches_single_intervals_bit_for_bit(self):
         # Shuffled intervals on both sides of the doubling switch: each one
         # gets its own exponential and its own number of doublings.
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=(2, 3, 3))
-        model, t = LinearSystemModel.constant(a, b @ b.T), 0.0
+        model = LinearSystemModel.constant(a, b @ b.T)
         grid = rng.permutation(np.logspace(-3, 2, 30))
-        phis, covariances = _transition_and_gramian(model, t, grid)
+        phis, covariances = _transition_and_gramian(model, grid)
         for dt, phi, cov in zip(grid, phis, covariances):
-            assert np.array_equal(phi, _transition_and_gramian(model, t, dt)[0])
-            law = increment_distribution(model, np.zeros(3), t, dt)
+            assert np.array_equal(phi, _transition_and_gramian(model, dt)[0])
+            law = increment_distribution(model, np.zeros(3), dt)
             assert np.array_equal(cov, law.covariance)
 
     @pytest.mark.parametrize("name", ["unstable", "marginal", "stable"])
@@ -244,21 +260,21 @@ class TestIncrementDistribution:
             assert counts.min() == 0 and counts.max() >= 38
         calm = rng.permutation(np.logspace(-4, math.log10(3.6 / norm), 12))
         for stack in (grid, calm):
-            phis, covariances = _transition_and_gramian(model, 0.0, stack)
+            phis, covariances = _transition_and_gramian(model, stack)
             for dt, phi, cov in zip(stack, phis, covariances):
-                single_phi, single_cov = _transition_and_gramian(model, 0.0, dt)
+                single_phi, single_cov = _transition_and_gramian(model, dt)
                 assert np.array_equal(phi, single_phi, equal_nan=True)
                 assert np.array_equal(cov, single_cov, equal_nan=True)
-        overflowed = _transition_and_gramian(model, 0.0, grid)[1][grid == 1e4]
+        overflowed = _transition_and_gramian(model, grid)[1][grid == 1e4]
         assert (not np.isfinite(overflowed).any()) == (name == "unstable")
         # Out to 1e300 the marginal W overflows beside a finite Phi, and at
         # the level-16 check some of the intervals still doubling have
         # settled while others have not.  A settled interval only keeps its
         # finite entries and which entries are finite, so those are compared.
         far = np.geomspace(1e-3, 1e300, 61)
-        phis, covariances = _transition_and_gramian(model, 0.0, far)
+        phis, covariances = _transition_and_gramian(model, far)
         for dt, phi, cov in zip(far, phis, covariances):
-            for got, alone in zip((phi, cov), _transition_and_gramian(model, 0.0, dt)):
+            for got, alone in zip((phi, cov), _transition_and_gramian(model, dt)):
                 finite = np.isfinite(alone)
                 assert np.array_equal(np.isfinite(got), finite)
                 assert np.array_equal(got[finite], alone[finite])
@@ -272,13 +288,13 @@ class TestIncrementDistribution:
     def test_nonpositive_interval_rejected(self):
         model = LinearSystemModel.constant([[-1.0]], [[1.0]])
         with pytest.raises(ValueError):
-            increment_distribution(model, [0.0], 0.0, 0.0)
+            increment_distribution(model, [0.0], 0.0)
 
     @pytest.mark.parametrize("dt", [709.1, 709.7])
     def test_covariance_stays_finite_near_the_float_limit(self, dt):
         # W = expm1(dt) for a = 1/2, N = 1: finite, but W + W^T overflows.
         model = LinearSystemModel.constant([[0.5]], [[1.0]])
-        law = increment_distribution(model, [0.0], 0.0, dt)
+        law = increment_distribution(model, [0.0], dt)
         assert abs(law.covariance[0, 0] / math.expm1(dt) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -299,7 +315,7 @@ class TestIncrementDistribution:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
-                increment_distribution(model, np.ones(model.dimension), 0.0, dt)
+                increment_distribution(model, np.ones(model.dimension), dt)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("dt", [0.5, 10.0], ids=["one-exponential", "doublings"])
@@ -311,8 +327,8 @@ class TestIncrementDistribution:
             s = rng.normal(size=(n, n))
             model = LinearSystemModel.constant(s - s.T - 0.02 * np.eye(n), 0.1 * np.eye(n))
             x = rng.normal(size=n)
-            law = increment_distribution(model, x, 0.0, dt)
-            phi = _transition_and_gramian(model, 0.0, dt)[0]
+            law = increment_distribution(model, x, dt)
+            phi = _transition_and_gramian(model, dt)[0]
             assert np.array_equal(law.mean, (phi - np.eye(n)) @ x)
 
 
@@ -321,42 +337,12 @@ class TestIncrementDistribution:
 def test_non_finite_interval_rejected(entry, dt):
     model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
     calls = {
-        "increment_distribution": lambda: increment_distribution(model, [1.0, 1.0], 0.0, dt),
+        "increment_distribution": lambda: increment_distribution(model, [1.0, 1.0], dt),
         "increment_rate": lambda: increment_rate(model, dt, 0.01),
         "sample_paths": lambda: sample_paths(model, [1.0, 1.0], dt, 2, 2, seed=0),
     }
     with pytest.raises(ValueError, match="sampling interval must be positive"):
         calls[entry]()
-
-
-@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5], ids=["nan", "inf", "negative"])
-@pytest.mark.parametrize("entry", ["increment_distribution", "increment_rate"])
-def test_bad_time_rejected(entry, t):
-    model = LinearSystemModel.constant(-np.eye(2), np.eye(2))
-    calls = {
-        "increment_distribution": lambda: increment_distribution(model, [1.0, 1.0], t, 0.5),
-        "increment_rate": lambda: increment_rate(model, 0.5, 0.01, t=t),
-    }
-    with pytest.raises(ValueError, match="^time must be nonnegative"):
-        calls[entry]()
-
-
-@pytest.mark.parametrize(
-    "name", ["stable", "marginal", "unstable", "brownian", "hurwitz3", "gaussian8", "rotation4"]
-)
-def test_start_time_leaves_every_bit(name):
-    # The drift is constant, so the law over [t, t + dt] is that over [0, dt].
-    model = model_named(name)
-    x = np.linspace(1.0, -1.0, model.dimension)
-    grid = np.logspace(-3, 1, 9)
-    reference = _transition_and_gramian(model, 0.0, grid)
-    for t in (13.2, 1e300):
-        shifted = _transition_and_gramian(model, t, grid)
-        assert all(np.array_equal(a, b) for a, b in zip(shifted, reference))
-        law = increment_distribution(model, x, t, 0.7)
-        start = increment_distribution(model, x, 0.0, 0.7)
-        assert np.array_equal(law.mean, start.mean)
-        assert np.array_equal(law.covariance, start.covariance)
 
 
 def gramian_derivative_residual(model, dt_grid, step):
@@ -371,7 +357,7 @@ def gramian_derivative_residual(model, dt_grid, step):
     out = []
     for dt in dt_grid:
         w0, wp, wm = (
-            increment_distribution(model, zero, 0.0, h).covariance
+            increment_distribution(model, zero, h).covariance
             for h in (dt, dt + step, dt - step)
         )
         diff = (wp - wm) / (2.0 * step)
@@ -397,6 +383,59 @@ class TestGramianOdeResidual:
         assert coarse / fine == pytest.approx(4.0, rel=0.25)
 
 
+class TestReferenceGramian:
+    """reference_gramian against closed forms, each evaluated in mpmath at 80 digits."""
+
+    @staticmethod
+    def assert_agrees(a, noise, dt, exact):
+        got = reference_gramian(a, noise, dt)
+        with mpmath.workdps(80):
+            exact = exact(mpmath.matrix(noise), mpmath.mpf(dt))
+            assert mpmath.mnorm(got - exact, 1) <= mpmath.mpf("1e-70") * mpmath.mnorm(exact, 1)
+
+    @pytest.mark.parametrize("dt", [1e-6, 0.75, 1e4, 1e12])
+    def test_brownian(self, dt):
+        # A = 0: W = N dt, through the eigen path with a zero exponent.
+        self.assert_agrees(np.zeros((2, 2)), [[2.0, 0.5], [0.5, 1.0]], dt, lambda n, t: n * t)
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.5, 40.0, 1e3])
+    @pytest.mark.parametrize("a", [-3.0, -0.4, 0.7])
+    def test_scalar_ornstein_uhlenbeck(self, a, dt):
+        # W = q expm1(2 a dt) / (2 a).
+        self.assert_agrees([[a]], [[1.3]], dt, lambda n, t: n * mpmath.expm1(2 * a * t) / (2 * a))
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.5, 40.0, 1e3])
+    def test_diagonal_ornstein_uhlenbeck(self, dt):
+        # Independent rates a_i under correlated noise:
+        # W_ij = N_ij expm1((a_i + a_j) dt) / (a_i + a_j).
+        rates = [-1.0, -2.5]
+
+        def exact(n, t):
+            w = n.copy()
+            for i, j in itertools.product(range(2), repeat=2):
+                w[i, j] *= mpmath.expm1((rates[i] + rates[j]) * t) / (rates[i] + rates[j])
+            return w
+
+        self.assert_agrees(np.diag(rates), [[1.0, 0.3], [0.3, 0.5]], dt, exact)
+
+    @pytest.mark.parametrize("dt", [0.01, 3.0, 30.0, 1e3])
+    def test_rotating_ornstein_uhlenbeck(self, dt):
+        # J = [[-1, 20], [-20, -1]], N = I: complex eigenvalues, and J + J^T = -2 I
+        # makes W = I (1 - e^(-2 dt)) / 2.
+        rotation = [[-1.0, 20.0], [-20.0, -1.0]]
+        self.assert_agrees(rotation, np.eye(2), dt, lambda n, t: -n * mpmath.expm1(-2 * t) / 2)
+
+    @pytest.mark.parametrize("dt", [1e-3, 1.0, 1e8, 1e12])
+    def test_marginal(self, dt):
+        # The double integrator's Jordan chain: W = q [[t + t^3/3, t^2/2], [t^2/2, t]].
+        model = demo_model("marginal")
+
+        def exact(n, t):
+            return n[0, 0] * mpmath.matrix([[t + t**3 / 3, t**2 / 2], [t**2 / 2, t]])
+
+        self.assert_agrees(model.drift.matrix, model.noise_intensity, dt, exact)
+
+
 UNSTABLE_SPIRAL = [[0.5, 1.0], [-1.0, 0.5]]
 
 
@@ -405,7 +444,7 @@ class TestSamplePaths:
         a = np.array([[-0.5, 0.0], [0.0, -1.0]])
         model = LinearSystemModel.constant(a, np.zeros((2, 2)))
         data = sample_paths(model, [1.0, 2.0], 0.5, steps=4, trials=3, seed=99)
-        phi = _transition_and_gramian(model, 0.0, 0.5)[0]
+        phi = _transition_and_gramian(model, 0.5)[0]
         x = np.array([1.0, 2.0])
         for k in range(5):
             for trial in range(3):
@@ -435,8 +474,8 @@ class TestSamplePaths:
     def per_cell_reference(model, x0, dt, steps, trials, seed):
         """One fresh Philox cell per trial, drawn step by step, then phi @ x + root @ z."""
         n = model.dimension
-        phi = _transition_and_gramian(model, 0.0, dt)[0]
-        root = _covariance_sqrt(increment_distribution(model, np.zeros(n), 0.0, dt).covariance)
+        phi = _transition_and_gramian(model, dt)[0]
+        root = _covariance_sqrt(increment_distribution(model, np.zeros(n), dt).covariance)
         key = np.array([seed, PATH_LANE], dtype=np.uint64)
         states = np.empty((trials, steps + 1, n))
         for trial in range(trials):
@@ -462,7 +501,7 @@ class TestSamplePaths:
             a[-1, :-1] = a[:-1, -1] = 0.0
             b[-1] = 0.0
         model = LinearSystemModel.constant(a, b @ b.T)
-        cov = increment_distribution(model, np.zeros(n), 0.0, dt).covariance
+        cov = increment_distribution(model, np.zeros(n), dt).covariance
         assert (np.linalg.matrix_rank(cov) < n) == singular
         assert (doublings(a, b @ b.T, [dt])[0] > 0) == (dt > 1.0)
         x0 = rng.normal(size=n)
@@ -529,7 +568,7 @@ class TestSamplePaths:
     def test_state_of_the_wrong_dimension_rejected(self):
         model = demo_model("stable")
         with pytest.raises(ValueError, match="^state dimension does not match the model$"):
-            increment_distribution(model, np.zeros(3), 0.0, 0.1)
+            increment_distribution(model, np.zeros(3), 0.1)
         with pytest.raises(ValueError, match="^initial state dimension does not match the model$"):
             sample_paths(model, np.zeros(3), 0.1, steps=2, trials=1, seed=0)
 
@@ -602,10 +641,10 @@ class TestGramianInvariants:
         noise = np.array([[0.3, 0.1], [0.1, 0.2]])
         model = LinearSystemModel.constant(a, noise)
         s, t = 0.7, 1.1
-        w_s = increment_distribution(model, np.zeros(2), 0.0, s).covariance
-        w_t = increment_distribution(model, np.zeros(2), 0.0, t).covariance
-        w_st = increment_distribution(model, np.zeros(2), 0.0, s + t).covariance
-        phi_t = _transition_and_gramian(model, 0.0, t)[0]
+        w_s = increment_distribution(model, np.zeros(2), s).covariance
+        w_t = increment_distribution(model, np.zeros(2), t).covariance
+        w_st = increment_distribution(model, np.zeros(2), s + t).covariance
+        phi_t = _transition_and_gramian(model, t)[0]
         assert max_abs(w_st - (phi_t @ w_s @ phi_t.T + w_t)) <= 1e-8
 
     def test_loewner_monotonicity(self):
@@ -616,9 +655,9 @@ class TestGramianInvariants:
             noise = b @ b.T
             model = LinearSystemModel.constant(a, noise)
             dt1, dt2 = 0.4, 1.0
-            w1 = increment_distribution(model, np.zeros(3), 0.0, dt1).covariance
-            w2 = increment_distribution(model, np.zeros(3), 0.0, dt2).covariance
-            phi = _transition_and_gramian(model, 0.0, dt2 - dt1)[0]
+            w1 = increment_distribution(model, np.zeros(3), dt1).covariance
+            w2 = increment_distribution(model, np.zeros(3), dt2).covariance
+            phi = _transition_and_gramian(model, dt2 - dt1)[0]
             gap = w2 - phi @ w1 @ phi.T
             assert np.linalg.eigvalsh(0.5 * (gap + gap.T))[0] >= -1e-9
 
@@ -632,7 +671,7 @@ class TestGramianInvariants:
         model = LinearSystemModel.constant(a, noise)
         slowest = abs(np.max(np.linalg.eigvals(a).real))
         horizon = 50.0 / slowest
-        w = increment_distribution(model, np.zeros(3), 0.0, horizon).covariance
+        w = increment_distribution(model, np.zeros(3), horizon).covariance
         w_inf = lyapunov_solve(a, noise)
         assert max_abs(w - w_inf) <= 1e-6 * max_abs(w_inf)
 
@@ -643,7 +682,7 @@ class TestGramianInvariants:
         # never scaled and no interval is doubled.
         model = demo_model("marginal")
         q, grid = model.noise_intensity[0, 0], np.logspace(0, 100, 201)
-        phis, covariances = _transition_and_gramian(model, 0.0, grid)
+        phis, covariances = _transition_and_gramian(model, grid)
         for t, phi, cov in zip(grid, phis, covariances):
             exact_phi = np.array([[1.0, t], [0.0, 1.0]])
             exact_cov = q * np.array([[t + t**3 / 3, t**2 / 2], [t**2 / 2, t]])
@@ -700,7 +739,7 @@ class TestSettledDoubling:
         # finite Phi and W entries, then every finite entry of Phi and of W.
         # At 1e200 the W of marginal, unstable and gaussian8 intervals has
         # overflowed beside a Phi that is still finite in some entries.
-        phi, w = _transition_and_gramian(model_named(name), 0.0, GOLDEN_GRID)
+        phi, w = _transition_and_gramian(model_named(name), GOLDEN_GRID)
         finite_phi, finite_w = np.isfinite(phi), np.isfinite(w)
         data = finite_phi.tobytes() + finite_w.tobytes()
         data += phi[finite_phi].tobytes() + w[finite_w].tobytes()
@@ -709,7 +748,7 @@ class TestSettledDoubling:
     def test_phi_keeps_doubling_where_w_overflowed(self):
         # W of the double integrator grows as dt^3 and overflows long before
         # Phi = [[1, dt], [0, 1]] does: Phi takes every doubling.
-        phi, w = _transition_and_gramian(demo_model("marginal"), 0.0, 1e200)
+        phi, w = _transition_and_gramian(demo_model("marginal"), 1e200)
         assert not np.isfinite(w).any()
         np.testing.assert_array_equal(phi, [[1.0, 1e200], [0.0, 1.0]])
 
@@ -725,7 +764,7 @@ class TestSettledDoubling:
         model = LinearSystemModel.constant([[rate]], [[noise]])
         top = math.log(np.finfo(float).max)
         for x in np.linspace(1.0, 2000.0, 400):
-            phi, w = _transition_and_gramian(model, 0.0, x / rate)
+            phi, w = _transition_and_gramian(model, x / rate)
             exact = x, math.log(noise / (2 * rate)) + 2 * x + math.log1p(-math.exp(-2 * x))
             for got, log_exact in zip((phi[0, 0], w[0, 0]), exact):
                 if log_exact > top + 1e-6:
@@ -757,7 +796,7 @@ class TestSettledDoubling:
         monkeypatch.setattr(
             linearsystem, "_compose", lambda *pairs: calls.append(1) or compose(*pairs)
         )
-        _transition_and_gramian(model, 0.0, np.asarray(grid))
+        _transition_and_gramian(model, np.asarray(grid))
         assert len(calls) == levels
 
     @pytest.mark.parametrize(
@@ -839,11 +878,11 @@ class TestCountsFromTheGenerator:
         )
         # The one power norm of size 1 is that of the generator M; a stacked
         # one holds a matrix per interval.
-        _transition_and_gramian(demo_model("unstable"), 0.0, np.logspace(-6, 12, 19))
+        _transition_and_gramian(demo_model("unstable"), np.logspace(-6, 12, 19))
         assert sizes == [1]
         # On GOLDEN_GRID only 1e200 is routed to the stacked count.
         sizes.clear()
-        _transition_and_gramian(demo_model("marginal"), 0.0, GOLDEN_GRID)
+        _transition_and_gramian(demo_model("marginal"), GOLDEN_GRID)
         assert sizes == [1, 1]
 
 
