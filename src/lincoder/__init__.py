@@ -17,7 +17,6 @@ from .coderate import (
 )
 from .emulation import (
     EmulationResult,
-    IntegerCode,
     SimplexCode,
     SourceFamily,
     StepCodes,
@@ -25,11 +24,6 @@ from .emulation import (
     emulate,
     emulate_steps,
     endpoint_map,
-    integer_code_count,
-    integer_decompress,
-    integer_quantize,
-    onehot_code_rate_bits,
-    onehot_compress,
     simplex_compress,
     simplex_decompress,
 )
@@ -62,7 +56,6 @@ __all__ = [
     "FastPathDomainError",
     "IncrementDistribution",
     "InfeasibleTargetError",
-    "IntegerCode",
     "LinearSystemModel",
     "LincoderError",
     "NoEquilibriumError",
@@ -82,15 +75,10 @@ __all__ = [
     "endpoint_map",
     "increment_distribution",
     "increment_rate",
-    "integer_code_count",
-    "integer_decompress",
-    "integer_quantize",
     "is_hurwitz",
     "logdet_psd",
     "lyapunov_solve",
     "min_sampling_rate",
-    "onehot_code_rate_bits",
-    "onehot_compress",
     "planar_grid_family",
     "rate_ceiling",
     "rate_curve",

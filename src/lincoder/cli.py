@@ -18,6 +18,7 @@ import numpy as np
 
 from .coderate import NotNeeded, min_sampling_rate, rate_curve
 from .csvio import (
+    _json_numbers,
     format_float,
     load_family,
     read_trajectories,
@@ -59,12 +60,14 @@ def _require(config: dict, key: str):
 def _read(config: dict, key: str, kind=float):
     """Required config value converted by kind, or a ConfigError.
 
-    JSON booleans are refused, and kind=int takes JSON integers only, so
+    The value must hold JSON numbers only (no string or boolean, at any
+    depth), and kind=int takes a JSON integer only, so "0.01" is not parsed,
     2.7 is not truncated to 2 nor true read as 1.
     """
     value = _require(config, key)
-    if isinstance(value, bool) or (kind is int and not isinstance(value, int)):
-        raise ConfigError(f"{key} must be a JSON {'integer' if kind is int else 'number'}")
+    if not _json_numbers(value) or (kind is int and not isinstance(value, int)):
+        expected = "be a JSON integer" if kind is int else "hold JSON numbers only"
+        raise ConfigError(f"{key} must {expected}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -77,6 +80,8 @@ def _model_from_config(spec) -> LinearSystemModel:
             raise ConfigError(f"unknown system preset {spec!r}; choose from {sorted(demo_names())}")
         return demo_model(spec)
     if isinstance(spec, dict) and "A" in spec and "N" in spec:
+        if not (_json_numbers(spec["A"]) and _json_numbers(spec["N"])):
+            raise ConfigError("system matrices must hold JSON numbers only")
         try:
             return LinearSystemModel.constant(
                 np.asarray(spec["A"], dtype=float), np.asarray(spec["N"], dtype=float)

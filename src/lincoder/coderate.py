@@ -2,7 +2,7 @@
 
 The rate to describe the increment over a sampling interval dt to mean-square
 fidelity D is the Gaussian rate distortion function of its covariance.  For
-stable time-invariant drift the rate saturates at the value set by the Lyapunov
+a stable drift the rate saturates at the value set by the Lyapunov
 equilibrium covariance; otherwise it grows without bound as the sampling
 interval grows, and a channel of fixed capacity forces a minimum sampling
 rate.
@@ -87,7 +87,7 @@ def increment_rate(model: LinearSystemModel, dt: float, distortion: float) -> Rd
 
 
 def rate_ceiling(model: LinearSystemModel, distortion: float) -> RdfResult:
-    """Saturation rate of a stable time-invariant model.
+    """Saturation rate of a model with a stable (Hurwitz) drift.
 
     The increment covariance converges to the Lyapunov equilibrium, so the
     rate at any sampling interval is bounded by the rate of that Gaussian.
@@ -98,9 +98,9 @@ def rate_ceiling(model: LinearSystemModel, distortion: float) -> RdfResult:
     NoEquilibriumError, with the message of lyapunov_solve, when the drift
     is not Hurwitz (the increment covariance then has no limit).
     """
+    distortion = _budget(distortion)
     if model._equilibrium is None:
         raise NoEquilibriumError(_NOT_HURWITZ)
-    distortion = _budget(distortion)
     return _first_result(*_fill_modes(model._equilibrium_modes, distortion))
 
 

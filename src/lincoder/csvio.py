@@ -100,7 +100,7 @@ def read_trajectories(path) -> TrajectoryDataset:
 
 
 def _model_fingerprint(model: LinearSystemModel) -> str:
-    """Short content hash of a constant-drift model (drift and noise)."""
+    """Short content hash of a model's drift and noise matrices."""
     digest = hashlib.sha256()
     digest.update(np.ascontiguousarray(model.drift.matrix).tobytes())
     digest.update(b"/")
@@ -132,12 +132,21 @@ def write_rate_curve(
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
+def _json_numbers(value) -> bool:
+    """Whether value is a JSON number (int or float, never a bool) or nested lists of them."""
+    if isinstance(value, list):
+        return all(map(_json_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_family(path) -> SourceFamily:
     """Family JSON: a non-empty array of length-n vectors, one per constant field."""
     try:
         data = json.loads(Path(path).read_text())
         if not isinstance(data, list) or not all(isinstance(v, list) for v in data):
             raise ValueError("expected an array of vectors")
+        if not _json_numbers(data):
+            raise ValueError("field entries must be JSON numbers")
         return SourceFamily.from_vectors(data)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"family file {path}: {exc}") from exc

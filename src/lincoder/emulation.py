@@ -1,20 +1,14 @@
-"""Source-family codecs and data-based trajectory emulation.
+"""Source-family simplex codec and data-based trajectory emulation.
 
 A family of constant vector fields, stored as the columns of one matrix V
 and driven by binary activations, defines a control system whose endpoint
 map doubles as a decompressor for observed state increments.  Constant
 fields commute, so an endpoint depends only on the occupancy, the time
-each field is active: it is x + V @ occupancy, and every code decodes
-through its occupancy.  Two codecs are provided:
-
-* one-hot index sequences (the system flows along one field per uniform
-  sub-segment, so a field's occupancy is its count times the sub-segment
-  length), compressed greedily;
-* simplex codes (relative flow-time fractions plus a total flow time,
-  whose product is the occupancy), compressed exactly by the linear
-  program minimizing the total flow time, solved over the family's optimal
-  (dual-feasible) bases, found once per family; among optimal codes the
-  least replay spread wins.
+each field is active: it is x + V @ occupancy.  The codec is the simplex
+code: relative flow-time fractions plus a total flow time, whose product
+is the occupancy, compressed exactly by the linear program minimizing the
+total flow time, solved over the family's optimal (dual-feasible) bases,
+found once per family; among optimal codes the least replay spread wins.
 
 On top of the simplex codec sits a non-parametric emulator: observed
 increments of an unknown system are compressed trial by trial, and each
@@ -26,7 +20,6 @@ how well a replay matches its training data.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,28 +93,6 @@ class SimplexCode:
         object.__setattr__(self, "flow_time", z)
 
 
-@dataclass(frozen=True)
-class IntegerCode:
-    """Nonnegative integer counts per field, summing to the resolution."""
-
-    counts: np.ndarray
-    resolution: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts)
-        resolution = _positive_int(self.resolution, "resolution")
-        if counts.ndim != 1 or counts.size == 0:
-            raise ValueError("counts must be a non-empty vector")
-        if not np.issubdtype(counts.dtype, np.integer):
-            raise ValueError("counts must be integers")
-        counts = counts.astype(int)
-        if np.any(counts < 0) or int(counts.sum()) != resolution:
-            raise ValueError("counts must be nonnegative and sum to the resolution")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "resolution", resolution)
-
-
 def endpoint_map(family: SourceFamily, x_t, occupancy) -> np.ndarray:
     """Terminal state x_t + V @ occupancy, occupancy_i being the time field i is active.
 
@@ -139,42 +110,6 @@ def endpoint_map(family: SourceFamily, x_t, occupancy) -> np.ndarray:
     if np.any(occupancy < 0.0):
         raise ValueError("occupancy must be nonnegative")
     return x + family.field_matrix() @ occupancy
-
-
-def onehot_compress(family: SourceFamily, target_dx, segments: int, dt: float) -> np.ndarray:
-    """Greedy one-hot index sequence steering from the origin toward target_dx.
-
-    At each of the ``segments`` uniform sub-segments the index bringing the
-    running endpoint closest to the proportional point on the straight line
-    toward the target is chosen (ties to the lowest index).  Deterministic
-    but not guaranteed optimal.  The fields are constant, so the picks do
-    not depend on where the increment starts.
-    """
-    segments = _positive_int(segments, "segments")
-    dt = float(dt)
-    if not 0.0 < dt < math.inf:
-        raise ValueError("horizon must be positive and finite")
-    target = as_vector(target_dx, "target increment")
-    if target.shape[0] != family.dimension:
-        raise ValueError("target dimension does not match the family")
-    vectors = family.field_matrix()
-    h = dt / segments
-    position = np.zeros(family.dimension)
-    indices = np.empty(segments, dtype=int)
-    for j in range(segments):
-        waypoint = target * ((j + 1) / segments)
-        candidates = position[:, None] + vectors * h
-        distances = np.linalg.norm(candidates - waypoint[:, None], axis=0)
-        pick = int(np.argmin(distances))
-        indices[j] = pick
-        position = candidates[:, pick]
-    return indices
-
-
-def onehot_code_rate_bits(family_size: int, segments: int, blocklength: int) -> float:
-    """Code rate of the induced (K^N, L) block code, bits per symbol."""
-    bits = math.log2(_positive_int(family_size, "family size"))
-    return _positive_int(segments, "segments") / _positive_int(blocklength, "blocklength") * bits
 
 
 def _simplex_codes(family: SourceFamily, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,46 +153,6 @@ def simplex_decompress(family: SourceFamily, code: SimplexCode) -> np.ndarray:
     if code.probabilities.shape[0] != family.size:
         raise ValueError("code length does not match the family size")
     return code.flow_time * (family.field_matrix() @ code.probabilities)
-
-
-def integer_quantize(code: SimplexCode, resolution: int) -> IntegerCode:
-    """Largest-remainder apportionment of the resolution among the fractions.
-
-    Floors resolution * max(p, 0), then hands the remaining units to the
-    largest fractional parts (ties to the lowest index); where p is off the
-    simplex within SIMPLEX_TOL and the floors exceed the resolution, the
-    extra units come back from the nonzero counts with the smallest parts
-    (ties to the highest index).  Guarantees max|counts/resolution - p| <=
-    1/resolution + e, e = |sum(p) - 1| + sum(max(-p, 0)), 0 on the simplex.
-    """
-    resolution = _positive_int(resolution, "resolution")
-    scaled = code.probabilities * resolution
-    counts = np.floor(np.maximum(scaled, 0.0)).astype(int)
-    while remainder := resolution - int(counts.sum()):
-        order = np.lexsort((np.arange(scaled.size), -(scaled - counts)))
-        if remainder > 0:
-            counts[order[:remainder]] += 1
-        else:
-            counts[order[counts[order] > 0][remainder:]] -= 1
-    return IntegerCode(counts, resolution)
-
-
-def integer_decompress(family: SourceFamily, code: IntegerCode, flow_time: float) -> np.ndarray:
-    """Increment reproduced from integer counts at the given total flow time.
-
-    Callers normally pass the flow time carried alongside the counts; pass
-    the full sampling interval instead to adopt the convention that the
-    fields are active for the whole interval.
-    """
-    fractions = code.counts / code.resolution
-    return simplex_decompress(family, SimplexCode(fractions, flow_time))
-
-
-def integer_code_count(family_size: int, resolution: int) -> int:
-    """Number of distinct integer codes: C(resolution + K - 1, K - 1)."""
-    family_size = _positive_int(family_size, "family size")
-    resolution = _positive_int(resolution, "resolution")
-    return math.comb(resolution + family_size - 1, family_size - 1)
 
 
 @dataclass(frozen=True)

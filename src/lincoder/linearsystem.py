@@ -254,7 +254,7 @@ def sample_paths(
     trials: int,
     seed: int,
 ) -> TrajectoryDataset:
-    """Exact-discretization sample paths of a constant-drift model.
+    """Exact-discretization sample paths of a model.
 
     x_{k+1} = Phi x_k + xi_k with xi_k = R z_k, R R^T = W(dt), and z_k row k
     of one standard_normal((steps, n)) draw from the trial's counter-based

@@ -618,6 +618,13 @@ class TestConfigValueTypes:
             ("sample", {"steps": 2.7}),
             ("sample", {"steps": True}),
             ("sample", {"trials": True}),
+            ("sample", {"dt": "0.01"}),
+            ("rdf-curve", {"distortion": "0.01"}),
+            ("min-rate", {"capacity_bits": "8"}),
+            ("rdf-curve", {"grid": {"min": "0.1", "max": 1.0, "points": 3}}),
+            ("sample", {"x0": [True, 1.0]}),
+            ("sample", {"x0": ["1", 2]}),
+            ("min-rate", {"system": {"A": [[True, 0], [0, "-1"]], "N": [[0.01, 0], [0, 0.01]]}}),
         ],
         ids=[
             "curve-distortion-null",
@@ -631,6 +638,13 @@ class TestConfigValueTypes:
             "steps-float",
             "steps-bool",
             "trials-bool",
+            "dt-string",
+            "curve-distortion-string",
+            "capacity-string",
+            "grid-min-string",
+            "x0-bool-entry",
+            "x0-string-entry",
+            "drift-bool-and-string-entries",
         ],
     )
     def test_wrong_json_type_is_a_config_error(self, tmp_path, capsys, command, change):

@@ -178,6 +178,13 @@ class TestRateCeiling:
         with pytest.raises(NoEquilibriumError):
             rate_ceiling(demo_model("unstable"), 0.01)
 
+    @pytest.mark.parametrize("distortion", [-0.01, math.nan], ids=["negative", "nan"])
+    @pytest.mark.parametrize("name", ["marginal", "unstable", "brownian"])
+    def test_bad_budget_is_refused_before_the_drift(self, name, distortion):
+        # As increment_rate refuses it, whether or not the model has a ceiling.
+        with pytest.raises(ValueError, match="^distortion budget must be nonnegative$"):
+            rate_ceiling(demo_model(name), distortion)
+
     def test_hurwitz_detector(self):
         assert is_hurwitz(np.array([[-0.5, 1.0], [-1.0, -0.5]]))
         assert not is_hurwitz(np.zeros((2, 2)))

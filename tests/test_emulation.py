@@ -11,7 +11,6 @@ import pytest
 
 from lincoder import (
     InfeasibleTargetError,
-    IntegerCode,
     LinearSystemModel,
     SimplexCode,
     SourceFamily,
@@ -21,10 +20,6 @@ from lincoder import (
     emulate,
     emulate_steps,
     endpoint_map,
-    integer_code_count,
-    integer_quantize,
-    onehot_code_rate_bits,
-    onehot_compress,
     planar_grid_family,
     sample_paths,
     simplex_compress,
@@ -100,8 +95,19 @@ class TestSourceFamily:
             "[[[1, 0], [0, 1]]]",
             "[]",
             "[[1, 0], [0, 1]",
+            "[[true, false], [0, 1]]",
+            '[["1", 0], [0, 1]]',
         ],
-        ids=["affine-object", "string-entry", "string", "nested-list", "empty", "malformed"],
+        ids=[
+            "affine-object",
+            "string-entry",
+            "string",
+            "nested-list",
+            "empty",
+            "malformed",
+            "bool-components",
+            "string-component",
+        ],
     )
     def test_load_rejects_anything_but_vectors(self, tmp_path, text):
         path = tmp_path / "family.json"
@@ -182,69 +188,6 @@ class TestEndpointMap:
         fam = family_from([1.0, 0.0], [0.0, 1.0])
         with pytest.raises(ValueError, match=message):
             endpoint_map(fam, [0.0, 0.0], occupancy)
-
-
-class TestOneHotCompress:
-    def test_single_field_target_is_exact(self):
-        fam = family_from([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])
-        dt, segments = 1.0, 4
-        target = dt * np.array([0.0, 1.0])  # exactly field 1 all the way
-        indices = onehot_compress(fam, target, segments, dt)
-        assert list(indices) == [1, 1, 1, 1]
-        out = endpoint_map(fam, [0.0, 0.0], onehot_occupancy(indices, dt, 3))
-        assert np.max(np.abs(out - target)) <= 1e-12
-
-    def test_antipodal_fields_cancel(self):
-        v = np.array([0.7, -0.2])
-        fam = family_from(v, -v)
-        dt, segments = 1.0, 6
-        indices = onehot_compress(fam, np.zeros(2), segments, dt)
-        out = endpoint_map(fam, [0.0, 0.0], onehot_occupancy(indices, dt, 2))
-        greedy_error = float(np.linalg.norm(out))
-        # exhaustive oracle over all K^N sequences
-        best = math.inf
-        h = dt / segments
-        for seq in itertools.product(range(2), repeat=segments):
-            occupancy = np.bincount(seq, minlength=2) * h
-            best = min(best, float(np.linalg.norm(fam.field_matrix() @ occupancy)))
-        assert greedy_error <= best + 2.0 * float(np.linalg.norm(v)) * dt / segments
-        assert greedy_error <= 1e-12  # even split reaches zero exactly
-
-    def test_greedy_close_to_exhaustive(self):
-        rng = np.random.default_rng(11)
-        fam = family_from(*rng.normal(size=(3, 2)))
-        dt, segments = 1.0, 6
-        h = dt / segments
-        vectors = fam.field_matrix()
-        for _ in range(5):
-            weights = rng.uniform(0.0, 1.0, size=3)
-            target = vectors @ weights * (dt / weights.sum())
-            indices = onehot_compress(fam, target, segments, dt)
-            reached = vectors @ (np.bincount(indices, minlength=3) * h)
-            greedy_error = float(np.linalg.norm(reached - target))
-            best = min(
-                float(np.linalg.norm(vectors @ (np.bincount(seq, minlength=3) * h) - target))
-                for seq in itertools.product(range(3), repeat=segments)
-            )
-            worst_field = max(np.linalg.norm(v) for v in vectors.T)
-            assert greedy_error <= best + 2.0 * worst_field * h
-
-    def test_deterministic_with_lowest_index_ties(self):
-        fam = family_from([1.0, 0.0], [1.0, 0.0])  # duplicate fields tie everywhere
-        indices = onehot_compress(fam, [1.0, 0.0], 5, 1.0)
-        assert list(indices) == [0, 0, 0, 0, 0]
-
-    @pytest.mark.parametrize(
-        "dt", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
-    )
-    def test_rejects_a_horizon_that_is_not_positive_and_finite(self, dt):
-        fam = family_from([1.0, 0.0], [0.0, 1.0])
-        with pytest.raises(ValueError, match="horizon must be positive and finite"):
-            onehot_compress(fam, [1.0, 0.0], 4, dt)
-
-    def test_block_code_rate(self):
-        assert onehot_code_rate_bits(24, 3, 6) == pytest.approx(0.5 * math.log2(24))
-        assert onehot_code_rate_bits(2, 8, 1) == pytest.approx(8.0)
 
 
 def exhaustive_simplex_code(vectors, target):
@@ -585,27 +528,11 @@ class TestMalformedArguments:
         with pytest.raises(ValueError, match=message):
             SimplexCode(probabilities, flow_time)
 
-    @pytest.mark.parametrize(
-        "counts, message",
-        [
-            ([], "^counts must be a non-empty vector$"),
-            ([[1, 2]], "^counts must be a non-empty vector$"),
-            ([1, 1], "^counts must be nonnegative and sum to the resolution$"),
-            ([-1, 4], "^counts must be nonnegative and sum to the resolution$"),
-        ],
-        ids=["empty", "matrix", "short-sum", "negative"],
-    )
-    def test_integer_code(self, counts, message):
-        with pytest.raises(ValueError, match=message):
-            IntegerCode(np.array(counts, dtype=int), 3)
-
     def test_state_or_target_of_the_wrong_dimension(self):
         fam = family_from([1.0, 0.0], [0.0, 1.0])
         wrong = [1.0, 1.0, 1.0]
         with pytest.raises(ValueError, match="^state dimension does not match the family$"):
             endpoint_map(fam, wrong, [1.0, 1.0])
-        with pytest.raises(ValueError, match="^target dimension does not match the family$"):
-            onehot_compress(fam, wrong, 4, 1.0)
         with pytest.raises(ValueError, match="^target dimension does not match the family$"):
             simplex_compress(fam, wrong)
         with pytest.raises(
@@ -645,96 +572,6 @@ class TestMalformedArguments:
             solve_nonnegative_lp(constraints, rhs)
 
 
-class TestIntegerQuantize:
-    def test_one_hot(self):
-        code = SimplexCode(np.array([0.0, 1.0, 0.0]), 1.0)
-        assert list(integer_quantize(code, 7).counts) == [0, 7, 0]
-
-    def test_exact_thirds(self):
-        code = SimplexCode(np.array([1 / 3, 1 / 3, 1 / 3]), 1.0)
-        assert list(integer_quantize(code, 3).counts) == [1, 1, 1]
-
-    def test_largest_remainder_by_hand(self):
-        code = SimplexCode(np.array([0.5, 0.3, 0.2]), 1.0)
-        assert list(integer_quantize(code, 10).counts) == [5, 3, 2]
-
-    def test_apportionment_bound(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            k = int(rng.integers(2, 12))
-            p = rng.dirichlet(np.ones(k))
-            resolution = int(rng.integers(1, 40))
-            quantized = integer_quantize(SimplexCode(p, 1.0), resolution)
-            assert int(quantized.counts.sum()) == resolution
-            assert np.max(np.abs(quantized.counts / resolution - p)) <= 1.0 / resolution + 1e-12
-
-    @pytest.mark.parametrize(
-        "p",
-        [
-            [0.5 + 2e-12, 0.5 + 2e-12],
-            [1 / 3 + 1e-12] * 3,
-            [0.5 + 5e-12, 0.5 + 5e-12, 0.0],
-            [0.5 - 4e-12, 0.5 - 4e-12],
-            [-1e-12, 1.0 + 1e-12],
-        ],
-        ids=["halves-over", "thirds-over", "zero-field", "halves-under", "negative-fraction"],
-    )
-    def test_fractions_off_the_simplex_within_tolerance(self, p):
-        # Within SIMPLEX_TOL the floors of resolution * p can miss the
-        # resolution by more than one unit per field, or fall below zero.
-        # The counts still sum to the resolution, and stay within 1/R of p
-        # up to p's own distance e from the simplex.
-        code = SimplexCode(p, 1.0)
-        p = code.probabilities
-        e = abs(float(p.sum()) - 1.0) + float(np.maximum(-p, 0.0).sum())
-        for resolution in (10**12, 10**15):
-            counts = integer_quantize(code, resolution).counts
-            assert int(counts.sum()) == resolution and counts.min() >= 0
-            assert np.max(np.abs(counts / resolution - p)) <= 1.0 / resolution + e
-
-    def test_extra_units_come_back_from_the_last_tied_fields(self):
-        # The mirror of the largest-remainder rule: the floors 333333333334
-        # sum two units past the resolution, and the ties give them back
-        # from the highest indices.
-        code = SimplexCode([1 / 3 + 1e-12] * 3, 1.0)
-        counts = integer_quantize(code, 10**12).counts
-        assert counts.tolist() == [333333333334, 333333333333, 333333333333]
-
-    def test_quantization_error_bound(self):
-        rng = np.random.default_rng(33)
-        vectors = rng.normal(size=(2, 6))
-        fam = family_from(*vectors.T)
-        for resolution in (1, 5, 50):
-            target = vectors @ rng.uniform(0.0, 1.0, size=6)
-            code = simplex_compress(fam, target)
-            quantized = integer_quantize(code, resolution)
-            approx = SimplexCode(quantized.counts / resolution, code.flow_time)
-            gap = simplex_decompress(fam, code) - simplex_decompress(fam, approx)
-            bound = code.flow_time * max(np.linalg.norm(v) for v in vectors.T) * 6 / resolution
-            assert float(np.linalg.norm(gap)) <= bound + 1e-12
-
-    def test_code_count_matches_enumeration(self):
-        # stars and bars: count vectors of K nonnegative ints summing to N
-        brute = sum(
-            1
-            for counts in itertools.product(range(5), repeat=3)
-            if sum(counts) == 4
-        )
-        assert integer_code_count(3, 4) == brute == math.comb(6, 2)
-
-    def test_integer_decompress_flow_time_choices(self):
-        from lincoder import integer_decompress
-
-        fam = family_from([1.0, 0.0], [0.0, 1.0])
-        code = simplex_compress(fam, [0.6, 0.2])
-        quantized = integer_quantize(code, 4)
-        carried = integer_decompress(fam, quantized, code.flow_time)
-        assert np.allclose(carried, code.flow_time * (quantized.counts / 4))
-        # full-interval convention: the caller passes the sampling interval
-        full = integer_decompress(fam, quantized, 1.0)
-        assert np.allclose(full, quantized.counts / 4)
-
-
 def uniform_codes(steps, size):
     """Averaged-only codes moving every step by 0.1 * mean field."""
     return StepCodes(
@@ -747,16 +584,9 @@ def uniform_codes(steps, size):
 
 # Each entry point that takes a count, as a function of that count alone.
 COUNT_CALLS = {
-    "integer_quantize": lambda n: integer_quantize(SimplexCode([0.5, 0.5], 1.0), n).counts,
-    "IntegerCode": lambda n: IntegerCode([0, n], n).counts,
     "emulate_steps": lambda n: emulate_steps(
         uniform_codes(3, 2), family_from([1.0, 0.0], [0.0, 1.0]), [0.0, 0.0], n, 0
     ),
-    "onehot_compress": lambda n: onehot_compress(
-        family_from([1.0, 0.0], [0.0, 1.0]), [1.0, 1.0], n, 1.0
-    ),
-    "onehot_code_rate_bits": lambda n: onehot_code_rate_bits(24, n, 1),
-    "integer_code_count": lambda n: integer_code_count(3, n),
 }
 
 
@@ -775,13 +605,6 @@ class TestCountArguments:
     def test_numpy_integers_count_as_python_integers(self, call):
         assert np.array_equal(call(np.int64(3)), call(3))
         assert np.array_equal(call(np.uint8(3)), call(3))
-
-    @pytest.mark.parametrize(
-        "counts", [[1.5, 0.5], [1.0, 0.0], [True, False]], ids=["fraction", "float", "bool"]
-    )
-    def test_integer_code_refuses_counts_that_are_not_integers(self, counts):
-        with pytest.raises(ValueError, match="counts must be integers"):
-            IntegerCode(counts, 1)
 
 
 def single_field_dataset(vector, flow_time, steps, trials):

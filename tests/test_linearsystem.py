@@ -68,6 +68,27 @@ def reference_gramian(a, noise, dt):
         return (vectors * mixed * vectors.H).apply(mpmath.re)
 
 
+def reference_rate_bits(w, distortion):
+    """Oracle: Gaussian rate of covariance ``w`` in bits at a budget, to 80 digits, in mpmath.
+
+    With the eigenvalues of mpmath.eigsy ascending, the water level is
+    theta = (D - sum of the k lowest) / (n - k) for the least k that keeps it
+    at or below the next eigenvalue, and R = 1/2 sum log2(lambda_i / theta)
+    over the modes above it (0 when D covers the whole trace).
+    """
+    with mpmath.workdps(80):
+        w = mpmath.matrix(w)
+        values = sorted(mpmath.eigsy((w + w.T) / 2, eigvals_only=True))
+        budget = mpmath.mpf(distortion)
+        if budget >= sum(values):
+            return mpmath.mpf(0)
+        for k in range(len(values)):
+            theta = (budget - sum(values[:k])) / (len(values) - k)
+            if theta <= values[k]:
+                break
+        return sum(mpmath.log(v / theta, 2) for v in values[k:]) / 2
+
+
 def doublings(a, noise, grid):
     """Interval doublings of each dt of grid: the scaling count of its Van Loan exponential."""
     generator = _generators(np.asarray(a), np.asarray(noise))
@@ -434,6 +455,64 @@ class TestReferenceGramian:
             return n[0, 0] * mpmath.matrix([[t + t**3 / 3, t**2 / 2], [t**2 / 2, t]])
 
         self.assert_agrees(model.drift.matrix, model.noise_intensity, dt, exact)
+
+
+class TestReferenceRate:
+    """reference_rate_bits against closed forms, then increment_rate against it."""
+
+    @staticmethod
+    def assert_agrees(a, noise, dt, distortion, exact):
+        got = reference_rate_bits(reference_gramian(a, noise, dt), distortion)
+        with mpmath.workdps(80):
+            assert abs(got - exact(mpmath.mpf(dt), mpmath.mpf(distortion))) <= mpmath.mpf("1e-50")
+
+    @pytest.mark.parametrize("dt", [1e-3, 4.9e-3, 5.1e-3, 1.0, 1e6])
+    def test_brownian(self, dt):
+        # W = q dt, so R = max(0, 1/2 log2(q dt / D)), zero below dt = D / q = 5e-3.
+        def exact(t, d):
+            return max(0, mpmath.log(2 * t / d, 2) / 2)
+
+        self.assert_agrees([[0.0]], [[2.0]], dt, 0.01, exact)
+
+    @pytest.mark.parametrize("dt", [0.5, 1.0, 40.0])
+    def test_diagonal_ornstein_uhlenbeck_with_a_submerged_mode(self, dt):
+        # W = diag(q_i expm1(2 a_i dt) / (2 a_i)); the second mode lies below
+        # the water level D - lambda_2, so R = 1/2 log2(lambda_1 / (D - lambda_2)).
+        rates, noise = [-1.0, -2.5], [1.0, 0.01]
+
+        def exact(t, d):
+            low, high = (q * mpmath.expm1(2 * a * t) / (2 * a) for a, q in zip(rates, noise))
+            assert high < d - high < low
+            return mpmath.log(low / (d - high), 2) / 2
+
+        self.assert_agrees(np.diag(rates), np.diag(noise), dt, 0.01, exact)
+
+    @pytest.mark.parametrize("dt", [1.0, 10.0, 1e4, 1e7, 1e12])
+    def test_marginal_with_every_mode_active(self, dt):
+        # Both modes stay above theta = D / 2, so R = 1/2 log2(det W / (D/2)^2)
+        # with det W = q^2 t^2 (1 + t^2 / 12).
+        model = demo_model("marginal")
+        q = model.noise_intensity[0, 0]
+
+        def exact(t, d):
+            return mpmath.log(mpmath.mpf(q) ** 2 * t**2 * (1 + t**2 / 12) / (d / 2) ** 2, 2) / 2
+
+        self.assert_agrees(model.drift.matrix, model.noise_intensity, dt, 0.01, exact)
+
+    @pytest.mark.parametrize("distortion", [1e-3, 1e-2, 0.1])
+    @pytest.mark.parametrize(
+        "name, dt",
+        [("stable", dt) for dt in (0.1, 1.0, 10.0, 100.0, 1e4)]
+        + [("unstable", dt) for dt in (0.1, 1.0, 3.0, 10.0, 30.0)]
+        + [("marginal", dt) for dt in (0.1, 1.0, 10.0, 1e3, 1e5, 1e7)],
+    )
+    def test_increment_rate_where_it_is_resolved(self, name, dt, distortion):
+        # Only where the README calls the rate right: past dt = 1e7 the
+        # marginal rate falls under the eigenvalue error floor.
+        model = demo_model(name)
+        w = reference_gramian(model.drift.matrix, model.noise_intensity, dt)
+        got = increment_rate(model, dt, distortion).rate_bits
+        assert abs(got - float(reference_rate_bits(w, distortion))) <= 1e-9
 
 
 UNSTABLE_SPIRAL = [[0.5, 1.0], [-1.0, 0.5]]

@@ -15,11 +15,6 @@ README = BENCH.parent / "README.md"
 #: Exported names that nothing reads outside __init__.py in the package, the
 #: benchmark or the README, each with the reason it stays public.
 UNREAD_EXPORTS = {
-    "integer_quantize": "integer simplex codec, kept until codes are scored against R(D)",
-    "integer_decompress": "integer simplex codec, kept until codes are scored against R(D)",
-    "integer_code_count": "integer simplex codec, kept until codes are scored against R(D)",
-    "onehot_compress": "one-hot codec, kept until codes are scored against R(D)",
-    "onehot_code_rate_bits": "one-hot codec, kept until codes are scored against R(D)",
     "rdf_small_distortion": "log-det shortcut, the oracle of acceptance criterion 4",
 }
 

@@ -86,3 +86,13 @@ def test_package_layout_names_every_module():
     listed = re.findall(r"^  (\S+\.py) ", block, re.M)
     modules = {path.name for path in (README.parent / "src" / "lincoder").glob("*.py")}
     assert sorted(listed) == sorted(modules)
+
+
+def test_package_layout_lists_each_module_once_and_no_other_file():
+    # Every entry line (two-space indent) counts, whatever its file name or suffix.
+    block = re.search(
+        r"^## Package layout\n.*?```\n(.*?)```", README.read_text(), re.S | re.M
+    ).group(1)
+    entries = re.findall(r"^  (\S+)", block, re.M)
+    modules = [path.name for path in (README.parent / "src" / "lincoder").glob("*.py")]
+    assert sorted(entries) == sorted(modules)
