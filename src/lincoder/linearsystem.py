@@ -67,8 +67,10 @@ class LinearSystemModel:
     27th-power row only if a count needs it); and its Lyapunov
     equilibrium and its mode variances, formed by its first ceiling (every
     curve and sampling-rate search takes one), None where the drift is not
-    Hurwitz (_equilibrium, _equilibrium_modes).  No result of a sampling
-    interval is kept.
+    Hurwitz (_equilibrium, _equilibrium_modes).  Of its sampling
+    intervals it keeps one: the last dt that sample_paths drew at, with its
+    Phi and noise root R, both read-only (_last_law), so the same model
+    sampled again at that dt forms neither again.
     """
 
     drift: ConstantDrift
@@ -86,6 +88,7 @@ class LinearSystemModel:
         noise.setflags(write=False)
         object.__setattr__(self, "noise_intensity", noise)
         object.__setattr__(self, "_multiples", _Multiples(_generators(self.drift.matrix, noise)))
+        object.__setattr__(self, "_last_law", None)
 
     @classmethod
     def constant(cls, a, noise) -> "LinearSystemModel":
@@ -246,6 +249,24 @@ def _covariance_sqrt(cov: np.ndarray) -> np.ndarray:
     return vectors * np.sqrt(np.clip(values, 0.0, None))
 
 
+def _sampling_law(model: LinearSystemModel, dt: float):
+    """Phi and the noise root R of W over dt, read-only, kept by the model for its last dt.
+
+    A dt other than the kept one forms both again (_finite_law,
+    _covariance_sqrt) and replaces the kept law; one whose law overflows
+    raises as _finite_law does and leaves the kept law as it was.
+    """
+    kept = model._last_law
+    if kept is None or kept[0] != dt:
+        phi, cov = _finite_law(model, dt)
+        root = _covariance_sqrt(cov)
+        phi.setflags(write=False)
+        root.setflags(write=False)
+        kept = (dt, phi, root)
+        object.__setattr__(model, "_last_law", kept)
+    return kept[1], kept[2]
+
+
 def sample_paths(
     model: LinearSystemModel,
     x0,
@@ -266,7 +287,9 @@ def sample_paths(
     each step adds Phi times the block before it, in place, through one
     preallocated buffer.  Every stacked (n, n) @ (n, 1) product is the
     matvec Phi @ x itself, so each trial keeps the bits of its own
-    Phi @ x + R @ z.  Raises ValueError if steps or trials is not a positive
+    Phi @ x + R @ z.  Phi and R come from the model's kept law
+    (_sampling_law): a model sampled again at its last dt forms neither
+    again.  Raises ValueError if steps or trials is not a positive
     integer, if Phi or W is not finite at this dt, or, naming the first trial
     and step, if a path leaves the float range.
     """
@@ -276,8 +299,7 @@ def sample_paths(
     n = model.dimension
     if x0.shape[0] != n:
         raise ValueError("initial state dimension does not match the model")
-    phi, cov = _finite_law(model, dt)
-    root = _covariance_sqrt(cov)
+    phi, root = _sampling_law(model, dt)
     z = np.stack(
         [substream(seed, PATH_LANE, t, 0).standard_normal((steps, n)) for t in range(trials)],
         axis=1,

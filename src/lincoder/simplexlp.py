@@ -4,8 +4,10 @@ Solves   minimize 1.x   subject to  V x = d,  x >= 0
 for a stack of targets d.  An optimum is a basic solution x_B = B+ d on
 r = rank(V) independent columns B, and B is optimal exactly when x_B >= 0
 and its dual y^T = 1^T B+ has y^T v_k <= 1 for every field (Bertsimas &
-Tsitsiklis 1997, sec. 3.1).  That dual test reads V alone, so those bases
-are built once per family and every target is solved against them at once.
+Tsitsiklis 1997, sec. 3.1).  On B's own fields y^T v_k = 1 exactly, so
+only the other fields are tested: rounding there could drop the only
+optimal basis.  That dual test reads V alone, so those bases are built once
+per family and every target is solved against them at once.
 
 Two more per-basis quantities are built with them.  A target's replay
 spread w_B . x_B (w_i = |v_i|^2) equals c_B . d with c_B = w_B^T B+, so
@@ -56,7 +58,10 @@ def _optimal_bases(matrix: bytes, shape: tuple) -> tuple:
     independent = np.linalg.matrix_rank(columns) == rank
     subsets, columns = subsets[independent], columns[independent]
     inverses = np.linalg.pinv(columns)
-    optimal = np.max(inverses.sum(axis=1) @ constraints, axis=1) <= 1.0 + TIE_RTOL
+    # Each basis's own columns are masked: there y^T v = 1 holds up to rounding alone.
+    duals = inverses.sum(axis=1) @ constraints  # (S, k)
+    np.put_along_axis(duals, subsets, -np.inf, axis=1)
+    optimal = np.max(duals, axis=1) <= 1.0 + TIE_RTOL
     if not optimal.any():
         raise ValueError(
             "rounding leaves no basis of the family dual-feasible; "
@@ -81,13 +86,14 @@ def solve_nonnegative_lp(constraints, rhs) -> np.ndarray:
     x_B >= -BASIS_TOL and |B x_B - d| <= BASIS_TOL, both for d scaled to
     unit max-norm, and is then optimal.  The residual is computed only on
     the exposed bases; on the others the a-priori bound (see the module
-    docstring) already keeps it within BASIS_TOL.  Where it fails, one step
-    of iterative refinement x_B - B+ (B x_B - d) takes the place of x_B if
-    it passes both tests.  The least replay spread sum_i x_i |v_i|^2, read
-    as c_B . d, wins, spreads within TIE_RTOL going to the lowest subset
-    index.  Entries of x_B up to
-    TIE_RTOL times the flow time become 0, so a target along one column
-    gets a one-hot solution.  Raises ValueError when the columns have more
+    docstring) already keeps it within BASIS_TOL.  Where it fails, up to two
+    steps of iterative refinement x_B - B+ (B x_B - d) are taken, and the
+    first that passes both tests takes the place of x_B (a basis of
+    condition number 1e13 can need the second).  The least replay spread
+    sum_i x_i |v_i|^2, read as c_B . d, wins, spreads within TIE_RTOL going
+    to the lowest subset index.  Entries of x_B up to TIE_RTOL times the
+    flow time become 0, so a target along one column gets a one-hot
+    solution.  Raises ValueError when the columns have more
     than MAX_BASES candidate bases, or when rounding leaves none of them
     dual-feasible.
     """
@@ -120,13 +126,20 @@ def solve_nonnegative_lp(constraints, rhs) -> np.ndarray:
             fits = np.all(np.abs(residual) <= BASIS_TOL, axis=1)
             feasible[exposed] &= fits
             if not fits.all():
-                # B+ d is not backward stable on an ill-conditioned basis: one
-                # step of iterative refinement, kept where it passes both tests.
-                refined = exposed_xb - inverses[exposed] @ residual
-                fixed = ~fits & np.all(np.abs(exposed_columns @ refined - d) <= BASIS_TOL, axis=1)
-                fixed &= np.min(refined, axis=1, initial=np.inf) >= -BASIS_TOL
-                xb[exposed] = np.where(fixed[:, np.newaxis], refined, exposed_xb)
-                feasible[exposed] |= fixed
+                # B+ d is not backward stable on an ill-conditioned basis: up to two
+                # steps of iterative refinement, the first that passes both tests kept.
+                exposed_inverses, refined, left = inverses[exposed], exposed_xb, ~fits
+                for _ in range(2):
+                    refined = refined - exposed_inverses @ residual
+                    residual = exposed_columns @ refined - d
+                    fixed = left & np.all(np.abs(residual) <= BASIS_TOL, axis=1)
+                    fixed &= np.min(refined, axis=1, initial=np.inf) >= -BASIS_TOL
+                    exposed_xb = np.where(fixed[:, np.newaxis], refined, exposed_xb)
+                    feasible[exposed] |= fixed
+                    left &= ~fixed
+                    if not left.any():
+                        break
+                xb[exposed] = exposed_xb
         spread = np.where(feasible, spread_rows @ d, np.inf)
         least = spread.min(axis=0)
         pick = np.argmax(spread <= least + TIE_RTOL * np.abs(least), axis=0)

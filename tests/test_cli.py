@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 
 import lincoder
-from lincoder import LinearSystemModel, planar_grid_family, sample_paths
+from lincoder import (
+    LinearSystemModel,
+    SourceFamily,
+    TrajectoryDataset,
+    compress_dataset,
+    planar_grid_family,
+    sample_paths,
+    simplexlp,
+)
 from lincoder.cli import main
 from lincoder.csvio import dump_family, read_trajectories, write_trajectories
 from lincoder.simplexlp import MAX_BASES
@@ -565,20 +573,57 @@ class TestEmulate:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_family_with_no_dual_feasible_basis_fails(self, tmp_path, capsys):
-        model = LinearSystemModel.constant(-np.eye(3), 0.01 * np.eye(3))
-        data_path = tmp_path / "train3.csv"
-        write_trajectories(sample_paths(model, [1.0, 1.0, 1.0], 0.01, 5, 2, seed=11), data_path)
+    def test_family_with_no_dual_feasible_basis_fails(self, tmp_path, capsys, monkeypatch):
+        # A negative TIE_RTOL forces the refusal that no family is known to reach.
+        data_path, _ = self._write_inputs(tmp_path)
         family_path = tmp_path / "family.json"
-        fields = [[0.0, 2.0, -1.0], [1e-9, 2.0, -1.0], [-2.0, -3.0, 0.0]]
-        family_path.write_text(json.dumps(fields))
+        family_path.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        monkeypatch.setattr(simplexlp, "TIE_RTOL", -2.0)
+        simplexlp._optimal_bases.cache_clear()
         out = tmp_path / "emu.csv"
-        argv = [str(data_path), str(family_path), "--resolution", "1", "--seed", "1"]
+        argv = [data_path, str(family_path), "--resolution", "1", "--seed", "1"]
         assert main(["emulate", *argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: rounding leaves no basis of the family dual-feasible")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_square_family_with_a_near_duplicate_field_matches_highs(self, tmp_path, capsys):
+        # Fields 0 and 1 differ by 1e-9 in one entry.  Even steps move inside
+        # the family's cone, odd steps in a random direction; one trial, so
+        # each step's flow time is its increment's.
+        from scipy.optimize import linprog
+
+        fields = [[0.0, 2.0, -1.0], [1e-9, 2.0, -1.0], [-2.0, -3.0, 0.0]]
+        vectors = np.array(fields).T
+        rng = np.random.default_rng(11)
+        steps = rng.normal(size=(10, 3))
+        steps[::2] = (vectors @ rng.uniform(0.1, 1.0, (3, 5))).T
+        states = np.cumsum(np.vstack([np.ones((1, 3)), steps]), axis=0)
+        data_path = tmp_path / "train3.csv"
+        write_trajectories(TrajectoryDataset(0.01, states[np.newaxis]), data_path)
+        family_path = tmp_path / "family.json"
+        family_path.write_text(json.dumps(fields))
+        out = tmp_path / "emu.csv"
+        argv = [str(data_path), str(family_path), "--resolution", "1", "--seed", "1"]
+        assert main(["emulate", *argv, "--out", str(out)]) == 0
+        printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        dataset = read_trajectories(data_path)
+        codes = compress_dataset(dataset, SourceFamily(vectors))
+        infeasible = 0
+        for step, target in enumerate(dataset.increments()[0]):
+            reference = linprog(
+                np.ones(3), A_eq=vectors, b_eq=target, bounds=(0, None), method="highs"
+            )
+            if reference.status == 2:
+                infeasible += 1
+                assert codes.feasible_trials[step] == 0
+                continue
+            assert reference.status == 0
+            assert abs(codes.flow_times[step] - reference.fun) <= 1e-6
+        assert 0 < infeasible < 10
+        assert int(printed["infeasible_increments"]) == infeasible
+        assert out.exists()
 
     def test_affine_family_fails_without_output(self, tmp_path, capsys):
         data_path, _ = self._write_inputs(tmp_path)

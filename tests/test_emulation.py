@@ -25,7 +25,7 @@ from lincoder import (
     simplex_compress,
     simplex_decompress,
 )
-from lincoder import emulation
+from lincoder import emulation, simplexlp
 from lincoder.csvio import dump_family, load_family
 from lincoder.emulation import COV_SCALE_RTOL, replay_statistics
 from lincoder.rng import EMULATION_LANE, substream
@@ -300,8 +300,7 @@ class TestSimplexCodec:
         # Field 1 is field 0 plus 1e-9 noise, so optimal bases can be
         # ill-conditioned.  Every in-cone target that HiGHS solves gets a
         # nonnegative solution at a flow time not above HiGHS's by more than
-        # 1e-6 relative.  A family that rounding leaves without a
-        # dual-feasible basis is refused as a whole, and skipped here.
+        # 1e-6 relative, and no family is refused.
         from scipy.optimize import linprog
 
         rng = np.random.default_rng(7)
@@ -312,10 +311,7 @@ class TestSimplexCodec:
             vectors = rng.normal(size=(m, k))
             vectors[:, 1] = vectors[:, 0] + 1e-9 * rng.normal(size=m)
             targets = rng.exponential(size=(20, k)) @ vectors.T
-            try:
-                x = solve_nonnegative_lp(vectors, targets)
-            except ValueError:
-                continue
+            x = solve_nonnegative_lp(vectors, targets)
             for target, solution in zip(targets, x):
                 reference = linprog(
                     np.ones(k), A_eq=vectors, b_eq=target, bounds=(0, None), method="highs"
@@ -403,11 +399,40 @@ class TestSimplexCodec:
         with pytest.raises(ValueError, match="candidate bases"):
             simplex_compress(fam, [1.0, 0.0])
 
-    def test_family_with_no_dual_feasible_basis_rejected(self):
-        # Its own columns give 1^T B^-1 B > 1 + TIE_RTOL, so rounding drops its one basis.
-        fam = SourceFamily([[0.0, 1e-9, -2.0], [2.0, 2.0, -3.0], [-1.0, -1.0, 0.0]])
+    def test_family_with_no_dual_feasible_basis_rejected(self, monkeypatch):
+        # No family is known to reach the refusal at the real TIE_RTOL: a
+        # negative one makes every basis fail on a column of its own family.
+        fam = family_from([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])
+        monkeypatch.setattr(simplexlp, "TIE_RTOL", -2.0)
+        _optimal_bases.cache_clear()
         with pytest.raises(ValueError, match="^rounding leaves no basis of the family"):
-            simplex_compress(fam, [1.0, 0.0, 0.0])
+            simplex_compress(fam, [1.0, 0.5])
+
+    def test_square_family_with_a_near_duplicate_field_matches_highs(self):
+        # Fields 0 and 1 differ by 1e-9 in one entry (condition number 1e10).
+        # The basis of all three fields is the only one and is kept; [1, 0, 0]
+        # lies outside its cone.
+        from scipy.optimize import linprog
+
+        vectors = np.array([[0.0, 1e-9, -2.0], [2.0, 2.0, -3.0], [-1.0, -1.0, 0.0]])
+        fam = SourceFamily(vectors)
+        assert len(_optimal_bases(vectors.tobytes(), vectors.shape)[0]) == 1
+        rng = np.random.default_rng(3)
+        in_cone = (vectors @ rng.uniform(0.0, 1.0, (3, 20))).T
+        targets = np.vstack([[1.0, 0.0, 0.0], rng.normal(size=(20, 3)), in_cone])
+        verdicts = set()
+        for target in targets:
+            reference = linprog(
+                np.ones(3), A_eq=vectors, b_eq=target, bounds=(0, None), method="highs"
+            )
+            verdicts.add(reference.status)
+            if reference.status == 2:
+                with pytest.raises(InfeasibleTargetError):
+                    simplex_compress(fam, target)
+                continue
+            assert reference.status == 0
+            assert abs(simplex_compress(fam, target).flow_time - reference.fun) <= 1e-6
+        assert verdicts == {0, 2}
 
     def test_decompress_trivial_cases(self):
         fam = family_from([1.0, 0.0], [0.0, 2.0])

@@ -682,6 +682,69 @@ class TestSamplePaths:
         numpy = sample_paths(model, [1.0, 1.0], 0.1, steps=np.int64(3), trials=np.int64(3), seed=7)
         assert plain.states.tobytes() == numpy.states.tobytes()
 
+    @staticmethod
+    def fresh_bytes(dt, seed=7):
+        """The states of one sample_paths call on a model that has never sampled."""
+        model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
+        return sample_paths(model, [1.0, -0.5], dt, steps=50, trials=3, seed=seed).states.tobytes()
+
+    @staticmethod
+    def counting_finite_law(monkeypatch):
+        formed = []
+        finite_law = linearsystem._finite_law
+
+        def counted(model, dt):
+            formed.append(dt)
+            return finite_law(model, dt)
+
+        monkeypatch.setattr(linearsystem, "_finite_law", counted)
+        return formed
+
+    def test_one_model_at_one_interval_forms_its_law_once(self, monkeypatch):
+        expected = {seed: self.fresh_bytes(0.01, seed) for seed in (7, 8)}
+        formed = self.counting_finite_law(monkeypatch)
+        model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
+        for seed in (7, 8, 7):
+            data = sample_paths(model, [1.0, -0.5], 0.01, steps=50, trials=3, seed=seed)
+            assert data.states.tobytes() == expected[seed]
+        assert formed == [0.01]
+
+    def test_another_interval_replaces_the_kept_law(self, monkeypatch):
+        expected = {dt: self.fresh_bytes(dt) for dt in (0.01, 40.0)}
+        formed = self.counting_finite_law(monkeypatch)
+        model = LinearSystemModel.constant([[-0.5, 1.0], [-1.0, -0.5]], 0.01 * np.eye(2))
+        for dt in (0.01, 40.0, 40.0, 0.01):
+            data = sample_paths(model, [1.0, -0.5], dt, steps=50, trials=3, seed=7)
+            assert data.states.tobytes() == expected[dt]
+            assert model._last_law[0] == dt
+        assert formed == [0.01, 40.0, 0.01]
+
+    def test_overflowing_interval_keeps_nothing(self, monkeypatch):
+        model = LinearSystemModel.constant(UNSTABLE_SPIRAL, np.eye(2))
+        first = sample_paths(model, np.ones(2), 1.0, steps=3, trials=2, seed=7)
+        kept = model._last_law
+        formed = self.counting_finite_law(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^the increment law overflows at dt = 1000$"):
+                sample_paths(model, np.ones(2), 1000.0, steps=3, trials=2, seed=7)
+            assert model._last_law is kept
+        again = sample_paths(model, np.ones(2), 1.0, steps=3, trials=2, seed=7)
+        assert again.states.tobytes() == first.states.tobytes()
+        assert formed == [1000.0, 1000.0]
+
+    def test_kept_law_is_read_only(self):
+        model = demo_model("stable")
+        assert model._last_law is None
+        sample_paths(model, [1.0, 1.0], 0.01, steps=2, trials=1, seed=0)
+        dt, phi, root = model._last_law
+        assert dt == 0.01
+        for kept in (phi, root):
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0, 0] = 0.0
+        # increment_distribution forms its own law and hands back a writable W.
+        assert increment_distribution(model, [1.0, 1.0], 0.01).covariance.flags.writeable
+
 
 class TestTrajectoryDataset:
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan])

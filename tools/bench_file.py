@@ -31,9 +31,10 @@ each one the file records:
   300 x 2 dataset, measured the same way;
 - the cost per call of each layer of the ``sample`` command and of the
   replay step (Philox setup, ``sample_paths``, CSV formatting and parsing,
-  ``emulate_steps``, one in-process ``main``), and of the bare ``%.17g``
-  formatting of the states that the CSV writer cannot go below, measured
-  the same way with SAMPLE_CALLS calls per round.
+  ``emulate_steps``, one in-process ``main``), of the first
+  ``sample_paths`` on a fresh model, and of the bare ``%.17g`` formatting
+  of the states that the CSV writer cannot go below, measured the same way
+  with SAMPLE_CALLS calls per round.
 
 Each probe ratio is a checkout's minimum over the first checkout's; next to
 it the file records the median and quartiles of the ratios of the processes
@@ -207,8 +208,12 @@ cases["compress_dataset 300x2, grid"] = (lc.compress_dataset, data, lc.planar_gr
 #: The same for the layers of ``sample`` on the 300-step datasets of the
 #: sample-replay workload, and for its replay step.  Each write rewrites its
 #: own file in a temporary directory, as the benchmark's items do, and
-#: ``main`` prints one line per call before the JSON line.
-SAMPLE_PROBE = r"""
+#: ``main`` prints one line per call before the JSON line.  The warm
+#: ``sample_paths`` cases sample one model again and again; the cold case
+#: gives every call a fresh model, built before the timing starts.
+SAMPLE_PROBE = f"""
+calls = {PROBE_WARMUP + PROBE_ROUNDS * SAMPLE_CALLS}
+""" + r"""
 import json, tempfile, time
 from pathlib import Path
 import lincoder as lc
@@ -218,6 +223,9 @@ from lincoder.rng import PATH_LANE, substream
 
 def draw():
     return substream(7, PATH_LANE, 0, 0).standard_normal((300, 2))
+
+def first_sample(models):
+    return lc.sample_paths(next(models), [1.0, 1.0], 0.01, 300, 2, 7)
 
 stable, family = lc.demo_model("stable"), lc.planar_grid_family()
 workdir = tempfile.TemporaryDirectory()
@@ -233,6 +241,8 @@ cases = {
     "substream + standard_normal((300, 2))": (draw,),
     "sample_paths 300x2": (lc.sample_paths, stable, [1.0, 1.0], 0.01, 300, 2, 7),
     "sample_paths 300x40": (lc.sample_paths, stable, [1.0, 1.0], 0.01, 300, 40, 7),
+    "cold model, sample_paths 300x2": (
+        first_sample, iter([lc.demo_model("stable") for _ in range(calls)])),
     "write_trajectories 300x1": (
         write_trajectories, lc.TrajectoryDataset(0.01, three.states[:1]), path / "one.csv"),
     "write_trajectories 300x40": (write_trajectories, forty, path / "forty.csv"),
