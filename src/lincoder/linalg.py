@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from functools import cached_property
 
 import numpy as np
 
@@ -150,9 +149,9 @@ def _squarings_from_norms(norms, d6, d8, d10, unit_row_log2) -> np.ndarray:
     """Squaring count s of each matrix A for the degree-13 approximant, from its norms.
 
     norms, d6, d8 and d10 are ||A|| and the power norms d_k = ||A^k||^(1/k)
-    of each A, all finite; unit_row_log2(picked) is _unit_row_log2 of the
-    picked matrices.  log2(0) = -inf is a valid value here, so callers run
-    it with divide errors ignored.
+    of each A, all finite, and unit_row_log2 is _unit_row_log2 of each A (or
+    one value for all of them).  log2(0) = -inf is a valid value here, so
+    callers run it with divide errors ignored.
 
     Al-Mohy & Higham 2009, Algorithm 5.1, at degree 13 only, with exact
     1-norms.  The scaling follows the norms of powers rather than ||A||.
@@ -162,32 +161,16 @@ def _squarings_from_norms(norms, d6, d8, d10, unit_row_log2) -> np.ndarray:
     ceil(log2(alpha / u) / 26), with alpha = |c_27| ||(|A|)^27|| / ||A|| and
     u = 2^-53, adds squarings where rounding in the Pade evaluation of a
     highly non-normal matrix would dominate.  ||(|A|)^27|| is the largest
-    entry of 1^T (|A| / ||A||)^27 times ||A||^27.
-
-    The 1-norm is submultiplicative, so ||(|A|)^27|| <= ||A||^27, the
-    largest entry is at most 1, and ell <= ceil((26 log2 ||A|| + 1 -
-    log2(1/|c_27|) + 53) / 26).  The 1 is the margin for the rounding of the
-    computed entry: each of its 54 roundings (nonnegative products, and the
-    norm it is divided by) scales it by at most 1 + (n + 1) u, so it stays
-    below 2, and its log2 below 1, for any n short of 10^13.  The bound is
-    the formula for ell with that log2 replaced by 1, and every step of the
-    formula is monotone in floating point, so the computed ell is at most
-    the computed bound.  The 27th power is formed only for the matrices
-    whose bound exceeds their count from the d_k alone; for the rest ell
-    cannot raise the count, which is the one the full formula gives.
+    entry of 1^T (|A| / ||A||)^27 times ||A||^27, and s is the larger of
+    ell and the count from the d_k alone.
     """
     # d_k <= ||A||, which also stands in for a power norm that overflowed.
     eta5 = np.fmin(np.minimum(np.maximum(d6, d8), np.maximum(d8, d10)), norms)
-    log_norms = np.log2(norms)
     squarings = np.maximum(np.ceil(np.log2(eta5 / _PADE_THETA13)), 0.0)
-    bound = np.ceil((26 * log_norms + 1.0 - _PADE_LOG2_ERROR_RECIPROCAL + 53.0) / 26)
-    picked = bound > squarings
-    if picked.any():
-        log_alpha = 26 * log_norms[picked] + unit_row_log2(picked)
-        ell = np.ceil((log_alpha - _PADE_LOG2_ERROR_RECIPROCAL + 53.0) / 26)
-        # Scaling by 2^-s lowers log2(alpha) by 26 s, so ell(2^-s A, 13) = ell - s.
-        squarings[picked] = np.maximum(squarings[picked], ell)
-    return squarings.astype(int)
+    log_alpha = 26 * np.log2(norms) + unit_row_log2
+    # Scaling by 2^-s lowers log2(alpha) by 26 s, so ell(2^-s A, 13) = ell - s.
+    ell = np.ceil((log_alpha - _PADE_LOG2_ERROR_RECIPROCAL + 53.0) / 26)
+    return np.maximum(squarings, ell).astype(int)
 
 
 def _squarings(a: np.ndarray, a4, a6, a8) -> np.ndarray:
@@ -218,18 +201,19 @@ def _squarings(a: np.ndarray, a4, a6, a8) -> np.ndarray:
         )
         return counts
     with np.errstate(divide="ignore"):
-        return _squarings_from_norms(
-            norms, d6, d8, d10, lambda picked: _unit_row_log2(a[picked], norms[picked])
-        )
+        return _squarings_from_norms(norms, d6, d8, d10, _unit_row_log2(a, norms))
 
 
-def _pade(a: np.ndarray, a2, a4, a6) -> np.ndarray:
-    """Degree-13 Pade approximant of exp of each matrix of a stack, from its powers.
+def _pade(a: np.ndarray) -> np.ndarray:
+    """Degree-13 Pade approximant of exp of each matrix of a stack (m, n, n).
 
     Higham's grouping of the products, with the coefficients scaled to b_0 = 1.
     """
     b = _PADE_COEFFICIENTS
     eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
     odd = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4
     u = a @ (odd + b[3] * a2 + b[1] * eye)
     even = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4
@@ -238,20 +222,16 @@ def _pade(a: np.ndarray, a2, a4, a6) -> np.ndarray:
 
 
 def _scaled_exp_stack(a: np.ndarray):
-    """exp(A 2^-s) of each matrix A of a stack (m, n, n), and the counts s."""
+    """exp(A 2^-s) of each matrix A of a stack (m, n, n), and the counts s.
+
+    Scaling by 2^-s is exact, so the powers of the scaled A that _pade forms
+    are the scaled powers, and finite where the unscaled ones overflowed.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         a2 = a @ a
         a4 = a2 @ a2
-        a6 = a4 @ a2
-        squarings = _squarings(a, a4, a6, a4 @ a4)
-        if squarings.any():
-            # Scaling by 2^-s is exact, so the powers of the scaled A are the
-            # scaled powers, and finite where the unscaled ones overflowed.
-            a = a * (0.5**squarings)[:, np.newaxis, np.newaxis]
-            a2 = a @ a
-            a4 = a2 @ a2
-            a6 = a4 @ a2
-        return _pade(a, a2, a4, a6), squarings
+        squarings = _squarings(a, a4, a4 @ a2, a4 @ a4)
+        return _pade(a * (0.5**squarings)[:, np.newaxis, np.newaxis]), squarings
 
 
 class _Multiples:
@@ -262,41 +242,33 @@ class _Multiples:
     M 2^-top, whose largest entry lies in [1/2, 1), scaled back by 2^top:
     none of them overflows, and one that underflows is below 2^-102 in
     those units, where it cannot raise the count of an interval short of
-    _POWER_NORM_LIMIT.  ||M|| itself can overflow, so both are formed by
-    the first _scaled_exp_multiples of M, under its error state (scale);
-    ``norms`` is None until then, and constructing a _Multiples forms
-    nothing.  ``unit_row_log2``, the log2 of M's 27th-power row
-    (_unit_row_log2), is formed on first use only: most stacks never read
-    it.  A model builds one _Multiples of its generator
-    when it is built, so each of these is formed at most once per model,
-    not once per call.
+    _POWER_NORM_LIMIT.  ``unit_row_log2`` is the log2 of M's 27th-power row
+    (_unit_row_log2).  All three are formed when the _Multiples is built,
+    with overflow ignored, since ||M|| itself can overflow.  A model
+    builds one _Multiples of its generator when it is built, so each of
+    these is formed once per model, not once per call.
     """
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
-        self.norms = None
-
-    def scale(self):
-        self.top = math.frexp(np.abs(self.matrix).max())[1]
-        unit = np.ldexp(self.matrix, -self.top)[np.newaxis]
-        unit2 = unit @ unit
-        unit4 = unit2 @ unit2
-        self.norms = np.ldexp(_power_norms(unit, unit4, unit4 @ unit2, unit4 @ unit4), self.top)
-
-    @cached_property
-    def unit_row_log2(self) -> np.ndarray:
-        return _unit_row_log2(self.matrix[np.newaxis], self.norms[0])
+        self.top = math.frexp(np.abs(matrix).max())[1]
+        with np.errstate(over="ignore"):
+            unit = np.ldexp(matrix, -self.top)[np.newaxis]
+            unit2 = unit @ unit
+            unit4 = unit2 @ unit2
+            self.norms = np.ldexp(_power_norms(unit, unit4, unit4 @ unit2, unit4 @ unit4), self.top)
+            self.unit_row_log2 = _unit_row_log2(matrix[np.newaxis], self.norms[0])
 
 
 def _scaled_exp_multiples(multiples: _Multiples, factors: np.ndarray):
     """scaled_exp of the stack M t, t each factor of a 1-D array, for M = multiples.matrix.
 
-    The count of A = M t comes from the powers of M alone (_Multiples,
-    whose norms the first call on it forms under this call's error state):
-    d_k(M t) = t d_k(M) and ||M t|| = t ||M|| feed the count rule
-    _squarings_from_norms that _squarings applies to a stack.  Each
-    M (t 2^-s) is then formed directly, and only its Pade approximant is
-    evaluated, in slices of _EXP_CHUNK_BYTES.
+    The count of A = M t comes from what _Multiples read of M alone:
+    d_k(M t) = t d_k(M), ||M t|| = t ||M|| and the 27th-power row of M,
+    which M t shares, feed the count rule _squarings_from_norms that
+    _squarings applies to a stack.  Each M (t 2^-s) is then formed
+    directly, and only its Pade approximant is evaluated, in slices of
+    _EXP_CHUNK_BYTES.
 
     Where t ||M|| < _POWER_NORM_LIMIT = 2^102, ||M t||^10 < 2^1020 bounds
     every entry and partial sum of the powers of the stacked count, so that
@@ -313,22 +285,17 @@ def _scaled_exp_multiples(multiples: _Multiples, factors: np.ndarray):
     matrix = multiples.matrix
     n = matrix.shape[-1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if multiples.norms is None:
-            multiples.scale()
         norms = multiples.norms
         routed = factors * norms[0] >= _POWER_NORM_LIMIT
         # Routed intervals stand in as t = 0 until their stacked count below.
         any_routed = routed.any()
         kept = np.where(routed, 0.0, factors) if any_routed else factors
-        counts = _squarings_from_norms(*(norms * kept), lambda picked: multiples.unit_row_log2)
+        counts = _squarings_from_norms(*(norms * kept), multiples.unit_row_log2)
         generators = matrix * np.ldexp(kept, -counts)[:, np.newaxis, np.newaxis]
         exps = np.empty(generators.shape)
         size = max(1, _EXP_CHUNK_BYTES // (generators.itemsize * n * n))
         for i in range(0, len(generators), size):
-            a = generators[i : i + size]
-            a2 = a @ a
-            a4 = a2 @ a2
-            exps[i : i + size] = _pade(a, a2, a4, a4 @ a2)
+            exps[i : i + size] = _pade(generators[i : i + size])
         if any_routed:
             # Rounding is monotone, so M t is finite where t max |M| is.
             finite = np.isfinite(factors[routed] * np.abs(matrix).max())

@@ -62,12 +62,11 @@ class LinearSystemModel:
     """Drift plus symmetric PSD noise intensity (units: state^2 / time).
 
     Both arrays are read-only, so a model keeps what its rates read of
-    them: its augmented generator M (_multiples), built with the model; the
-    power norms of M, formed by its first increment law or rate (the
-    27th-power row only if a count needs it); and its Lyapunov
-    equilibrium and its mode variances, formed by its first ceiling (every
-    curve and sampling-rate search takes one), None where the drift is not
-    Hurwitz (_equilibrium, _equilibrium_modes).  Of its sampling
+    them: its augmented generator M with the power norms and the 27th-power
+    row of M (_multiples), all formed when the model is built; and its
+    Lyapunov equilibrium and its mode variances, formed by its first ceiling
+    (every curve and sampling-rate search takes one), None where the drift
+    is not Hurwitz (_equilibrium, _equilibrium_modes).  Of its sampling
     intervals it keeps one: the last dt that sample_paths drew at, with its
     Phi and noise root R, both read-only (_last_law), so the same model
     sampled again at that dt forms neither again.
@@ -133,11 +132,8 @@ class IncrementDistribution:
 
 
 def _generators(a: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Augmented generator M = [[-A, N], [0, A^T]] of each drift matrix of a stack (..., n, n)."""
-    n = noise.shape[0]
-    block = np.zeros(a.shape[:-2] + (2 * n, 2 * n))
-    block[..., :n, :n], block[..., :n, n:], block[..., n:, n:] = -a, noise, a.swapaxes(-1, -2)
-    return block
+    """Augmented generator M = [[-A, N], [0, A^T]] of the drift matrix A."""
+    return np.block([[-a, noise], [np.zeros_like(a), a.T]])
 
 
 def _compose(phi_j, w_j, phi, w):
@@ -207,14 +203,13 @@ def _transition_and_gramian(model: LinearSystemModel, dt):
     solves H' = H M by H = [[Phi^-1, Phi^-1 W], [0, Phi^T]] and carries each
     exponential's own scaling 2^-s out as s interval doublings, never as
     squarings of the augmented block.  Their counts come from the powers of
-    the one generator M, built with the model (its _multiples), whose power
-    norms the model's first call here forms and keeps (its equilibrium is
-    solved by coderate.rate_ceiling alone): d_k(M dt) = dt d_k(M) for the
-    power norms d_k = ||A^k||^(1/k) of the count.  Intervals with dt ||M|| at
-    or past 2^102, where the stacked powers of M dt can overflow and the
-    count falls back to ||M dt||, keep the stacked count of M dt (see
-    linalg._scaled_exp_multiples), so each count agrees with the one the
-    stack M dt gives, to rounding.
+    the one generator M, whose power norms are formed with the model (its
+    _multiples; its equilibrium is solved by coderate.rate_ceiling alone):
+    d_k(M dt) = dt d_k(M) for the power norms d_k = ||A^k||^(1/k) of the
+    count.  Intervals with dt ||M|| at or past 2^102, where the stacked
+    powers of M dt can overflow and the count falls back to ||M dt||, keep
+    the stacked count of M dt (see linalg._scaled_exp_multiples), so each
+    count agrees with the one the stack M dt gives, to rounding.
     For unstable drift at extreme horizons entries may overflow to inf, which
     callers treat as an unbounded-rate signal.
     """

@@ -709,6 +709,27 @@ def load_bench_tracer():
     return module
 
 
+class TestGeneratorAtTheFloatLimits:
+    """Models whose generator reaches the ends of the float range build and
+    rate without a numpy warning, which the suite turns into an error."""
+
+    def test_generator_whose_norm_overflows(self):
+        # ||M|| = 2e308 overflows while every entry of M is finite.
+        model = LinearSystemModel.constant([[-1e308]], [[1e308]])
+        assert increment_rate(model, 1.0, 0.01).rate_bits == 2.821928094887362
+
+    def test_huge_non_normal_drift(self):
+        model = LinearSystemModel.constant([[-1e300, 1e300], [0.0, -1e300]], np.eye(2))
+        curve = rate_curve(model, 0.01, [1e-3, 1.0])
+        assert curve.rate_bits.tolist() == [0.0, 0.0] and curve.asymptote_bits == 0.0
+
+    def test_zero_model(self):
+        model = LinearSystemModel.constant([[0.0]], [[0.0]])
+        curve = rate_curve(model, 0.01, [1e-3, 1.0, 1e3])
+        assert curve.rate_bits.tolist() == [0.0, 0.0, 0.0] and curve.asymptote_bits is None
+        assert min_sampling_rate(model, 0.01, 1.0) == NotNeeded(None, zero_rate=True)
+
+
 class TestModelDerivesOnce:
     """A constant-drift model forms its generator's power norms and its equilibrium once."""
 
@@ -770,7 +791,7 @@ class TestModelDerivesOnce:
         assert ceiling == pinned(lambda: rdf(solved, 0.01))
 
     @pytest.mark.parametrize("name", CEILING_MODELS)
-    def test_generator_is_built_with_the_model_and_its_norms_on_first_use(self, name, monkeypatch):
+    def test_generator_is_built_with_the_model_and_its_norms_when_built(self, name, monkeypatch):
         sizes, power_norms = [], linalg._power_norms
         monkeypatch.setattr(
             linalg,
@@ -782,7 +803,7 @@ class TestModelDerivesOnce:
         generator = linearsystem._generators(model.drift.matrix, model.noise_intensity)
         assert multiples.matrix.shape == generator.shape
         assert multiples.matrix.tobytes() == generator.tobytes()
-        assert multiples.norms is None and sizes == []
+        assert sizes == [1]
         increment_rate(model, 1.0, 0.01)
         rate_curve(model, 0.01, DERIVED_GRID)
         assert sizes == [1]

@@ -292,25 +292,6 @@ class TestSquarings:
             binding = [i for i, (c, e) in enumerate(zip(counts, eta_terms)) if c > e]
             assert binding == [place]
 
-    def test_row_is_formed_only_where_the_bound_exceeds_the_count(self, monkeypatch):
-        # The 27th-power row of a stack is formed for the matrices whose norm
-        # bound on ell exceeds their count from the d_k, not for all of them.
-        rng = np.random.default_rng(59)
-        stack = rng.normal(size=(40, 2))[:, :, None] * np.eye(2)
-        stack *= (np.logspace(-3, 3, 40) / np.linalg.norm(stack, 1, axis=(1, 2)))[:, None, None]
-        mixed = np.insert(stack, [5, 30], NONNORMAL, axis=0)
-        counts, eta_terms = self.check(mixed)
-        with np.errstate(divide="ignore"):
-            norms = np.linalg.norm(mixed, 1, axis=(1, 2))
-            bounds = np.ceil((26 * np.log2(norms) + 1.0 - LOG2_ERROR_RECIPROCAL + 53.0) / 26)
-        rows, unit_row = [], linalg._unit_row_log2
-        monkeypatch.setattr(
-            linalg, "_unit_row_log2", lambda a, norm: rows.append(len(a)) or unit_row(a, norm)
-        )
-        assert squarings_of(mixed).tolist() == counts
-        picked = int((bounds > np.array(eta_terms)).sum())
-        assert rows == [picked] and 2 <= picked < len(mixed)
-
 
 class TestSymEig:
     def test_identity(self):

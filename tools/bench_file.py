@@ -24,8 +24,9 @@ each one the file records:
   a whole ``min_sampling_rate`` (two models) and ``rate_ceiling`` on models
   that earlier calls have warmed, and of the first ``_increment_rates``
   call on a fresh model (one interval, a 20-interval round), with the
-  models built before the timing, the minimum over PROBE_PROCESSES fresh
-  processes of the best of PROBE_ROUNDS rounds of PROBE_CALLS calls;
+  models built before the timing, and of building a model (unstable,
+  hurwitz8), the minimum over PROBE_PROCESSES fresh processes of the best
+  of PROBE_ROUNDS rounds of PROBE_CALLS calls;
 - the cost per call of ``simplexlp.solve_nonnegative_lp`` on 600 seeded
   targets for each bench family type, and of ``compress_dataset`` on one
   300 x 2 dataset, measured the same way;
@@ -133,18 +134,14 @@ print(json.dumps(best))
 #: calls, among the warm-up calls, form what the model keeps.  Two cold cases
 #: give every call a fresh model, drawn from an iterator of models built
 #: before the timing starts, so they time a model's first call without its
-#: construction.
+#: construction; two build cases time the construction alone.
 RATE_PROBE = f"""
 calls = {PROBE_WARMUP + PROBE_ROUNDS * PROBE_CALLS}
 """ + r"""
-import inspect, json, time
+import json, time
 import numpy as np
 import lincoder as lc
 from lincoder.coderate import _increment_rates, min_sampling_rate, rate_ceiling
-
-# Checkouts whose rate path still takes a start time t get t = 0.0; this
-# branch can go once no compared checkout has the t parameter.
-start_time = (0.0,) if "t" in inspect.signature(_increment_rates).parameters else ()
 
 stable, marginal, unstable = (lc.demo_model(n) for n in ("stable", "marginal", "unstable"))
 # A seeded 8-D Hurwitz drift Q J Q^T, J of 2x2 rotation blocks, as the
@@ -166,19 +163,22 @@ stacks = {
     "100-point curve, stable": (stable, np.logspace(-3, 2, 100)),
     "100-point curve, hurwitz8": (hurwitz8, np.logspace(-3, 2, 100)),
 }
-cases = {name: (_increment_rates, model, *start_time, dts, 0.01)
+cases = {name: (_increment_rates, model, dts, 0.01)
          for name, (model, dts) in stacks.items()}
 cases["min_sampling_rate C=8, unstable"] = (min_sampling_rate, unstable, 0.01, 8.0)
 cases["min_sampling_rate C=8, hurwitz8"] = (min_sampling_rate, hurwitz8, 0.01, 8.0)
 cases["rate_ceiling, hurwitz8"] = (rate_ceiling, hurwitz8, 0.01)
 
 def first_call(models, dts):
-    return _increment_rates(next(models), *start_time, dts, 0.01)
+    return _increment_rates(next(models), dts, 0.01)
 
 for name, dts in (("one interval", np.array([1.0])),
                   ("20-interval round", np.geomspace(1.0, 10.0, 20))):
     fresh = iter([lc.demo_model("unstable") for _ in range(calls)])
     cases[f"cold model, {name}, unstable"] = (first_call, fresh, dts)
+for name, model in (("unstable", unstable), ("hurwitz8", hurwitz8)):
+    cases[f"build model, {name}"] = (
+        lc.LinearSystemModel.constant, model.drift.matrix, model.noise_intensity)
 """ + best_of(PROBE_CALLS)
 
 #: The same for one LP compression: 600 seeded targets on each family type
